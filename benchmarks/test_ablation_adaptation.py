@@ -6,20 +6,21 @@ cross-layer adaptation on a constrained, blockage-prone 802.11ad link.
 
 import pytest
 
-from repro.experiments import run_adaptation_ablation
+from repro.runner import get_experiment, run_experiment
 
 
 @pytest.mark.repro
 def test_ablation_adaptation(benchmark, print_result, ablation_workload):
-    result = benchmark.pedantic(
-        run_adaptation_ablation,
-        kwargs=ablation_workload("adaptation"),
+    name = "ablation_adaptation"
+    merged = benchmark.pedantic(
+        run_experiment,
+        args=(name, ablation_workload("adaptation")),
         rounds=1,
         iterations=1,
     )
-    print_result("Abl-D: rate adaptation", result.format())
+    print_result("Abl-D: rate adaptation", get_experiment(name).format_result(merged))
 
-    rows = result.rows
+    rows = {r["policy"]: r["summary"] for r in merged["rows"]}
     # Fixed-high overloads the link and pays in stalls.
     assert rows["fixed-high"]["stall_time_s"] > 2.0
     # Every adaptive policy essentially eliminates stalls and beats

@@ -7,21 +7,24 @@ dead airtime and improve end-to-end QoE.
 
 import pytest
 
-from repro.experiments import run_blockage_ablation
+from repro.runner import get_experiment, run_experiment
 
 
 @pytest.mark.repro
 def test_ablation_blockage(benchmark, print_result, ablation_workload):
-    result = benchmark.pedantic(
-        run_blockage_ablation,
-        kwargs=ablation_workload("blockage"),
+    name = "ablation_blockage"
+    merged = benchmark.pedantic(
+        run_experiment,
+        args=(name, ablation_workload("blockage")),
         rounds=1,
         iterations=1,
     )
-    print_result("Abl-B: blockage mitigation", result.format())
+    text = get_experiment(name).format_result(merged)
+    print_result("Abl-B: blockage mitigation", text)
 
-    reactive = result.rows["reactive"]
-    proactive = result.rows["proactive"]
+    rows = {r["policy"]: r["summary"] for r in merged["rows"]}
+    reactive = rows["reactive"]
+    proactive = rows["proactive"]
 
     # The headline: predicted switches remove the detection+re-search
     # outage entirely.

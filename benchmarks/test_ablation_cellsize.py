@@ -6,20 +6,24 @@ IoU — the trade-off behind the paper's choice of cell sizes.
 
 import pytest
 
-from repro.experiments import run_cellsize_ablation
+from repro.runner import get_experiment, run_experiment
 
 
 @pytest.mark.repro
 def test_ablation_cellsize(benchmark, print_result, ablation_workload):
-    result = benchmark.pedantic(
-        run_cellsize_ablation,
-        kwargs=ablation_workload("cellsize"),
+    name = "ablation_cellsize"
+    merged = benchmark.pedantic(
+        run_experiment,
+        args=(name, ablation_workload("cellsize")),
         rounds=1,
         iterations=1,
     )
-    print_result("Abl-E: cell-size sweep", result.format())
+    print_result("Abl-E: cell-size sweep", get_experiment(name).format_result(merged))
 
-    rows = result.rows
+    rows = {
+        r["cell_size"]: (r["pair_iou"], r["visible_fraction"], r["mb_per_frame"])
+        for r in merged["rows"]
+    }
     sizes = sorted(rows)
     ious = [rows[s][0] for s in sizes]
     traffic = [rows[s][2] for s in sizes]

@@ -8,20 +8,25 @@ overlap into more concurrent users at 30 FPS.
 
 import pytest
 
-from repro.experiments import run_grouping_ablation
+from repro.runner import get_experiment, run_experiment
 
 
 @pytest.mark.repro
 def test_ablation_grouping(benchmark, print_result, ablation_workload):
-    result = benchmark.pedantic(
-        run_grouping_ablation,
-        kwargs=ablation_workload("grouping"),
+    name = "ablation_grouping"
+    merged = benchmark.pedantic(
+        run_experiment,
+        args=(name, ablation_workload("grouping")),
         rounds=1,
         iterations=1,
     )
-    print_result("Abl-C: multicast grouping", result.format())
+    text = get_experiment(name).format_result(merged)
+    print_result("Abl-C: multicast grouping", text)
 
-    fps = result.fps
+    fps = {}
+    for row in merged["rows"]:
+        for entry in row["fps"]:
+            fps.setdefault(entry["policy"], {})[row["num_users"]] = entry["mean_fps"]
     for n in (2, 4, 6):
         # Grouping never hurts...
         assert fps["greedy"][n] >= fps["unicast"][n] - 1e-9

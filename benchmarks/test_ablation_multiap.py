@@ -7,22 +7,26 @@ otherwise) must beat a single AP serving the whole room.
 
 import pytest
 
-from repro.experiments import run_multiap_ablation
+from repro.runner import get_experiment, run_experiment
 
 
 @pytest.mark.repro
 def test_ablation_multiap(benchmark, print_result, ablation_workload):
-    result = benchmark.pedantic(
-        run_multiap_ablation,
-        kwargs=ablation_workload("multiap"),
+    name = "ablation_multiap"
+    merged = benchmark.pedantic(
+        run_experiment,
+        args=(name, ablation_workload("multiap")),
         rounds=1,
         iterations=1,
     )
-    print_result("Abl-F: multi-AP coordination", result.format())
+    text = get_experiment(name).format_result(merged)
+    print_result("Abl-F: multi-AP coordination", text)
 
-    for n, (single_ms, multi_ms) in result.rows.items():
+    speedup = {}
+    for r in merged["rows"]:
         # Coordination never loses to the single AP.
-        assert multi_ms <= single_ms * 1.05
+        assert r["multi_ms"] <= r["single_ms"] * 1.05
+        speedup[r["num_users"]] = r["single_ms"] / r["multi_ms"]
     # And delivers a real speedup once the room is loaded.
-    assert result.speedup(6) > 1.15
-    assert result.speedup(8) > 1.15
+    assert speedup[6] > 1.15
+    assert speedup[8] > 1.15

@@ -7,20 +7,25 @@ streaming-relevant visibility-map IoU.
 
 import pytest
 
-from repro.experiments import run_prediction_ablation
+from repro.runner import get_experiment, run_experiment
 
 
 @pytest.mark.repro
 def test_ablation_prediction(benchmark, print_result, ablation_workload):
-    result = benchmark.pedantic(
-        run_prediction_ablation,
-        kwargs=ablation_workload("prediction"),
+    name = "ablation_prediction"
+    merged = benchmark.pedantic(
+        run_experiment,
+        args=(name, ablation_workload("prediction")),
         rounds=1,
         iterations=1,
     )
-    print_result("Abl-A: viewport prediction", result.format())
+    text = get_experiment(name).format_result(merged)
+    print_result("Abl-A: viewport prediction", text)
 
-    rows = result.rows
+    rows = {
+        r["predictor"]: (r["pos_err_m"], r["ori_err_deg"], r["vis_iou"])
+        for r in merged["rows"]
+    }
     # The paper's premise: individual 6DoF viewports are predictable "with
     # high accuracy in real-time" — all predictors land centimeter-scale
     # position error and near-perfect visibility-map overlap at 0.5 s.

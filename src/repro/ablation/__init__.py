@@ -17,9 +17,6 @@ six hand-rolled benchmark scripts:
   :class:`~repro.runner.spec.RunSpec` work units for the cached parallel
   runner, then folds the per-run metrics into per-component deltas,
   normalized importance scores, and a deterministic ranking report;
-* :mod:`~repro.ablation.legacy` — the registry the six experiment-layer
-  ``run_*_ablation`` entry points register with, so they are served by
-  the same cached runner path;
 * :mod:`~repro.ablation.cli` — the ``repro ablation`` verb.
 
 The whole matrix is ordinary runner work: results are cached on disk by
@@ -44,12 +41,6 @@ from .engine import (
     format_report,
     write_report,
 )
-from .legacy import (
-    LegacyAblation,
-    legacy_names,
-    register_legacy,
-    run_registered,
-)
 from .scenarios import SCENARIOS, MetricSpec, Scenario, Toggle, get_scenario
 
 __all__ = [
@@ -65,10 +56,6 @@ __all__ = [
     "ComponentImportance",
     "format_report",
     "write_report",
-    "LegacyAblation",
-    "legacy_names",
-    "register_legacy",
-    "run_registered",
     "SCENARIOS",
     "MetricSpec",
     "Scenario",

@@ -22,7 +22,6 @@ from ..runner.cache import ResultCache
 from ..runner.progress import ProgressPrinter
 from .components import COMPONENTS, get_component
 from .engine import AblationStudy, format_report, write_report
-from .legacy import LEGACY_ABLATIONS
 from .scenarios import SCENARIOS, get_scenario, scenario_names
 
 __all__ = ["main"]
@@ -97,7 +96,7 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--list",
         action="store_true",
-        help="list components, scenarios, and registered legacy ablations",
+        help="list components and scenarios",
     )
     return parser
 
@@ -125,13 +124,6 @@ def _print_listing() -> None:
         print(
             f"  {name:12s} experiment={scen.experiment} "
             f"components={','.join(scen.component_names())}"
-        )
-    print("legacy ablations (served by the cached runner):")
-    for name in sorted(LEGACY_ABLATIONS):
-        entry = LEGACY_ABLATIONS[name]
-        print(
-            f"  {name:12s} experiment={entry.experiment} "
-            f"components={','.join(entry.components)}"
         )
 
 

@@ -114,25 +114,13 @@ def _run_scaling(args) -> None:
 
 
 def _run_ablations(args) -> None:
-    from .experiments import (
-        run_adaptation_ablation,
-        run_blockage_ablation,
-        run_cellsize_ablation,
-        run_grouping_ablation,
-        run_multiap_ablation,
-        run_prediction_ablation,
-    )
+    from .experiments.ablations import ABLATION_EXPERIMENTS
+    from .runner import get_experiment, run_experiment
 
-    for title, runner in (
-        ("Abl-A — viewport prediction", run_prediction_ablation),
-        ("Abl-B — blockage mitigation", run_blockage_ablation),
-        ("Abl-C — multicast grouping", run_grouping_ablation),
-        ("Abl-D — rate adaptation", run_adaptation_ablation),
-        ("Abl-E — cell-size sweep", run_cellsize_ablation),
-        ("Abl-F — multi-AP coordination", run_multiap_ablation),
-    ):
-        _print_header(title)
-        print(runner().format())
+    for name in ABLATION_EXPERIMENTS:
+        experiment = get_experiment(name)
+        _print_header(experiment.title)
+        print(experiment.format_result(run_experiment(name)))
 
 
 def _run_loss_sweep(args) -> None:

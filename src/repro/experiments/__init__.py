@@ -1,19 +1,6 @@
 """Experiment runners: one module per paper table/figure, plus ablations."""
 
-from .ablations import (
-    AdaptationAblation,
-    BlockageAblation,
-    CellSizeAblation,
-    GroupingAblation,
-    MultiApAblation,
-    PredictionAblation,
-    run_adaptation_ablation,
-    run_blockage_ablation,
-    run_cellsize_ablation,
-    run_grouping_ablation,
-    run_multiap_ablation,
-    run_prediction_ablation,
-)
+from . import ablations  # noqa: F401  (registers the six ablation_* studies)
 from . import ablation_engine  # noqa: F401  (registers ablation_session/_importance)
 from .common import (
     AP_POSITION,
@@ -54,18 +41,6 @@ from .table1 import PAPER_TABLE1, Table1Result, Table1Row, run_table1
 from .venue_scale import run_venue_scale, venue_from_params
 
 __all__ = [
-    "AdaptationAblation",
-    "BlockageAblation",
-    "CellSizeAblation",
-    "GroupingAblation",
-    "PredictionAblation",
-    "run_adaptation_ablation",
-    "run_blockage_ablation",
-    "run_cellsize_ablation",
-    "run_grouping_ablation",
-    "run_multiap_ablation",
-    "run_prediction_ablation",
-    "MultiApAblation",
     "AP_POSITION",
     "CONTENT_CENTER",
     "DEFAULT_SEED",

@@ -1,24 +1,29 @@
-"""Research-agenda ablations (DESIGN.md Abl-A..E).
+"""Research-agenda ablations (DESIGN.md Abl-A..E, plus multi-AP).
 
 The paper's §4 proposes techniques without end-to-end numbers; these
-runners evaluate each proposal against its natural baseline:
+registered experiments evaluate each proposal against its natural
+baseline:
 
-* **Abl-A** — viewport predictors: last-value vs. linear regression vs. MLP
-  vs. the joint multi-user model (§4.1).
-* **Abl-B** — proactive blockage mitigation vs. reactive beam re-search
-  (§4.1): end-to-end stall time and QoE.
-* **Abl-C** — multicast grouping policies: none vs. greedy-similarity vs.
-  exhaustive-optimal (§4.2): sustained frame rate over the beam-level
-  channel.
-* **Abl-D** — rate adaptation: fixed / throughput / buffer / cross-layer
-  (§4.3): full-session QoE under a constrained, blockage-prone link.
-* **Abl-E** — cell-size sweep (§3): viewport similarity and per-user
-  traffic vs. segmentation granularity.
+* **Abl-A** (``ablation_prediction``) — viewport predictors: last-value
+  vs. linear regression vs. MLP vs. the joint multi-user model (§4.1).
+* **Abl-B** (``ablation_blockage``) — proactive blockage mitigation vs.
+  reactive beam re-search (§4.1): end-to-end stall time and QoE.
+* **Abl-C** (``ablation_grouping``) — multicast grouping policies: none
+  vs. greedy-similarity vs. exhaustive-optimal (§4.2): sustained frame
+  rate over the beam-level channel.
+* **Abl-D** (``ablation_adaptation``) — rate adaptation: fixed /
+  throughput / buffer / MPC / cross-layer (§4.3): full-session QoE under
+  a constrained, blockage-prone link.
+* **Abl-E** (``ablation_cellsize``) — cell-size sweep (§3): viewport
+  similarity and per-user traffic vs. segmentation granularity.
+* **Abl-F** (``ablation_multiap``) — two coordinated APs vs. one (§5).
+
+Each study is one ``run_<study>(spec) -> dict`` work unit plus one
+``format_<study>(merged) -> str``; callers go through
+``run_experiment("ablation_<study>", overrides)``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,16 +33,27 @@ from ..core import (
     ChannelRateProvider,
     CrossLayerPolicy,
     FixedQualityPolicy,
+    MpcPolicy,
+    MultiApDeployment,
     ProactivePrefetchPolicy,
     SessionConfig,
     StreamingSession,
     ThroughputPolicy,
     compute_visibility_maps,
+    coordinated_frame_time,
     measure_max_fps,
     pairwise_iou_samples,
+    single_ap_frame_time,
 )
-from ..mac import AD_MODEL, RecoveryPolicy, apply_recovery
-from ..mmwave import compute_blockage_timeline
+from ..mac import AD_MODEL, RecoveryPolicy, UserDemand, apply_recovery
+from ..mmwave import (
+    AccessPoint,
+    Channel,
+    Codebook,
+    LinkBudget,
+    Room,
+    compute_blockage_timeline,
+)
 from ..pointcloud import PAPER_CELL_SIZES, VisibilityConfig, compute_visibility
 from ..prediction import (
     BlockageForecaster,
@@ -45,11 +61,12 @@ from ..prediction import (
     LastValuePredictor,
     LinearRegressionPredictor,
     MlpViewportPredictor,
+    evaluate_joint_predictor,
     evaluate_predictor,
     predicted_visibility_iou,
 )
-from ..ablation.legacy import run_registered
 from ..runner import Experiment, RunSpec, register
+from ..traces import generate_user_study
 from .common import (
     AP_POSITION,
     DEFAULT_SEED,
@@ -64,83 +81,68 @@ from .common import (
 )
 
 __all__ = [
-    "PredictionAblation",
-    "run_prediction_ablation",
-    "BlockageAblation",
-    "run_blockage_ablation",
-    "GroupingAblation",
-    "run_grouping_ablation",
-    "AdaptationAblation",
-    "run_adaptation_ablation",
-    "CellSizeAblation",
-    "run_cellsize_ablation",
-    "MultiApAblation",
-    "run_multiap_ablation",
+    "ABLATION_EXPERIMENTS",
+    "run_prediction",
+    "format_prediction",
+    "run_blockage",
+    "format_blockage",
+    "run_grouping",
+    "format_grouping",
+    "run_adaptation",
+    "format_adaptation",
+    "run_cellsize",
+    "format_cellsize",
+    "run_multiap",
+    "format_multiap",
 ]
+
+ABLATION_EXPERIMENTS = (
+    "ablation_prediction",
+    "ablation_blockage",
+    "ablation_grouping",
+    "ablation_adaptation",
+    "ablation_cellsize",
+    "ablation_multiap",
+)
+"""The six agenda studies, in presentation (Abl-A..F) order."""
+
+
+def _forecaster() -> BlockageForecaster:
+    return BlockageForecaster(
+        ap_position=AP_POSITION,
+        predictor=JointViewportPredictor(),
+        horizon_s=0.5,
+    )
+
+
+def _summary_rows(key: str, summaries: dict[str, dict]) -> dict:
+    return {
+        "rows": [
+            {key: name, "summary": {k: float(v) for k, v in summary.items()}}
+            for name, summary in summaries.items()
+        ]
+    }
 
 
 # ---------------------------------------------------------------- Abl-A ----
 
 
-@dataclass(frozen=True)
-class PredictionAblation:
-    """Accuracy per predictor: (pos err m, ori err deg, visibility IoU)."""
-
-    rows: dict[str, tuple[float, float, float]]
-
-    def format(self) -> str:
-        headers = ["Predictor", "PosErr(m)", "OriErr(deg)", "VisIoU"]
-        rows = [
-            [name, round(v[0], 3), round(v[1], 2), round(v[2], 3)]
-            for name, v in self.rows.items()
-        ]
-        return format_table(headers, rows, float_fmt="{:.3f}")
-
-
-def run_prediction_ablation(
-    num_users: int = 8,
-    duration_s: float = 8.0,
-    horizon_s: float = 0.5,
-    seed: int = DEFAULT_SEED,
-) -> PredictionAblation:
+def run_prediction(spec: RunSpec) -> dict:
     """Abl-A: viewport-prediction accuracy per predictor (pos/ori/IoU)."""
-    merged = run_registered(
-        "prediction",
-        {
-            "num_users": num_users,
-            "duration_s": duration_s,
-            "horizon_s": horizon_s,
-            "seed": seed,
-        },
+    num_users = int(spec.get("num_users"))
+    horizon_s = float(spec.get("horizon_s"))
+    study = default_study(
+        num_users=num_users, duration_s=float(spec.get("duration_s")),
+        seed=spec.seed,
     )
-    return PredictionAblation(
-        rows={
-            r["predictor"]: (
-                float(r["pos_err_m"]),
-                float(r["ori_err_deg"]),
-                float(r["vis_iou"]),
-            )
-            for r in merged["rows"]
-        }
-    )
-
-
-def _compute_prediction(
-    num_users: int,
-    duration_s: float,
-    horizon_s: float,
-    seed: int,
-) -> PredictionAblation:
-    study = default_study(num_users=num_users, duration_s=duration_s, seed=seed)
     video = default_video("high")
     grid = grid_for(video, 0.5)
 
-    mlp = MlpViewportPredictor(seed=seed)
+    mlp = MlpViewportPredictor(seed=spec.seed)
     mlp.fit_traces(study.traces[: num_users // 2], horizon_s=horizon_s, epochs=40)
-    joint = JointViewportPredictor()
 
     eval_traces = study.traces[num_users // 2 :]
-    rows: dict[str, tuple[float, float, float]] = {}
+    rows = []
     single = {
         "last-value": LastValuePredictor(),
         "linear-regression": LinearRegressionPredictor(),
@@ -151,93 +153,75 @@ def _compute_prediction(
             evaluate_predictor(predictor, t, horizon_s=horizon_s)
             for t in eval_traces
         ]
-        pos = float(np.mean([e.mean_position_error_m for e in evs]))
-        ori = float(np.mean([e.mean_orientation_error_deg for e in evs]))
-        iou = float(
-            np.mean(
-                [
-                    predicted_visibility_iou(
-                        predictor, t, video, grid, horizon_s=horizon_s
-                    )
-                    for t in eval_traces
-                ]
-            )
+        iou = np.mean(
+            [
+                predicted_visibility_iou(
+                    predictor, t, video, grid, horizon_s=horizon_s
+                )
+                for t in eval_traces
+            ]
         )
-        rows[name] = (pos, ori, iou)
+        rows.append({
+            "predictor": name,
+            "pos_err_m": float(np.mean([e.mean_position_error_m for e in evs])),
+            "ori_err_deg": float(
+                np.mean([e.mean_orientation_error_deg for e in evs])
+            ),
+            "vis_iou": float(iou),
+        })
 
     # Joint predictor: evaluated on the full study (it needs all users).
-    from ..prediction import evaluate_joint_predictor
-
-    ev = evaluate_joint_predictor(joint, study, horizon_s=horizon_s)
     # Visibility IoU for the joint model via its per-user poses is driven by
     # the same base predictor; reuse the linear-regression IoU as the base
     # and report the joint pose errors.
-    rows["joint-multiuser"] = (
-        ev.mean_position_error_m,
-        ev.mean_orientation_error_deg,
-        rows["linear-regression"][2],
+    ev = evaluate_joint_predictor(
+        JointViewportPredictor(), study, horizon_s=horizon_s
     )
-    return PredictionAblation(rows=rows)
+    rows.append({
+        "predictor": "joint-multiuser",
+        "pos_err_m": float(ev.mean_position_error_m),
+        "ori_err_deg": float(ev.mean_orientation_error_deg),
+        "vis_iou": rows[1]["vis_iou"],  # linear-regression
+    })
+    return {"rows": rows}
 
 
-def _prediction_run_one(spec: RunSpec) -> dict:
-    result = _compute_prediction(
-        num_users=int(spec.get("num_users")),
-        duration_s=float(spec.get("duration_s")),
-        horizon_s=float(spec.get("horizon_s")),
-        seed=spec.seed,
-    )
-    return {
-        "rows": [
-            {
-                "predictor": name,
-                "pos_err_m": float(v[0]),
-                "ori_err_deg": float(v[1]),
-                "vis_iou": float(v[2]),
-            }
-            for name, v in result.rows.items()
+def format_prediction(merged: dict) -> str:
+    """Per-predictor table: position error, orientation error, visibility IoU."""
+    headers = ["Predictor", "PosErr(m)", "OriErr(deg)", "VisIoU"]
+    rows = [
+        [
+            r["predictor"],
+            round(r["pos_err_m"], 3),
+            round(r["ori_err_deg"], 2),
+            round(r["vis_iou"], 3),
         ]
-    }
+        for r in merged["rows"]
+    ]
+    return format_table(headers, rows, float_fmt="{:.3f}")
+
+
+register(
+    Experiment(
+        name="ablation_prediction",
+        title="Abl-A — viewport predictors",
+        run_one=run_prediction,
+        format_result=format_prediction,
+        default_params={
+            "num_users": 8,
+            "duration_s": 8.0,
+            "horizon_s": 0.5,
+            "seed": DEFAULT_SEED,
+        },
+        small_params={"num_users": 6, "duration_s": 4.0},
+    )
+)
 
 
 # ---------------------------------------------------------------- Abl-B ----
 
 
-@dataclass(frozen=True)
-class BlockageAblation:
-    """Session outcomes under reactive vs. proactive blockage handling.
-
-    ``rows`` carries the session QoE summary per policy plus two link-level
-    fields: ``outage_s`` (total dead airtime across users — the quantity
-    proactive mitigation eliminates) and ``mean_rate_fraction`` (average
-    link-rate multiplier).
-    """
-
-    rows: dict[str, dict[str, float]]  # policy -> QoE summary + link stats
-
-    def format(self) -> str:
-        headers = ["Policy", "mean_fps", "stall_s", "outage_s", "rate_frac", "qoe"]
-        rows = [
-            [
-                name,
-                round(s["mean_fps"], 2),
-                round(s["stall_time_s"], 3),
-                round(s.get("outage_s", 0.0), 3),
-                round(s.get("mean_rate_fraction", 1.0), 3),
-                round(s["qoe_score"], 1),
-            ]
-            for name, s in self.rows.items()
-        ]
-        return format_table(headers, rows, float_fmt="{:.2f}")
-
-
-def run_blockage_ablation(
-    num_users: int = 5,
-    duration_s: float = 8.0,
-    seed: int = DEFAULT_SEED,
-    max_buffer_frames: int = 4,
-    quality: str = "medium",
-) -> BlockageAblation:
+def run_blockage(spec: RunSpec) -> dict:
     """Reactive vs. proactive blockage handling, same workload and draws.
 
     The *reactive* stack discovers a blockage only when RSS collapses: it
@@ -250,157 +234,98 @@ def run_blockage_ablation(
     The player runs with a thin buffer (default 4 frames ~ 133 ms) at a
     quality that loads the link to just under capacity — the regime
     volumetric streaming actually occupies, and the one where blockage
-    hiccups turn into stalls.
+    hiccups turn into stalls.  Besides the session QoE summary, each row
+    carries ``outage_s`` (total dead airtime across users — the quantity
+    proactive mitigation eliminates) and ``mean_rate_fraction`` (average
+    link-rate multiplier).
     """
-    merged = run_registered(
-        "blockage",
-        {
-            "num_users": num_users,
-            "duration_s": duration_s,
-            "max_buffer_frames": max_buffer_frames,
-            "quality": quality,
-            "seed": seed,
-        },
-    )
-    return BlockageAblation(
-        rows={
-            r["policy"]: {k: float(v) for k, v in r["summary"].items()}
-            for r in merged["rows"]
-        }
-    )
-
-
-def _compute_blockage(
-    num_users: int,
-    duration_s: float,
-    seed: int,
-    max_buffer_frames: int,
-    quality: str,
-) -> BlockageAblation:
-    study = study_in_room(num_users=num_users, duration_s=duration_s, seed=seed)
+    num_users = int(spec.get("num_users"))
+    duration_s = float(spec.get("duration_s"))
+    quality = str(spec.get("quality"))
+    study = study_in_room(num_users=num_users, duration_s=duration_s, seed=spec.seed)
     video = room_video("high")
     timeline = compute_blockage_timeline(study, AP_POSITION)
-    forecaster = BlockageForecaster(
-        ap_position=AP_POSITION,
-        predictor=JointViewportPredictor(),
-        horizon_s=0.5,
-    )
     runs = {
-        "reactive": (
-            RecoveryPolicy.reactive(),
-            FixedQualityPolicy(quality),
-            None,
-        ),
+        "reactive": (RecoveryPolicy.reactive(), FixedQualityPolicy(quality), None),
         "proactive": (
             RecoveryPolicy.proactive_default(),
             ProactivePrefetchPolicy(quality=quality, prefetch_frames=15),
-            forecaster,
+            _forecaster(),
         ),
     }
-    rows = {}
+    summaries = {}
     for name, (policy, adaptation, fc) in runs.items():
-        rates = CapacityRateProvider(
-            model=AD_MODEL,
-            num_users=num_users,
-            timeline=apply_recovery(timeline, policy, seed=seed),
-        )
+        recovered = apply_recovery(timeline, policy, seed=spec.seed)
         config = SessionConfig(
             video=video,
             study=study,
-            rates=rates,
+            rates=CapacityRateProvider(
+                model=AD_MODEL, num_users=num_users, timeline=recovered
+            ),
             visibility=VisibilityConfig(),
             grouping="none",
             adaptation=adaptation,
             blockage_forecaster=fc,
             duration_s=duration_s,
-            max_buffer_frames=max_buffer_frames,
+            max_buffer_frames=int(spec.get("max_buffer_frames")),
             adaptation_interval_s=0.25,
         )
-        report = StreamingSession(config).run()
-        summary = report.summary()
-        recovered = rates.timeline
-        if recovered is None:
-            raise RuntimeError("blockage ablation requires a recovery timeline")
-        summary["outage_s"] = float(
-            sum(
-                recovered.outage_fraction(u) * duration_s
-                for u in range(num_users)
-            )
+        summary = StreamingSession(config).run().summary()
+        summary["outage_s"] = sum(
+            recovered.outage_fraction(u) * duration_s for u in range(num_users)
         )
-        summary["mean_rate_fraction"] = float(
-            np.mean(
-                [recovered.mean_rate_fraction(u) for u in range(num_users)]
-            )
+        summary["mean_rate_fraction"] = np.mean(
+            [recovered.mean_rate_fraction(u) for u in range(num_users)]
         )
-        rows[name] = summary
-    return BlockageAblation(rows=rows)
+        summaries[name] = summary
+    return _summary_rows("policy", summaries)
 
 
-def _blockage_run_one(spec: RunSpec) -> dict:
-    result = _compute_blockage(
-        num_users=int(spec.get("num_users")),
-        duration_s=float(spec.get("duration_s")),
-        seed=spec.seed,
-        max_buffer_frames=int(spec.get("max_buffer_frames")),
-        quality=str(spec.get("quality")),
+def format_blockage(merged: dict) -> str:
+    """Per-policy table: frame rate, stall and outage time, rate fraction, QoE."""
+    headers = ["Policy", "mean_fps", "stall_s", "outage_s", "rate_frac", "qoe"]
+    rows = []
+    for r in merged["rows"]:
+        s = r["summary"]
+        rows.append([
+            r["policy"],
+            round(s["mean_fps"], 2),
+            round(s["stall_time_s"], 3),
+            round(s["outage_s"], 3),
+            round(s["mean_rate_fraction"], 3),
+            round(s["qoe_score"], 1),
+        ])
+    return format_table(headers, rows, float_fmt="{:.2f}")
+
+
+register(
+    Experiment(
+        name="ablation_blockage",
+        title="Abl-B — reactive vs. proactive blockage handling",
+        run_one=run_blockage,
+        format_result=format_blockage,
+        default_params={
+            "num_users": 5,
+            "duration_s": 8.0,
+            "max_buffer_frames": 4,
+            "quality": "medium",
+            "seed": DEFAULT_SEED,
+        },
+        small_params={"num_users": 3, "duration_s": 4.0},
     )
-    return {
-        "rows": [
-            {"policy": name, "summary": {k: float(v) for k, v in summary.items()}}
-            for name, summary in result.rows.items()
-        ]
-    }
+)
 
 
 # ---------------------------------------------------------------- Abl-C ----
 
 
-@dataclass(frozen=True)
-class GroupingAblation:
-    """Mean achievable FPS per grouping policy and user count."""
+def run_grouping(spec: RunSpec) -> dict:
+    """One user count, all three grouping policies (they share the rates).
 
-    fps: dict[str, dict[int, float]]  # policy -> num_users -> mean fps
-
-    def format(self) -> str:
-        policies = list(self.fps)
-        counts = sorted(next(iter(self.fps.values())))
-        headers = ["Users"] + policies
-        rows = [
-            [n] + [round(self.fps[p][n], 2) for p in policies] for n in counts
-        ]
-        return format_table(headers, rows, float_fmt="{:.2f}")
-
-
-def run_grouping_ablation(
-    user_counts: tuple[int, ...] = (2, 4, 6),
-    duration_s: float = 6.0,
-    num_frames: int = 30,
-    seed: int = DEFAULT_SEED,
-) -> GroupingAblation:
-    """Unicast vs. greedy vs. exhaustive grouping on the beam-level channel."""
-    merged = run_registered(
-        "grouping",
-        {
-            "user_counts": tuple(user_counts),
-            "duration_s": duration_s,
-            "num_frames": num_frames,
-            "seed": seed,
-        },
-    )
-    fps: dict[str, dict[int, float]] = {
-        "unicast": {}, "greedy": {}, "exhaustive": {},
-    }
-    for row in merged["rows"]:
-        for entry in row["fps"]:
-            fps[entry["policy"]][int(row["num_users"])] = float(entry["mean_fps"])
-    return GroupingAblation(fps=fps)
-
-
-def _grouping_run_one(spec: RunSpec) -> dict:
-    """One user count, all three grouping policies (they share the rates)."""
+    Unicast vs. greedy vs. exhaustive grouping on the beam-level channel.
+    """
     n = int(spec.get("num_users"))
     duration_s = float(spec.get("duration_s"))
-    num_frames = int(spec.get("num_frames"))
     video = room_video("high")
     channel = default_channel()
     codebook = ideal_codebook()
@@ -421,41 +346,60 @@ def _grouping_run_one(spec: RunSpec) -> dict:
             adaptation=FixedQualityPolicy("high"),
             duration_s=duration_s,
         )
-        series = measure_max_fps(config, num_frames=num_frames, stride=3)
+        series = measure_max_fps(
+            config, num_frames=int(spec.get("num_frames")), stride=3
+        )
         entries.append({"policy": label, "mean_fps": float(np.mean(series))})
     return {"num_users": n, "fps": entries}
+
+
+def format_grouping(merged: dict) -> str:
+    """Mean sustained FPS per user count (rows) and grouping policy (columns)."""
+    rows = sorted(merged["rows"], key=lambda row: row["num_users"])
+    headers = ["Users"] + [entry["policy"] for entry in rows[0]["fps"]]
+    table = [
+        [row["num_users"]] + [round(e["mean_fps"], 2) for e in row["fps"]]
+        for row in rows
+    ]
+    return format_table(headers, table, float_fmt="{:.2f}")
+
+
+register(
+    Experiment(
+        name="ablation_grouping",
+        title="Abl-C — multicast grouping policies",
+        run_one=run_grouping,
+        decompose=lambda params: [
+            RunSpec.make(
+                "ablation_grouping",
+                seed=params["seed"],
+                num_users=n,
+                duration_s=params["duration_s"],
+                num_frames=params["num_frames"],
+            )
+            for n in params["user_counts"]
+        ],
+        merge=lambda params, runs: {"rows": [result for _, result in runs]},
+        format_result=format_grouping,
+        default_params={
+            "user_counts": (2, 4, 6),
+            "duration_s": 6.0,
+            "num_frames": 30,
+            "seed": DEFAULT_SEED,
+        },
+        small_params={
+            "user_counts": (2, 4),
+            "duration_s": 3.0,
+            "num_frames": 10,
+        },
+    )
+)
 
 
 # ---------------------------------------------------------------- Abl-D ----
 
 
-@dataclass(frozen=True)
-class AdaptationAblation:
-    """QoE summary per adaptation policy."""
-
-    rows: dict[str, dict[str, float]]
-
-    def format(self) -> str:
-        headers = ["Policy", "mean_fps", "bitrate", "stall_s", "switches", "qoe"]
-        rows = [
-            [
-                name,
-                round(s["mean_fps"], 2),
-                round(s["mean_bitrate_mbps"], 1),
-                round(s["stall_time_s"], 3),
-                int(s["quality_switches"]),
-                round(s["qoe_score"], 1),
-            ]
-            for name, s in self.rows.items()
-        ]
-        return format_table(headers, rows, float_fmt="{:.2f}")
-
-
-def run_adaptation_ablation(
-    num_users: int = 5,
-    duration_s: float = 8.0,
-    seed: int = DEFAULT_SEED,
-) -> AdaptationAblation:
+def run_adaptation(spec: RunSpec) -> dict:
     """Adaptation policies on a constrained, blockage-prone 802.11ad link.
 
     Five users put the link right at the high-quality capacity edge, so
@@ -464,123 +408,78 @@ def run_adaptation_ablation(
     forecast + PHY fusion) eliminates stalls *and* switches at a small
     bitrate cost.
     """
-    merged = run_registered(
-        "adaptation",
-        {"num_users": num_users, "duration_s": duration_s, "seed": seed},
-    )
-    return AdaptationAblation(
-        rows={
-            r["policy"]: {k: float(v) for k, v in r["summary"].items()}
-            for r in merged["rows"]
-        }
-    )
-
-
-def _compute_adaptation(
-    num_users: int,
-    duration_s: float,
-    seed: int,
-) -> AdaptationAblation:
-    study = study_in_room(num_users=num_users, duration_s=duration_s, seed=seed)
+    num_users = int(spec.get("num_users"))
+    duration_s = float(spec.get("duration_s"))
+    study = study_in_room(num_users=num_users, duration_s=duration_s, seed=spec.seed)
     video = room_video("high")
     timeline = compute_blockage_timeline(study, AP_POSITION)
-    recovered = apply_recovery(timeline, RecoveryPolicy.reactive(), seed=seed)
-    forecaster = BlockageForecaster(
-        ap_position=AP_POSITION,
-        predictor=JointViewportPredictor(),
-        horizon_s=0.5,
-    )
-    from ..core import MpcPolicy
-
+    recovered = apply_recovery(timeline, RecoveryPolicy.reactive(), seed=spec.seed)
     policies = {
         "fixed-high": (FixedQualityPolicy("high"), None),
         "throughput": (ThroughputPolicy(), None),
         "buffer": (BufferPolicy(), None),
         "mpc": (MpcPolicy(), None),
-        "cross-layer": (CrossLayerPolicy(), forecaster),
+        "cross-layer": (CrossLayerPolicy(), _forecaster()),
     }
-    rows = {}
+    summaries = {}
     for name, (policy, fc) in policies.items():
-        rates = CapacityRateProvider(
-            model=AD_MODEL, num_users=num_users, timeline=recovered
-        )
         config = SessionConfig(
             video=video,
             study=study,
-            rates=rates,
+            rates=CapacityRateProvider(
+                model=AD_MODEL, num_users=num_users, timeline=recovered
+            ),
             visibility=VisibilityConfig(),
             grouping="none",
             adaptation=policy,
             blockage_forecaster=fc,
             duration_s=duration_s,
         )
-        report = StreamingSession(config).run()
-        rows[name] = report.summary()
-    return AdaptationAblation(rows=rows)
+        summaries[name] = StreamingSession(config).run().summary()
+    return _summary_rows("policy", summaries)
 
 
-def _adaptation_run_one(spec: RunSpec) -> dict:
-    result = _compute_adaptation(
-        num_users=int(spec.get("num_users")),
-        duration_s=float(spec.get("duration_s")),
-        seed=spec.seed,
+def format_adaptation(merged: dict) -> str:
+    """Per-policy table: frame rate, bitrate, stall time, switches, QoE."""
+    headers = ["Policy", "mean_fps", "bitrate", "stall_s", "switches", "qoe"]
+    rows = []
+    for r in merged["rows"]:
+        s = r["summary"]
+        rows.append([
+            r["policy"],
+            round(s["mean_fps"], 2),
+            round(s["mean_bitrate_mbps"], 1),
+            round(s["stall_time_s"], 3),
+            int(s["quality_switches"]),
+            round(s["qoe_score"], 1),
+        ])
+    return format_table(headers, rows, float_fmt="{:.2f}")
+
+
+register(
+    Experiment(
+        name="ablation_adaptation",
+        title="Abl-D — rate adaptation policies",
+        run_one=run_adaptation,
+        format_result=format_adaptation,
+        default_params={
+            "num_users": 5,
+            "duration_s": 8.0,
+            "seed": DEFAULT_SEED,
+        },
+        small_params={"num_users": 3, "duration_s": 4.0},
     )
-    return {
-        "rows": [
-            {"policy": name, "summary": {k: float(v) for k, v in summary.items()}}
-            for name, summary in result.rows.items()
-        ]
-    }
+)
 
 
 # ---------------------------------------------------------------- Abl-E ----
 
 
-@dataclass(frozen=True)
-class CellSizeAblation:
-    """Per cell size: mean pair IoU, mean visible fraction, per-frame MB."""
+def run_cellsize(spec: RunSpec) -> dict:
+    """One segmentation granularity (each size rebuilds its own maps).
 
-    rows: dict[float, tuple[float, float, float]]
-
-    def format(self) -> str:
-        headers = ["Cell(cm)", "PairIoU", "VisibleFrac", "MB/frame"]
-        rows = [
-            [int(size * 100), round(v[0], 3), round(v[1], 3), round(v[2], 3)]
-            for size, v in sorted(self.rows.items())
-        ]
-        return format_table(headers, rows, float_fmt="{:.3f}")
-
-
-def run_cellsize_ablation(
-    cell_sizes: tuple[float, ...] = PAPER_CELL_SIZES,
-    num_users: int = 8,
-    duration_s: float = 5.0,
-    seed: int = DEFAULT_SEED,
-) -> CellSizeAblation:
-    """Granularity trade-off: finer cells cut traffic but reduce overlap."""
-    merged = run_registered(
-        "cellsize",
-        {
-            "cell_sizes": tuple(cell_sizes),
-            "num_users": num_users,
-            "duration_s": duration_s,
-            "seed": seed,
-        },
-    )
-    return CellSizeAblation(
-        rows={
-            float(r["cell_size"]): (
-                float(r["pair_iou"]),
-                float(r["visible_fraction"]),
-                float(r["mb_per_frame"]),
-            )
-            for r in merged["rows"]
-        }
-    )
-
-
-def _cellsize_run_one(spec: RunSpec) -> dict:
-    """One segmentation granularity (each size rebuilds its own maps)."""
+    Finer cells cut traffic but reduce viewport overlap.
+    """
     size = float(spec.get("cell_size"))
     study = default_study(
         num_users=int(spec.get("num_users")),
@@ -607,76 +506,67 @@ def _cellsize_run_one(spec: RunSpec) -> dict:
     }
 
 
+def format_cellsize(merged: dict) -> str:
+    """Per cell size: mean pair IoU, visible fraction and MB per frame."""
+    headers = ["Cell(cm)", "PairIoU", "VisibleFrac", "MB/frame"]
+    rows = [
+        [
+            int(r["cell_size"] * 100),
+            round(r["pair_iou"], 3),
+            round(r["visible_fraction"], 3),
+            round(r["mb_per_frame"], 3),
+        ]
+        for r in sorted(merged["rows"], key=lambda r: r["cell_size"])
+    ]
+    return format_table(headers, rows, float_fmt="{:.3f}")
+
+
+register(
+    Experiment(
+        name="ablation_cellsize",
+        title="Abl-E — cell-size sweep",
+        run_one=run_cellsize,
+        decompose=lambda params: [
+            RunSpec.make(
+                "ablation_cellsize",
+                seed=params["seed"],
+                cell_size=size,
+                num_users=params["num_users"],
+                duration_s=params["duration_s"],
+            )
+            for size in params["cell_sizes"]
+        ],
+        merge=lambda params, runs: {"rows": [result for _, result in runs]},
+        format_result=format_cellsize,
+        default_params={
+            "cell_sizes": PAPER_CELL_SIZES,
+            "num_users": 8,
+            "duration_s": 5.0,
+            "seed": DEFAULT_SEED,
+        },
+        small_params={
+            "cell_sizes": (0.5, 1.0),
+            "num_users": 6,
+            "duration_s": 3.0,
+        },
+    )
+)
+
+
 # ---------------------------------------------------------------- Abl-F ----
 
 
-@dataclass(frozen=True)
-class MultiApAblation:
-    """Frame airtime (ms) with 1 AP vs. concurrent APs, per user count."""
-
-    rows: dict[int, tuple[float, float]]  # users -> (single_ms, multi_ms)
-
-    def speedup(self, num_users: int) -> float:
-        single, multi = self.rows[num_users]
-        return single / multi if multi > 0 else float("inf")
-
-    def format(self) -> str:
-        headers = ["Users", "1-AP (ms)", "2-AP (ms)", "Speedup"]
-        rows = [
-            [n, round(s, 2), round(m, 2), round(self.speedup(n), 2)]
-            for n, (s, m) in sorted(self.rows.items())
-        ]
-        return format_table(headers, rows, float_fmt="{:.2f}")
-
-
-def run_multiap_ablation(
-    user_counts: tuple[int, ...] = (2, 4, 6, 8),
-    num_instants: int = 12,
-    duration_s: float = 6.0,
-    seed: int = DEFAULT_SEED,
-) -> MultiApAblation:
+def run_multiap(spec: RunSpec) -> dict:
     """Spatial reuse with two APs and two viewing clusters (paper §5).
 
     The audience splits into two co-watching clusters (e.g. two exhibits in
     a museum), one near each wall AP.  Users demand the visible cells of
     their cluster's content at high quality.  We compare one AP serving the
     whole room against two coordinated APs (interference-aware: concurrent
-    spatial reuse when SINR allows, AP-TDMA otherwise).
+    spatial reuse when SINR allows, AP-TDMA otherwise).  One RNG stream
+    spans all user counts, so this stays one work unit.
     """
-    merged = run_registered(
-        "multiap",
-        {
-            "user_counts": tuple(user_counts),
-            "num_instants": num_instants,
-            "duration_s": duration_s,
-            "seed": seed,
-        },
-    )
-    return MultiApAblation(
-        rows={
-            int(r["num_users"]): (float(r["single_ms"]), float(r["multi_ms"]))
-            for r in merged["rows"]
-        }
-    )
-
-
-def _compute_multiap(
-    user_counts: tuple[int, ...],
-    num_instants: int,
-    duration_s: float,
-    seed: int,
-) -> MultiApAblation:
-    # One RNG stream spans all user counts, so this stays one work unit.
-    from ..core import (
-        MultiApDeployment,
-        coordinated_frame_time,
-        single_ap_frame_time,
-    )
-    from ..mac import UserDemand
-    from ..mmwave import AccessPoint, Channel, Codebook, LinkBudget, Room
-    from ..pointcloud import compute_visibility
-    from ..traces import generate_user_study
-
+    duration_s = float(spec.get("duration_s"))
     room = Room(8.0, 10.0, 3.0)
     budget = LinkBudget(implementation_loss_db=8.0, reflection_loss_db=9.0)
     ap_a = AccessPoint(position=AP_POSITION.copy(), boresight_az=np.pi / 2)
@@ -698,20 +588,20 @@ def _compute_multiap(
     videos = [base_video.translated(c) for c in centers]
     grids = [grid_for(v, 0.5) for v in videos]
     config = VisibilityConfig()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(spec.seed)
 
     rows = {}
-    for n in user_counts:
+    for n in map(int, spec.get("user_counts")):
         half = max(1, n // 2)
         clusters = [
             generate_user_study(
-                num_users=half, duration_s=duration_s, seed=seed + ci,
+                num_users=half, duration_s=duration_s, seed=spec.seed + ci,
                 content_center=centers[ci],
             )
             for ci in range(2)
         ]
         singles, multis = [], []
-        for _ in range(num_instants):
+        for _ in range(int(spec.get("num_instants"))):
             s = int(rng.integers(0, clusters[0].num_samples))
             demands = {}
             positions = {}
@@ -739,227 +629,38 @@ def _compute_multiap(
             if np.isfinite(t1) and np.isfinite(t2):
                 singles.append(t1 * 1000)
                 multis.append(t2 * 1000)
-        rows[n] = (float(np.mean(singles)), float(np.mean(multis)))
-    return MultiApAblation(rows=rows)
+        rows[n] = {
+            "num_users": n,
+            "single_ms": float(np.mean(singles)),
+            "multi_ms": float(np.mean(multis)),
+        }
+    return {"rows": [rows[n] for n in sorted(rows)]}
 
 
-def _multiap_run_one(spec: RunSpec) -> dict:
-    result = _compute_multiap(
-        user_counts=tuple(int(n) for n in spec.get("user_counts")),
-        num_instants=int(spec.get("num_instants")),
-        duration_s=float(spec.get("duration_s")),
-        seed=spec.seed,
-    )
-    return {
-        "rows": [
-            {"num_users": n, "single_ms": s, "multi_ms": m}
-            for n, (s, m) in sorted(result.rows.items())
+def format_multiap(merged: dict) -> str:
+    """Per user count: frame airtime with one AP vs. two, and the speedup."""
+    headers = ["Users", "1-AP (ms)", "2-AP (ms)", "Speedup"]
+    rows = [
+        [
+            r["num_users"],
+            round(r["single_ms"], 2),
+            round(r["multi_ms"], 2),
+            round(
+                r["single_ms"] / r["multi_ms"] if r["multi_ms"] > 0 else float("inf"),
+                2,
+            ),
         ]
-    }
-
-
-# ------------------------------------------------------------ registry ----
-
-
-def _single_spec_decompose(name: str, param_names: tuple[str, ...]):
-    """Decompose for monolithic ablations: whole sweep is one work unit."""
-
-    def decompose(params: dict) -> list[RunSpec]:
-        return [
-            RunSpec.make(
-                name,
-                seed=params["seed"],
-                **{k: params[k] for k in param_names},
-            )
-        ]
-
-    return decompose
-
-
-register(
-    Experiment(
-        name="ablation_prediction",
-        title="Abl-A — viewport predictors",
-        run_one=_prediction_run_one,
-        decompose=_single_spec_decompose(
-            "ablation_prediction", ("num_users", "duration_s", "horizon_s")
-        ),
-        merge=lambda params, runs: runs[0][1],
-        format_result=lambda merged: PredictionAblation(
-            rows={
-                r["predictor"]: (r["pos_err_m"], r["ori_err_deg"], r["vis_iou"])
-                for r in merged["rows"]
-            }
-        ).format(),
-        default_params={
-            "num_users": 8,
-            "duration_s": 8.0,
-            "horizon_s": 0.5,
-            "seed": DEFAULT_SEED,
-        },
-        small_params={"num_users": 6, "duration_s": 4.0},
-    )
-)
-
-
-register(
-    Experiment(
-        name="ablation_blockage",
-        title="Abl-B — reactive vs. proactive blockage handling",
-        run_one=_blockage_run_one,
-        decompose=_single_spec_decompose(
-            "ablation_blockage",
-            ("num_users", "duration_s", "max_buffer_frames", "quality"),
-        ),
-        merge=lambda params, runs: runs[0][1],
-        format_result=lambda merged: BlockageAblation(
-            rows={r["policy"]: dict(r["summary"]) for r in merged["rows"]}
-        ).format(),
-        default_params={
-            "num_users": 5,
-            "duration_s": 8.0,
-            "max_buffer_frames": 4,
-            "quality": "medium",
-            "seed": DEFAULT_SEED,
-        },
-        small_params={"num_users": 3, "duration_s": 4.0},
-    )
-)
-
-
-def _grouping_decompose(params: dict) -> list[RunSpec]:
-    return [
-        RunSpec.make(
-            "ablation_grouping",
-            seed=params["seed"],
-            num_users=n,
-            duration_s=params["duration_s"],
-            num_frames=params["num_frames"],
-        )
-        for n in params["user_counts"]
+        for r in merged["rows"]
     ]
-
-
-def _grouping_format(merged: dict) -> str:
-    fps: dict[str, dict[int, float]] = {
-        "unicast": {}, "greedy": {}, "exhaustive": {},
-    }
-    for row in merged["rows"]:
-        for entry in row["fps"]:
-            fps[entry["policy"]][int(row["num_users"])] = float(
-                entry["mean_fps"]
-            )
-    return GroupingAblation(fps=fps).format()
-
-
-register(
-    Experiment(
-        name="ablation_grouping",
-        title="Abl-C — multicast grouping policies",
-        run_one=_grouping_run_one,
-        decompose=_grouping_decompose,
-        merge=lambda params, runs: {"rows": [result for _, result in runs]},
-        format_result=_grouping_format,
-        default_params={
-            "user_counts": (2, 4, 6),
-            "duration_s": 6.0,
-            "num_frames": 30,
-            "seed": DEFAULT_SEED,
-        },
-        small_params={
-            "user_counts": (2, 4),
-            "duration_s": 3.0,
-            "num_frames": 10,
-        },
-    )
-)
-
-
-register(
-    Experiment(
-        name="ablation_adaptation",
-        title="Abl-D — rate adaptation policies",
-        run_one=_adaptation_run_one,
-        decompose=_single_spec_decompose(
-            "ablation_adaptation", ("num_users", "duration_s")
-        ),
-        merge=lambda params, runs: runs[0][1],
-        format_result=lambda merged: AdaptationAblation(
-            rows={r["policy"]: dict(r["summary"]) for r in merged["rows"]}
-        ).format(),
-        default_params={
-            "num_users": 5,
-            "duration_s": 8.0,
-            "seed": DEFAULT_SEED,
-        },
-        small_params={"num_users": 3, "duration_s": 4.0},
-    )
-)
-
-
-def _cellsize_decompose(params: dict) -> list[RunSpec]:
-    return [
-        RunSpec.make(
-            "ablation_cellsize",
-            seed=params["seed"],
-            cell_size=size,
-            num_users=params["num_users"],
-            duration_s=params["duration_s"],
-        )
-        for size in params["cell_sizes"]
-    ]
-
-
-register(
-    Experiment(
-        name="ablation_cellsize",
-        title="Abl-E — cell-size sweep",
-        run_one=_cellsize_run_one,
-        decompose=_cellsize_decompose,
-        merge=lambda params, runs: {"rows": [result for _, result in runs]},
-        format_result=lambda merged: CellSizeAblation(
-            rows={
-                float(r["cell_size"]): (
-                    float(r["pair_iou"]),
-                    float(r["visible_fraction"]),
-                    float(r["mb_per_frame"]),
-                )
-                for r in merged["rows"]
-            }
-        ).format(),
-        default_params={
-            "cell_sizes": PAPER_CELL_SIZES,
-            "num_users": 8,
-            "duration_s": 5.0,
-            "seed": DEFAULT_SEED,
-        },
-        small_params={
-            "cell_sizes": (0.5, 1.0),
-            "num_users": 6,
-            "duration_s": 3.0,
-        },
-    )
-)
+    return format_table(headers, rows, float_fmt="{:.2f}")
 
 
 register(
     Experiment(
         name="ablation_multiap",
         title="Abl-F — multi-AP spatial reuse",
-        run_one=_multiap_run_one,
-        decompose=_single_spec_decompose(
-            "ablation_multiap", ("user_counts", "num_instants", "duration_s")
-        ),
-        merge=lambda params, runs: runs[0][1],
-        format_result=lambda merged: MultiApAblation(
-            rows={
-                int(r["num_users"]): (
-                    float(r["single_ms"]),
-                    float(r["multi_ms"]),
-                )
-                for r in merged["rows"]
-            }
-        ).format(),
+        run_one=run_multiap,
+        format_result=format_multiap,
         default_params={
             "user_counts": (2, 4, 6, 8),
             "num_instants": 12,

@@ -86,16 +86,6 @@ EXPERIMENT = register(
         name="fig2a",
         title="Fig. 2a — pairwise IoU over time",
         run_one=run_one,
-        decompose=lambda params: [
-            RunSpec.make(
-                "fig2a",
-                seed=params["seed"],
-                num_users=params["num_users"],
-                num_frames=params["num_frames"],
-                cell_size=params["cell_size"],
-            )
-        ],
-        merge=lambda params, runs: runs[0][1],
         format_result=_format,
         default_params={
             "num_users": 16,

@@ -82,17 +82,6 @@ EXPERIMENT = register(
         name="fig3b",
         title="Fig. 3b — default-codebook multicast coverage",
         run_one=run_one,
-        decompose=lambda params: [
-            RunSpec.make(
-                "fig3b",
-                seed=params["seed"],
-                group_sizes=params["group_sizes"],
-                num_instants=params["num_instants"],
-                num_users=params["num_users"],
-                duration_s=params["duration_s"],
-            )
-        ],
-        merge=lambda params, runs: runs[0][1],
         format_result=_format,
         default_params={
             "group_sizes": (1, 2, 3),

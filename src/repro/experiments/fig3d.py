@@ -82,14 +82,6 @@ EXPERIMENT = register(
         name="fig3d",
         title="Fig. 3d — default vs. custom multicast beams",
         run_one=run_one,
-        decompose=lambda params: [
-            RunSpec.make(
-                "fig3d",
-                seed=params["seed"],
-                num_instants=params["num_instants"],
-            )
-        ],
-        merge=lambda params, runs: runs[0][1],
         format_result=_format,
         default_params={"num_instants": 150, "seed": DEFAULT_SEED},
         small_params={"num_instants": 40},

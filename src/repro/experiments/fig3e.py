@@ -108,17 +108,6 @@ EXPERIMENT = register(
         name="fig3e",
         title="Fig. 3e — normalized throughput",
         run_one=run_one,
-        decompose=lambda params: [
-            RunSpec.make(
-                "fig3e",
-                seed=params["seed"],
-                num_instants=params["num_instants"],
-                num_users=params["num_users"],
-                duration_s=params["duration_s"],
-                cell_size=params["cell_size"],
-            )
-        ],
-        merge=lambda params, runs: runs[0][1],
         format_result=_format,
         default_params={
             "num_instants": 60,

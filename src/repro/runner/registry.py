@@ -14,6 +14,7 @@ over, so registering an experiment automatically buys it all three.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
@@ -32,15 +33,39 @@ MergedResult = dict[str, Any]
 RunOutput = dict[str, Any]
 
 
+def _one_unit(
+    name: str, param_names: tuple[str, ...], params: Mapping[str, Any]
+) -> list[RunSpec]:
+    """Default ``decompose``: the whole parameter set is one work unit."""
+    return [
+        RunSpec.make(name, seed=params["seed"], **{k: params[k] for k in param_names})
+    ]
+
+
+def _only_result(
+    params: Mapping[str, Any], runs: Sequence[tuple[RunSpec, RunOutput]]
+) -> MergedResult:
+    """Default ``merge``: the single unit's result is the merged result."""
+    return runs[0][1]
+
+
 @dataclass(frozen=True)
 class Experiment:
-    """How the runner fans one experiment out and folds it back in."""
+    """How the runner fans one experiment out and folds it back in.
+
+    ``decompose`` and ``merge`` default to a single work unit carrying
+    every non-``seed`` parameter (in ``default_params`` order) whose
+    result is the merged result.
+    """
 
     name: str
     run_one: Callable[[RunSpec], RunOutput]
-    decompose: Callable[[Mapping[str, Any]], Sequence[RunSpec]]
-    merge: Callable[[Mapping[str, Any], Sequence[tuple[RunSpec, RunOutput]]], MergedResult]
     format_result: Callable[[MergedResult], str]
+    decompose: Callable[[Mapping[str, Any]], Sequence[RunSpec]] | None = None
+    merge: (
+        Callable[[Mapping[str, Any], Sequence[tuple[RunSpec, RunOutput]]], MergedResult]
+        | None
+    ) = None
     default_params: Mapping[str, Any] = field(default_factory=dict)
     small_params: Mapping[str, Any] = field(default_factory=dict)
     title: str = ""
@@ -48,6 +73,13 @@ class Experiment:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("experiment name must be non-empty")
+        if self.decompose is None:
+            names = tuple(k for k in self.default_params if k != "seed")
+            object.__setattr__(
+                self, "decompose", functools.partial(_one_unit, self.name, names)
+            )
+        if self.merge is None:
+            object.__setattr__(self, "merge", _only_result)
 
 
 _REGISTRY: dict[str, Experiment] = {}

@@ -16,17 +16,17 @@ def _run(argv, capsys):
     return status, capsys.readouterr().out
 
 
-def test_list_names_components_scenarios_and_legacy(capsys):
+def test_list_names_components_and_scenarios(capsys):
     status, out = _run(["--list"], capsys)
     assert status == 0
     for needle in (
         "components:",
         "scenarios:",
-        "legacy ablations",
         "custom_beams",
-        "ablation_adaptation",
+        "ablation_session",
     ):
         assert needle in out
+    assert "legacy" not in out
 
 
 def test_unknown_component_is_a_clean_error():
@@ -65,4 +65,4 @@ def test_output_round_trip_and_cache_hit_byte_identity(tmp_path, capsys):
 
 def test_repro_dispatches_ablation_verb(capsys):
     assert repro_main(["ablation", "--list"]) == 0
-    assert "legacy ablations" in capsys.readouterr().out
+    assert "scenarios:" in capsys.readouterr().out

@@ -8,6 +8,8 @@ import pytest
 
 import repro.experiments  # noqa: F401  (register every experiment)
 from repro.runner import (
+    Experiment,
+    RunSpec,
     experiment_names,
     get_experiment,
     resolve_params,
@@ -74,6 +76,18 @@ def test_decompose_produces_consistent_specs(name):
             assert spec.experiment == COMPOSITE_EXPERIMENTS.get(name, name)
             assert spec.seed == params["seed"]
         assert len(set(specs)) == len(specs), f"{name} emitted duplicate specs"
+
+
+def test_single_unit_default_decompose_and_merge():
+    experiment = Experiment(
+        name="toy_single",
+        run_one=lambda spec: {"x": spec.get("x")},
+        format_result=str,
+        default_params={"x": 1, "ys": (2, 3), "seed": 5},
+    )
+    specs = experiment.decompose({"x": 4, "ys": (2, 3), "seed": 9})
+    assert specs == [RunSpec.make("toy_single", seed=9, x=4, ys=(2, 3))]
+    assert experiment.merge({}, [(specs[0], {"x": 4})]) == {"x": 4}
 
 
 def test_unknown_experiment_raises_with_known_names():

@@ -14,22 +14,16 @@ import numpy as np
 from repro.experiments import (
     PAPER_TABLE1,
     run_scaling,
-    run_adaptation_ablation,
-    run_blockage_ablation,
-    run_cellsize_ablation,
     run_fig2a,
     run_fig2b,
     run_fig3b,
     run_fig3d,
     run_fig3e,
-    run_grouping_ablation,
-    run_multiap_ablation,
-    run_prediction_ablation,
     run_table1,
     run_venue_scale,
 )
 from repro.ablation import format_report
-from repro.runner import run_experiment
+from repro.runner import get_experiment, run_experiment
 
 OUT = "EXPERIMENTS.md"
 
@@ -290,9 +284,10 @@ actually improved without it).  The Δ columns are raw
 (`no-adaptation`) *raises* raw bitrate while exploding stalls — the
 polarity-aware multi-metric score is what keeps such trades honest.
 
-The six legacy `run_*_ablation` studies (Abl-A..E + multi-AP below)
-register themselves with the engine's registry and are served by the
-same cached runner path.
+The six agenda studies (Abl-A..F below) are plain registered
+experiments, `ablation_prediction` … `ablation_multiap`: run one with
+`run_experiment("ablation_<study>", overrides)` (or `repro run
+ablation_<study>`) and print it with its experiment's `format_result`.
 """
 
 
@@ -511,44 +506,43 @@ def main() -> None:
     ]))
 
     # -------------------------------------------------------- Ablations ----
-    print("Abl-A ...")
-    abl_a = run_prediction_ablation(num_users=10, duration_s=10.0)
-    print("Abl-B ...")
-    abl_b = run_blockage_ablation(num_users=5, duration_s=8.0)
-    print("Abl-C ...")
-    abl_c = run_grouping_ablation(user_counts=(2, 4, 6), num_frames=24)
-    print("Abl-D ...")
-    abl_d = run_adaptation_ablation(num_users=5, duration_s=8.0)
-    print("Abl-E ...")
-    abl_e = run_cellsize_ablation(num_users=8, duration_s=6.0)
-    print("Abl-F ...")
-    abl_f = run_multiap_ablation(user_counts=(2, 4, 6, 8), num_instants=10)
+    def ablation(study: str, overrides: dict) -> str:
+        name = f"ablation_{study}"
+        print(f"{name} ...")
+        return get_experiment(name).format_result(run_experiment(name, overrides))
+
+    abl_a = ablation("prediction", {"num_users": 10, "duration_s": 10.0})
+    abl_b = ablation("blockage", {"num_users": 5, "duration_s": 8.0})
+    abl_c = ablation("grouping", {"user_counts": (2, 4, 6), "num_frames": 24})
+    abl_d = ablation("adaptation", {"num_users": 5, "duration_s": 8.0})
+    abl_e = ablation("cellsize", {"num_users": 8, "duration_s": 6.0})
+    abl_f = ablation("multiap", {"user_counts": (2, 4, 6, 8), "num_instants": 10})
 
     parts.append(block([
         "## Research-agenda ablations (paper §4-§5; no paper figures exist — "
         "these quantify the agenda)",
         "",
         "### Abl-A — viewport prediction (§4.1)",
-        "```", abl_a.format(), "```",
+        "```", abl_a, "```",
         "",
         "### Abl-B — proactive vs. reactive blockage mitigation (§4.1)",
-        "```", abl_b.format(), "```",
+        "```", abl_b, "```",
         "Proactive beam switching eliminates the detection + re-search dead "
         "airtime entirely and improves session QoE.",
         "",
         "### Abl-C — multicast grouping (§4.2)",
-        "```", abl_c.format(), "```",
+        "```", abl_c, "```",
         "Viewport-similarity multicast restores (near-)30 FPS at user counts "
         "where unicast has collapsed — the paper's scaling thesis.",
         "",
         "### Abl-D — rate adaptation (§4.3)",
-        "```", abl_d.format(), "```",
+        "```", abl_d, "```",
         "",
         "### Abl-E — segmentation granularity (§3)",
-        "```", abl_e.format(), "```",
+        "```", abl_e, "```",
         "",
         "### Abl-F — multi-AP coordination (§5)",
-        "```", abl_f.format(), "```",
+        "```", abl_f, "```",
         "Two coordinated APs (SINR-aware spatial reuse / AP-TDMA) beat one "
         "AP for split audiences.",
         "",

@@ -37,6 +37,8 @@ GOLDEN_DIR = REPO_ROOT / "tests" / "experiments" / "goldens"
 GOLDEN_EXPERIMENTS = (
     "table1", "fig2a", "fig2b", "fig3d", "loss_sweep", "venue_scale",
     "ablation_importance", "policy_comparison",
+    "ablation_prediction", "ablation_blockage", "ablation_grouping",
+    "ablation_adaptation", "ablation_cellsize", "ablation_multiap",
 )
 RTOL = 1e-6
 ATOL = 1e-9
