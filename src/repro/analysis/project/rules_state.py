@@ -1,8 +1,8 @@
 """G6xx — shared-state safety rules.
 
 Module-level mutable containers (``runner/registry.py:_REGISTRY``,
-``obs/spans.py:SPAN_TYPES``, …) are how the repo registers experiments,
-span types, and metrics.  Mutating one **at import time** is safe: imports
+``obs/trace.py:EVENT_TYPES``, …) are how the repo registers experiments,
+trace event types, and metrics.  Mutating one **at import time** is safe: imports
 are once-per-process and idempotent, so every worker rebuilds the same
 table from the same module body.  Mutating one from *worker-reachable*
 code after import is a silent cross-process divergence hazard — the

@@ -8,14 +8,13 @@
     python -m repro lint                      # repo-specific static analysis
     python -m repro run table1 --parallel 4   # parallel runner + result cache
     python -m repro figures --parallel 4      # every registered figure/table
-    python -m repro trace loss_sweep          # structured JSONL timeline
-    python -m repro trace venue_scale --stream  # bounded-memory recording
-    python -m repro obs analyze t.jsonl       # spans + latency attribution
+    python -m repro trace loss_sweep          # JSONL timeline, streamed to disk
+    python -m repro obs analyze t.jsonl       # per-frame latency attribution
     python -m repro obs check t.jsonl --spec slo.json   # SLO gating
     python -m repro obs diff a.json b.json    # run-to-run regression diff
     python -m repro obs report a.json         # self-contained HTML report
     python -m repro bench loss_sweep          # BENCH_<n>.json perf point
-    python -m repro bench --stream-rss        # streamed-vs-batch RSS gate
+    python -m repro bench --kernels --compare BENCH_2.json  # speedup gate
     python -m repro ablation --parallel 4     # component importance ranking
 
 Each command prints the same formatted rows the benchmarks assert on.

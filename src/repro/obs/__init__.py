@@ -15,36 +15,31 @@ never touch an RNG, the sim clock, or experiment state):
 
 On top of the recording substrate sits the analysis tier:
 
-* :mod:`repro.obs.spans` — folds a flat trace back into per-frame causal
-  spans via the declared correlation fields (never heuristics);
+* :mod:`repro.obs.stream` — the single-pass, bounded-memory frame fold
+  (:class:`AnalyzeAccumulator`: structural ``(unit, frame)`` span groups,
+  exact Shewchuk sums, deterministic cross-shard merge) behind ``repro
+  obs analyze`` and ``repro obs check``;
 * :mod:`repro.obs.analyze` — deadline critical-path attribution: each
   frame's end-to-end latency decomposed into named layer segments whose
   per-frame totals sum exactly to the frame latency;
 * :mod:`repro.obs.slo` — declarative SLO specs evaluated against a trace
   (CI gating via ``repro obs check``);
-* :mod:`repro.obs.bench` — the ``repro bench`` perf-trajectory harness
-  (``BENCH_<n>.json`` points plus ``--compare`` regression gating and the
-  ``--stream-rss`` streamed-vs-batch peak-RSS gate).
-
-The streaming plane makes the whole pipeline bounded-memory at venue
-scale, bit-identically to the batch path:
-
-* :mod:`repro.obs.stream` — single-pass :class:`AnalyzeAccumulator`
-  folding (exact Shewchuk sums, deterministic cross-shard merge) behind
-  ``repro trace --stream`` / ``repro obs analyze --stream``;
 * :mod:`repro.obs.diff` — ``repro obs diff``: canonical
-  ``repro.obs.diff/1`` regression reports over two runs' artifacts;
+  ``repro.obs.diff/1`` regression reports over two runs' artifacts, and
+  the one BENCH comparison rule behind ``repro bench --compare``;
+* :mod:`repro.obs.bench` — the ``repro bench`` perf-trajectory harness
+  (``BENCH_<n>.json`` points, their schema, and ``--compare`` gating);
 * :mod:`repro.obs.report` — ``repro obs report``: self-contained
   markdown/HTML run reports with a BENCH trajectory sparkline.
 
-CLI surface: ``repro trace <experiment>`` records a timeline (with
-``--layer``/``--event`` write filters and ``--stream`` incremental
-flushing), ``repro obs analyze`` / ``repro obs check`` consume one,
-``repro obs diff`` / ``repro obs report`` consume the resulting
-artifacts, ``repro bench`` measures the runner, ``repro run
---metrics-out FILE`` dumps merged metrics.  Every metric, event, span,
-segment, and SLO metric is documented in ``docs/METRICS.md``, generated
-(and drift-checked in CI) by ``tools/gen_metrics_doc.py``.
+CLI surface: ``repro trace <experiment>`` records a timeline straight to
+disk (with ``--layer``/``--event`` write filters), ``repro obs analyze`` /
+``repro obs check`` consume one, ``repro obs diff`` / ``repro obs
+report`` consume the resulting artifacts, ``repro bench`` measures the
+runner, ``repro run --metrics-out FILE`` dumps merged metrics.  Every
+metric, event, segment, and SLO metric is documented in
+``docs/METRICS.md``, generated (and drift-checked in CI) by
+``tools/gen_metrics_doc.py``.
 """
 
 from .metrics import (
@@ -68,7 +63,6 @@ from .trace import (
     EVENT_TYPES,
     TraceEvent,
     TraceEventType,
-    StreamingTraceRecorder,
     TraceRecorder,
     correlation,
     event_type,
@@ -88,7 +82,6 @@ __all__ = [
     "MetricsRegistry",
     "PhaseProfiler",
     "REGISTRY",
-    "StreamingTraceRecorder",
     "TraceEvent",
     "TraceEventType",
     "TraceRecorder",

@@ -1,4 +1,4 @@
-"""Deadline critical-path attribution over a reconstructed trace.
+"""Deadline critical-path attribution: the segment catalog and its rules.
 
 For every frame delivery attempt the transport traced, decompose the
 frame's end-to-end latency into named layer segments — where did the
@@ -27,28 +27,26 @@ fields (never from timestamp subtraction across taps):
   the frame's end-to-end latency — ``tests/obs/test_analyze.py`` asserts
   the equality with ``==``, not approximately.
 
-The module's entry point, :func:`analyze`, folds per-frame attributions
-into a blame table over all frames and over the *problem* frames (late or
-lost) — the deadline critical path the paper's cross-layer argument is
-about — plus a per-layer rollup and the worst offending frames.  The
-output is canonical JSON: same trace in, bit-identical report out.
+The single-pass fold (:func:`repro.obs.stream.stream_analyze`) applies
+these rules per frame and folds the attributions into a blame table over
+all frames and over the *problem* frames (late or lost) — the deadline
+critical path the paper's cross-layer argument is about — plus a
+per-layer rollup and the worst offending frames; :func:`format_report`
+renders it.  The output is canonical JSON: same trace in, bit-identical
+report out.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Iterable, Mapping
-
-from .spans import FrameSpans
+from typing import Any, Mapping
 
 __all__ = [
     "AttributionSegment",
     "SEGMENTS",
     "SEGMENT_ORDER",
-    "attribute_frame",
     "fold_event_into_segments",
     "close_attribution",
-    "analyze",
     "format_report",
 ]
 
@@ -123,17 +121,13 @@ SEG_UNATTRIBUTED = _segment(
 
 SEGMENT_ORDER: tuple[str, ...] = tuple(SEGMENTS)
 
-_PROBLEM_STATUSES = ("late", "lost")
-
 
 def fold_event_into_segments(
     seg: dict[str, float], ev: Mapping[str, Any]
 ) -> bool:
     """Fold one event's reported durations into a per-frame segment dict.
 
-    Returns whether the event carried a latency breakdown at all — the
-    streaming accumulator and :func:`attribute_frame` share this single
-    set of fold rules so the two paths cannot drift.
+    Returns whether the event carried a latency breakdown at all.
     """
     name = ev.get("event")
     if name == "net.arq_round":
@@ -182,46 +176,8 @@ def close_attribution(
         seg[SEG_UNATTRIBUTED.name] += diff
 
 
-def attribute_frame(fs: FrameSpans) -> dict[str, float]:
-    """Decompose one frame attempt's latency into the segment catalog.
-
-    Returns ``{segment name: seconds}`` over every declared segment.  The
-    values sum (under :func:`math.fsum`) *exactly* to ``fs.airtime_s``:
-    the ``unattributed`` residual is iterated until the equality holds in
-    floating point, so the invariant is enforced by construction.
-    """
-    seg = {name: 0.0 for name in SEGMENT_ORDER}
-    saw_breakdown = False
-    for ev in fs.events:
-        saw_breakdown |= fold_event_into_segments(seg, ev)
-    close_attribution(seg, fs.airtime_s, saw_breakdown)
-    return seg
-
-
-def analyze(
-    events: Iterable[Mapping[str, Any]], top: int = 5
-) -> dict[str, Any]:
-    """Full attribution report over a flat trace event list.
-
-    Folds every event (in ``seq`` order) through the single-pass
-    :class:`repro.obs.stream.AnalyzeAccumulator` — the same machinery the
-    bounded-memory streaming path and the cross-shard merge use, so batch
-    and streamed reports are bit-identical *by construction* — and
-    finalizes blame tables for all frames, late frames, lost frames, and
-    the late+lost union (``problem``), plus the ``top`` worst frames by
-    delivery latency.  Deterministic: the report is a pure function of
-    the event list.
-    """
-    from .stream import AnalyzeAccumulator
-
-    acc = AnalyzeAccumulator(top=top)
-    for ev in sorted(events, key=lambda ev: int(ev.get("seq", 0))):
-        acc.add_event(ev)
-    return acc.finalize()
-
-
 def format_report(report: Mapping[str, Any]) -> str:
-    """Human-readable rendering of an :func:`analyze` report."""
+    """Human-readable rendering of an analyze report."""
     from ..experiments.common import format_table
 
     frames = report["frames"]

@@ -10,10 +10,14 @@ a perf history)::
     python -m repro bench loss_sweep --compare BENCH_1.json --tolerance 0.2
     python -m repro bench --kernels --compare BENCH_2.json
 
-``--compare`` re-runs the same measurement and exits non-zero when any
-experiment's wall time regressed beyond the tolerance against the
-baseline file — the CI hook that keeps the runner's performance honest
-across PRs.
+``--compare`` validates the baseline file, re-runs the measurement, and
+exits non-zero when :func:`repro.obs.diff.build_diff` lists any bench
+regression against it — the CI hook that keeps the runner's performance
+honest across PRs.  The rule lives in :mod:`repro.obs.diff`: an
+experiment's wall time regresses beyond the tolerance, a kernel's speedup
+falls below the baseline's floor, and the totals (wall time, peak RSS)
+regress only between points that measured the same experiments and
+kernels.
 
 ``--kernels`` additionally (or, with no experiments named, exclusively)
 times the vectorized hot-path kernels against their retained scalar
@@ -23,6 +27,10 @@ speedup plus its ``min_speedup`` floor.  ``--compare`` gates *speedup
 against the baseline's floor*, not wall time, so the kernel gate is
 machine-independent: a slower CI box passes as long as the vectorized
 path still beats the scalar one by the required factor.
+
+This module is also the one place BENCH files are named, parsed and
+validated (:func:`bench_points`, :func:`load_bench`,
+:func:`validate_bench`).
 
 Measurement uses ``time.perf_counter`` only (monotonic elapsed time; the
 repo's D1xx lint permits it, wall-clock *timestamps* stay banned), and
@@ -47,11 +55,11 @@ __all__ = [
     "KERNEL_MIN_SPEEDUP",
     "run_bench",
     "run_kernel_bench",
-    "run_stream_rss_bench",
+    "bench_points",
     "next_bench_path",
     "write_bench",
+    "load_bench",
     "validate_bench",
-    "compare_bench",
     "main",
 ]
 
@@ -152,80 +160,6 @@ def run_bench(
         doc["peak_rss_bytes"] = peak
     validate_bench(doc)
     return doc
-
-
-_RSS_CHILD_CODE = """\
-import resource
-import sys
-
-from repro.obs.cli import main
-
-rc = main(sys.argv[1:])
-peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-peak = int(peak) if sys.platform == "darwin" else int(peak) * 1024
-print("PEAK_RSS_BYTES=%d" % peak)
-sys.exit(rc)
-"""
-
-
-def run_stream_rss_bench(
-    experiment: str = "venue_scale", scale: str = "small"
-) -> dict[str, Any]:
-    """Peak RSS of a streamed vs. batch trace of one experiment.
-
-    ``ru_maxrss`` is a process-lifetime high-water mark, so the two
-    measurements need separate address spaces: each mode runs ``repro
-    trace`` in a child interpreter that reports its own peak before
-    exiting.  The streamed child flushes events incrementally (the
-    bounded-memory recorder) while the batch child retains the whole
-    timeline — the delta between the two is exactly what the streaming
-    tier buys, and the ``--stream-rss`` gate holds the streamed peak at
-    or below the batch peak (within ``--tolerance``).
-    """
-    import os
-    import subprocess
-    import tempfile
-
-    import repro
-
-    env = dict(os.environ)
-    src_dir = str(Path(repro.__file__).resolve().parent.parent)
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = (
-        src_dir if not existing else src_dir + os.pathsep + existing
-    )
-
-    def _measure(stream: bool) -> int:
-        with tempfile.TemporaryDirectory() as tmp:
-            argv = [
-                sys.executable, "-c", _RSS_CHILD_CODE,
-                experiment, "--scale", scale, "--quiet",
-                "--out", str(Path(tmp) / "trace.jsonl"),
-            ]
-            if stream:
-                argv.append("--stream")
-            proc = subprocess.run(
-                argv, env=env, capture_output=True, text=True
-            )
-        if proc.returncode != 0:
-            raise RuntimeError(
-                f"rss child failed ({proc.returncode}): "
-                f"{proc.stderr.strip()[-500:]}"
-            )
-        for line in reversed(proc.stdout.splitlines()):
-            if line.startswith("PEAK_RSS_BYTES="):
-                return int(line.partition("=")[2])
-        raise RuntimeError("rss child printed no PEAK_RSS_BYTES line")
-
-    batch = _measure(stream=False)
-    streamed = _measure(stream=True)
-    return {
-        "experiment": experiment,
-        "scale": scale,
-        "batch_rss_bytes": batch,
-        "streamed_rss_bytes": streamed,
-        "ratio": round(streamed / batch, 4) if batch > 0 else None,
-    }
 
 
 def run_kernel_bench(num_users: int = 1000) -> list[dict[str, Any]]:
@@ -345,17 +279,22 @@ def run_kernel_bench(num_users: int = 1000) -> list[dict[str, Any]]:
     return entries
 
 
+def bench_points(bench_dir: Path | str) -> list[tuple[int, Path]]:
+    """Every ``BENCH_<n>.json`` under ``bench_dir`` as ``(n, path)``,
+    sorted by ``n``."""
+    points = []
+    for child in Path(bench_dir).iterdir():
+        match = _BENCH_NAME.match(child.name)
+        if match:
+            points.append((int(match.group(1)), child))
+    return sorted(points)
+
+
 def next_bench_path(out_dir: Path | str = ".") -> Path:
     """The next free ``BENCH_<n>.json`` path under ``out_dir`` (n from 1)."""
     out_dir = Path(out_dir)
-    taken = []
-    if out_dir.is_dir():
-        for child in out_dir.iterdir():
-            match = _BENCH_NAME.match(child.name)
-            if match:
-                taken.append(int(match.group(1)))
-    index = max(taken, default=0) + 1
-    return out_dir / f"BENCH_{index}.json"
+    taken = [n for n, _ in bench_points(out_dir)] if out_dir.is_dir() else []
+    return out_dir / f"BENCH_{max(taken, default=0) + 1}.json"
 
 
 def write_bench(doc: Mapping[str, Any], out_dir: Path | str = ".") -> Path:
@@ -367,6 +306,19 @@ def write_bench(doc: Mapping[str, Any], out_dir: Path | str = ".") -> Path:
         json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8"
     )
     return path
+
+
+def load_bench(path: Path | str) -> dict[str, Any]:
+    """Read and validate one BENCH point; a ``ValueError`` names the file."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: not valid JSON: {exc}") from exc
+    try:
+        validate_bench(doc)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return doc
 
 
 def validate_bench(doc: Mapping[str, Any]) -> None:
@@ -418,73 +370,8 @@ def validate_bench(doc: Mapping[str, Any]) -> None:
         floor = entry.get("min_speedup")
         if isinstance(floor, (int, float)) and floor <= 0:
             problems.append(f"kernels[{i}].min_speedup must be positive")
-    stream_rss = doc.get("stream_rss")
-    if stream_rss is not None:
-        if not isinstance(stream_rss, Mapping):
-            problems.append("'stream_rss' must be an object when present")
-        else:
-            for key in (
-                "experiment", "scale", "batch_rss_bytes",
-                "streamed_rss_bytes",
-            ):
-                if key not in stream_rss:
-                    problems.append(f"stream_rss missing key {key!r}")
-            for key in ("batch_rss_bytes", "streamed_rss_bytes"):
-                rss = stream_rss.get(key)
-                if isinstance(rss, (int, float)) and rss <= 0:
-                    problems.append(f"stream_rss.{key} must be positive")
     if problems:
         raise ValueError("invalid bench document: " + "; ".join(problems))
-
-
-def compare_bench(
-    current: Mapping[str, Any],
-    baseline: Mapping[str, Any],
-    tolerance: float = 0.2,
-) -> list[str]:
-    """Regressions of ``current`` vs. ``baseline``.
-
-    Returns one message per experiment (present in both documents) whose
-    wall time exceeds the baseline's by more than ``tolerance`` (a
-    fraction: 0.2 = 20%), plus one per kernel whose measured speedup fell
-    below the *baseline's* ``min_speedup`` floor — a ratio, so the kernel
-    gate holds on any machine.  Empty list = no regression.
-    """
-    if tolerance < 0:
-        raise ValueError("tolerance must be non-negative")
-    validate_bench(current)
-    validate_bench(baseline)
-    base_by_name = {e["name"]: e for e in baseline["experiments"]}
-    regressions: list[str] = []
-    for entry in current["experiments"]:
-        base = base_by_name.get(entry["name"])
-        if base is None:
-            continue
-        cur_wall = float(entry["wall_s"])
-        base_wall = float(base["wall_s"])
-        if cur_wall > base_wall * (1.0 + tolerance):
-            ratio = cur_wall / base_wall if base_wall > 0 else float("inf")
-            shown = "inf" if ratio == float("inf") else f"{ratio:.2f}x"
-            regressions.append(
-                f"{entry['name']}: wall {cur_wall:.3f}s vs baseline "
-                f"{base_wall:.3f}s ({shown}, tolerance "
-                f"{(1.0 + tolerance):.2f}x)"
-            )
-    base_kernels = {
-        e["name"]: e for e in baseline.get("kernels", [])
-    }
-    for entry in current.get("kernels", []):
-        base = base_kernels.get(entry["name"])
-        if base is None:
-            continue
-        speedup = float(entry["speedup"])
-        floor = float(base["min_speedup"])
-        if speedup < floor:
-            regressions.append(
-                f"{entry['name']}: vectorized speedup {speedup:.2f}x fell "
-                f"below the baseline floor {floor:.2f}x"
-            )
-    return regressions
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -530,22 +417,12 @@ def build_parser() -> argparse.ArgumentParser:
              "references; with no experiments named, bench kernels only",
     )
     parser.add_argument(
-        "--stream-rss",
-        nargs="?",
-        const="venue_scale",
-        default=None,
-        metavar="EXPERIMENT",
-        help="also measure streamed-vs-batch trace peak RSS for this "
-             "experiment (default: venue_scale) in child processes; exit 1 "
-             "if the streamed peak exceeds the batch peak beyond "
-             "--tolerance; with no experiments named, measure RSS only",
-    )
-    parser.add_argument(
         "--compare",
         default=None,
         metavar="BASELINE",
-        help="a previous BENCH_<n>.json; exit 1 if wall time regressed "
-             "beyond --tolerance",
+        help="a previous BENCH_<n>.json; exit 1 on any bench regression "
+             "against it (wall time beyond --tolerance, a kernel speedup "
+             "below the baseline's floor)",
     )
     parser.add_argument(
         "--tolerance",
@@ -560,10 +437,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Entry point for ``repro bench`` (returns a process exit status)."""
     from ..runner.registry import experiment_names
+    from .diff import build_diff, check_tolerance, format_regression
 
     args = build_parser().parse_args(argv)
-    if (args.kernels or args.stream_rss) and not args.experiments:
-        names = []  # kernels-only / rss-only point
+    baseline = None
+    if args.compare:
+        # Fail on a bad baseline before spending the measurement on it.
+        try:
+            check_tolerance(args.tolerance)
+            baseline = load_bench(args.compare)
+        except (OSError, ValueError) as exc:
+            raise SystemExit(f"cannot compare: {exc}") from None
+    if args.kernels and not args.experiments:
+        names = []  # kernels-only point
     else:
         names = args.experiments or experiment_names()
     try:
@@ -583,18 +469,6 @@ def main(argv: list[str] | None = None) -> int:
             + sum(k["scalar_wall_s"] + k["vectorized_wall_s"] for k in kernels),
             6,
         )
-    rss_regressed = False
-    if args.stream_rss:
-        try:
-            stream_rss = run_stream_rss_bench(
-                args.stream_rss, scale=args.scale
-            )
-        except (KeyError, RuntimeError) as err:
-            raise SystemExit(str(err)) from None
-        doc["stream_rss"] = stream_rss
-        rss_regressed = stream_rss["streamed_rss_bytes"] > (
-            stream_rss["batch_rss_bytes"] * (1.0 + args.tolerance)
-        )
     path = write_bench(doc, args.out_dir)
     for entry in doc["experiments"]:
         print(
@@ -608,34 +482,15 @@ def main(argv: list[str] | None = None) -> int:
             f"vectorized {entry['vectorized_wall_s']:.3f}s -> "
             f"{entry['speedup']:.1f}x (floor {entry['min_speedup']:.1f}x)"
         )
-    if "stream_rss" in doc:
-        rss = doc["stream_rss"]
-        mib = 1024 * 1024
-        print(
-            f"stream rss ({rss['experiment']}, {rss['scale']}): batch "
-            f"{rss['batch_rss_bytes'] / mib:.1f} MiB, streamed "
-            f"{rss['streamed_rss_bytes'] / mib:.1f} MiB "
-            f"(ratio {rss['ratio']})"
-        )
     print(f"bench point written to {path}")
-    if rss_regressed:
-        print(
-            "RSS REGRESSION: streamed trace peak exceeds the batch peak "
-            f"beyond tolerance {args.tolerance}"
-        )
-        return 1
-    if args.compare:
-        try:
-            baseline = json.loads(
-                Path(args.compare).read_text(encoding="utf-8")
-            )
-        except (OSError, ValueError) as exc:
-            raise SystemExit(f"cannot read baseline {args.compare}: {exc}")
-        regressions = compare_bench(doc, baseline, tolerance=args.tolerance)
+    if baseline is not None:
+        regressions = build_diff(
+            bench_a=baseline, bench_b=doc, tolerance=args.tolerance
+        )["regressions"]
         if regressions:
             print(f"PERF REGRESSION vs {args.compare}:")
-            for message in regressions:
-                print(f"  {message}")
+            for reg in regressions:
+                print(f"  {format_regression(reg)}")
             return 1
         print(f"no regression vs {args.compare} (tolerance {args.tolerance})")
     return 0

@@ -8,18 +8,20 @@
 
 ``trace`` runs every work unit of the selected experiment **serially** (a
 timeline interleaved across worker processes would be meaningless), with
-the trace recorder and the metrics registry enabled, then writes the
-JSON-lines timeline and prints the experiment's normal formatted result
-plus a per-layer event summary.  ``--layer``/``--event`` (repeatable)
-restrict which events are *written* — recording stays complete, so the
-filters cannot perturb anything.  Tracing is result-neutral: the printed
-result is bit-identical to an untraced ``repro run`` of the same specs
-(asserted by ``tests/obs/test_equivalence.py``).
+the trace recorder and the metrics registry enabled, writing the
+JSON-lines timeline to disk as events are emitted, then prints the
+experiment's normal formatted result plus a per-layer event summary.
+``--layer``/``--event`` (repeatable) restrict which events are *written*
+— filtered events still take their ``seq``, so the filters cannot perturb
+anything.  Tracing is result-neutral: the printed result is bit-identical
+to an untraced ``repro run`` of the same specs (asserted by
+``tests/obs/test_equivalence.py``).
 
-``obs analyze`` folds a recorded timeline into per-frame spans and prints
-the deadline critical-path blame table (:mod:`repro.obs.analyze`);
-``obs check`` gates a timeline against a declarative SLO spec
-(:mod:`repro.obs.slo`), exiting non-zero on violation.
+``obs analyze`` folds a recorded timeline into per-frame span groups in
+one bounded-memory pass and prints the deadline critical-path blame table
+(:mod:`repro.obs.analyze`); ``obs check`` gates a timeline against a
+declarative SLO spec (:mod:`repro.obs.slo`), exiting non-zero on
+violation.
 
 Each JSONL record carries the sim time ``t``, a global ``seq`` (total
 order; sim time restarts at 0 for every private transport clock), the
@@ -35,7 +37,7 @@ import sys
 from pathlib import Path
 
 from . import metrics
-from .trace import recording, streaming_recording
+from .trace import streaming_recording
 
 __all__ = ["main", "obs_main"]
 
@@ -95,13 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="only write events of this type (repeatable; "
              "e.g. net.arq_round)",
     )
-    parser.add_argument(
-        "--stream",
-        action="store_true",
-        help="flush events to the output file incrementally instead of "
-             "retaining the whole timeline in memory (byte-identical "
-             "output; --layer/--event apply at record time)",
-    )
     return parser
 
 
@@ -119,18 +114,13 @@ def main(argv: list[str] | None = None) -> int:
     specs = list(experiment.decompose(params))
     out_path = Path(args.out or f"{experiment.name}-trace.jsonl")
 
-    recording_ctx = (
-        streaming_recording(
-            out_path, layers=args.layer, events=args.event
-        )
-        if args.stream
-        else recording()
-    )
     was_enabled = metrics.REGISTRY.enabled
     metrics.reset()
     metrics.enable()
     try:
-        with recording_ctx as recorder:
+        with streaming_recording(
+            out_path, layers=args.layer, events=args.event
+        ) as recorder:
             runs = []
             for spec in specs:
                 recorder.clear_context()
@@ -149,26 +139,12 @@ def main(argv: list[str] | None = None) -> int:
         print(experiment.format_result(merged))
         print()
 
-    if args.stream:
-        recorded = recorder.recorded
-    else:
-        recorded = len(recorder)
-        if args.layer or args.event:
-            layers = set(args.layer or ())
-            names = set(args.event or ())
-            recorder.events = [
-                ev
-                for ev in recorder.events
-                if (not layers or ev.layer in layers)
-                and (not names or ev.event in names)
-            ]
-        recorder.write_jsonl(out_path)
     per_layer = ", ".join(
         f"{layer} {count}" for layer, count in recorder.layer_counts().items()
     )
     filtered = (
-        f" ({recorded - len(recorder)} filtered out)"
-        if len(recorder) != recorded
+        f" ({recorder.recorded - len(recorder)} filtered out)"
+        if len(recorder) != recorder.recorded
         else ""
     )
     print(
@@ -187,8 +163,8 @@ def build_obs_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro obs",
         description=(
-            "Analyze recorded trace timelines: span reconstruction, "
-            "deadline critical-path attribution, and SLO gating."
+            "Analyze recorded trace timelines: deadline critical-path "
+            "attribution, SLO gating, run diffs and reports."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -197,8 +173,9 @@ def build_obs_parser() -> argparse.ArgumentParser:
         "analyze",
         help="per-frame latency attribution and blame table",
         description=(
-            "Fold a trace into per-frame spans and attribute each frame's "
-            "end-to-end latency to named layer segments."
+            "Fold a trace into per-frame span groups in one pass and "
+            "attribute each frame's end-to-end latency to named layer "
+            "segments."
         ),
     )
     analyze_p.add_argument(
@@ -220,12 +197,6 @@ def build_obs_parser() -> argparse.ArgumentParser:
         "--quiet",
         action="store_true",
         help="suppress the human-readable report (JSON output only)",
-    )
-    analyze_p.add_argument(
-        "--stream",
-        action="store_true",
-        help="fold the trace in a single bounded-memory pass instead of "
-             "loading it whole (bit-identical report)",
     )
 
     check_p = sub.add_parser(
@@ -344,29 +315,35 @@ def _write_canonical(path_arg: str, doc: dict) -> Path:
 
 
 def _diff_main(args: argparse.Namespace) -> int:
+    from .bench import load_bench
     from .diff import build_diff, format_diff, load_json_artifact
 
-    def _load(path, expect):
+    def _load(path, expect=None, load=None):
         if path is None:
             return None
         try:
+            if load is not None:
+                return load(path)
             return load_json_artifact(path, expect)
         except (OSError, ValueError) as exc:
             raise SystemExit(f"cannot read artifact: {exc}") from None
 
-    report = build_diff(
-        _load(args.run_a, "repro.obs.analyze"),
-        _load(args.run_b, "repro.obs.analyze"),
-        metrics_a=_load(args.metrics_a, None),
-        metrics_b=_load(args.metrics_b, None),
-        slo_a=_load(args.slo_a, "repro.obs.slo"),
-        slo_b=_load(args.slo_b, "repro.obs.slo"),
-        bench_a=_load(args.bench_a, "repro.bench"),
-        bench_b=_load(args.bench_b, "repro.bench"),
-        tolerance=args.tolerance,
-        label_a=args.run_a,
-        label_b=args.run_b,
-    )
+    try:
+        report = build_diff(
+            _load(args.run_a, "repro.obs.analyze"),
+            _load(args.run_b, "repro.obs.analyze"),
+            metrics_a=_load(args.metrics_a),
+            metrics_b=_load(args.metrics_b),
+            slo_a=_load(args.slo_a, "repro.obs.slo"),
+            slo_b=_load(args.slo_b, "repro.obs.slo"),
+            bench_a=_load(args.bench_a, load=load_bench),
+            bench_b=_load(args.bench_b, load=load_bench),
+            tolerance=args.tolerance,
+            label_a=args.run_a,
+            label_b=args.run_b,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"cannot diff: {exc}") from None
     if not args.quiet:
         print(format_diff(report))
     if args.json:
@@ -406,9 +383,9 @@ def _report_main(args: argparse.Namespace) -> int:
 
 def obs_main(argv: list[str] | None = None) -> int:
     """Entry point for ``repro obs`` (returns a process exit status)."""
-    from .analyze import analyze, format_report
+    from .analyze import format_report
     from .slo import evaluate_spec, format_results, load_spec, results_jsonable
-    from .spans import load_events, reconstruct
+    from .stream import fold_trace, stream_analyze
 
     args = build_obs_parser().parse_args(argv)
     if args.command == "diff":
@@ -418,12 +395,7 @@ def obs_main(argv: list[str] | None = None) -> int:
 
     if args.command == "analyze":
         try:
-            if args.stream:
-                from .stream import stream_analyze
-
-                report = stream_analyze(args.trace, top=args.top)
-            else:
-                report = analyze(load_events(args.trace), top=args.top)
+            report = stream_analyze(args.trace, top=args.top)
         except (OSError, ValueError) as exc:
             raise SystemExit(
                 f"cannot read trace {args.trace}: {exc}"
@@ -436,14 +408,14 @@ def obs_main(argv: list[str] | None = None) -> int:
 
     # args.command == "check"
     try:
-        events = load_events(args.trace)
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"cannot read trace {args.trace}: {exc}") from None
-    try:
         entries = load_spec(args.spec)
     except (OSError, ValueError) as exc:
         raise SystemExit(f"cannot read spec {args.spec}: {exc}") from None
-    results = evaluate_spec(entries, reconstruct(events))
+    try:
+        acc = fold_trace(args.trace, top=0)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"cannot read trace {args.trace}: {exc}") from None
+    results = evaluate_spec(entries, acc)
     print(format_results(results))
     if args.json:
         path = Path(args.json)

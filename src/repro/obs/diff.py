@@ -7,7 +7,9 @@ and a ``repro.bench/1`` trajectory point per side — and emits one
 canonical ``repro.obs.diff/1`` document: per-segment and per-layer
 latency-blame deltas, per-``(room, ap)`` rollup deltas, admission and
 policy-attribution deltas, SLO status transitions, and bench wall-time /
-peak-RSS deltas, all as ``{"a": ..., "b": ..., "delta": b - a}`` cells.
+peak-RSS / kernel-speedup deltas, all as ``{"a": ..., "b": ..., "delta":
+b - a}`` cells.  Every section is optional, so ``repro bench --compare``
+is :func:`build_diff` over two bench points alone.
 
 Two properties make the output CI-friendly:
 
@@ -16,26 +18,30 @@ Two properties make the output CI-friendly:
   (bit-identical across worker counts and cache hits), so is the diff.
 * ``regressions`` lists every delta that crossed the tolerance in the
   bad direction (more late/lost frames, more problem airtime, an SLO
-  flipping pass→fail, slower or fatter bench), so
-  ``--fail-on-regression`` turns the diff into a gate.
+  flipping pass→fail, slower or fatter bench, a kernel below its floor),
+  so ``--fail-on-regression`` turns the diff into a gate.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Any, Mapping
 
 from .analyze import SEGMENT_ORDER
+from .bench import validate_bench
 
 __all__ = [
     "DIFF_SCHEMA",
     "build_diff",
+    "check_tolerance",
     "diff_analyze",
     "diff_metrics",
     "diff_slo",
     "diff_bench",
     "format_diff",
+    "format_regression",
     "load_json_artifact",
 ]
 
@@ -278,29 +284,27 @@ def diff_slo(
     }
 
 
+def _named_rows(
+    rows_a: Any, rows_b: Any, keys: tuple[str, ...], out: _Builder
+) -> list[dict[str, Any]]:
+    """Cells for ``keys`` of every name on either side, sorted by name."""
+    by_a = {row["name"]: row for row in rows_a}
+    by_b = {row["name"]: row for row in rows_b}
+    rows = []
+    for name in _union_keys(by_a, by_b):
+        ra = by_a.get(name, {})
+        rb = by_b.get(name, {})
+        out.mark(not ra or not rb)
+        rows.append(
+            {"name": name, **{k: out.cell(ra.get(k), rb.get(k)) for k in keys}}
+        )
+    return rows
+
+
 def diff_bench(
     a: Mapping[str, Any], b: Mapping[str, Any], out: _Builder
 ) -> dict[str, Any]:
-    """Diff two ``repro.bench/1`` trajectory points."""
-    exp_a = {e["name"]: e for e in a.get("experiments", ())}
-    exp_b = {e["name"]: e for e in b.get("experiments", ())}
-    experiments = []
-    for name in _union_keys(exp_a, exp_b):
-        ea = exp_a.get(name, {})
-        eb = exp_b.get(name, {})
-        out.mark(not ea or not eb)
-        experiments.append(
-            {
-                "name": name,
-                "wall_s": out.cell(ea.get("wall_s"), eb.get("wall_s")),
-                "units_per_s": out.cell(
-                    ea.get("units_per_s"), eb.get("units_per_s")
-                ),
-                "cache_hit_rate": out.cell(
-                    ea.get("cache_hit_rate"), eb.get("cache_hit_rate")
-                ),
-            }
-        )
+    """Diff two ``repro.bench/1`` trajectory points (validated upstream)."""
     return {
         "total_wall_s": out.cell(
             a.get("total_wall_s"), b.get("total_wall_s")
@@ -308,7 +312,14 @@ def diff_bench(
         "peak_rss_bytes": out.cell(
             a.get("peak_rss_bytes"), b.get("peak_rss_bytes")
         ),
-        "experiments": experiments,
+        "experiments": _named_rows(
+            a["experiments"], b["experiments"],
+            ("wall_s", "units_per_s", "cache_hit_rate"), out,
+        ),
+        "kernels": _named_rows(
+            a.get("kernels", ()), b.get("kernels", ()),
+            ("speedup", "min_speedup"), out,
+        ),
     }
 
 
@@ -319,7 +330,12 @@ def _collect_regressions(
 
     Counts (late/lost frames, SLO flips) regress on *any* increase;
     continuous quantities (airtime, wall time, RSS) get the relative
-    tolerance: ``b > a * (1 + tolerance)``.
+    tolerance: ``b > a * (1 + tolerance)``.  Bench points follow one rule:
+    an experiment's wall time regresses only when both points ran it; a
+    kernel regresses when b's speedup falls below a's ``min_speedup``
+    floor (a ratio, so the gate holds on any machine; the entry's ``a``
+    is that floor); the totals regress only when both points measured the
+    same experiments and kernels.
     """
     regressions: list[dict[str, Any]] = []
 
@@ -362,17 +378,44 @@ def _collect_regressions(
 
     bench = report.get("bench")
     if bench:
-        _continuous("bench.total_wall_s", bench["total_wall_s"])
-        _continuous("bench.peak_rss_bytes", bench["peak_rss_bytes"])
+        def _paired(cell: Mapping[str, Any]) -> bool:
+            return cell["a"] is not None and cell["b"] is not None
+
+        if all(_paired(r["wall_s"]) for r in bench["experiments"]) and all(
+            _paired(r["speedup"]) for r in bench["kernels"]
+        ):  # both points measured the same experiments and kernels
+            _continuous("bench.total_wall_s", bench["total_wall_s"])
+            _continuous("bench.peak_rss_bytes", bench["peak_rss_bytes"])
         for row in bench["experiments"]:
             _continuous(f"bench[{row['name']}].wall_s", row["wall_s"])
+        for row in bench["kernels"]:
+            floor, speedup = row["min_speedup"]["a"], row["speedup"]["b"]
+            if _is_num(floor) and _is_num(speedup) and speedup < floor:
+                regressions.append(
+                    {"what": f"bench.kernel[{row['name']}].speedup",
+                     "a": floor, "b": speedup, "delta": speedup - floor}
+                )
 
     return regressions
 
 
+def check_tolerance(tolerance: float) -> float:
+    """``tolerance`` as a float; ``ValueError`` unless finite and >= 0.
+
+    A NaN would silently disable every continuous gate (each comparison
+    is false) and a negative one would flag changes within noise.
+    """
+    value = float(tolerance)
+    if not math.isfinite(value) or value < 0:
+        raise ValueError(
+            f"tolerance must be a finite non-negative fraction, got {value}"
+        )
+    return value
+
+
 def build_diff(
-    analyze_a: Mapping[str, Any],
-    analyze_b: Mapping[str, Any],
+    analyze_a: Mapping[str, Any] | None = None,
+    analyze_b: Mapping[str, Any] | None = None,
     *,
     metrics_a: Mapping[str, Any] | None = None,
     metrics_b: Mapping[str, Any] | None = None,
@@ -386,20 +429,26 @@ def build_diff(
 ) -> dict[str, Any]:
     """The full ``repro.obs.diff/1`` document for two runs.
 
-    The analyze reports are required; metrics / SLO / bench docs are
-    diffed only when *both* sides are supplied (a one-sided artifact is
-    recorded as ``unpaired`` rather than silently dropped).
+    Each artifact pair — analyze, metrics, SLO, bench — is diffed only
+    when *both* sides are supplied (a one-sided artifact is recorded as
+    ``unpaired`` rather than silently dropped).  Bench points must pass
+    :func:`repro.obs.bench.validate_bench` and ``tolerance`` must pass
+    :func:`check_tolerance`; either failure is a ``ValueError``.
     """
+    tolerance = check_tolerance(tolerance)
+    for doc in (bench_a, bench_b):
+        if doc is not None:
+            validate_bench(doc)
     out = _Builder()
     report: dict[str, Any] = {
         "schema": DIFF_SCHEMA,
         "a": {"label": str(label_a)},
         "b": {"label": str(label_b)},
-        "tolerance": float(tolerance),
-        "analyze": diff_analyze(analyze_a, analyze_b, out),
+        "tolerance": tolerance,
     }
     unpaired = []
     for key, doc_a, doc_b, fn in (
+        ("analyze", analyze_a, analyze_b, diff_analyze),
         ("metrics", metrics_a, metrics_b, diff_metrics),
         ("slo", slo_a, slo_b, diff_slo),
         ("bench", bench_a, bench_b, diff_bench),
@@ -460,6 +509,11 @@ def _fmt_delta(cell: Mapping[str, Any]) -> str:
     return f"{sign}{delta}"
 
 
+def format_regression(reg: Mapping[str, Any]) -> str:
+    """One regression entry as ``what: a -> b``."""
+    return f"{reg['what']}: {_fmt(reg['a'])} -> {_fmt(reg['b'])}"
+
+
 def format_diff(report: Mapping[str, Any]) -> str:
     """Human-readable rendering of a diff document."""
     lines = []
@@ -517,9 +571,7 @@ def format_diff(report: Mapping[str, Any]) -> str:
     if regressions:
         lines.append(f"REGRESSIONS ({len(regressions)}):")
         for reg in regressions:
-            lines.append(
-                f"  {reg['what']}: {_fmt(reg['a'])} -> {_fmt(reg['b'])}"
-            )
+            lines.append(f"  {format_regression(reg)}")
     else:
         lines.append("no regressions detected")
     return "\n".join(lines)

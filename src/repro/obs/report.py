@@ -18,12 +18,11 @@ reports for the same artifacts are byte-identical.
 from __future__ import annotations
 
 import html
-import json
-import re
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from .analyze import SEGMENTS
+from .bench import bench_points, load_bench
 
 __all__ = [
     "load_bench_trajectory",
@@ -32,27 +31,15 @@ __all__ = [
     "render_html",
 ]
 
-_BENCH_NAME = re.compile(r"^BENCH_(\d+)\.json$")
 _SPARK_BLOCKS = "▁▂▃▄▅▆▇█"
 
 
 def load_bench_trajectory(
     bench_dir: Path | str,
 ) -> list[tuple[int, dict[str, Any]]]:
-    """All ``BENCH_<n>.json`` points in a directory, sorted by ``n``."""
-    points = []
-    for path in Path(bench_dir).iterdir():
-        match = _BENCH_NAME.match(path.name)
-        if not match:
-            continue
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-        except ValueError as exc:
-            raise ValueError(f"{path}: not valid JSON: {exc}") from exc
-        if isinstance(doc, dict):
-            points.append((int(match.group(1)), doc))
-    points.sort(key=lambda pair: pair[0])
-    return points
+    """All ``BENCH_<n>.json`` points in a directory, sorted by ``n``;
+    an invalid point is a ``ValueError`` naming its file."""
+    return [(n, load_bench(path)) for n, path in bench_points(bench_dir)]
 
 
 def sparkline(values: Sequence[float]) -> str:

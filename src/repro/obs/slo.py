@@ -1,8 +1,10 @@
-"""Declarative SLOs over reconstructed traces, for CI gating.
+"""Declarative SLOs over trace timelines, for CI gating.
 
 A spec file declares bounds on a small registered catalog of service-level
-metrics, all computed from a ``repro trace`` timeline via span
-reconstruction (:mod:`repro.obs.spans`) — no simulator re-run needed::
+metrics, all computed from a ``repro trace`` timeline by the same
+single-pass frame fold as ``repro obs analyze``
+(:class:`repro.obs.stream.AnalyzeAccumulator`) — no simulator re-run
+needed::
 
     {
       "slos": [
@@ -20,7 +22,7 @@ CI archives as JSON.
 Like metrics and trace events, SLO metrics live in a module-scope catalog
 (:data:`SLO_METRICS`) so ``docs/METRICS.md`` can enumerate them and spec
 files can be validated against known names.  Every metric is a pure,
-deterministic function of the reconstruction.
+deterministic function of the folded trace.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable
 
-from .spans import Reconstruction
+from .stream import AnalyzeAccumulator
 
 __all__ = [
     "SloMetric",
@@ -52,7 +54,7 @@ class SloMetric:
     name: str
     unit: str
     help: str
-    compute: Callable[[Reconstruction], float | None]
+    compute: Callable[[AnalyzeAccumulator], float | None]
 
     def describe(self) -> dict[str, Any]:
         """Static metadata — the METRICS.md generator input."""
@@ -64,8 +66,8 @@ SLO_METRICS: dict[str, SloMetric] = {}
 
 def _metric(
     name: str, unit: str, help: str
-) -> Callable[[Callable[[Reconstruction], float | None]], SloMetric]:
-    def register(fn: Callable[[Reconstruction], float | None]) -> SloMetric:
+) -> Callable[[Callable[[AnalyzeAccumulator], float | None]], SloMetric]:
+    def register(fn: Callable[[AnalyzeAccumulator], float | None]) -> SloMetric:
         declared = SloMetric(name=name, unit=unit, help=help, compute=fn)
         SLO_METRICS[name] = declared
         return declared
@@ -78,12 +80,11 @@ def _metric(
     "closed frame delivery attempts with at least one user's frame lost, "
     "over all closed attempts",
 )
-def _frame_loss_rate(recon: Reconstruction) -> float | None:
-    closed = recon.closed_frames()
+def _frame_loss_rate(acc: AnalyzeAccumulator) -> float | None:
+    closed = acc.blame_all.frames
     if not closed:
         return None
-    lost = sum(1 for fs in closed if fs.status == "lost")
-    return lost / len(closed)
+    return acc.status_counts["lost"] / closed
 
 
 @_metric(
@@ -91,22 +92,10 @@ def _frame_loss_rate(recon: Reconstruction) -> float | None:
     "closed loop only: playback stall onsets per played frame, from "
     "core.playback_state and core.frame_played events",
 )
-def _stall_rate(recon: Reconstruction) -> float | None:
-    stalls = sum(
-        1
-        for ev in recon.unframed
-        if ev.get("event") == "core.playback_state"
-        and ev.get("state") == "stalled"
-    )
-    played = sum(
-        1
-        for fs in recon.frames
-        for ev in fs.events
-        if ev.get("event") == "core.frame_played"
-    )
-    if played == 0:
+def _stall_rate(acc: AnalyzeAccumulator) -> float | None:
+    if acc.played == 0:
         return None
-    return stalls / played
+    return acc.stalls / acc.played
 
 
 @_metric(
@@ -114,8 +103,8 @@ def _stall_rate(recon: Reconstruction) -> float | None:
     "95th percentile (nearest-rank) of end-to-end frame delivery latency "
     "over closed attempts",
 )
-def _p95_frame_latency_s(recon: Reconstruction) -> float | None:
-    latencies = sorted(fs.airtime_s for fs in recon.closed_frames())
+def _p95_frame_latency_s(acc: AnalyzeAccumulator) -> float | None:
+    latencies = sorted(acc.latencies)
     if not latencies:
         return None
     rank = max(1, math.ceil(0.95 * len(latencies)))
@@ -128,26 +117,10 @@ def _p95_frame_latency_s(recon: Reconstruction) -> float | None:
     "delivered divided by the unit's total delivery airtime; the minimum "
     "over all users",
 )
-def _min_user_delivered_fps(recon: Reconstruction) -> float | None:
-    airtime_by_unit: dict[str | None, float] = {}
-    delivered: dict[tuple[str | None, int], int] = {}
-    seen_users: set[tuple[str | None, int]] = set()
-    for fs in recon.closed_frames():
-        airtime_by_unit[fs.unit] = (
-            airtime_by_unit.get(fs.unit, 0.0) + fs.airtime_s
-        )
-        for u in fs.delivered_users:
-            key = (fs.unit, u)
-            seen_users.add(key)
-            delivered[key] = delivered.get(key, 0) + 1
-        for u in fs.lost_users:
-            seen_users.add((fs.unit, u))
-    if not seen_users:
-        return None
+def _min_user_delivered_fps(acc: AnalyzeAccumulator) -> float | None:
     floor: float | None = None
-    for key in sorted(seen_users, key=lambda k: (k[0] or "", k[1])):
-        unit_airtime = airtime_by_unit.get(key[0], 0.0)
-        count = delivered.get(key, 0)
+    for (unit, _), count in acc.user_frames.items():
+        unit_airtime = acc.unit_airtime[unit].value()
         if unit_airtime <= 0:
             fps = 0.0 if count == 0 else float("inf")
         else:
@@ -227,12 +200,12 @@ def load_spec(path: Path | str) -> list[SloEntry]:
 
 
 def evaluate_spec(
-    entries: list[SloEntry], recon: Reconstruction
+    entries: list[SloEntry], acc: AnalyzeAccumulator
 ) -> list[SloResult]:
     """Evaluate every entry; a metric the trace cannot supply fails it."""
     results: list[SloResult] = []
     for entry in entries:
-        value = SLO_METRICS[entry.metric].compute(recon)
+        value = SLO_METRICS[entry.metric].compute(acc)
         if value is None:
             ok = False
         elif entry.kind == "max":

@@ -1,25 +1,28 @@
-"""Bounded-memory streaming aggregation of trace timelines.
+"""The single-pass, bounded-memory fold of trace timelines into frames.
 
-The batch observability pipeline (``load_events`` → ``reconstruct`` →
-``analyze``) holds the whole trace, every span group, and every per-frame
-attribution in memory at once — fine for a loss sweep, hostile at venue
-scale (ROADMAP: 10 rooms / ~11k sessions and growing).  This module is
-the single-pass alternative: every event is folded into constant-size
-accumulators the moment it is seen, closed frame groups are dropped as
-soon as their attribution lands, and the only per-key residual is one
-occurrence counter per distinct ``(unit, frame)``.
+``repro trace`` writes a flat JSONL timeline — one record per event, in
+``seq`` order.  :class:`AnalyzeAccumulator` folds that timeline back into
+the structure the simulation had while it ran, one event at a time: one
+*span group* per frame delivery attempt, attributed the moment its
+``net.frame_outcome`` closes it and then dropped.  The only per-key
+residual is one occurrence counter per distinct ``(unit, frame)``, plus
+the few tallies the SLO catalog (:mod:`repro.obs.slo`) reads.
 
-Bit-identity with the batch path is *by construction*, not by luck:
+Joining is structural, never heuristic: every instrumented tap attaches
+the correlation fields it knows (:data:`repro.obs.trace.CORRELATION_FIELDS`
+— ``unit`` from ambient recorder context, ``frame``/``user``/``users``
+per event), so an event belongs to a span group iff its ``(unit, frame)``
+matches.  Frame indices legitimately repeat within a unit — the loss sweep
+replays the same frames at every loss point, and the closed-loop session
+re-requests lost frames — so groups are keyed by *occurrence*: a
+``net.frame_outcome`` closes the current occurrence of its frame, and any
+later event with the same frame index opens the next one.
 
-* :func:`repro.obs.analyze.analyze` is itself a fold over
-  :class:`AnalyzeAccumulator`, so batch and streamed reports can only
-  differ if the event order differs — and trace files are written in
-  ``seq`` order, which is exactly the order batch sorts into.
-* Cross-frame sums use :class:`ExactSum` (Shewchuk's exact partials, the
-  machinery behind :func:`math.fsum`): the rounded total is the correctly
-  rounded value of the *real* sum, so it is invariant under event
-  reordering across frames and under accumulator merging at any shard
-  boundary — ``tests/obs/test_stream.py`` asserts both with ``==``.
+Cross-frame sums use :class:`ExactSum` (Shewchuk's exact partials, the
+machinery behind :func:`math.fsum`): the rounded total is the correctly
+rounded value of the *real* sum, so it is invariant under event
+reordering across frames and under accumulator merging at any shard
+boundary — ``tests/obs/test_stream.py`` asserts both with ``==``.
 
 The cross-shard contract for :meth:`AnalyzeAccumulator.merge`: each
 accumulator must have consumed a *unit-disjoint* slice of the timeline
@@ -31,9 +34,11 @@ yields the same report as one accumulator over the concatenated stream.
 from __future__ import annotations
 
 import bisect
+import json
 import math
+from array import array
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 from .analyze import (
     SEGMENTS,
@@ -41,13 +46,14 @@ from .analyze import (
     close_attribution,
     fold_event_into_segments,
 )
-from .spans import iter_events
 
 __all__ = [
     "ExactSum",
     "LATENCY_HIST_EDGES",
     "LatencyHistogram",
     "AnalyzeAccumulator",
+    "iter_events",
+    "fold_trace",
     "stream_analyze",
 ]
 
@@ -213,7 +219,7 @@ class _OpenFrame:
 
 
 # Events that describe a finished delivery after the fact; they never open
-# or close a span group (mirrors repro.obs.spans._ANNOTATION_EVENTS).
+# or close a span group.
 _ANNOTATION_EVENTS = ("core.frame_played", "core.qoe_sample")
 
 _ADMISSION_EVENTS = {
@@ -227,12 +233,16 @@ class AnalyzeAccumulator:
     """Single-pass, mergeable construction of the ``analyze`` report.
 
     Feed events in ``seq`` order via :meth:`add_event`; closed frames are
-    attributed immediately (sharing the exact fold rules of
-    :func:`repro.obs.analyze.attribute_frame`) and dropped, so memory
-    stays bounded by the number of *concurrently open* frames, not the
-    trace length.  :meth:`merge` folds another accumulator built from a
-    unit-disjoint stream slice; :meth:`finalize` emits the canonical
-    report dict (``repro.obs.analyze/2``).
+    attributed immediately (by the fold rules of
+    :func:`repro.obs.analyze.fold_event_into_segments`) and dropped, so
+    the open-group state stays bounded by the number of *concurrently
+    open* frames, not the trace length.  :meth:`merge` folds another
+    accumulator built from a unit-disjoint stream slice; :meth:`finalize`
+    emits the canonical report dict (``repro.obs.analyze/2``).
+
+    The SLO tallies — ``stalls``, ``played``, ``latencies`` (one double
+    per closed frame), ``unit_airtime`` and ``user_frames`` — feed
+    :mod:`repro.obs.slo` and never reach the report.
     """
 
     def __init__(self, top: int = 5) -> None:
@@ -256,6 +266,13 @@ class AnalyzeAccumulator:
         # (unit, frame) -> open group / occurrence counter
         self._open: dict[tuple[str | None, int], _OpenFrame] = {}
         self._occurrences: dict[tuple[str | None, int], int] = {}
+        # playback stall onsets / frames played into an opened frame
+        self.stalls = 0
+        self.played = 0
+        self.latencies = array("d")
+        # unit -> exact delivery airtime; (unit, user) -> frames delivered
+        self.unit_airtime: dict[str | None, ExactSum] = {}
+        self.user_frames: dict[tuple[str | None, int], int] = {}
 
     # -- folding ---------------------------------------------------------
 
@@ -279,13 +296,19 @@ class AnalyzeAccumulator:
             self._fold_admission(ev, counter)
 
         frame = ev.get("frame")
-        if frame is None or name in _ANNOTATION_EVENTS:
-            # Unframed events and after-the-fact annotations contribute to
-            # the event count (and the tallies above) but never to a span
-            # group — exactly the batch reconstruction's accounting.
+        if frame is None:
+            if name == "core.playback_state" and ev.get("state") == "stalled":
+                self.stalls += 1
+            return
+        gk = (unit_s, int(frame))
+        if name in _ANNOTATION_EVENTS:
+            # After-the-fact annotations count (and a play-out counts
+            # toward the stall rate once its frame has opened) but never
+            # open, join or close a span group.
+            if name == "core.frame_played" and gk in self._occurrences:
+                self.played += 1
             return
 
-        gk = (unit_s, int(frame))
         group = self._open.get(gk)
         if group is None:
             index = self._occurrences.get(gk, 0)
@@ -342,6 +365,17 @@ class AnalyzeAccumulator:
         elif status == "lost":
             self.blame_lost.fold(group.seg, airtime)
         self.latency_hist.observe(airtime)
+        self.latencies.append(airtime)
+        unit_airtime = self.unit_airtime.get(group.unit)
+        if unit_airtime is None:
+            unit_airtime = self.unit_airtime[group.unit] = ExactSum()
+        unit_airtime.add(airtime)
+        user_frames = self.user_frames
+        for u in outcome.get("delivered_users", ()):
+            key = (group.unit, int(u))
+            user_frames[key] = user_frames.get(key, 0) + 1
+        for u in lost_users:
+            user_frames.setdefault((group.unit, u), 0)
 
         if group.room is not None or group.ap is not None:
             sk = (group.room or "", group.ap or "")
@@ -431,6 +465,13 @@ class AnalyzeAccumulator:
         self._worst = merged_worst
         self._open.update(other._open)
         self._occurrences.update(other._occurrences)
+        self.stalls += other.stalls
+        self.played += other.played
+        self.latencies.extend(other.latencies)
+        for unit, airtime in other.unit_airtime.items():
+            self.unit_airtime.setdefault(unit, ExactSum()).merge(airtime)
+        for key, count in other.user_frames.items():
+            self.user_frames[key] = self.user_frames.get(key, 0) + count
 
     # -- finalizing ------------------------------------------------------
 
@@ -485,20 +526,64 @@ class AnalyzeAccumulator:
         }
 
 
-def stream_analyze(
-    paths: Path | str | Iterable[Path | str], top: int = 5
-) -> dict[str, Any]:
-    """Analyze one or more trace files in a single bounded-memory pass.
+def iter_events(path: Path | str) -> Iterator[dict[str, Any]]:
+    """Stream a ``repro trace`` JSONL file one event dict at a time.
 
-    Events stream straight from disk (:func:`repro.obs.spans.iter_events`)
-    into one :class:`AnalyzeAccumulator`, file by file in the given order.
-    For trace files written by ``repro trace`` (which emits in ``seq``
-    order) the report is bit-identical to ``analyze(load_events(path))``.
+    Never holds the file in memory.  Errors are diagnosed, not raised raw:
+    an unparsable line reports its ``path:lineno``, a final line cut off
+    mid-record (no trailing newline — the classic partial write of an
+    interrupted run) is called out as truncated, and a ``seq`` that does
+    not increase — a reordered or concatenated file, which would fold
+    into a silently different report — names the offending line.
     """
+    with open(path, "r", encoding="utf-8") as fh:
+        lineno = 0
+        last_seq = None
+        for raw in fh:
+            lineno += 1
+            line = raw.strip()
+            if not line:
+                continue
+            try:
+                event = json.loads(line)
+            except ValueError as exc:
+                if not raw.endswith("\n"):
+                    raise ValueError(
+                        f"{path}:{lineno}: truncated trace record (partial "
+                        f"write?): {line[:60]!r}"
+                    ) from exc
+                raise ValueError(
+                    f"{path}:{lineno}: not valid JSON: {exc}"
+                ) from exc
+            if not isinstance(event, dict):
+                raise ValueError(f"{path}:{lineno}: expected a JSON object")
+            seq = event.get("seq")
+            if isinstance(seq, int):
+                if last_seq is not None and seq <= last_seq:
+                    raise ValueError(
+                        f"{path}:{lineno}: seq {seq} does not follow seq "
+                        f"{last_seq} (reordered or concatenated trace?)"
+                    )
+                last_seq = seq
+            yield event
+
+
+def fold_trace(
+    paths: Path | str | Iterable[Path | str], top: int = 5
+) -> AnalyzeAccumulator:
+    """Fold one or more trace files, in the given order, into one
+    :class:`AnalyzeAccumulator` in a single bounded-memory pass."""
     if isinstance(paths, (str, Path)):
         paths = [paths]
     acc = AnalyzeAccumulator(top=top)
     for path in paths:
         for ev in iter_events(path):
             acc.add_event(ev)
-    return acc.finalize()
+    return acc
+
+
+def stream_analyze(
+    paths: Path | str | Iterable[Path | str], top: int = 5
+) -> dict[str, Any]:
+    """The canonical analyze report of one or more trace files."""
+    return fold_trace(paths, top=top).finalize()

@@ -19,8 +19,9 @@ recording is active; truly hot paths (the sim engine inner loop) guard the
 call itself with :func:`active` so not even the kwargs dict is built.
 
 Recording is explicit: install a :class:`TraceRecorder` (directly or via
-the :func:`recording` context manager), run the workload, then write the
-timeline with :meth:`TraceRecorder.write_jsonl`.  Events carry the sim
+the :func:`recording` / :func:`streaming_recording` context managers) and
+run the workload; the recorder keeps the timeline in memory or writes it
+to a JSONL file as it goes.  Events carry the sim
 time they were emitted at; within one :class:`~repro.sim.Environment` run
 the emission order *is* sim-time order (the engine fires events in time
 order), and the monotonically increasing ``seq`` field makes the total
@@ -43,7 +44,7 @@ __all__ = [
     "TraceEvent",
     "TraceEventType",
     "TraceRecorder",
-    "StreamingTraceRecorder",
+    "FLUSH_EVERY",
     "EVENT_TYPES",
     "CORRELATION_FIELDS",
     "correlation",
@@ -56,8 +57,8 @@ __all__ = [
 ]
 
 # The cross-layer join keys: every tap that knows one of these attaches it,
-# so span reconstruction (repro.obs.spans) joins events structurally instead
-# of guessing from emission order.  ``unit`` is ambient recorder context (the
+# so the frame fold (repro.obs.stream) joins events structurally instead of
+# guessing from emission order.  ``unit`` is ambient recorder context (the
 # RunSpec key, set by the trace CLI); ``room``/``ap`` are ambient shard
 # context (set per room by the scenario shard engine); the rest are
 # per-event fields.
@@ -167,110 +168,49 @@ def event_type(
     return declared
 
 
+# Pending JSONL lines a file-backed recorder buffers between flushes.
+FLUSH_EVERY = 4096
+
+
 class TraceRecorder:
-    """Accumulates :class:`TraceEvent` records and serializes them.
+    """Records :class:`TraceEvent` records into one sink.
+
+    With no ``path`` the sink is the in-memory :attr:`events` list; with
+    a ``path`` each event is serialized the moment it is recorded and
+    flushed to that JSONL file every :data:`FLUSH_EVERY` lines, so memory
+    stays bounded however long the run.  Both sinks share the filtering
+    and bookkeeping, and the file is exactly what serializing
+    :attr:`events` line by line would give.
 
     ``now`` is the ambient sim time, maintained by the engine while firing
     events.  ``context`` fields (e.g. the :class:`~repro.runner.RunSpec`
     key the trace CLI sets per work unit) are merged into every event.
-    """
-
-    def __init__(self) -> None:
-        self.events: list[TraceEvent] = []
-        self.now: float = 0.0
-        self.context: dict[str, Any] = {}
-        self._seq = 0
-
-    def record(
-        self,
-        kind: TraceEventType,
-        t: float | None,
-        fields: Mapping[str, Any],
-    ) -> None:
-        """Append one event (called through :meth:`TraceEventType.emit`)."""
-        merged = {**self.context, **fields} if self.context else dict(fields)
-        self.events.append(
-            TraceEvent(
-                t=self.now if t is None else float(t),
-                seq=self._seq,
-                layer=kind.layer,
-                event=kind.name,
-                fields=merged,
-            )
-        )
-        self._seq += 1
-
-    def set_context(self, **fields: Any) -> None:
-        """Attach ``fields`` to every subsequently recorded event."""
-        self.context.update(fields)
-
-    def clear_context(self) -> None:
-        """Drop all ambient context fields."""
-        self.context.clear()
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def layer_counts(self) -> dict[str, int]:
-        """Events per layer, keyed by sorted layer name (for summaries)."""
-        counts: dict[str, int] = {}
-        for ev in self.events:
-            counts[ev.layer] = counts.get(ev.layer, 0) + 1
-        return {layer: counts[layer] for layer in sorted(counts)}
-
-    def jsonl_lines(self) -> Iterator[str]:
-        """One canonical JSON document per event, in emission order."""
-        for ev in self.events:
-            yield json.dumps(ev.to_jsonable(), sort_keys=False, separators=(",", ":"))
-
-    def write_jsonl(self, path: Path | str) -> Path:
-        """Write the timeline as JSON lines; returns the path."""
-        path = Path(path)
-        if path.parent != Path(""):
-            path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            "\n".join(self.jsonl_lines()) + ("\n" if self.events else ""),
-            encoding="utf-8",
-        )
-        return path
-
-
-class StreamingTraceRecorder(TraceRecorder):
-    """A recorder that flushes JSONL to disk instead of retaining events.
-
-    The batch :class:`TraceRecorder` holds every event until
-    :meth:`~TraceRecorder.write_jsonl`; at venue scale that buffer *is*
-    the peak-RSS story.  This variant serializes each event the moment it
-    is recorded, buffers only ``flush_every`` pending lines, and keeps
-    per-layer counts incrementally — the file it produces is byte-
-    identical to the batch recorder's for the same workload and filters
-    (``tests/obs/test_trace.py`` asserts it).
-
     ``layers``/``events`` apply the trace CLI's write filters at record
-    time (recording everything and filtering post-hoc would defeat the
-    bounded memory); ``len()`` counts *written* events and ``recorded``
-    counts everything emitted, mirroring the batch CLI's summary line.
+    time; filtered events still consume a ``seq``, so the kept records
+    carry the numbers a full recording would.  ``len()`` counts kept
+    events and :attr:`recorded` counts everything emitted.
     """
 
     def __init__(
         self,
-        path: Path | str,
+        path: Path | str | None = None,
         layers: Iterable[str] | None = None,
         events: Iterable[str] | None = None,
-        flush_every: int = 4096,
     ) -> None:
-        super().__init__()
-        self.path = Path(path)
-        if self.path.parent != Path(""):
-            self.path.parent.mkdir(parents=True, exist_ok=True)
+        self.events: list[TraceEvent] = []
+        self.now: float = 0.0
+        self.context: dict[str, Any] = {}
+        self.path = None if path is None else Path(path)
         self._layers = frozenset(layers) if layers else None
         self._names = frozenset(events) if events else None
-        self._flush_every = max(1, int(flush_every))
-        self._fh = open(self.path, "w", encoding="utf-8", newline="")
-        self._pending: list[str] = []
-        self._written = 0
-        self.recorded = 0
+        self._seq = 0
         self._counts: dict[str, int] = {}
+        self._pending: list[str] = []
+        self._fh = None
+        if self.path is not None:
+            if self.path.parent != Path(""):
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._fh = open(self.path, "w", encoding="utf-8", newline="")
 
     def record(
         self,
@@ -278,10 +218,9 @@ class StreamingTraceRecorder(TraceRecorder):
         t: float | None,
         fields: Mapping[str, Any],
     ) -> None:
-        """Serialize one event straight to the flush buffer."""
+        """Record one event (called through :meth:`TraceEventType.emit`)."""
         seq = self._seq
         self._seq += 1
-        self.recorded += 1
         if self._layers is not None and kind.layer not in self._layers:
             return
         if self._names is not None and kind.name not in self._names:
@@ -294,16 +233,18 @@ class StreamingTraceRecorder(TraceRecorder):
             event=kind.name,
             fields=merged,
         )
-        self._pending.append(
-            json.dumps(ev.to_jsonable(), sort_keys=False, separators=(",", ":"))
-        )
         self._counts[kind.layer] = self._counts.get(kind.layer, 0) + 1
-        self._written += 1
-        if len(self._pending) >= self._flush_every:
+        if self._fh is None:
+            self.events.append(ev)
+            return
+        self._pending.append(
+            json.dumps(ev.to_jsonable(), separators=(",", ":"))
+        )
+        if len(self._pending) >= FLUSH_EVERY:
             self.flush()
 
     def flush(self) -> None:
-        """Write the pending lines out (newline-terminated, batch shape)."""
+        """Write the pending lines out (newline-terminated)."""
         if self._pending:
             self._fh.write("\n".join(self._pending) + "\n")
             self._pending.clear()
@@ -311,31 +252,31 @@ class StreamingTraceRecorder(TraceRecorder):
             # a valid (possibly shorter) trace at every flush boundary.
             self._fh.flush()
 
-    def close(self) -> Path:
-        """Flush the tail and close the file; returns the path."""
-        self.flush()
-        if not self._fh.closed:
+    def close(self) -> None:
+        """Flush the tail and close the file (no-op for the memory sink)."""
+        if self._fh is not None and not self._fh.closed:
+            self.flush()
             self._fh.close()
-        return self.path
+
+    def set_context(self, **fields: Any) -> None:
+        """Attach ``fields`` to every subsequently recorded event."""
+        self.context.update(fields)
+
+    def clear_context(self) -> None:
+        """Drop all ambient context fields."""
+        self.context.clear()
+
+    @property
+    def recorded(self) -> int:
+        """Every event emitted, including the ones the filters dropped."""
+        return self._seq
 
     def __len__(self) -> int:
-        return self._written
+        return sum(self._counts.values())
 
     def layer_counts(self) -> dict[str, int]:
-        """Written events per layer, keyed by sorted layer name."""
+        """Kept events per layer, keyed by sorted layer name."""
         return {layer: self._counts[layer] for layer in sorted(self._counts)}
-
-    def jsonl_lines(self) -> Iterator[str]:
-        raise TypeError(
-            "StreamingTraceRecorder does not retain events; read them back "
-            f"from {self.path}"
-        )
-
-    def write_jsonl(self, path: Path | str) -> Path:
-        raise TypeError(
-            "StreamingTraceRecorder already streamed its events to "
-            f"{self.path}; call close() instead"
-        )
 
 
 _RECORDER: TraceRecorder | None = None
@@ -361,30 +302,25 @@ def active() -> TraceRecorder | None:
 
 
 @contextlib.contextmanager
-def recording() -> Iterator[TraceRecorder]:
-    """Context manager: install a fresh recorder, yield it, uninstall."""
-    recorder = TraceRecorder()
-    install(recorder)
-    try:
-        yield recorder
-    finally:
-        uninstall()
-
-
-@contextlib.contextmanager
-def streaming_recording(
-    path: Path | str,
+def recording(
+    path: Path | str | None = None,
     layers: Iterable[str] | None = None,
     events: Iterable[str] | None = None,
-    flush_every: int = 4096,
-) -> Iterator[StreamingTraceRecorder]:
-    """Context manager: stream events to ``path``, close on the way out."""
-    recorder = StreamingTraceRecorder(
-        path, layers=layers, events=events, flush_every=flush_every
-    )
+) -> Iterator[TraceRecorder]:
+    """Install a fresh recorder, yield it, then uninstall and close it."""
+    recorder = TraceRecorder(path, layers=layers, events=events)
     install(recorder)
     try:
         yield recorder
     finally:
         uninstall()
         recorder.close()
+
+
+def streaming_recording(
+    path: Path | str,
+    layers: Iterable[str] | None = None,
+    events: Iterable[str] | None = None,
+) -> contextlib.AbstractContextManager[TraceRecorder]:
+    """:func:`recording` straight into the JSONL file at ``path``."""
+    return recording(path, layers=layers, events=events)

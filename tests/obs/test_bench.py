@@ -8,13 +8,13 @@ import pytest
 
 from repro.obs.bench import (
     BENCH_SCHEMA,
-    compare_bench,
     main as bench_main,
     next_bench_path,
     run_bench,
     validate_bench,
     write_bench,
 )
+from repro.obs.diff import build_diff
 
 
 def _doc(**experiments):
@@ -101,16 +101,26 @@ def test_validate_bench_lists_every_problem():
     assert "cache_hit_rate must be in [0, 1]" in message
 
 
+def _regressions(point, baseline, tolerance=0.2):
+    """What ``repro bench --compare`` gates on: the diff's regressions."""
+    return build_diff(
+        bench_a=baseline, bench_b=point, tolerance=tolerance
+    )["regressions"]
+
+
 def test_compare_bench_flags_only_regressions():
     baseline = _doc(loss_sweep=1.0, table1=1.0)
-    ok = compare_bench(_doc(loss_sweep=1.1, table1=0.5), baseline)
-    assert ok == []
-    bad = compare_bench(_doc(loss_sweep=1.5, table1=0.5), baseline)
-    assert len(bad) == 1 and "loss_sweep" in bad[0] and "1.50x" in bad[0]
-    # Experiments missing from the baseline are not comparable.
-    assert compare_bench(_doc(new_exp=99.0), baseline) == []
+    assert _regressions(_doc(loss_sweep=1.1, table1=0.5), baseline) == []
+    bad = _regressions(_doc(loss_sweep=1.5, table1=0.5), baseline)
+    assert bad == [
+        {"what": "bench[loss_sweep].wall_s", "a": 1.0, "b": 1.5,
+         "delta": 0.5},
+    ]
+    # Experiments missing from the baseline are not comparable, and
+    # neither are the totals of points that measured different things.
+    assert _regressions(_doc(new_exp=99.0), baseline) == []
     with pytest.raises(ValueError, match="non-negative"):
-        compare_bench(baseline, baseline, tolerance=-0.1)
+        _regressions(baseline, baseline, tolerance=-0.1)
 
 
 def test_main_writes_a_point_and_gates_on_compare(tmp_path, monkeypatch, capsys):
@@ -158,64 +168,26 @@ def test_main_rejects_unknown_experiment(tmp_path):
         bench_main(["not_an_experiment", "--out-dir", str(tmp_path)])
 
 
-def test_validate_bench_checks_the_stream_rss_section():
-    base = run_bench([], scale="small", use_cache=False)
-    base["stream_rss"] = {
-        "experiment": "venue_scale", "scale": "small",
-        "batch_rss_bytes": 100, "streamed_rss_bytes": 90, "ratio": 0.9,
-    }
-    validate_bench(base)  # complete section: fine
-    base["stream_rss"] = {"experiment": "venue_scale"}
-    with pytest.raises(ValueError, match="stream_rss missing key"):
-        validate_bench(base)
-    base["stream_rss"] = {
-        "experiment": "venue_scale", "scale": "small",
-        "batch_rss_bytes": 0, "streamed_rss_bytes": 90,
-    }
-    with pytest.raises(ValueError, match="must be positive"):
-        validate_bench(base)
-    base["stream_rss"] = [1, 2]
-    with pytest.raises(ValueError, match="must be an object"):
-        validate_bench(base)
-
-
-def test_main_stream_rss_gates_on_tolerance(tmp_path, monkeypatch, capsys):
+def test_main_rejects_malformed_baseline_before_measuring(
+    tmp_path, monkeypatch
+):
     import repro.obs.bench as bench_mod
 
-    measured = {
-        "experiment": "loss_sweep", "scale": "small",
-        "batch_rss_bytes": 100_000_000, "streamed_rss_bytes": 104_000_000,
-        "ratio": 1.04,
-    }
-    monkeypatch.setattr(
-        bench_mod, "run_stream_rss_bench",
-        lambda experiment, scale="small": dict(measured),
-    )
-    # Within tolerance: the point is written and carries the measurement.
-    assert bench_main(
-        ["--stream-rss", "loss_sweep", "--out-dir", str(tmp_path),
-         "--tolerance", "0.05"]
-    ) == 0
-    doc = json.loads((tmp_path / "BENCH_1.json").read_text())
-    assert doc["stream_rss"]["streamed_rss_bytes"] == 104_000_000
-    assert doc["experiments"] == []  # rss-only point
-    # Beyond tolerance: non-zero exit, but the point is still recorded.
-    assert bench_main(
-        ["--stream-rss", "loss_sweep", "--out-dir", str(tmp_path),
-         "--tolerance", "0.01"]
-    ) == 1
-    out = capsys.readouterr().out
-    assert "RSS REGRESSION" in out
-    assert (tmp_path / "BENCH_2.json").is_file()
+    def _never(*args, **kwargs):
+        raise AssertionError("measured against an unusable baseline")
 
-
-@pytest.mark.slow
-def test_stream_rss_bench_measures_real_children():
-    from repro.obs.bench import run_stream_rss_bench
-
-    rss = run_stream_rss_bench("loss_sweep", scale="small")
-    assert rss["batch_rss_bytes"] > 0
-    assert rss["streamed_rss_bytes"] > 0
-    assert rss["ratio"] == pytest.approx(
-        rss["streamed_rss_bytes"] / rss["batch_rss_bytes"], rel=1e-3
-    )
+    monkeypatch.setattr(bench_mod, "run_bench", _never)
+    baseline = tmp_path / "baseline.json"
+    baseline.write_text('{"schema": "repro.bench/1"}', encoding="utf-8")
+    out_dir = tmp_path / "points"
+    with pytest.raises(SystemExit) as err:
+        bench_main(["loss_sweep", "--out-dir", str(out_dir),
+                    "--compare", str(baseline)])
+    message = str(err.value)
+    assert str(baseline) in message and "\n" not in message
+    assert "missing top-level key 'experiments'" in message
+    for bad in ("nan", "-0.5"):
+        with pytest.raises(SystemExit, match="tolerance"):
+            bench_main(["--kernels", "--out-dir", str(out_dir),
+                        "--compare", "BENCH_2.json", "--tolerance", bad])
+    assert not out_dir.exists()

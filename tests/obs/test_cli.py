@@ -181,25 +181,42 @@ def test_run_timings_include_profiler_phases(tmp_path):
         assert phase["wall_s"] >= 0.0 and phase["count"] >= 1
 
 
+def _memory_sink_jsonl(args):
+    """What the in-memory sink records for ``repro trace ARGS``, as JSONL."""
+    from repro.obs.trace import recording
+    from repro.runner.registry import get_experiment, resolve_params
+
+    experiment = get_experiment(args[0])
+    params = resolve_params(experiment, scale="small")
+    layers = [v for k, v in zip(args, args[1:]) if k == "--layer"]
+    events = [v for k, v in zip(args, args[1:]) if k == "--event"]
+    with recording(layers=layers, events=events) as recorder:
+        for spec in experiment.decompose(params):
+            recorder.clear_context()
+            recorder.set_context(unit=spec.key())
+            experiment.run_one(spec)
+    return "".join(
+        json.dumps(ev.to_jsonable(), separators=(",", ":")) + "\n"
+        for ev in recorder.events
+    ).encode()
+
+
 def test_trace_cli_stream_is_byte_identical(tmp_path):
-    batch = tmp_path / "batch.jsonl"
-    stream = tmp_path / "stream.jsonl"
-    assert trace_main(
-        ["loss_sweep", "--scale", "small", "--out", str(batch), "--quiet"]
-    ) == 0
-    assert trace_main(
-        ["loss_sweep", "--scale", "small", "--out", str(stream), "--quiet",
-         "--stream"]
-    ) == 0
-    assert batch.read_bytes() == stream.read_bytes()
+    # The CLI streams to disk; the file is byte-identical to what the
+    # in-memory sink records for the same run, and to a second run.
+    first = tmp_path / "first.jsonl"
+    second = tmp_path / "second.jsonl"
+    args = ["loss_sweep", "--scale", "small", "--quiet"]
+    assert trace_main([*args, "--out", str(first)]) == 0
+    assert trace_main([*args, "--out", str(second)]) == 0
+    assert first.read_bytes() == second.read_bytes()
+    assert first.read_bytes() == _memory_sink_jsonl(args)
 
 
 def test_trace_cli_stream_composes_with_filters(tmp_path, capsys):
-    batch = tmp_path / "batch.jsonl"
-    stream = tmp_path / "stream.jsonl"
+    out = tmp_path / "stream.jsonl"
     args = ["loss_sweep", "--scale", "small", "--quiet", "--layer", "net",
             "--event", "net.arq_round"]
-    assert trace_main([*args, "--out", str(batch)]) == 0
-    assert trace_main([*args, "--out", str(stream), "--stream"]) == 0
-    assert batch.read_bytes() == stream.read_bytes()
+    assert trace_main([*args, "--out", str(out)]) == 0
     assert "filtered out" in capsys.readouterr().out
+    assert out.read_bytes() == _memory_sink_jsonl(args)

@@ -233,6 +233,76 @@ def test_bench_wall_and_rss_regressions():
     assert "bench[loss_sweep].wall_s" in whats
 
 
+def _bench_point(wall, rss=100_000_000, names=("loss_sweep",), kernels=()):
+    return {
+        "schema": "repro.bench/1", "scale": "small", "workers": 1,
+        "total_wall_s": wall * len(names), "peak_rss_bytes": rss,
+        "experiments": [
+            {"name": name, "units": 4, "cached_units": 0,
+             "cache_hit_rate": 0.0, "wall_s": wall,
+             "units_per_s": 4 / wall, "phases": {}}
+            for name in names
+        ],
+        "kernels": [
+            {"name": name, "scalar_wall_s": 1.0, "vectorized_wall_s": 0.5,
+             "speedup": speedup, "min_speedup": 2.0}
+            for name, speedup in kernels
+        ],
+    }
+
+
+def test_bench_totals_gate_only_between_like_points():
+    # A kernels-only point against a full point: the totals measured
+    # different work, so only the kernel floors gate.
+    full = _bench_point(1.0, kernels=[("k", 3.0)])
+    kernels_only = _bench_point(1.0, names=(), rss=900_000_000,
+                                kernels=[("k", 2.5)])
+    doc = build_diff(bench_a=full, bench_b=kernels_only)
+    assert "analyze" not in doc and "unpaired" not in doc
+    assert doc["regressions"] == []
+    slow = _bench_point(1.0, names=(), kernels=[("k", 1.5)])
+    assert [r["what"] for r in build_diff(
+        bench_a=full, bench_b=slow)["regressions"]] == ["bench.kernel[k].speedup"]
+    # Like points: the totals gate too.
+    fat = _bench_point(1.0, rss=200_000_000, kernels=[("k", 3.0)])
+    assert [r["what"] for r in build_diff(
+        bench_a=full, bench_b=fat)["regressions"]] == ["bench.peak_rss_bytes"]
+
+
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -0.01])
+def test_tolerance_must_be_finite_and_non_negative(tolerance, tmp_path):
+    a, b = _bench_point(1.0), _bench_point(1.05)
+    with pytest.raises(ValueError, match="tolerance"):
+        build_diff(bench_a=a, bench_b=b, tolerance=tolerance)
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(
+        _synthetic_analyze(late=0, lost=0, problem_airtime=0.1)
+    ))
+    with pytest.raises(SystemExit, match="tolerance"):
+        obs_main(["diff", str(path), str(path), "--quiet",
+                  "--tolerance", str(tolerance)])
+    # The gate NaN used to switch off: 1.0 s -> 1.05 s at zero tolerance.
+    assert build_diff(bench_a=a, bench_b=b)["regressions"]
+
+
+def test_malformed_bench_fails_validation_not_keyerror(tmp_path):
+    bad = _bench_point(1.0)
+    del bad["experiments"][0]["name"]
+    with pytest.raises(ValueError, match="missing key 'name'"):
+        build_diff(bench_a=bad, bench_b=_bench_point(1.0))
+    analyze = tmp_path / "analyze.json"
+    analyze.write_text(json.dumps(
+        _synthetic_analyze(late=0, lost=0, problem_airtime=0.1)
+    ))
+    bench = tmp_path / "bench.json"
+    bench.write_text(json.dumps(bad))
+    with pytest.raises(SystemExit) as err:
+        obs_main(["diff", str(analyze), str(analyze), "--quiet",
+                  "--bench-a", str(bench), "--bench-b", str(bench)])
+    assert str(bench) in str(err.value)
+    assert "missing key 'name'" in str(err.value)
+
+
 def test_unpaired_artifact_is_flagged_not_dropped():
     analyze = _synthetic_analyze(late=0, lost=0, problem_airtime=0.0)
     slo = {"schema": "repro.obs.slo/1", "ok": True, "results": []}

@@ -65,7 +65,7 @@ def test_offline_analysis_is_result_neutral():
     """analyze/attribution is a pure reader: it never perturbs a later run."""
     import copy
 
-    from repro.obs.analyze import analyze
+    from repro.obs.stream import AnalyzeAccumulator
 
     experiment = get_experiment("loss_sweep")
     params = resolve_params(experiment, scale="small")
@@ -74,8 +74,10 @@ def test_offline_analysis_is_result_neutral():
     first, recorder = _run_instrumented(experiment, specs)
     events = [ev.to_jsonable() for ev in recorder.events]
     pristine = copy.deepcopy(events)
-    report = analyze(events)
-    assert report["frames"]["closed"] > 0
+    acc = AnalyzeAccumulator()
+    for ev in events:
+        acc.add_event(ev)
+    assert acc.finalize()["frames"]["closed"] > 0
     # The analyzer must not mutate its input events...
     assert events == pristine
     # ...nor leave state behind that changes a subsequent instrumented run.

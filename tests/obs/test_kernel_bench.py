@@ -17,11 +17,11 @@ import pytest
 from repro.obs.bench import (
     BENCH_SCHEMA,
     KERNEL_MIN_SPEEDUP,
-    compare_bench,
     main as bench_main,
     run_kernel_bench,
     validate_bench,
 )
+from repro.obs.diff import build_diff
 
 _REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -35,6 +35,11 @@ def _doc(kernels=()):
         "total_wall_s": 0.0,
         "kernels": list(kernels),
     }
+
+
+def _regressions(point, baseline):
+    """What ``repro bench --compare`` gates on: the diff's regressions."""
+    return build_diff(bench_a=baseline, bench_b=point)["regressions"]
 
 
 def _kernel(name, speedup, min_speedup=5.0):
@@ -82,19 +87,21 @@ def test_validate_bench_reports_kernel_problems():
 def test_compare_gates_speedup_against_the_baseline_floor():
     baseline = _doc([_kernel("pairwise_similarity_1000", 9.0, 5.0)])
     # Slower box, but still past the floor: no regression.
-    assert compare_bench(
+    assert _regressions(
         _doc([_kernel("pairwise_similarity_1000", 5.2, 5.0)]), baseline
     ) == []
     # Below the *baseline's* floor: regression, whatever current's floor says.
-    bad = compare_bench(
+    bad = _regressions(
         _doc([_kernel("pairwise_similarity_1000", 3.0, 1.0)]), baseline
     )
-    assert len(bad) == 1
-    assert "3.00x" in bad[0] and "floor 5.00x" in bad[0]
+    assert bad == [
+        {"what": "bench.kernel[pairwise_similarity_1000].speedup",
+         "a": 5.0, "b": 3.0, "delta": -2.0},
+    ]
     # Kernels absent from the baseline are not comparable.
-    assert compare_bench(_doc([_kernel("novel", 1.0)]), baseline) == []
+    assert _regressions(_doc([_kernel("novel", 1.0)]), baseline) == []
     # Experiment-only documents still compare cleanly.
-    assert compare_bench(_doc(), _doc()) == []
+    assert _regressions(_doc(), _doc()) == []
 
 
 def test_committed_bench_points_validate_and_record_the_win():
@@ -138,4 +145,4 @@ def test_main_kernels_only_writes_a_gateable_point(tmp_path, capsys):
     baseline = json.loads(
         (_REPO_ROOT / "BENCH_2.json").read_text(encoding="utf-8")
     )
-    assert compare_bench(doc, baseline) == []
+    assert _regressions(doc, baseline) == []

@@ -15,11 +15,39 @@ from repro.obs.slo import (
     load_spec,
     results_jsonable,
 )
-from repro.obs.spans import load_events, reconstruct
+from repro.obs.stream import AnalyzeAccumulator, iter_events
 
 
 def _ev(seq, event, layer="net", t=0.0, **fields):
     return {"t": t, "seq": seq, "layer": layer, "event": event, **fields}
+
+
+def _fold(events):
+    acc = AnalyzeAccumulator()
+    for ev in events:
+        acc.add_event(ev)
+    return acc
+
+
+def _metrics(events):
+    acc = _fold(events)
+    return {name: m.compute(acc) for name, m in SLO_METRICS.items()}
+
+
+def _outcome(seq, unit, frame, airtime, delivered, lost=()):
+    return _ev(seq, "net.frame_outcome", unit=unit, frame=frame,
+               airtime_s=airtime, delivered_users=list(delivered),
+               lost_users=list(lost))
+
+
+def _played(seq, unit, frame, user=0):
+    return _ev(seq, "core.frame_played", layer="core", unit=unit,
+               frame=frame, user=user, on_time=True, quality="high")
+
+
+def _state(seq, unit, state, user=0):
+    return _ev(seq, "core.playback_state", layer="core", unit=unit,
+               user=user, state=state)
 
 
 def _write_spec(path, slos):
@@ -89,24 +117,82 @@ def test_load_spec_validates_shape(tmp_path):
 
 
 def test_metrics_over_a_synthetic_trace():
-    recon = reconstruct([
+    acc = _fold([
         _ev(0, "net.frame_outcome", unit="u", frame=0, t=0.01,
             airtime_s=0.010, delivered_users=[0, 1], lost_users=[]),
         _ev(1, "net.frame_outcome", unit="u", frame=1, t=0.05,
             airtime_s=0.040, delivered_users=[0], lost_users=[1]),
     ])
-    assert SLO_METRICS["frame_loss_rate"].compute(recon) == 0.5
-    assert SLO_METRICS["p95_frame_latency_s"].compute(recon) == 0.040
+    assert SLO_METRICS["frame_loss_rate"].compute(acc) == 0.5
+    assert SLO_METRICS["p95_frame_latency_s"].compute(acc) == 0.040
     # user 0: 2 frames / 0.05 s = 40 fps; user 1: 1 frame / 0.05 s = 20 fps.
-    assert SLO_METRICS["min_user_delivered_fps"].compute(recon) == (
+    assert SLO_METRICS["min_user_delivered_fps"].compute(acc) == (
         pytest.approx(20.0)
     )
     # No played frames -> stall rate unavailable.
-    assert SLO_METRICS["stall_rate"].compute(recon) is None
+    assert SLO_METRICS["stall_rate"].compute(acc) is None
+
+
+def test_stall_rate_counts_onsets_per_played_frame():
+    events = [_outcome(i, "u", i, 0.01, [0]) for i in range(4)]
+    events += [_played(4 + frame, "u", frame) for frame in range(4)]
+    events += [
+        _state(8, "u", "stalled"),
+        _state(9, "u", "playing"),
+        _state(10, "u", "stalled"),
+    ]
+    assert _metrics(events)["stall_rate"] == 0.5  # 2 onsets / 4 played
+
+
+def test_frame_played_before_its_frame_opened_is_not_counted():
+    events = [
+        _played(0, "u", 7),             # frame 7 has not opened yet
+        _outcome(1, "u", 7, 0.01, [0]),
+        _outcome(2, "u", 8, 0.01, [0]),
+        _played(3, "u", 8),
+        _state(4, "u", "stalled"),
+    ]
+    assert _metrics(events)["stall_rate"] == 1.0  # 1 onset / 1 played
+    assert _metrics(events[:1])["stall_rate"] is None
+
+
+def test_repeated_frames_and_units_are_kept_apart():
+    events = [
+        _outcome(0, "a", 0, 0.01, [0]),
+        _outcome(1, "a", 0, 0.03, [0]),          # occurrence 1 of a/0
+        _outcome(2, "b", 0, 0.02, [0], lost=[1]),
+        _outcome(3, "b", 1, 0.02, [0, 1]),
+        _played(4, "a", 0),
+        _played(5, "b", 0),
+        _played(6, "c", 0),                      # unit c never opened 0
+        _state(7, "a", "stalled"),
+    ]
+    values = _metrics(events)
+    assert values["frame_loss_rate"] == 0.25
+    assert values["p95_frame_latency_s"] == 0.03
+    # a/0: 2 / 0.04 s, b/0: 2 / 0.04 s, b/1: 1 / 0.04 s -> floor 25 fps.
+    assert values["min_user_delivered_fps"] == pytest.approx(25.0)
+    assert values["stall_rate"] == 0.5
+
+
+def test_slo_tallies_merge_like_a_single_pass():
+    events = [
+        _outcome(0, "a", 0, 0.01, [0]),
+        _played(1, "a", 0),
+        _outcome(2, "b", 0, 0.03, [0], lost=[1]),
+        _played(3, "b", 0),
+        _state(4, "b", "stalled"),
+    ]
+    merged = _fold([ev for ev in events if ev["unit"] == "a"])
+    merged.merge(_fold([ev for ev in events if ev["unit"] == "b"]))
+    single = _fold(events)
+    assert {
+        name: m.compute(merged) for name, m in SLO_METRICS.items()
+    } == {name: m.compute(single) for name, m in SLO_METRICS.items()}
 
 
 def test_evaluation_verdicts_and_unavailable_metric():
-    recon = reconstruct([
+    acc = _fold([
         _ev(0, "net.frame_outcome", unit="u", frame=0, t=0.01,
             airtime_s=0.010, delivered_users=[0], lost_users=[]),
     ])
@@ -116,7 +202,7 @@ def test_evaluation_verdicts_and_unavailable_metric():
             SloEntry("p95_frame_latency_s", 0.005, "max"),  # 0.010 > 0.005
             SloEntry("stall_rate", 1.0, "max"),             # unavailable
         ],
-        recon,
+        acc,
     )
     assert [r.ok for r in results] == [True, False, False]
     assert results[2].value is None
@@ -196,4 +282,4 @@ def test_analyze_cli_writes_canonical_json(trace_path, tmp_path, capsys):
     assert out_a.read_bytes() == out_b.read_bytes()
     doc = json.loads(out_a.read_text(encoding="utf-8"))
     assert doc["schema"] == "repro.obs.analyze/2"
-    assert len(load_events(trace_path)) == doc["num_events"]
+    assert len(list(iter_events(trace_path))) == doc["num_events"]

@@ -9,15 +9,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.obs.analyze import analyze
 from repro.obs.cli import main as trace_main
-from repro.obs.spans import load_events
 from repro.obs.stream import (
     AnalyzeAccumulator,
     ExactSum,
     LatencyHistogram,
+    iter_events,
     stream_analyze,
 )
+from repro.obs.trace import recording
+from repro.runner import get_experiment, resolve_params
 
 floats = st.floats(
     min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False
@@ -106,7 +107,11 @@ def test_histogram_rejects_unsorted_edges():
         LatencyHistogram(edges=(0.2, 0.1))
 
 
-# -- batch == stream (the acceptance criterion) -----------------------------
+# -- memory sink == file sink (the acceptance criterion) ---------------------
+
+
+def _load_events(path):
+    return list(iter_events(path))
 
 
 def _trace(tmp_path_factory, experiment, label):
@@ -130,11 +135,33 @@ def venue_trace(tmp_path_factory):
     return _trace(tmp_path_factory, "venue_scale", "stream-vs")
 
 
-@pytest.mark.parametrize("fixture", ["loss_sweep_trace", "venue_trace"])
-def test_stream_analyze_byte_identical_to_batch(fixture, request):
+def _memory_sink_report(name):
+    """Record ``name`` the way ``repro trace`` does, into the in-memory
+    sink, and fold the retained events."""
+    experiment = get_experiment(name)
+    params = resolve_params(experiment, scale="small")
+    with recording() as recorder:
+        for spec in experiment.decompose(params):
+            recorder.clear_context()
+            recorder.set_context(unit=spec.key())
+            experiment.run_one(spec)
+    acc = AnalyzeAccumulator()
+    for ev in recorder.events:
+        acc.add_event(ev.to_jsonable())
+    return acc.finalize()
+
+
+@pytest.mark.parametrize(
+    "fixture, name",
+    [("loss_sweep_trace", "loss_sweep"), ("venue_trace", "venue_scale")],
+    ids=["loss_sweep_trace", "venue_trace"],
+)
+def test_stream_analyze_byte_identical_to_batch(fixture, name, request):
+    # The file the trace CLI streamed folds into exactly the report the
+    # in-memory sink's events do: the JSON round trip loses nothing.
     path = request.getfixturevalue(fixture)
     batch = json.dumps(
-        analyze(load_events(path)), sort_keys=True, separators=(",", ":")
+        _memory_sink_report(name), sort_keys=True, separators=(",", ":")
     )
     streamed = json.dumps(
         stream_analyze(path), sort_keys=True, separators=(",", ":")
@@ -146,7 +173,7 @@ def test_unit_split_merge_equals_single_pass(loss_sweep_trace):
     # Split the timeline by unit (the shard boundary), fold each slice
     # into its own accumulator, merge in spec order: bit-identical to one
     # accumulator over the full stream.
-    events = load_events(loss_sweep_trace)
+    events = _load_events(loss_sweep_trace)
     units = list(dict.fromkeys(ev["unit"] for ev in events if "unit" in ev))
     assert len(units) >= 2
 
@@ -174,7 +201,7 @@ def test_unit_shuffle_does_not_change_numeric_totals(loss_sweep_trace):
     # Merging unit slices in a different order must not move any float:
     # the exact sums make every total order-invariant (worst-frame order
     # and tie-breaks are deterministic, so the whole report matches).
-    events = load_events(loss_sweep_trace)
+    events = _load_events(loss_sweep_trace)
     units = list(dict.fromkeys(ev["unit"] for ev in events if "unit" in ev))
     shuffled = list(units)
     random.Random(7).shuffle(shuffled)
@@ -218,7 +245,7 @@ def test_open_group_state_stays_bounded(loss_sweep_trace):
     # survives beyond the occurrence counters and top-K entries.
     acc = AnalyzeAccumulator(top=5)
     max_open = 0
-    for ev in load_events(loss_sweep_trace):
+    for ev in _load_events(loss_sweep_trace):
         acc.add_event(ev)
         max_open = max(max_open, len(acc._open))
     assert max_open <= 2, "frames should close as soon as their outcome lands"
@@ -233,19 +260,3 @@ def test_stream_analyze_accepts_multiple_paths(loss_sweep_trace, venue_trace):
     assert combined["frames"]["total"] == sum(
         p["frames"]["total"] for p in parts
     )
-
-
-def test_analyze_cli_stream_flag_byte_identical(loss_sweep_trace, tmp_path):
-    from repro.obs.cli import obs_main
-
-    batch_out = tmp_path / "batch.json"
-    stream_out = tmp_path / "stream.json"
-    assert obs_main(
-        ["analyze", str(loss_sweep_trace), "--json", str(batch_out),
-         "--quiet"]
-    ) == 0
-    assert obs_main(
-        ["analyze", str(loss_sweep_trace), "--stream", "--json",
-         str(stream_out), "--quiet"]
-    ) == 0
-    assert batch_out.read_bytes() == stream_out.read_bytes()

@@ -1,4 +1,4 @@
-"""The trace recorder: ordering, engine hooks, context, JSONL shape."""
+"""The trace recorder: ordering, engine hooks, context, sinks, JSONL shape."""
 
 from __future__ import annotations
 
@@ -122,12 +122,21 @@ def test_tracing_does_not_change_sim_behavior():
     assert log == log2 == [1.5]
 
 
+def _jsonl(events):
+    """The file sink's serialization of in-memory events."""
+    return "".join(
+        json.dumps(ev.to_jsonable(), separators=(",", ":")) + "\n"
+        for ev in events
+    )
+
+
 def test_jsonl_round_trip(tmp_path):
-    with recording() as recorder:
+    path = tmp_path / "out.jsonl"
+    with streaming_recording(path) as recorder:
         recorder.set_context(unit="u")
         _EV_TEST.emit(t=0.25, n=1)
         _EV_TEST.emit(t=0.5, n=2)
-    path = recorder.write_jsonl(tmp_path / "out.jsonl")
+    assert recorder.events == []  # the file is the sink
     lines = path.read_text().splitlines()
     assert len(lines) == 2
     first = json.loads(lines[0])
@@ -140,12 +149,11 @@ def test_jsonl_round_trip(tmp_path):
 
 
 def test_write_jsonl_creates_missing_parent_dirs(tmp_path):
-    with recording() as recorder:
-        _EV_TEST.emit(t=0.0, n=1)
     target = tmp_path / "a" / "b" / "c" / "out.jsonl"
     assert not target.parent.exists()
-    path = recorder.write_jsonl(target)
-    assert path == target and target.is_file()
+    with streaming_recording(target) as recorder:
+        _EV_TEST.emit(t=0.0, n=1)
+    assert recorder.path == target and target.is_file()
     assert json.loads(target.read_text().splitlines()[0])["n"] == 1
 
 
@@ -164,56 +172,54 @@ def test_correlation_helper_drops_unset_fields():
     )
 
 
-def test_streaming_recorder_writes_byte_identical_jsonl(tmp_path):
-    batch_path = tmp_path / "batch.jsonl"
-    stream_path = tmp_path / "stream.jsonl"
+def test_streaming_recorder_writes_byte_identical_jsonl(tmp_path, monkeypatch):
+    # The two sinks of the one recorder: the file holds exactly the
+    # in-memory events, serialized line by line, across flush boundaries.
+    monkeypatch.setattr(trace, "FLUSH_EVERY", 3)
+    path = tmp_path / "stream.jsonl"
     with recording() as recorder:
         recorder.set_context(unit="u")
         for n in range(10):
             _EV_TEST.emit(t=n * 0.1, n=n)
-    recorder.write_jsonl(batch_path)
-    with streaming_recording(stream_path, flush_every=3) as srec:
+    with streaming_recording(path) as srec:
         srec.set_context(unit="u")
         for n in range(10):
             _EV_TEST.emit(t=n * 0.1, n=n)
-    assert batch_path.read_bytes() == stream_path.read_bytes()
-    assert len(srec) == 10 and srec.recorded == 10
+    assert path.read_text(encoding="utf-8") == _jsonl(recorder.events)
+    assert len(srec) == len(recorder) == 10
+    assert srec.recorded == recorder.recorded == 10
 
 
-def test_streaming_recorder_flushes_incrementally(tmp_path):
+def test_streaming_recorder_flushes_incrementally(tmp_path, monkeypatch):
+    monkeypatch.setattr(trace, "FLUSH_EVERY", 2)
     path = tmp_path / "t.jsonl"
-    with streaming_recording(path, flush_every=2):
+    with streaming_recording(path):
         _EV_TEST.emit(t=0.0, n=0)
-        _EV_TEST.emit(t=0.1, n=1)  # hits flush_every: both lines on disk
+        _EV_TEST.emit(t=0.1, n=1)  # hits FLUSH_EVERY: both lines on disk
         _EV_TEST.emit(t=0.2, n=2)  # pending until close
         assert len(path.read_text().splitlines()) == 2
     assert len(path.read_text().splitlines()) == 3
 
 
 def test_streaming_recorder_filters_but_keeps_seq_parity(tmp_path):
-    # Filters drop records at write time but never renumber: the written
-    # seq values match a full recording filtered after the fact.
+    # Filters drop records at record time, in either sink, but never
+    # renumber: the kept seq values match a full recording.
     path = tmp_path / "t.jsonl"
     other = event_type(
         "test.pong", layer="net", help="test-only event", fields=("n",)
     )
-    with streaming_recording(path, layers=["net"]) as srec:
-        _EV_TEST.emit(t=0.0, n=0)   # core: filtered out, still seq 0
-        other.emit(t=0.1, n=1)      # net: written with seq 1
-        _EV_TEST.emit(t=0.2, n=2)
+    kept = {}
+    for target in (None, path):
+        with recording(target, layers=["net"]) as rec:
+            _EV_TEST.emit(t=0.0, n=0)   # core: filtered out, still seq 0
+            other.emit(t=0.1, n=1)      # net: kept with seq 1
+            _EV_TEST.emit(t=0.2, n=2)
+        assert rec.recorded == 3 and len(rec) == 1
+        assert rec.layer_counts() == {"net": 1}
+        kept[target] = [ev.seq for ev in rec.events]
     records = [json.loads(line) for line in path.read_text().splitlines()]
-    assert [r["seq"] for r in records] == [1]
-    assert srec.recorded == 3 and len(srec) == 1
-    assert srec.layer_counts() == {"net": 1}
-
-
-def test_streaming_recorder_rejects_batch_only_apis(tmp_path):
-    with streaming_recording(tmp_path / "t.jsonl") as srec:
-        _EV_TEST.emit(t=0.0, n=0)
-        with pytest.raises(TypeError):
-            srec.jsonl_lines()
-        with pytest.raises(TypeError):
-            srec.write_jsonl(tmp_path / "other.jsonl")
+    assert kept[None] == [r["seq"] for r in records] == [1]
+    assert kept[path] == []  # the file sink retains nothing
 
 
 def test_streaming_recorder_uninstalls_and_closes_on_error(tmp_path):

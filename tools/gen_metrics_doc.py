@@ -97,7 +97,6 @@ def render() -> str:
     metrics, events = _attributed_catalog()
     from repro.obs.analyze import SEGMENT_ORDER, SEGMENTS
     from repro.obs.slo import SLO_METRICS
-    from repro.obs.spans import SPAN_TYPES
     from repro.obs.trace import CORRELATION_FIELDS
 
     lines = [HEADER]
@@ -135,10 +134,10 @@ def render() -> str:
 
     lines.append("\n## Correlation fields\n")
     lines.append(
-        "Span reconstruction (`repro obs analyze`) joins events into "
-        "per-frame groups *structurally*, on the declared correlation "
-        "fields — never heuristically.  Instrumented taps attach every "
-        "correlation field they know:"
+        "The frame fold behind `repro obs analyze` and `repro obs check` "
+        "joins events into per-frame groups *structurally*, on the "
+        "declared correlation fields — never heuristically.  Instrumented "
+        "taps attach every correlation field they know:"
     )
     lines.append("")
     corr_help = {
@@ -160,19 +159,6 @@ def render() -> str:
     lines.append("|---|---|")
     for name in CORRELATION_FIELDS:
         lines.append(f"| `{name}` | {_escape(corr_help[name])} |")
-
-    lines.append("\n## Reconstructed spans\n")
-    lines.append(
-        f"{len(SPAN_TYPES)} declared span type(s), derived from recorded "
-        "events by `repro.obs.spans` (durations come from the events' own "
-        "duration fields, never from cross-tap timestamp subtraction)."
-    )
-    lines.append("")
-    lines.append("| name | layer | description |")
-    lines.append("|---|---|---|")
-    for name in sorted(SPAN_TYPES):
-        s = SPAN_TYPES[name].describe()
-        lines.append(f"| `{s['name']}` | {s['layer']} | {_escape(s['help'])} |")
 
     lines.append("\n## Attribution segments\n")
     lines.append(
