@@ -178,6 +178,7 @@ def greedy_similarity_grouping(
         return plan_frame(demand_list, groups=multicast_groups)
 
     best_plan = plan_for(groups)
+    best_time = best_plan.total_time_s()
     improved = True
     while improved and len(groups) > 1:
         improved = False
@@ -193,9 +194,10 @@ def greedy_similarity_grouping(
             merged = tuple(sorted(ga + gb))
             trial = [g for g in groups if g not in (ga, gb)] + [merged]
             trial_plan = plan_for(trial)
-            if trial_plan.total_time_s() < best_plan.total_time_s() - 1e-12:
+            trial_time = trial_plan.total_time_s()
+            if trial_time < best_time - 1e-12:
                 groups = trial
-                best_plan = trial_plan
+                best_plan, best_time = trial_plan, trial_time
                 improved = True
                 break
     return _record(
@@ -330,6 +332,7 @@ def exhaustive_grouping(
         )
     ids = [d.user_id for d in demand_list]
     best_plan: FramePlan | None = None
+    best_time = 0.0
     for partition in _partitions(ids):
         multicast_groups = [
             (tuple(sorted(block)), multicast_rate_fn(tuple(sorted(block))))
@@ -337,8 +340,9 @@ def exhaustive_grouping(
             if len(block) > 1
         ]
         plan = plan_frame(demand_list, groups=multicast_groups)
-        if best_plan is None or plan.total_time_s() < best_plan.total_time_s():
-            best_plan = plan
+        plan_time = plan.total_time_s()
+        if best_plan is None or plan_time < best_time:
+            best_plan, best_time = plan, plan_time
     if best_plan is None:  # unreachable: _partitions always yields once
         raise RuntimeError("exhaustive grouping evaluated no partition")
     return _record(

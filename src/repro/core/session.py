@@ -19,9 +19,11 @@ Two entry points:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
+from ..geometry import Frustum
 from ..mac.scheduler import UserDemand, plan_frame
 from ..net import TransportConfig, TransportSimulator
 from ..pointcloud import (
@@ -31,7 +33,9 @@ from ..pointcloud import (
     PointCloudVideo,
     QUALITIES,
     VisibilityConfig,
+    VisibilityResult,
     compute_visibility,
+    compute_visibility_batch,
 )
 from ..prediction.base import ViewportPredictor
 from ..prediction.blockage import BlockageForecaster
@@ -124,25 +128,25 @@ class _DemandBuilder:
         self.grid = CellGrid.covering(
             config.video.bounds, config.cell_size, margin=margin
         )
-        self._occupancy_cache: dict[int, object] = {}
+        self._octree_cache: dict[int, object] = {}
 
     def occupancy(self, frame_index: int):
+        """The frame's occupancy; grid occupancies are memoized on the
+        frame itself, so sessions over the same video share them."""
         vf = frame_index % len(self.config.video)
-        if vf not in self._occupancy_cache:
-            if self.config.partitioner == "octree":
-                from ..pointcloud import build_octree
+        frame = self.config.video[vf]
+        if self.config.partitioner == "grid":
+            return self.grid.occupancy(frame)
+        if vf not in self._octree_cache:
+            from ..pointcloud import build_octree
 
-                tree = build_octree(
-                    self.config.video[vf],
-                    root=self.config.video.bounds,
-                    max_points_per_leaf=self.config.octree_points_per_leaf,
-                )
-                self._occupancy_cache[vf] = tree.occupancy()
-            else:
-                self._occupancy_cache[vf] = self.grid.occupancy(
-                    self.config.video[vf]
-                )
-        return self._occupancy_cache[vf]
+            tree = build_octree(
+                frame,
+                root=self.config.video.bounds,
+                max_points_per_leaf=self.config.octree_points_per_leaf,
+            )
+            self._octree_cache[vf] = tree.occupancy()
+        return self._octree_cache[vf]
 
     def pose_for(self, user_index: int, frame_index: int, now_s: float):
         """Pose used to compute the demand: predicted or oracle."""
@@ -156,17 +160,40 @@ class _DemandBuilder:
         history = trace.window(now_index, int(round(trace.rate_hz)))
         return predictor.predict(history, horizon)
 
-    def demand(
+    def demands(
+        self,
+        users: Sequence[int],
+        frame_index: int,
+        qualities: Sequence[str],
+        now_s: float,
+        unicast_rates_mbps: Sequence[float],
+    ) -> list[UserDemand]:
+        """Every listed user's demand for one frame, in ``users`` order.
+
+        ``qualities`` and ``unicast_rates_mbps`` align with ``users``.  All
+        users' frusta come from one batched plane build and are culled in
+        one :func:`compute_visibility_batch` call over the frame's shared
+        occupancy.
+        """
+        occ = self.occupancy(frame_index)
+        poses = [self.pose_for(u, frame_index, now_s) for u in users]
+        results = compute_visibility_batch(
+            occ, Frustum.many(poses), self.config.visibility
+        )
+        return [
+            self._demand(u, vis, quality, rate)
+            for u, vis, quality, rate in zip(
+                users, results, qualities, unicast_rates_mbps
+            )
+        ]
+
+    def _demand(
         self,
         user_index: int,
-        frame_index: int,
+        vis: VisibilityResult,
         quality: str,
-        now_s: float,
         unicast_rate_mbps: float,
     ) -> UserDemand:
-        occ = self.occupancy(frame_index)
-        pose = self.pose_for(user_index, frame_index, now_s)
-        vis = compute_visibility(occ, pose.frustum(), self.config.visibility)
         level = QUALITIES[quality]
         scale = level.points_per_frame / self.config.video.quality.points_per_frame
         cell_bytes = {}
@@ -239,12 +266,14 @@ def measure_max_fps(
         None if config.transport.is_ideal else TransportSimulator(config.transport)
     )
     fps = []
+    users = range(num_users)
     for f in range(0, total, stride):
         now_s = f / config.target_fps
         sample = min(f, config.study.num_samples - 1)
-        demands = []
         rss = []
-        for u in range(num_users):
+        qualities = []
+        rates = []
+        for u in users:
             rss.append(config.rates.rss_dbm(u, sample))
             decision = config.adaptation.decide(
                 AdaptationInputs(
@@ -255,8 +284,9 @@ def measure_max_fps(
                     rss_dbm=rss[u],
                 )
             )
-            rate = config.rates.unicast_rate_mbps(u, sample)
-            demands.append(builder.demand(u, f, decision.quality, now_s, rate))
+            qualities.append(decision.quality)
+            rates.append(config.rates.unicast_rate_mbps(u, sample))
+        demands = builder.demands(users, f, qualities, now_s, rates)
         result = _group_demands(config, demands, sample, frame=f)
         plan = result.plan
         if config.beam_switch_overhead_s:
@@ -282,6 +312,9 @@ class StreamingSession:
 
     def __init__(self, config: SessionConfig) -> None:
         self.config = config
+        # Read on every process step; the config is fixed for the run.
+        self.session_length_s = config.session_length_s
+        self.num_frames = config.num_frames
         self.builder = _DemandBuilder(config)
         self.env = Environment()
         n = len(config.study)
@@ -323,7 +356,7 @@ class StreamingSession:
         buf = self.buffers[user]
         candidate = buf.next_playback_index
         window = self.config.max_buffer_frames + self.prefetch_extra[user]
-        while candidate < self.config.num_frames:
+        while candidate < self.num_frames:
             if candidate >= buf.next_playback_index + window:
                 return None
             if not buf.has_frame(candidate):
@@ -355,7 +388,7 @@ class StreamingSession:
         config = self.config
         dt = 1.0 / config.target_fps
         num_users = len(self.buffers)
-        while self.env.now < config.session_length_s:
+        while self.env.now < self.session_length_s:
             sample = self._sample_index()
             rates = [
                 config.rates.unicast_rate_mbps(u, sample) for u in range(num_users)
@@ -366,12 +399,13 @@ class StreamingSession:
                 yield self.env.timeout(dt / 2.0)
                 continue
             frame_index, users = work
-            demands = [
-                self.builder.demand(
-                    u, frame_index, self.quality[u], self.env.now, rates[u]
-                )
-                for u in users
-            ]
+            demands = self.builder.demands(
+                users,
+                frame_index,
+                [self.quality[u] for u in users],
+                self.env.now,
+                [rates[u] for u in users],
+            )
             result = _group_demands(config, demands, sample, frame=frame_index)
             plan = result.plan
             if config.beam_switch_overhead_s:
@@ -438,7 +472,7 @@ class StreamingSession:
         stats = self.stats[user]
         played_this_second = 0
         second_mark = self.env.now + 1.0
-        while self.env.now < config.session_length_s:
+        while self.env.now < self.session_length_s:
             yield self.env.timeout(dt)
             if not self._playing[user]:
                 if buf.buffered_frames >= config.startup_frames:
@@ -448,7 +482,7 @@ class StreamingSession:
                             t=self.env.now, user=user, state="playing"
                         )
                 continue
-            if buf.next_playback_index >= config.num_frames:
+            if buf.next_playback_index >= self.num_frames:
                 break  # finished the content
             frame = buf.play_next()
             if frame is None:
@@ -498,7 +532,7 @@ class StreamingSession:
     def _adaptation(self):
         config = self.config
         interval = config.adaptation_interval_s
-        while self.env.now < config.session_length_s:
+        while self.env.now < self.session_length_s:
             yield self.env.timeout(interval)
             sample = self._sample_index()
             forecast = None
@@ -526,7 +560,7 @@ class StreamingSession:
                 self._tx_attempts[u] = 0
                 self._tx_failures[u] = 0
                 frame_hint = min(
-                    self.buffers[u].next_playback_index, config.num_frames - 1
+                    self.buffers[u].next_playback_index, self.num_frames - 1
                 )
                 inputs = AdaptationInputs(
                     user_id=u,
@@ -570,9 +604,9 @@ class StreamingSession:
         self.env.process(self._adaptation())
         for u in range(len(self.buffers)):
             self.env.process(self._client(u))
-        self.env.run(until=self.config.session_length_s)
+        self.env.run(until=self.session_length_s)
         return QoEReport(
-            users=self.stats, session_length_s=self.config.session_length_s
+            users=self.stats, session_length_s=self.session_length_s
         )
 
 

@@ -13,6 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
+from ..geometry import Frustum
 from ..pointcloud import (
     CellGrid,
     PointCloudVideo,
@@ -140,17 +141,14 @@ def compute_visibility_maps(
     total = num_frames if num_frames is not None else study.num_samples
     total = min(total, study.num_samples)
 
-    # Occupancy per video frame is user-independent: compute once.  Each
-    # frame is evaluated for every viewer in one batch so the per-frame
-    # geometry arrays are shared across users.
-    occupancies = {}
+    # Occupancy per video frame is user-independent (and memoized on the
+    # frame).  Each frame is evaluated for every viewer in one batch so the
+    # per-frame geometry arrays are shared across users.
     per_user: list[list[frozenset]] = [[] for _ in traces]
     for f in range(total):
-        vf = f % len(video)
-        if vf not in occupancies:
-            occupancies[vf] = grid.occupancy(video[vf])
-        frustums = [trace.pose(f).frustum() for trace in traces]
-        results = compute_visibility_batch(occupancies[vf], frustums, config)
+        occupancy = grid.occupancy(video[f % len(video)])
+        frustums = Frustum.many(trace.pose(f) for trace in traces)
+        results = compute_visibility_batch(occupancy, frustums, config)
         for ui, result in enumerate(results):
             per_user[ui].append(result.visible_set)
     return VisibilityMaps(

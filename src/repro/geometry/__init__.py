@@ -1,7 +1,7 @@
 """3D math substrate: vectors, quaternions, AABBs, frusta, and ray primitives."""
 
 from .aabb import AABB
-from .frustum import Frustum
+from .frustum import Frustum, cull_aabbs, frustum_planes
 from .quaternion import Quaternion
 from .rays import Plane, Segment, VerticalCylinder, mirror_point
 from .vec import (
@@ -20,6 +20,8 @@ from .vec import (
 __all__ = [
     "AABB",
     "Frustum",
+    "cull_aabbs",
+    "frustum_planes",
     "Quaternion",
     "Plane",
     "Segment",

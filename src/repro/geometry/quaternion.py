@@ -60,11 +60,12 @@ class Quaternion:
 
     @staticmethod
     def look_at(forward: np.ndarray, up: np.ndarray | None = None) -> "Quaternion":
-        """Orientation whose local -Z? No: local +X axis points along ``forward``.
+        """Orientation whose local +X axis points along ``forward``.
 
         The library's camera convention is: the viewport looks along the
         rotated +X axis, with +Z up.  This matches the azimuth/elevation
-        convention in :mod:`repro.geometry.vec`.
+        convention in :mod:`repro.geometry.vec`.  The result has zero
+        roll, so ``up`` is ignored.
         """
         from . import vec
 

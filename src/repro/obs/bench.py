@@ -22,8 +22,9 @@ kernels.
 ``--kernels`` additionally (or, with no experiments named, exclusively)
 times the vectorized hot-path kernels against their retained scalar
 references — pairwise viewport IoU at venue scale, the batched occlusion
-cull, and the codebook gain sweep — and records each kernel's measured
-speedup plus its ``min_speedup`` floor.  ``--compare`` gates *speedup
+cull, the codebook gain sweep, the many-viewer frustum plane build and the
+many-viewer frustum cull — and records each kernel's measured speedup plus
+its ``min_speedup`` floor.  ``--compare`` gates *speedup
 against the baseline's floor*, not wall time, so the kernel gate is
 machine-independent: a slower CI box passes as long as the vectorized
 path still beats the scalar one by the required factor.
@@ -79,11 +80,14 @@ _REQUIRED_KERNEL = (
 # vectorized kernel must beat its scalar reference by at least this
 # factor on whatever box runs the bench.  The pairwise floor is the
 # acceptance criterion for the venue-scale work (>= 5x at 1,000 users);
-# the other two are deliberately conservative.
+# the others are deliberately conservative.  A kernel the bench times must
+# have a floor here (:func:`_kernel_entry` raises otherwise).
 KERNEL_MIN_SPEEDUP = {
     "pairwise_similarity_1000": 5.0,
     "occlusion_mask": 1.5,
     "beam_gains": 1.5,
+    "frustum_planes": 10.0,
+    "frustum_cull": 2.0,
 }
 
 
@@ -177,6 +181,7 @@ def run_kernel_bench(num_users: int = 1000) -> list[dict[str, Any]]:
     import numpy as np
 
     from ..core.similarity import group_iou, pairwise_iou_matrix
+    from ..geometry import cull_aabbs, frustum_planes
     from ..mmwave import Codebook, PhasedArray
     from ..pointcloud import CellGrid, VisibilityConfig, synthesize_video
     from ..pointcloud.visibility import (
@@ -187,21 +192,10 @@ def run_kernel_bench(num_users: int = 1000) -> list[dict[str, Any]]:
 
     entries: list[dict[str, Any]] = []
 
-    def _entry(name: str, scalar_s: float, vectorized_s: float) -> None:
-        speedup = (
-            scalar_s / vectorized_s if vectorized_s > 0 else float("inf")
-        )
-        floor = KERNEL_MIN_SPEEDUP.get(
-            name, KERNEL_MIN_SPEEDUP["pairwise_similarity_1000"]
-        )
+    def _entry(name: str, scalar_s: float, vectorized_s: float,
+               floor_name: str | None = None) -> None:
         entries.append(
-            {
-                "name": name,
-                "scalar_wall_s": round(scalar_s, 6),
-                "vectorized_wall_s": round(vectorized_s, 6),
-                "speedup": round(speedup, 3),
-                "min_speedup": floor,
-            }
+            _kernel_entry(name, scalar_s, vectorized_s, floor_name)
         )
 
     # -- pairwise viewport IoU over a venue-scale population ----------------
@@ -227,7 +221,9 @@ def run_kernel_bench(num_users: int = 1000) -> list[dict[str, Any]]:
         raise RuntimeError(
             "vectorized pairwise IoU diverged from the scalar reference"
         )
-    _entry(f"pairwise_similarity_{num_users}", t1 - t0, t2 - t1)
+    # The floor is the 1,000-user acceptance point's, whatever the size.
+    _entry(f"pairwise_similarity_{num_users}", t1 - t0, t2 - t1,
+           floor_name="pairwise_similarity_1000")
 
     # -- batched occlusion cull over one frame's frustums -------------------
     video = synthesize_video("medium", num_frames=1, points_per_frame=6000,
@@ -276,7 +272,83 @@ def run_kernel_bench(num_users: int = 1000) -> list[dict[str, Any]]:
     t2 = perf_counter()
     _entry("beam_gains", t1 - t0, t2 - t1)
 
+    # -- frustum planes of every pose of a study, one batch -----------------
+    poses = [
+        trace.pose(i)
+        for trace in study.traces
+        for i in range(study.num_samples)
+    ]
+    positions = np.array([pose.position for pose in poses])
+    quats = np.array([
+        (p.orientation.w, p.orientation.x, p.orientation.y, p.orientation.z)
+        for p in poses
+    ])
+    frustums = [pose.frustum() for pose in poses]
+    reference = [f._build_planes_reference() for f in frustums]
+    normals, offsets = frustum_planes(positions, quats)
+    if not all(
+        np.array_equal(n, normals[i]) and np.array_equal(o, offsets[i])
+        for i, (n, o) in enumerate(reference)
+    ):
+        raise RuntimeError(
+            "batched frustum planes diverged from the scalar reference"
+        )
+    t0 = perf_counter()
+    for frustum in frustums:
+        frustum._build_planes_reference()
+    t1 = perf_counter()
+    frustum_planes(positions, quats)
+    t2 = perf_counter()
+    _entry("frustum_planes", t1 - t0, t2 - t1)
+
+    # -- frustum cull of those viewers against a fine cell grid -------------
+    fine = CellGrid.covering(video.bounds, 0.25, margin=0.05)
+    lows, highs = fine.occupancy(video[0]).lows_highs
+    if not np.array_equal(
+        cull_aabbs(frustums, lows, highs),
+        [f.intersects_aabbs(lows, highs) for f in frustums],
+    ):
+        raise RuntimeError(
+            "batched frustum cull diverged from the scalar reference"
+        )
+    repeats = 5
+    t0 = perf_counter()
+    for _ in range(repeats):
+        for frustum in frustums:
+            frustum.intersects_aabbs(lows, highs)
+    t1 = perf_counter()
+    for _ in range(repeats):
+        cull_aabbs(frustums, lows, highs)
+    t2 = perf_counter()
+    _entry("frustum_cull", t1 - t0, t2 - t1)
+
     return entries
+
+
+def _kernel_entry(
+    name: str,
+    scalar_s: float,
+    vectorized_s: float,
+    floor_name: str | None = None,
+) -> dict[str, Any]:
+    """One kernel row, floored by ``KERNEL_MIN_SPEEDUP[floor_name or name]``.
+
+    A kernel without a floor is an error rather than silently borrowing
+    another kernel's: its row would otherwise gate on an arbitrary ratio.
+    """
+    floor_name = floor_name or name
+    if floor_name not in KERNEL_MIN_SPEEDUP:
+        raise ValueError(
+            f"kernel {name!r} has no min_speedup floor in KERNEL_MIN_SPEEDUP"
+        )
+    speedup = scalar_s / vectorized_s if vectorized_s > 0 else float("inf")
+    return {
+        "name": name,
+        "scalar_wall_s": round(scalar_s, 6),
+        "vectorized_wall_s": round(vectorized_s, 6),
+        "speedup": round(speedup, 3),
+        "min_speedup": KERNEL_MIN_SPEEDUP[floor_name],
+    }
 
 
 def bench_points(bench_dir: Path | str) -> list[tuple[int, Path]]:

@@ -333,9 +333,10 @@ def _collect_regressions(
     tolerance: ``b > a * (1 + tolerance)``.  Bench points follow one rule:
     an experiment's wall time regresses only when both points ran it; a
     kernel regresses when b's speedup falls below a's ``min_speedup``
-    floor (a ratio, so the gate holds on any machine; the entry's ``a``
-    is that floor); the totals regress only when both points measured the
-    same experiments and kernels.
+    floor, or b's own floor for a kernel a never measured (a ratio, so the
+    gate holds on any machine; the entry's ``a`` is that floor); the
+    totals regress only when both points measured the same experiments
+    and kernels.
     """
     regressions: list[dict[str, Any]] = []
 
@@ -389,7 +390,12 @@ def _collect_regressions(
         for row in bench["experiments"]:
             _continuous(f"bench[{row['name']}].wall_s", row["wall_s"])
         for row in bench["kernels"]:
-            floor, speedup = row["min_speedup"]["a"], row["speedup"]["b"]
+            # A kernel the baseline never measured is held to the floor b
+            # recorded for it, so a new floor gates from its first point.
+            floor = row["min_speedup"]["a"]
+            if floor is None:
+                floor = row["min_speedup"]["b"]
+            speedup = row["speedup"]["b"]
             if _is_num(floor) and _is_num(speedup) and speedup < floor:
                 regressions.append(
                     {"what": f"bench.kernel[{row['name']}].speedup",

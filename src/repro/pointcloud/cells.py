@@ -10,13 +10,14 @@ across users — a prerequisite for intersection-over-union similarity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from ..geometry import AABB
 from .cloud import PointCloudFrame
 
-__all__ = ["CellGrid", "FrameOccupancy", "PAPER_CELL_SIZES"]
+__all__ = ["CellGrid", "FrameOccupancy", "OccupancyGeometry", "PAPER_CELL_SIZES"]
 
 # Cell edge lengths used in the paper's Fig. 2 analysis, in meters.
 PAPER_CELL_SIZES: tuple[float, ...] = (0.25, 0.50, 1.00)
@@ -104,19 +105,72 @@ class CellGrid:
     # -- occupancy ----------------------------------------------------------
 
     def occupancy(self, frame: PointCloudFrame) -> "FrameOccupancy":
-        """Which cells a frame occupies and with how many points."""
-        idx = self.cell_index_of(frame.points)
-        cell_ids, counts = np.unique(idx, return_counts=True)
-        return FrameOccupancy(
-            grid=self,
-            cell_ids=cell_ids,
-            counts=counts,
-            scale_factor=frame.scale_factor,
+        """Which cells a frame occupies and with how many points.
+
+        Memoized on the (immutable) frame, keyed by this grid's cell size
+        and exact bounds, so every session, viewer and study over the same
+        video shares one occupancy — and its cached per-frame geometry —
+        per frame and lattice.  Grids that differ in either never alias.
+        """
+        key = (
+            float(self.cell_size),
+            self.bounds.lo.tobytes(),
+            self.bounds.hi.tobytes(),
         )
+        occupancy = frame._occupancies.get(key)
+        if occupancy is None:
+            idx = self.cell_index_of(frame.points)
+            cell_ids, counts = np.unique(idx, return_counts=True)
+            occupancy = FrameOccupancy(
+                grid=self,
+                cell_ids=_read_only(cell_ids),
+                counts=_read_only(counts),
+                scale_factor=frame.scale_factor,
+            )
+            frame._occupancies[key] = occupancy
+        return occupancy
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+class OccupancyGeometry:
+    """Per-frame cell arrays every viewer's visibility reads.
+
+    They depend only on the occupancy, so they are computed once per
+    occupancy (on first use) and shared, read-only, by every viewer, frame
+    batch and session that sees it.  Mixed into :class:`FrameOccupancy` and
+    :class:`~repro.pointcloud.octree.OctreeOccupancy`, which supply
+    ``grid``, ``cell_ids`` and ``nominal_counts()``.
+    """
+
+    @cached_property
+    def nominal(self) -> np.ndarray:
+        """Nominal (full-density) point count per occupied cell, float64."""
+        return _read_only(self.nominal_counts().astype(np.float64))
+
+    @cached_property
+    def frame_points(self) -> float:
+        """Nominal points in the whole frame (the sum of :attr:`nominal`)."""
+        return float(self.nominal.sum())
+
+    @cached_property
+    def lows_highs(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(lows, highs)`` corner arrays of the occupied cells."""
+        lows, highs = self.grid.cell_bounds_array(self.cell_ids)
+        return _read_only(lows), _read_only(highs)
+
+    @cached_property
+    def centers(self) -> np.ndarray:
+        """Centers of the occupied cells."""
+        lows, highs = self.lows_highs
+        return _read_only(0.5 * (lows + highs))
 
 
 @dataclass(frozen=True)
-class FrameOccupancy:
+class FrameOccupancy(OccupancyGeometry):
     """Occupied cells of one frame on a :class:`CellGrid`.
 
     ``counts`` are sampled-point counts; multiply by ``scale_factor`` for

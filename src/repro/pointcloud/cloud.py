@@ -31,6 +31,10 @@ class PointCloudFrame:
     points: np.ndarray
     nominal_points: int = 0
     _bounds: AABB = field(init=False, repr=False)
+    # Occupancy per cell lattice, filled by CellGrid.occupancy.
+    _occupancies: dict = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=np.float64)

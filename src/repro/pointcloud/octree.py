@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..geometry import AABB
+from .cells import OccupancyGeometry
 from .cloud import PointCloudFrame
 
 __all__ = ["Octree", "OctreeOccupancy", "build_octree"]
@@ -94,7 +95,7 @@ def _leaf_id(depth: int, path_index: int) -> int:
 
 
 @dataclass(frozen=True)
-class OctreeOccupancy:
+class OctreeOccupancy(OccupancyGeometry):
     """Octree leaves exposed with the :class:`FrameOccupancy` interface.
 
     Duck-type compatible with what :func:`compute_visibility` needs: a

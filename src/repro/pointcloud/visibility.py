@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..geometry import Frustum
+from ..geometry import Frustum, cull_aabbs
 from .cells import FrameOccupancy
 from .compression import CompressionModel, DEFAULT_COMPRESSION
 
@@ -139,31 +139,37 @@ def compute_visibility_batch(
 ) -> list[VisibilityResult]:
     """Visibility for many viewers of one frame, sharing per-frame arrays.
 
-    Cell bounds, centers, and nominal counts depend only on the occupancy,
-    so for a venue's worth of viewers they are computed once here instead
-    of once per viewer.  Each viewer's result is identical to calling
-    :func:`compute_visibility` alone.
+    Cell bounds, centers, and nominal counts depend only on the occupancy
+    and are read from its cached per-frame geometry.  The viewport cull
+    tests every viewer against every cell in one ``(V, C)`` batch
+    (:func:`~repro.geometry.cull_aabbs`); occlusion and distance then run
+    per viewer on the surviving cells.  Each viewer's result is identical
+    to calling :func:`compute_visibility` alone.
     """
     config = config or VisibilityConfig()
     grid = occupancy.grid
     all_ids = occupancy.cell_ids
-    all_nominal = occupancy.nominal_counts().astype(np.float64)
-    frame_points = float(all_nominal.sum())
+    all_nominal = occupancy.nominal
+    frame_points = occupancy.frame_points
 
     all_lows = all_highs = all_centers = None
     if len(all_ids) and (config.viewport or config.occlusion):
-        all_lows, all_highs = grid.cell_bounds_array(all_ids)
+        all_lows, all_highs = occupancy.lows_highs
     if len(all_ids) and (config.occlusion or config.distance):
-        all_centers = grid.cell_centers(all_ids)
+        all_centers = occupancy.centers
+
+    # 1. Viewport: frustum-cull occupied cells, all viewers at once.
+    in_view = None
+    if config.viewport and len(all_ids):
+        in_view = cull_aabbs(frustums, all_lows, all_highs)
 
     results = []
-    for frustum in frustums:
+    for i, frustum in enumerate(frustums):
         cell_ids, nominal = all_ids, all_nominal
         lows, highs, centers = all_lows, all_highs, all_centers
 
-        # 1. Viewport: frustum-cull occupied cells.
-        if config.viewport and len(cell_ids):
-            mask = frustum.intersects_aabbs(lows, highs)
+        if in_view is not None:
+            mask = in_view[i]
             cell_ids = cell_ids[mask]
             nominal = nominal[mask]
             lows, highs = lows[mask], highs[mask]

@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.similarity import pairwise_iou_matrix
+from ..geometry import Frustum
 from ..mac.scheduler import (
     UserDemand,
     multicast_frame_time,
@@ -128,7 +129,6 @@ class ArchetypeLibrary:
             seed=venue.seed,
         )
         self._content: dict[str, tuple] = {}
-        self._occupancy: dict[tuple[str, int], object] = {}
         self._ticks: dict[tuple[str, int], tuple] = {}
 
     def _content_for(self, quality: str):
@@ -145,13 +145,6 @@ class ArchetypeLibrary:
             self._content[quality] = (video, grid)
         return self._content[quality]
 
-    def _occupancy_for(self, quality: str, tick: int):
-        video, grid = self._content_for(quality)
-        vf = tick % len(video)
-        key = (quality, vf)
-        if key not in self._occupancy:
-            self._occupancy[key] = grid.occupancy(video[vf])
-        return self._occupancy[key]
 
     def tick_content(self, quality: str, tick: int):
         """``(cell_bytes per archetype, clusters)`` for one (quality, tick).
@@ -164,12 +157,12 @@ class ArchetypeLibrary:
         """
         key = (quality, tick)
         if key not in self._ticks:
-            video, _ = self._content_for(quality)
-            occ = self._occupancy_for(quality, tick)
+            video, grid = self._content_for(quality)
+            occ = grid.occupancy(video[tick % len(video)])
             t = tick * self.venue.tick_s
-            frustums = [
-                trace.pose_at(t).frustum() for trace in self.study.traces
-            ]
+            frustums = Frustum.many(
+                trace.pose_at(t) for trace in self.study.traces
+            )
             results = compute_visibility_batch(
                 occ, frustums, VisibilityConfig()
             )

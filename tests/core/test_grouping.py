@@ -121,3 +121,51 @@ def test_achievable_fps_reported():
     ds = [demand(0, range(5), rate=4000.0)]
     result = no_grouping(ds)
     assert result.achievable_fps == 30.0
+
+
+def _mixed_demands():
+    import numpy as np
+
+    rng = np.random.default_rng(5)
+    demands = []
+    for u in range(6):
+        cells = rng.choice(40, size=int(rng.integers(8, 20)), replace=False)
+        demands.append(UserDemand(
+            user_id=u,
+            cell_bytes={int(c): float(rng.uniform(2e4, 2e5)) for c in cells},
+            unicast_rate_mbps=float(rng.uniform(200, 900)),
+        ))
+    return demands
+
+
+@pytest.mark.parametrize(
+    "grouper, kwargs",
+    [(greedy_similarity_grouping, {"min_iou": 0.0}), (exhaustive_grouping, {})],
+)
+def test_groupers_time_each_candidate_plan_once(monkeypatch, grouper, kwargs):
+    """The best plan's airtime is kept, not recomputed per comparison;
+    the chosen partition and its airtime are pinned from before."""
+    from repro.core import grouping as grouping_module
+    from repro.mac.scheduler import FramePlan
+
+    plans, timed = [0], [0]
+    original_plan_frame = grouping_module.plan_frame
+    original_total = FramePlan.total_time_s
+
+    def counting_plan_frame(*args, **kw):
+        plans[0] += 1
+        return original_plan_frame(*args, **kw)
+
+    def counting_total(self):
+        timed[0] += 1
+        return original_total(self)
+
+    monkeypatch.setattr(grouping_module, "plan_frame", counting_plan_frame)
+    monkeypatch.setattr(FramePlan, "total_time_s", counting_total)
+    result = grouper(
+        _mixed_demands(), lambda members: 150.0 + 40.0 * len(members), **kwargs
+    )
+    assert timed[0] == plans[0]
+    monkeypatch.undo()
+    assert result.groups == [(0, 2, 3, 4)]
+    assert result.total_time_s == 0.14685376953197218

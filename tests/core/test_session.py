@@ -311,3 +311,148 @@ def test_lossy_transport_session_is_deterministic(small_video, small_study):
     a = StreamingSession(config_for(small_video, small_study, **cfg)).run()
     b = StreamingSession(config_for(small_video, small_study, **cfg)).run()
     assert a.summary() == b.summary()
+
+
+# -- frame-batched demands and the cross-session occupancy memo -------------
+
+
+def _per_user_demand(builder, user, frame, quality, now_s, rate):
+    """One user's demand through the single-viewer visibility path."""
+    from repro.pointcloud import QUALITIES, compute_visibility
+
+    config = builder.config
+    vis = compute_visibility(
+        builder.occupancy(frame),
+        builder.pose_for(user, frame, now_s).frustum(),
+        config.visibility,
+    )
+    level = QUALITIES[quality]
+    scale = level.points_per_frame / config.video.quality.points_per_frame
+    return {
+        int(c): config.compression.cell_bytes(f * n * scale, level.points_per_frame)
+        for c, f, n in zip(vis.cell_ids, vis.fractions, vis.nominal_counts)
+    }
+
+
+@pytest.mark.parametrize("partitioner", ["grid", "octree"])
+def test_batched_demands_match_per_user_visibility(
+    small_video, small_study, partitioner
+):
+    cfg = config_for(
+        small_video, small_study, visibility=VisibilityConfig(),
+        partitioner=partitioner,
+    )
+    builder = StreamingSession(cfg).builder
+    users = [4, 0, 2, 5]
+    qualities = ["high", "low", "medium", "high"]
+    rates = [300.0, 400.0, 500.0, 600.0]
+    for frame in (0, 7, 29, 45):
+        demands = builder.demands(users, frame, qualities, 0.1, rates)
+        assert [d.user_id for d in demands] == users
+        for d, u, q, r in zip(demands, users, qualities, rates):
+            assert d.unicast_rate_mbps == r
+            assert d.cell_bytes == _per_user_demand(builder, u, frame, q, 0.1, r)
+    assert builder.demands([], 0, [], 0.0, []) == []
+
+
+def test_sessions_over_one_video_share_frame_occupancy(small_video, small_study):
+    a = StreamingSession(config_for(small_video, small_study)).builder
+    b = StreamingSession(config_for(small_video, small_study)).builder
+    for frame in (0, 13):
+        assert a.occupancy(frame) is b.occupancy(frame)
+    finer = StreamingSession(
+        config_for(small_video, small_study, cell_size=0.25)
+    ).builder
+    assert finer.occupancy(0) is not a.occupancy(0)
+    assert finer.occupancy(0).grid.cell_size == 0.25
+
+
+def test_octree_occupancy_stays_per_session(small_video, small_study):
+    from repro.pointcloud import OctreeOccupancy
+
+    a = StreamingSession(
+        config_for(small_video, small_study, partitioner="octree")
+    ).builder
+    b = StreamingSession(
+        config_for(small_video, small_study, partitioner="octree")
+    ).builder
+    occ_a, occ_b = a.occupancy(3), b.occupancy(3)
+    assert isinstance(occ_a, OctreeOccupancy)
+    assert occ_a is not occ_b
+    assert np.array_equal(occ_a.cell_ids, occ_b.cell_ids)
+    assert all(
+        not isinstance(o, OctreeOccupancy)
+        for o in small_video[3]._occupancies.values()
+    )
+
+
+def test_cold_and_warm_sessions_report_identically(small_study):
+    from repro.pointcloud import synthesize_video
+
+    video = synthesize_video("high", num_frames=20, points_per_frame=2000, seed=23)
+    assert not video[0]._occupancies  # a fresh video: the memo starts cold
+
+    def run():
+        cfg = config_for(
+            video, small_study, visibility=VisibilityConfig(),
+            grouping="greedy", adaptation=ThroughputPolicy(), duration_s=2.0,
+        )
+        report = StreamingSession(cfg).run()
+        return report.summary(), [
+            (u.frames_played, u.stall_time_s, u.quality_switches)
+            for u in report.users
+        ]
+
+    cold = run()
+    assert video[0]._occupancies  # filled by the first session
+    assert run() == cold
+
+
+def test_lossy_greedy_session_is_unchanged_and_reads_its_length_once(
+    monkeypatch,
+):
+    """Pinned from the per-viewer implementation this batched path replaced.
+
+    The session reads ``num_frames``/``session_length_s`` once at start-up
+    instead of on every process step; the outcome must not move.
+    """
+    from repro.core import CrossLayerPolicy
+    from repro.net import TransportConfig
+    from repro.pointcloud import synthesize_video
+    from repro.traces import generate_user_study
+
+    reads = {"num_frames": 0, "session_length_s": 0}
+    for name in reads:
+        original = getattr(SessionConfig, name)
+
+        def counted(self, _name=name, _original=original):
+            reads[_name] += 1
+            return _original.fget(self)
+
+        monkeypatch.setattr(SessionConfig, name, property(counted))
+
+    video = synthesize_video("high", num_frames=30, points_per_frame=3000, seed=11)
+    study = generate_user_study(num_users=5, duration_s=3.0, seed=11)
+    cfg = config_for(
+        video, study, model=AC_MODEL, visibility=VisibilityConfig(),
+        grouping="greedy", adaptation=CrossLayerPolicy(),
+        transport=TransportConfig(mode="hybrid", seed=3).with_base_per(0.1),
+    )
+    report = StreamingSession(cfg).run()
+    assert reads == {"num_frames": 1, "session_length_s": 2}
+    assert report.summary() == {
+        "users": 5.0, "mean_fps": 19.0, "min_fps": 19.0,
+        "mean_bitrate_mbps": 235.0, "stall_time_s": 5.1,
+        "quality_switches": 0.0, "qoe_score": 65.00000000000003,
+    }
+    assert [
+        (u.frames_played, u.frames_on_time, u.stall_count, u.stall_time_s,
+         u.quality_switches, tuple(u.fps_samples))
+        for u in report.users
+    ] == [
+        (56, 26, 31, 1.0333333333333332, 0, (20, 18)),
+        (56, 26, 31, 1.0333333333333332, 0, (20, 18)),
+        (56, 26, 30, 1.0333333333333332, 0, (20, 18)),
+        (56, 25, 30, 0.9999999999999999, 0, (20, 18)),
+        (56, 25, 30, 0.9999999999999999, 0, (20, 18)),
+    ]

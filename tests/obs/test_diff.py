@@ -269,6 +269,21 @@ def test_bench_totals_gate_only_between_like_points():
         bench_a=full, bench_b=fat)["regressions"]] == ["bench.peak_rss_bytes"]
 
 
+def test_kernel_missing_from_the_baseline_gates_on_its_own_floor():
+    baseline = _bench_point(1.0, names=(), kernels=[("k", 3.0)])
+    # "new" is unpaired (min_speedup 2.0 recorded only in b).
+    fast = _bench_point(1.0, names=(), kernels=[("k", 3.0), ("new", 2.5)])
+    doc = build_diff(bench_a=baseline, bench_b=fast)
+    assert doc["regressions"] == []
+    slow = _bench_point(1.0, names=(), kernels=[("k", 3.0), ("new", 1.5)])
+    assert build_diff(bench_a=baseline, bench_b=slow)["regressions"] == [
+        {"what": "bench.kernel[new].speedup", "a": 2.0, "b": 1.5,
+         "delta": -0.5},
+    ]
+    # A kernel only the baseline measured has no b speedup: nothing to gate.
+    assert build_diff(bench_a=fast, bench_b=baseline)["regressions"] == []
+
+
 @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -0.01])
 def test_tolerance_must_be_finite_and_non_negative(tolerance, tmp_path):
     a, b = _bench_point(1.0), _bench_point(1.05)

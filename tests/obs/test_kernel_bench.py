@@ -17,6 +17,7 @@ import pytest
 from repro.obs.bench import (
     BENCH_SCHEMA,
     KERNEL_MIN_SPEEDUP,
+    _kernel_entry,
     main as bench_main,
     run_kernel_bench,
     validate_bench,
@@ -62,12 +63,19 @@ def test_run_kernel_bench_covers_every_gated_kernel(kernel_entries):
     names = [entry["name"] for entry in kernel_entries]
     assert names == [
         "pairwise_similarity_48", "occlusion_mask", "beam_gains",
+        "frustum_planes", "frustum_cull",
     ]
     for entry in kernel_entries:
         assert entry["scalar_wall_s"] > 0
         assert entry["vectorized_wall_s"] > 0
         assert entry["speedup"] > 0
         assert entry["min_speedup"] > 0
+    # The shrunk pairwise population keeps the 1,000-user floor.
+    assert kernel_entries[0]["min_speedup"] == (
+        KERNEL_MIN_SPEEDUP["pairwise_similarity_1000"]
+    )
+    for entry in kernel_entries[1:]:
+        assert entry["min_speedup"] == KERNEL_MIN_SPEEDUP[entry["name"]]
     doc = _doc(kernel_entries)
     validate_bench(doc)  # must not raise
 
@@ -98,8 +106,12 @@ def test_compare_gates_speedup_against_the_baseline_floor():
         {"what": "bench.kernel[pairwise_similarity_1000].speedup",
          "a": 5.0, "b": 3.0, "delta": -2.0},
     ]
-    # Kernels absent from the baseline are not comparable.
-    assert _regressions(_doc([_kernel("novel", 1.0)]), baseline) == []
+    # A kernel absent from the baseline is held to its own recorded floor.
+    assert _regressions(_doc([_kernel("novel", 6.0)]), baseline) == []
+    assert _regressions(_doc([_kernel("novel", 1.0)]), baseline) == [
+        {"what": "bench.kernel[novel].speedup",
+         "a": 5.0, "b": 1.0, "delta": -4.0},
+    ]
     # Experiment-only documents still compare cleanly.
     assert _regressions(_doc(), _doc()) == []
 
@@ -115,7 +127,11 @@ def test_committed_bench_points_validate_and_record_the_win():
     validate_bench(point)
     assert "kernels" not in seed  # the pre-vectorization baseline
     kernels = {entry["name"]: entry for entry in point["kernels"]}
-    assert set(kernels) == set(KERNEL_MIN_SPEEDUP)
+    # Floors added after BENCH_2 gate against their own recorded value
+    # (test_compare_gates_speedup_against_the_baseline_floor).
+    assert set(KERNEL_MIN_SPEEDUP) - set(kernels) == {
+        "frustum_planes", "frustum_cull",
+    }
     for name, entry in kernels.items():
         assert entry["min_speedup"] == KERNEL_MIN_SPEEDUP[name]
         assert entry["speedup"] >= entry["min_speedup"], (
@@ -138,11 +154,24 @@ def test_main_kernels_only_writes_a_gateable_point(tmp_path, capsys):
     assert doc["experiments"] == []
     assert [k["name"] for k in doc["kernels"]] == [
         "pairwise_similarity_1000", "occlusion_mask", "beam_gains",
+        "frustum_planes", "frustum_cull",
     ]
 
     # The fresh point gates cleanly against the committed floors (the
-    # ratio gate, so this holds on any machine with working BLAS).
+    # ratio gate, so this holds on any machine with working BLAS); the
+    # two kernels BENCH_2 lacks gate against their own floors.
     baseline = json.loads(
         (_REPO_ROOT / "BENCH_2.json").read_text(encoding="utf-8")
     )
     assert _regressions(doc, baseline) == []
+
+
+def test_kernel_without_a_floor_is_an_error():
+    with pytest.raises(ValueError, match="'novel' has no min_speedup floor"):
+        _kernel_entry("novel", 1.0, 0.5)
+    entry = _kernel_entry("pairwise_similarity_48", 1.0, 0.5,
+                          floor_name="pairwise_similarity_1000")
+    assert entry["min_speedup"] == KERNEL_MIN_SPEEDUP["pairwise_similarity_1000"]
+    assert entry["speedup"] == 2.0
+    with pytest.raises(ValueError, match="no min_speedup floor"):
+        _kernel_entry("pairwise_similarity_48", 1.0, 0.5)

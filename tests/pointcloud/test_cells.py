@@ -120,3 +120,58 @@ def test_occupancy_ids_sorted():
     frame = PointCloudFrame(rng.uniform(0, 2, size=(100, 3)))
     occ = g.occupancy(frame)
     assert np.all(np.diff(occ.cell_ids) > 0)
+
+
+# -- occupancy memo and cached per-frame geometry ----------------------------
+
+
+def _frame(seed=0, n=400):
+    rng = np.random.default_rng(seed)
+    return PointCloudFrame(rng.uniform(0.0, 2.0, size=(n, 3)), nominal_points=4 * n)
+
+
+def test_occupancy_is_memoized_per_frame_and_lattice():
+    frame = _frame()
+    grid = unit_grid()
+    occ = grid.occupancy(frame)
+    assert grid.occupancy(frame) is occ
+    # An equal grid built separately shares the occupancy.
+    assert unit_grid().occupancy(frame) is occ
+    # Another frame with the same points does not.
+    assert grid.occupancy(_frame()) is not occ
+
+
+def test_distinct_grids_never_alias():
+    frame = _frame()
+    base = unit_grid(0.5)
+    finer = unit_grid(0.25)
+    lo = np.zeros(3)
+    shifted = CellGrid(AABB(np.nextafter(lo, -1.0), np.full(3, 2.0)), 0.5)
+    taller = CellGrid(AABB(lo, np.array([2.0, 2.0, np.nextafter(2.0, 3.0)])), 0.5)
+    occs = [g.occupancy(frame) for g in (base, finer, shifted, taller)]
+    assert len({id(o) for o in occs}) == 4
+    for grid, occ in zip((base, finer, shifted, taller), occs):
+        assert occ.grid is grid
+        idx = grid.cell_index_of(frame.points)
+        ids, counts = np.unique(idx, return_counts=True)
+        assert np.array_equal(occ.cell_ids, ids)
+        assert np.array_equal(occ.counts, counts)
+
+
+def test_memoized_occupancy_arrays_are_read_only():
+    occ = unit_grid().occupancy(_frame())
+    for array in (occ.cell_ids, occ.counts, occ.nominal, *occ.lows_highs,
+                  occ.centers):
+        assert not array.flags.writeable
+
+
+def test_cached_frame_geometry_matches_the_grid():
+    occ = unit_grid().occupancy(_frame(n=900))
+    lows, highs = occ.grid.cell_bounds_array(occ.cell_ids)
+    assert np.array_equal(occ.lows_highs[0], lows)
+    assert np.array_equal(occ.lows_highs[1], highs)
+    assert np.array_equal(occ.centers, occ.grid.cell_centers(occ.cell_ids))
+    nominal = occ.nominal_counts().astype(np.float64)
+    assert np.array_equal(occ.nominal, nominal)
+    assert occ.frame_points == float(nominal.sum())
+    assert occ.lows_highs is occ.lows_highs  # computed once

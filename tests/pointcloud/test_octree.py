@@ -143,3 +143,14 @@ def test_visibility_runs_on_octree_occupancy():
     assert 0 < len(vis.cell_ids) <= len(occ)
     assert 0.0 < vis.visible_fraction <= 1.0
     assert vis.request_bytes() > 0
+
+
+def test_octree_occupancy_offers_the_cached_frame_geometry():
+    tree = build_octree(uniform_frame(nominal=8000), max_points_per_leaf=150)
+    occ = tree.occupancy()
+    lows, highs = occ.cell_bounds_array(occ.cell_ids)
+    assert np.array_equal(occ.lows_highs[0], lows)
+    assert np.array_equal(occ.lows_highs[1], highs)
+    assert np.array_equal(occ.centers, occ.cell_centers(occ.cell_ids))
+    assert np.array_equal(occ.nominal, occ.nominal_counts().astype(np.float64))
+    assert occ.frame_points == float(occ.nominal.sum())

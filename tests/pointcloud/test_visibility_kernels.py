@@ -10,6 +10,7 @@ visible sets, fractions, and counts — are identical, not merely close.
 """
 
 import numpy as np
+import pytest
 
 from repro.pointcloud import (
     CellGrid,
@@ -94,3 +95,55 @@ def test_batch_with_empty_frustum_list():
     assert compute_visibility_batch(
         occupancies[0], [], VisibilityConfig()
     ) == []
+
+
+def _scalar_reference_visibility(grid, occ, frustum, config):
+    """One viewer through every scalar reference: per-frustum plane build,
+    per-frustum AABB cull, per-ray occlusion, then the distance rule."""
+    cell_ids = occ.cell_ids
+    nominal = occ.nominal_counts().astype(np.float64)
+    lows, highs = grid.cell_bounds_array(cell_ids)
+    mask = frustum.intersects_aabbs(lows, highs)
+    cell_ids, nominal = cell_ids[mask], nominal[mask]
+    keep = _occlusion_mask_reference(grid, cell_ids, nominal, frustum, config)
+    cell_ids, nominal = cell_ids[keep], nominal[keep]
+    dist = np.linalg.norm(grid.cell_centers(cell_ids) - frustum.position, axis=1)
+    fractions = np.where(
+        dist <= config.distance_full_m,
+        1.0,
+        np.maximum(
+            config.distance_min_fraction,
+            (config.distance_full_m / np.maximum(dist, 1e-9)) ** 2,
+        ),
+    )
+    return cell_ids, fractions, nominal
+
+
+@pytest.mark.parametrize("cell_size", [0.25, 0.5, 1.0])
+def test_frame_batched_path_matches_the_scalar_references(cell_size):
+    from repro.geometry import Frustum
+
+    video = synthesize_video("medium", num_frames=2, points_per_frame=4000,
+                             seed=8)
+    grid = CellGrid.covering(video.bounds, cell_size, margin=0.05)
+    study = generate_user_study(num_users=12, duration_s=1.0, seed=8)
+    config = VisibilityConfig()
+    for f in range(2):
+        occ = grid.occupancy(video[f])
+        poses = [t.pose(10 * f + 3) for t in study.traces]
+        batch = compute_visibility_batch(occ, Frustum.many(poses), config)
+        for pose, result in zip(poses, batch):
+            frustum = pose.frustum()
+            normals, offsets = frustum._build_planes_reference()
+            object.__setattr__(frustum, "_normals", normals)
+            object.__setattr__(frustum, "_offsets", offsets)
+            ids, fractions, nominal = _scalar_reference_visibility(
+                grid, occ, frustum, config
+            )
+            order = np.argsort(ids)
+            assert np.array_equal(result.cell_ids, ids[order])
+            assert np.array_equal(result.fractions, fractions[order])
+            assert np.array_equal(result.nominal_counts, nominal[order])
+            assert result.frame_nominal_points == float(
+                occ.nominal_counts().astype(np.float64).sum()
+            )
