@@ -43,20 +43,30 @@ def _norm_key(key: tuple[str, str, int]) -> tuple[str, str, int]:
 
 
 def load_baseline(path: Path | str) -> set[tuple[str, str, int]]:
-    """Read baseline keys; a missing file is an empty baseline."""
+    """Read baseline keys; a missing file is an empty baseline.
+
+    Raises ``ValueError`` naming the file (and the record index) when the
+    file is not a JSON list of ``{"path", "rule", "line"}`` records.
+    """
     path = Path(path)
     if not path.exists():
         return set()
-    records = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        records = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as err:
+        raise ValueError(f"baseline {path}: not valid JSON ({err})") from None
     if not isinstance(records, list):
         raise ValueError(f"baseline {path} must be a JSON list")
     keys: set[tuple[str, str, int]] = set()
-    for record in records:
-        keys.add(
-            _norm_key(
-                (str(record["path"]), str(record["rule"]), int(record["line"]))
-            )
-        )
+    for index, record in enumerate(records):
+        try:
+            key = (str(record["path"]), str(record["rule"]), int(record["line"]))
+        except (KeyError, TypeError, ValueError) as err:
+            raise ValueError(
+                f"baseline {path}: record {index} is not a "
+                f"{{path, rule, line}} object ({type(err).__name__}: {err})"
+            ) from None
+        keys.add(_norm_key(key))
     return keys
 
 

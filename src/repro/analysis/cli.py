@@ -1,15 +1,15 @@
 """CLI for the analyzer: ``python -m repro.analysis`` / ``repro lint``.
 
-Two tiers share this entry point:
-
-- the default per-file tier (D1xx/U2xx/S3xx/H4xx/H5xx style rules);
-- ``--project``: the whole-program tier (R5xx/G6xx/P7xx) — symbol
-  tables, call graph, reachability from the concurrency entry points.
+One pass over the given files and directories runs every rule family:
+the per-module conventions (D1xx/U2xx/S3xx/H4xx/H5xx) and the
+whole-program invariants over the call graph (R5xx/G6xx/P7xx).
 
 Exit status is 0 when no unsuppressed finding remains, 1 otherwise, 2 for
-usage errors — so the CI lint job fails a PR that introduces a violation.
-``--format json|sarif`` prints a machine-readable document instead of the
-text listing (or writes it to ``--output`` and prints the summary).
+usage errors (an unknown ``--select`` entry, a path that does not exist
+or holds no ``.py`` file, a malformed baseline) — so the CI lint job
+fails a PR that introduces a violation.  ``--format json|sarif`` prints a
+machine-readable document instead of the text listing (or writes it to
+``--output`` and prints the summary).
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ import sys
 from pathlib import Path
 
 from .baseline import apply_baseline, load_baseline, write_baseline
-from .engine import AnalysisEngine
+from .project.model import iter_python_files
+from .report import analyze
 from .rules import ALL_RULES, rules_by_family
 from .sarif import render
 
@@ -30,20 +31,11 @@ def _default_target() -> Path:
 
 
 def _list_rules() -> str:
-    from .project.report import PROJECT_RULE_CATALOG
-
     lines = []
     for family, rules in sorted(rules_by_family().items()):
         lines.append(f"{family}:")
         for rule in rules:
             lines.append(f"  {rule.rule_id}  {rule.summary}")
-    families: dict[str, list] = {}
-    for meta in PROJECT_RULE_CATALOG:
-        families.setdefault(meta.family, []).append(meta)
-    for family in sorted(families):
-        lines.append(f"{family} (--project):")
-        for meta in sorted(families[family], key=lambda m: m.rule_id):
-            lines.append(f"  {meta.rule_id}  {meta.summary}")
     return "\n".join(lines)
 
 
@@ -52,9 +44,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description=(
-            "Repo-specific static analysis: determinism, unit-suffix, "
-            "sim-process, and API-hygiene lints; with --project, "
-            "whole-program RNG-provenance, shared-state, and cache-purity "
+            "Repo-specific static analysis in one pass: determinism, "
+            "unit-suffix, sim-process and API-hygiene lints plus "
+            "whole-program RNG-provenance, shared-state and cache-purity "
             "analysis."
         ),
         epilog="Suppress a finding in place with `# repro: noqa[RULE]`.",
@@ -64,14 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="*",
         type=Path,
         help="files or directories to lint (default: the repro package)",
-    )
-    parser.add_argument(
-        "--project",
-        action="store_true",
-        help=(
-            "run the whole-program tier (R5xx/G6xx/P7xx) over one package "
-            "root instead of the per-file rules"
-        ),
     )
     parser.add_argument(
         "--format",
@@ -119,30 +103,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _select_rules(spec: str | None):
+def _usage_error(parser: argparse.ArgumentParser, message: str):
+    """Exit 2 with a one-line error on stderr."""
+    parser.exit(2, f"{parser.prog}: error: {message}\n")
+
+
+def _select_rules(parser: argparse.ArgumentParser, spec: str | None):
     if spec is None:
         return None
     wanted = {part.strip().lower() for part in spec.split(",") if part.strip()}
-    families = rules_by_family()
-    selected = [
+    unknown = wanted - {r.rule_id.lower() for r in ALL_RULES} - set(
+        rules_by_family()
+    )
+    if unknown:
+        _usage_error(
+            parser,
+            f"unknown rule/family in --select: {', '.join(sorted(unknown))}",
+        )
+    return [
         rule
         for rule in ALL_RULES
         if rule.rule_id.lower() in wanted or rule.family in wanted
     ]
-    unknown = wanted - {r.rule_id.lower() for r in ALL_RULES} - set(families)
-    if unknown:
-        raise SystemExit(
-            f"unknown rule/family in --select: {', '.join(sorted(unknown))}"
-        )
-    return selected
-
-
-def _emit_document(args, findings, project_meta) -> None:
-    text = render(args.fmt, findings, project_meta)
-    if args.output is not None:
-        args.output.write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -154,52 +136,47 @@ def main(argv: list[str] | None = None) -> int:
         print(_list_rules())
         return 0
 
-    project_meta = None
-    if args.project:
-        from .project import analyze_project
-
-        if len(args.paths) > 1:
-            parser.error("--project takes a single package root")
-        if args.select is not None:
-            parser.error("--select applies to the per-file tier only")
-        root = args.paths[0] if args.paths else _default_target()
-        report = analyze_project(root)
-        findings = report.findings
-        project_meta = {
-            "root": report.root,
-            "modules": report.modules,
-            "entry_points": report.entry_points,
-            "certified": report.certified,
-            "parse_errors": report.parse_errors,
-        }
-    else:
-        rules = _select_rules(args.select)
-        paths = args.paths or [_default_target()]
-        findings = AnalysisEngine(rules).analyze_paths(paths)
-
+    rules = _select_rules(parser, args.select)
+    paths = args.paths or [_default_target()]
+    for path in paths:
+        if not path.exists():
+            _usage_error(parser, f"{path}: no such file or directory")
+        if not iter_python_files([path]):
+            _usage_error(parser, f"{path}: no Python files to lint")
+    baseline = None
     if args.baseline is not None:
-        findings = apply_baseline(findings, load_baseline(args.baseline))
+        try:
+            baseline = load_baseline(args.baseline)
+        except ValueError as err:
+            _usage_error(parser, str(err))
+
+    report = analyze(paths, rules)
+    if baseline is not None:
+        report.findings = apply_baseline(report.findings, baseline)
+    findings = report.findings
 
     if args.write_baseline is not None:
         count = write_baseline(args.write_baseline, findings)
         print(f"wrote {count} finding(s) to {args.write_baseline}")
         return 0
 
-    active = [f for f in findings if not f.suppressed]
+    active = report.active()
     suppressed = len(findings) - len(active)
     summary = f"{len(active)} finding(s)"
     if suppressed:
         summary += f", {suppressed} suppressed"
 
     if args.fmt != "text":
-        _emit_document(args, findings, project_meta)
-        if args.output is not None:
+        text = render(args.fmt, report)
+        if args.output is None:
+            sys.stdout.write(text)
+        else:
+            args.output.write_text(text, encoding="utf-8")
             print(f"{summary}; wrote {args.fmt} report to {args.output}")
         return 1 if active else 0
 
-    shown = findings if args.show_suppressed else active
     if not args.quiet:
-        for finding in shown:
+        for finding in findings if args.show_suppressed else active:
             print(finding.format())
     print(summary)
     return 1 if active else 0

@@ -19,8 +19,8 @@ class Finding:
     rule: str
     message: str = field(compare=False)
     suppressed: bool = field(default=False, compare=False)
-    # "warning" for the per-file style rules, "error" for the project-tier
-    # invariant rules; carried into the JSON/SARIF serializations.
+    # The rule's declared severity ("error" for E000/E001 parse failures);
+    # carried into the JSON/SARIF serializations.
     severity: str = field(default="warning", compare=False)
 
     def format(self) -> str:

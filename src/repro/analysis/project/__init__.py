@@ -1,43 +1,33 @@
-"""Whole-program analysis tier layered on the per-file lint engine.
+"""The project model every rule runs over, and its whole-program views.
 
-The per-file rules (D/U/S/H families) see one module at a time; the rules
-that guard the repo's headline guarantees — bit-identical serial-vs-sharded
-replay, sha256 spec-keyed result caching, spec-ordered multiprocessing
-merges — are *whole-program* invariants.  This package parses all of a
-package tree once into a :class:`~repro.analysis.project.model.ProjectModel`
-(per-module symbol tables + an import graph), resolves a conservative call
-graph over it, computes reachability from the known concurrency entry
-points (the multiprocessing worker function, the scenario shard engines,
-every experiment's ``run_one``), and runs three interprocedural rule
-families on top:
+The rules that guard the repo's headline guarantees — bit-identical
+serial-vs-sharded replay, sha256 spec-keyed result caching, spec-ordered
+multiprocessing merges — are *whole-program* invariants, and the per-module
+conventions (determinism, units, sim processes, hygiene) read the same
+parsed modules.  This package parses every linted file once into a
+:class:`~repro.analysis.project.model.ProjectModel` (per-module trees,
+noqa maps, symbol tables and import aliases), resolves a
+conservative call graph over it, finds the concurrency entry points (the
+multiprocessing worker function, the scenario shard engines, every
+experiment's ``run_one``) and computes reachability from them into a
+:class:`~repro.analysis.project.context.ProjectContext`, which also holds
+the one findings sink.
 
-- **R5xx — RNG provenance**: ambient-seeded RNG construction, legacy
-  global-stream sampling in worker-reachable code, RNG objects escaping
-  into module globals.
-- **G6xx — shared-state safety**: worker-reachable mutation of
-  module-level mutable containers (import-time-only registration is
-  certified safe), ``global`` rebinding in worker-reachable code.
-- **P7xx — cache purity**: ambient reads (environment, clocks, process /
-  host identity) inside the ``run_one`` call trees whose results feed the
-  spec-keyed cache.
-
-Entry: :func:`~repro.analysis.project.report.analyze_project`.
+Entry: :func:`repro.analysis.analyze`.
 """
 
 from __future__ import annotations
 
 from .callgraph import CallGraph, build_call_graph
+from .context import ProjectContext
 from .entrypoints import EntryPoint, find_entry_points
 from .model import ProjectModel, build_project
-from .report import PROJECT_RULE_CATALOG, ProjectReport, analyze_project
 
 __all__ = [
     "CallGraph",
     "EntryPoint",
-    "PROJECT_RULE_CATALOG",
+    "ProjectContext",
     "ProjectModel",
-    "ProjectReport",
-    "analyze_project",
     "build_call_graph",
     "build_project",
     "find_entry_points",

@@ -1,4 +1,4 @@
-"""Shared state the project rule families run against."""
+"""The state every rule runs against, and the one findings sink."""
 
 from __future__ import annotations
 
@@ -6,26 +6,23 @@ import ast
 from dataclasses import dataclass, field
 
 from ..findings import Finding
-from .callgraph import CallGraph
-from .entrypoints import EntryPoint
-from .model import FunctionInfo, ModuleInfo, ProjectModel
+from .callgraph import build_call_graph
+from .entrypoints import EntryPoint, find_entry_points
+from .model import ModuleInfo, ProjectModel
 
 __all__ = ["ProjectContext", "format_chain"]
 
 
 def format_chain(chain: tuple[str, ...]) -> str:
     """Render a reachability chain for a finding message."""
-    if len(chain) <= 1:
-        return chain[0] if chain else "<entry>"
     return " -> ".join(chain)
 
 
 @dataclass
 class ProjectContext:
-    """Model + call graph + reachability, shared by R5xx/G6xx/P7xx."""
+    """Model + reachability closures over its call graph + findings sink."""
 
     model: ProjectModel
-    graph: CallGraph
     entry_points: list[EntryPoint]
     # qualname -> shortest chain from an entry of the given closure
     worker_chains: dict[str, tuple[str, ...]] = field(default_factory=dict)
@@ -36,14 +33,24 @@ class ProjectContext:
     certified: list[dict] = field(default_factory=list)
     _seen: set[tuple[str, int, int, str]] = field(default_factory=set)
 
-    def worker_reachable(self, qualname: str) -> bool:
-        return qualname in self.worker_chains
-
-    def cache_reachable(self, qualname: str) -> bool:
-        return qualname in self.cache_chains
-
-    def import_reachable(self, qualname: str) -> bool:
-        return qualname in self.import_chains
+    @classmethod
+    def build(cls, model: ProjectModel) -> ProjectContext:
+        """Resolve the call graph, the entry points and their closures:
+        every entry point (worker), the spec-keyed cache boundary
+        (``run_one`` and shard engines), and module scope (import time)."""
+        graph = build_call_graph(model)
+        entries = find_entry_points(model)
+        return cls(
+            model=model,
+            entry_points=entries,
+            worker_chains=graph.reachable([e.qualname for e in entries]),
+            cache_chains=graph.reachable(
+                [e.qualname for e in entries if e.kind in ("run_one", "shard")]
+            ),
+            import_chains=graph.reachable(
+                [module.scope_node for module in model.sorted_modules()]
+            ),
+        )
 
     def add(
         self,
@@ -51,18 +58,17 @@ class ProjectContext:
         node: ast.AST,
         rule_id: str,
         message: str,
-        severity: str = "error",
+        severity: str,
     ) -> None:
+        """Record one finding, applying ``# repro: noqa`` and keeping only
+        the first finding per (path, line, col, rule)."""
         line = getattr(node, "lineno", 1)
         col = getattr(node, "col_offset", 0) + 1
         key = (module.relpath, line, col, rule_id)
         if key in self._seen:
             return
         self._seen.add(key)
-        ids = module.noqa.get(line, ())
-        suppressed = ids is None or (
-            ids != () and rule_id.upper() in ids
-        )
+        ids = module.noqa.get(line, frozenset())
         self.findings.append(
             Finding(
                 path=module.relpath,
@@ -70,25 +76,7 @@ class ProjectContext:
                 col=col,
                 rule=rule_id,
                 message=message,
-                suppressed=suppressed,
+                suppressed=ids is None or rule_id.upper() in ids,
                 severity=severity,
             )
         )
-
-    def worker_functions(self) -> list[tuple[ModuleInfo, FunctionInfo]]:
-        """Worker-reachable project functions, in deterministic order."""
-        return self._functions_in(self.worker_chains)
-
-    def cache_functions(self) -> list[tuple[ModuleInfo, FunctionInfo]]:
-        """run_one/shard-reachable project functions (cache boundary)."""
-        return self._functions_in(self.cache_chains)
-
-    def _functions_in(
-        self, chains: dict[str, tuple[str, ...]]
-    ) -> list[tuple[ModuleInfo, FunctionInfo]]:
-        out: list[tuple[ModuleInfo, FunctionInfo]] = []
-        for qualname in sorted(chains):
-            func = self.model.function_by_qualname(qualname)
-            if func is not None:
-                out.append((self.model.modules[func.module], func))
-        return out

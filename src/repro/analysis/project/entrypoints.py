@@ -11,7 +11,7 @@ hidden shared state or ambient reads break the repo's guarantees:
   their whole call tree must be a pure function of the spec);
 - ``shard`` — the scenario shard engines, named explicitly because they
   are invoked through the run_one fan-out but are entry points in their
-  own right (``repro lint --project`` must keep guarding them even if an
+  own right (``repro lint`` must keep guarding them even if an
   experiment stops calling them).
 
 Detection is structural (call shapes), not name-based, so the fixture

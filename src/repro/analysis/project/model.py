@@ -1,12 +1,16 @@
-"""The project model: every module of a package parsed and indexed once.
+"""The project model: every module of the linted paths parsed and indexed once.
 
-:func:`build_project` walks a package root, parses each ``.py`` file, and
-builds per-module symbol tables (functions, classes with methods, module
-globals classified by mutability/kind), an import-alias map that resolves
-*relative* imports against the module's package, and the module-level
-import graph.  The model is purely syntactic — nothing is imported or
-executed — and its construction is deterministic: modules are keyed and
-iterated in sorted dotted-name order regardless of file discovery order.
+:func:`build_project` is the only code that reads and parses files.  It
+walks the given paths (files, package directories or plain directories),
+names each module from its ``__init__.py`` chain, parses it, and builds
+per-module symbol tables (functions, classes with methods, module globals
+classified by mutability/kind), the ``# repro: noqa`` map, and an
+import-alias map that resolves *relative* imports against the module's
+package.  A file that cannot be read or parsed becomes an
+E001/E000 finding instead of a module.  The model is purely syntactic —
+nothing is imported or executed — and its construction is deterministic:
+modules are keyed and iterated in sorted dotted-name order regardless of
+file discovery order.
 """
 
 from __future__ import annotations
@@ -14,10 +18,11 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
+from ..findings import Finding
 from ..paths import repo_relative
-from ..visitor import _collect_noqa, dotted_name
+from ..visitor import collect_noqa, dotted_name
 
 __all__ = [
     "ClassInfo",
@@ -27,8 +32,11 @@ __all__ = [
     "ProjectModel",
     "ResolvedSymbol",
     "build_project",
+    "iter_python_files",
     "module_aliases",
 ]
+
+_SKIP_DIRS = frozenset({"__pycache__", ".git", ".venv", "node_modules"})
 
 # Calls at module scope producing these are containers: worker-side
 # mutation of one is a cross-process divergence hazard (G6xx).
@@ -71,6 +79,38 @@ class FunctionInfo:
     class_name: str | None = None  # bare enclosing class name, if a method
     parent: str | None = None  # qualname of the enclosing function, if nested
 
+    def own_nodes(self) -> Iterator[ast.AST]:
+        """Nodes of this function's own body, not of nested defs (which are
+        functions in their own right); nested class bodies are included
+        because they run when this function does."""
+        stack: list[ast.AST] = list(self.node.body)
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(
+                child for child in ast.iter_child_nodes(node)
+                if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            )
+
+    def global_rebinds(self) -> list[tuple[ast.stmt, str]]:
+        """(assignment, name) for each ``global``-declared name it rebinds."""
+        own = list(self.own_nodes())
+        declared = {n for node in own if isinstance(node, ast.Global)
+                    for n in node.names}
+        out: list[tuple[ast.stmt, str]] = []
+        for node in own:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            out.extend(
+                (node, t.id) for t in targets
+                if isinstance(t, ast.Name) and t.id in declared
+            )
+        return out
+
 
 @dataclass(frozen=True)
 class ClassInfo:
@@ -101,18 +141,15 @@ class GlobalInfo:
 
 @dataclass
 class ModuleInfo:
-    """Everything the project rules need to know about one module."""
+    """Everything the rules need to know about one module."""
 
     name: str  # dotted module name
-    path: Path
     relpath: str  # repo-relative POSIX path used in reports
     tree: ast.Module = field(repr=False)
-    is_package: bool = False
     aliases: dict[str, str] = field(default_factory=dict)
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
     classes: dict[str, ClassInfo] = field(default_factory=dict)
     globals: dict[str, GlobalInfo] = field(default_factory=dict)
-    imports: tuple[str, ...] = ()  # dotted modules imported at module scope
     # ``# repro: noqa`` suppressions, 1-based line -> rule ids (None = all).
     noqa: dict[int, "frozenset[str] | None"] = field(default_factory=dict)
 
@@ -121,8 +158,9 @@ class ModuleInfo:
         """Call-graph node name standing for this module's import-time body."""
         return f"{self.name}.<module>"
 
-    def resolve_call_name(self, expr: ast.expr) -> str | None:
-        """Import-aware dotted name of an expression (like FileContext)."""
+    def resolve(self, expr: ast.expr) -> str | None:
+        """Import-aware dotted name: ``np.random.default_rng`` with
+        ``import numpy as np`` resolves to ``numpy.random.default_rng``."""
         raw = dotted_name(expr)
         if raw is None:
             return None
@@ -140,17 +178,27 @@ class ResolvedSymbol:
     module: str  # defining module
 
 
-def module_aliases(
-    tree: ast.Module, module_name: str, is_package: bool
-) -> dict[str, str]:
+def _import_base(node: ast.ImportFrom, package: str) -> str | None:
+    """The absolute module a ``from ... import`` names, or None when a
+    relative import climbs out of the linted packages."""
+    if not node.level:
+        return node.module or ""
+    parts = package.split(".") if package else []
+    climb = node.level - 1
+    if climb >= len(parts):
+        return None
+    anchor = parts[: len(parts) - climb]
+    return ".".join([*anchor, node.module] if node.module else anchor)
+
+
+def module_aliases(tree: ast.Module, package: str) -> dict[str, str]:
     """Local name -> dotted target, resolving relative imports.
 
     ``from .cache import ResultCache`` inside ``repro.runner.executor``
-    maps ``ResultCache -> repro.runner.cache.ResultCache``; absolute
-    imports behave like the per-file map.  Imports anywhere in the module
-    count (several modules import lazily inside functions).
+    maps ``ResultCache -> repro.runner.cache.ResultCache``.  Imports
+    anywhere in the module count (several modules import lazily inside
+    functions).
     """
-    package = module_name if is_package else module_name.rpartition(".")[0]
     aliases: dict[str, str] = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -159,14 +207,9 @@ def module_aliases(
                 target = item.name if item.asname else item.name.split(".")[0]
                 aliases[local] = target
         elif isinstance(node, ast.ImportFrom):
-            base = node.module or ""
-            if node.level:
-                parts = package.split(".") if package else []
-                climb = node.level - 1
-                if climb > len(parts):
-                    continue  # relative import escaping the scanned root
-                anchor = parts[: len(parts) - climb] if climb else parts
-                base = ".".join([*anchor, node.module] if node.module else anchor)
+            base = _import_base(node, package)
+            if base is None:
+                continue
             for item in node.names:
                 if item.name == "*":
                     continue
@@ -175,34 +218,7 @@ def module_aliases(
     return aliases
 
 
-def _scope_imports(
-    body: Iterable[ast.stmt], module_name: str, is_package: bool
-) -> list[str]:
-    """Dotted modules imported by the given statements (module scope)."""
-    package = module_name if is_package else module_name.rpartition(".")[0]
-    out: list[str] = []
-    for node in _scope_stmts(body):
-        if isinstance(node, ast.Import):
-            out.extend(item.name for item in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            base = node.module or ""
-            if node.level:
-                parts = package.split(".") if package else []
-                climb = node.level - 1
-                if climb > len(parts):
-                    continue
-                anchor = parts[: len(parts) - climb] if climb else parts
-                base = ".".join([*anchor, node.module] if node.module else anchor)
-            if base:
-                out.append(base)
-                # ``from pkg import sub`` may name submodules; record both
-                # candidates — resolution just ignores the ones that don't
-                # exist in the project.
-                out.extend(f"{base}.{item.name}" for item in node.names)
-    return out
-
-
-def _classify_global(value: ast.expr | None, aliases: dict[str, str]) -> str:
+def _classify_global(value: ast.expr | None, module: ModuleInfo) -> str:
     """Container / rng / constant / other, from the assigned expression."""
     if value is None:
         return "other"
@@ -214,16 +230,13 @@ def _classify_global(value: ast.expr | None, aliases: dict[str, str]) -> str:
     ):
         return "constant"
     if isinstance(value, ast.Call):
-        raw = dotted_name(value.func)
-        if raw is not None:
-            head, _, rest = raw.partition(".")
-            resolved = aliases.get(head, head) + (f".{rest}" if rest else "")
-            if resolved in _CONTAINER_FACTORIES:
-                return "container"
-            if resolved in RNG_CONSTRUCTORS:
-                return "rng"
-            if resolved == "frozenset" or raw == "frozenset":
-                return "constant"
+        resolved = module.resolve(value.func)
+        if resolved in _CONTAINER_FACTORIES:
+            return "container"
+        if resolved in RNG_CONSTRUCTORS:
+            return "rng"
+        if resolved == "frozenset" or dotted_name(value.func) == "frozenset":
+            return "constant"
     return "other"
 
 
@@ -349,7 +362,7 @@ def _harvest_globals(module: ModuleInfo) -> None:
             targets, value = [node.target], node.value
         else:
             continue
-        kind = _classify_global(value, module.aliases)
+        kind = _classify_global(value, module)
         for target in targets:
             if isinstance(target, ast.Name):
                 module.globals[target.id] = GlobalInfo(
@@ -364,14 +377,39 @@ def _harvest_globals(module: ModuleInfo) -> None:
 
 @dataclass
 class ProjectModel:
-    """All modules of one scanned package tree, plus resolution helpers."""
+    """All modules of the linted paths, plus resolution helpers."""
 
-    root: Path
-    root_package: str
     modules: dict[str, ModuleInfo] = field(default_factory=dict)
-    # Modules that failed to parse: relpath -> error text (reported as E000
-    # by the caller; kept here so the report stays deterministic).
-    errors: dict[str, str] = field(default_factory=dict)
+    # Files that could not be read or parsed: relpath -> E001/E000 finding.
+    errors: dict[str, Finding] = field(default_factory=dict)
+
+    def add_source(
+        self, name: str, relpath: str, source: str, is_package: bool = False
+    ) -> None:
+        """Parse one module's source and index it (or record E000)."""
+        try:
+            tree = ast.parse(source, filename=relpath)
+        except (SyntaxError, ValueError) as err:
+            self.errors[relpath] = Finding(
+                path=relpath,
+                line=getattr(err, "lineno", None) or 1,
+                col=(getattr(err, "offset", None) or 0) + 1,
+                rule="E000",
+                message=f"syntax error: {getattr(err, 'msg', err)}",
+                severity="error",
+            )
+            return
+        package = name if is_package else name.rpartition(".")[0]
+        module = ModuleInfo(
+            name=name,
+            relpath=relpath,
+            tree=tree,
+            aliases=module_aliases(tree, package),
+            noqa=collect_noqa(source.splitlines()),
+        )
+        _harvest_functions(module, tree.body, name, None, None)
+        _harvest_globals(module)
+        self.modules[name] = module
 
     # -- resolution ---------------------------------------------------------
 
@@ -467,52 +505,58 @@ class ProjectModel:
         return [self.modules[name] for name in sorted(self.modules)]
 
 
-def _module_name(py_file: Path, root: Path, root_package: str) -> tuple[str, bool]:
-    """Dotted module name for a file under ``root``; flags packages."""
-    rel = py_file.relative_to(root)
-    parts = list(rel.parts)
-    is_package = parts[-1] == "__init__.py"
-    if is_package:
-        parts = parts[:-1]
-    else:
-        parts[-1] = parts[-1][: -len(".py")]
-    return ".".join([root_package, *parts]) if parts else root_package, is_package
+def iter_python_files(paths: Iterable[Path | str]) -> list[Path]:
+    """Expand files/directories into a sorted, de-duplicated .py file list."""
+    found: set[Path] = set()
+    for path in map(Path, paths):
+        path = path.resolve()
+        if path.is_dir():
+            found.update(
+                sub for sub in path.rglob("*.py")
+                if _SKIP_DIRS.isdisjoint(sub.relative_to(path).parts)
+            )
+        elif path.suffix == ".py" and path.exists():
+            found.add(path)
+    return sorted(found)
 
 
-def build_project(root: Path | str) -> ProjectModel:
-    """Parse every ``.py`` under a package root into a :class:`ProjectModel`.
+def _module_name(py_file: Path) -> tuple[str, bool]:
+    """Dotted name from the file's ``__init__.py`` chain; flags packages.
 
-    ``root`` must be a package directory (contain ``__init__.py``); its
-    directory name becomes the root package name.  Construction order is
-    the sorted file list, so two builds over the same tree are identical
-    regardless of how the caller discovered the files.
+    A file outside any package is a top-level module named by its stem.
     """
-    root = Path(root).resolve()
-    root_package = root.name
-    model = ProjectModel(root=root, root_package=root_package)
-    files = sorted(
-        p for p in root.rglob("*.py") if "__pycache__" not in p.parts
-    )
-    for py_file in files:
-        name, is_package = _module_name(py_file, root, root_package)
+    is_package = py_file.name == "__init__.py"
+    parts = [] if is_package else [py_file.stem]
+    directory = py_file.parent
+    while (directory / "__init__.py").exists():
+        parts.insert(0, directory.name)
+        directory = directory.parent
+    return ".".join(parts), is_package
+
+
+def build_project(paths: Path | str | Iterable[Path | str]) -> ProjectModel:
+    """Read and parse every ``.py`` under ``paths`` into a :class:`ProjectModel`.
+
+    Construction order is the sorted file list, so two builds over the
+    same files are identical regardless of how they were discovered.  Two
+    files claiming one dotted name (loose scripts in different
+    directories) keep it for the first and key the rest by their path.
+    """
+    if isinstance(paths, (str, Path)):
+        paths = [paths]
+    model = ProjectModel()
+    for py_file in iter_python_files(paths):
+        name, is_package = _module_name(py_file)
         relpath = repo_relative(py_file)
+        if name in model.modules:
+            name = relpath.removesuffix(".py")
         try:
             source = py_file.read_text(encoding="utf-8")
-            tree = ast.parse(source, filename=str(py_file))
-        except (SyntaxError, OSError, UnicodeDecodeError) as err:
-            model.errors[relpath] = str(err)
+        except (OSError, UnicodeDecodeError) as err:
+            model.errors[relpath] = Finding(
+                path=relpath, line=1, col=1, rule="E001",
+                message=f"unreadable file: {err}", severity="error",
+            )
             continue
-        module = ModuleInfo(
-            name=name,
-            path=py_file,
-            relpath=relpath,
-            tree=tree,
-            is_package=is_package,
-            aliases=module_aliases(tree, name, is_package),
-            noqa=_collect_noqa(source.splitlines()),
-        )
-        module.imports = tuple(_scope_imports(tree.body, name, is_package))
-        _harvest_functions(module, tree.body, name, None, None)
-        _harvest_globals(module)
-        model.modules[name] = module
+        model.add_source(name, relpath, source, is_package)
     return model

@@ -1,4 +1,9 @@
-"""Rule registry: every lint rule, grouped by family."""
+"""The rule registry: every lint rule, per-module or reachability-based.
+
+Each entry declares ``rule_id``, ``family``, ``severity`` and ``summary``;
+``--list-rules``, ``--select`` and the SARIF rule metadata all read this
+one tuple.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +11,10 @@ from ..visitor import Rule
 from .determinism import DETERMINISM_RULES
 from .docs import DOCS_RULES
 from .hygiene import HYGIENE_RULES
+from .purity import PURITY_RULES
+from .rng import RNG_RULES
 from .simproc import SIMPROC_RULES
+from .state import STATE_RULES
 from .units import UNITS_RULES
 
 ALL_RULES: tuple[type[Rule], ...] = (
@@ -15,6 +23,9 @@ ALL_RULES: tuple[type[Rule], ...] = (
     *SIMPROC_RULES,
     *HYGIENE_RULES,
     *DOCS_RULES,
+    *RNG_RULES,
+    *STATE_RULES,
+    *PURITY_RULES,
 )
 
 __all__ = ["ALL_RULES", "rules_by_family", "rule_ids"]

@@ -1,9 +1,11 @@
 """Determinism rules (D1xx).
 
 Every experiment must be bit-for-bit reproducible from its seed: no
-wall-clock reads, no unseeded or process-global RNG streams, and no
-iteration over bare ``set``s (string hashing is randomized per process, so
-set order leaks ``PYTHONHASHSEED`` into results).
+wall-clock reads, no iteration over bare ``set``s (string hashing is
+randomized per process, so set order leaks ``PYTHONHASHSEED`` into
+results), and no insertion-order iteration of shard/room/AP-keyed dicts.
+Unseeded and process-global RNG streams are the RNG-provenance family's
+(R501/R502, :mod:`repro.analysis.rules.rng`).
 """
 
 from __future__ import annotations
@@ -30,25 +32,6 @@ _WALL_CLOCK_CALLS = frozenset(
     }
 )
 
-# numpy.random attributes that are fine to call: constructing explicit
-# generators/seeds is how deterministic streams are made.
-_NP_RANDOM_OK = frozenset(
-    {
-        "numpy.random.default_rng",
-        "numpy.random.Generator",
-        "numpy.random.RandomState",
-        "numpy.random.SeedSequence",
-        "numpy.random.BitGenerator",
-        "numpy.random.PCG64",
-        "numpy.random.Philox",
-    }
-)
-
-# RNG constructors that must be given an explicit seed.
-_SEEDED_CONSTRUCTORS = frozenset(
-    {"numpy.random.default_rng", "numpy.random.RandomState", "random.Random"}
-)
-
 
 class WallClockRule(Rule):
     """D101: flags wall-clock reads that would leak real time into results."""
@@ -61,7 +44,7 @@ class WallClockRule(Rule):
     )
 
     def visit_Call(self, node: ast.Call) -> None:
-        resolved = self.ctx.resolve(node.func)
+        resolved = self.module.resolve(node.func)
         if resolved in _WALL_CLOCK_CALLS:
             self.report(
                 node,
@@ -69,63 +52,6 @@ class WallClockRule(Rule):
                 "determinism; use time.perf_counter() for timing or pass "
                 "timestamps in explicitly",
             )
-        self.generic_visit(node)
-
-
-class UnseededRngRule(Rule):
-    """D102: flags RNG constructors called without an explicit seed."""
-
-    rule_id = "D102"
-    family = "determinism"
-    summary = "RNG constructors must receive an explicit seed"
-
-    def visit_Call(self, node: ast.Call) -> None:
-        resolved = self.ctx.resolve(node.func)
-        if (
-            resolved in _SEEDED_CONSTRUCTORS
-            and not node.args
-            and not node.keywords
-        ):
-            self.report(
-                node,
-                f"`{resolved}()` without a seed draws OS entropy; pass an "
-                "explicit seed so runs reproduce",
-            )
-        self.generic_visit(node)
-
-
-class GlobalRngRule(Rule):
-    """D103: flags the module-global numpy/random RNG (hidden shared state)."""
-
-    rule_id = "D103"
-    family = "determinism"
-    summary = (
-        "no module-level random.* / np.random.* sampling; "
-        "thread a seeded Generator instead"
-    )
-
-    def visit_Call(self, node: ast.Call) -> None:
-        resolved = self.ctx.resolve(node.func)
-        if resolved is not None:
-            if (
-                resolved.startswith("numpy.random.")
-                and resolved not in _NP_RANDOM_OK
-            ):
-                self.report(
-                    node,
-                    f"`{resolved}` uses numpy's process-global stream; "
-                    "thread an explicit np.random.default_rng(seed)",
-                )
-            elif (
-                resolved.startswith("random.")
-                and resolved not in ("random.Random", "random.SystemRandom")
-            ) or resolved == "random.SystemRandom":
-                self.report(
-                    node,
-                    f"`{resolved}` uses process-global (or OS) randomness; "
-                    "thread an explicit random.Random(seed) or numpy "
-                    "Generator",
-                )
         self.generic_visit(node)
 
 
@@ -151,8 +77,8 @@ class SetIterationRule(Rule):
     family = "determinism"
     summary = "don't iterate bare sets into results; sort first"
 
-    def __init__(self, ctx) -> None:
-        super().__init__(ctx)
+    def __init__(self, ctx, module) -> None:
+        super().__init__(ctx, module)
         self._set_names: list[set[str]] = [set()]
 
     # -- scope tracking: names assigned set expressions in this function ----
@@ -291,10 +217,4 @@ class ShardDictIterationRule(Rule):
     visit_SetComp = _visit_comp
 
 
-DETERMINISM_RULES = (
-    WallClockRule,
-    UnseededRngRule,
-    GlobalRngRule,
-    SetIterationRule,
-    ShardDictIterationRule,
-)
+DETERMINISM_RULES = (WallClockRule, SetIterationRule, ShardDictIterationRule)

@@ -69,7 +69,7 @@ class BlockingSleepRule(Rule):
     summary = "no blocking time.sleep in simulation library code"
 
     def visit_Call(self, node: ast.Call) -> None:
-        if self.ctx.resolve(node.func) == "time.sleep":
+        if self.module.resolve(node.func) == "time.sleep":
             self.report(
                 node,
                 "time.sleep blocks the real thread without advancing "
@@ -88,11 +88,11 @@ class YieldBareCallRule(Rule):
         "wrap it in env.process(...)"
     )
 
-    def __init__(self, ctx) -> None:
-        super().__init__(ctx)
+    def __init__(self, ctx, module) -> None:
+        super().__init__(ctx, module)
         # Names of generator functions defined in this module.
         self._generator_names: set[str] = set()
-        for node in ast.walk(ctx.tree):
+        for node in ast.walk(module.tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if _contains_yield(node):
                     self._generator_names.add(node.name)

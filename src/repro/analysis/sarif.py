@@ -1,27 +1,25 @@
-"""Machine-readable lint output: canonical JSON and SARIF 2.1.0.
+"""Machine-readable lint output: SARIF 2.1.0 and the JSON rendering.
 
-Both serializers are deterministic — findings arrive sorted, rule
-metadata is sorted by id, and paths are normalized to repo-relative POSIX
-— so the rendered documents are **byte-identical** across runs and across
-file discovery orders.  The SARIF form is what CI uploads as an artifact
-(and what code-scanning UIs ingest); the JSON form is the stable
+Both documents are deterministic — findings arrive sorted, rule metadata
+is sorted by id, and paths are repo-relative POSIX — so the rendered
+documents are **byte-identical** across runs and across file discovery
+orders.  The SARIF form is what CI uploads as an artifact (and what
+code-scanning UIs ingest); the JSON form
+(:meth:`repro.analysis.report.Report.to_jsonable`) is the stable
 integration surface for scripts.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Iterable
+from typing import TYPE_CHECKING, Any
 
-from .findings import Finding
-from .paths import repo_relative
+from .rules import ALL_RULES
 
-__all__ = [
-    "rule_metadata",
-    "to_json_document",
-    "to_sarif",
-    "render",
-]
+if TYPE_CHECKING:
+    from .report import Report
+
+__all__ = ["rule_metadata", "to_sarif", "render"]
 
 _TOOL_NAME = "repro-lint"
 _SARIF_SCHEMA = "https://json.schemastore.org/sarif-2.1.0.json"
@@ -29,76 +27,35 @@ _SARIF_VERSION = "2.1.0"
 
 
 def rule_metadata() -> list[dict[str, str]]:
-    """Identity metadata for every rule — per-file tiers and project tier.
-
-    Imported lazily so serialization stays usable even if one rule module
-    fails to import (the catalog then simply omits that family).
-    """
-    from .project.report import PROJECT_RULE_CATALOG
-    from .rules import ALL_RULES
-
-    entries: dict[str, dict[str, str]] = {}
-    for rule in ALL_RULES:
-        entries[rule.rule_id] = {
+    """Identity metadata for every registered rule, sorted by id."""
+    return [
+        {
             "id": rule.rule_id,
             "family": rule.family,
             "severity": rule.severity,
             "summary": rule.summary,
         }
-    for meta in PROJECT_RULE_CATALOG:
-        entries[meta.rule_id] = {
-            "id": meta.rule_id,
-            "family": meta.family,
-            "severity": meta.severity,
-            "summary": meta.summary,
-        }
-    return [entries[rule_id] for rule_id in sorted(entries)]
+        for rule in sorted(ALL_RULES, key=lambda r: r.rule_id)
+    ]
 
 
-def _finding_json(finding: Finding) -> dict[str, Any]:
-    return {
-        "path": repo_relative(finding.path),
-        "line": finding.line,
-        "col": finding.col,
-        "rule": finding.rule,
-        "severity": finding.severity,
-        "suppressed": finding.suppressed,
-        "message": finding.message,
-    }
+def _level(severity: str) -> str:
+    return severity if severity in ("error", "warning") else "note"
 
 
-def to_json_document(
-    findings: Iterable[Finding],
-    project: dict[str, Any] | None = None,
-) -> dict[str, Any]:
-    """The canonical JSON report shape (``repro lint --format json``)."""
-    doc: dict[str, Any] = {
-        "version": 1,
-        "tool": _TOOL_NAME,
-        "rules": rule_metadata(),
-        "findings": [_finding_json(f) for f in sorted(findings)],
-    }
-    if project is not None:
-        doc["project"] = project
-    return doc
-
-
-def to_sarif(
-    findings: Iterable[Finding],
-    project: dict[str, Any] | None = None,
-) -> dict[str, Any]:
-    """A single-run SARIF 2.1.0 log for the given findings."""
+def to_sarif(report: Report) -> dict[str, Any]:
+    """A single-run SARIF 2.1.0 log for one lint pass."""
     results = []
-    for f in sorted(findings):
+    for f in report.findings:
         result: dict[str, Any] = {
             "ruleId": f.rule,
-            "level": f.severity if f.severity in ("error", "warning") else "note",
+            "level": _level(f.severity),
             "message": {"text": f.message},
             "locations": [
                 {
                     "physicalLocation": {
                         "artifactLocation": {
-                            "uri": repo_relative(f.path),
+                            "uri": f.path,
                             "uriBaseId": "SRCROOT",
                         },
                         "region": {
@@ -123,9 +80,7 @@ def to_sarif(
                         "id": meta["id"],
                         "shortDescription": {"text": meta["summary"]},
                         "defaultConfiguration": {
-                            "level": meta["severity"]
-                            if meta["severity"] in ("error", "warning")
-                            else "note"
+                            "level": _level(meta["severity"])
                         },
                         "properties": {"family": meta["family"]},
                     }
@@ -136,9 +91,8 @@ def to_sarif(
         "originalUriBaseIds": {"SRCROOT": {"uri": "file:///"}},
         "columnKind": "utf16CodeUnits",
         "results": results,
+        "properties": {"project": report.project()},
     }
-    if project is not None:
-        run["properties"] = {"project": project}
     return {
         "$schema": _SARIF_SCHEMA,
         "version": _SARIF_VERSION,
@@ -146,16 +100,12 @@ def to_sarif(
     }
 
 
-def render(
-    fmt: str,
-    findings: Iterable[Finding],
-    project: dict[str, Any] | None = None,
-) -> str:
-    """Serialize findings as ``json`` or ``sarif`` text (trailing newline)."""
+def render(fmt: str, report: Report) -> str:
+    """Serialize a report as ``json`` or ``sarif`` text (trailing newline)."""
     if fmt == "json":
-        doc = to_json_document(findings, project)
+        doc = report.to_jsonable()
     elif fmt == "sarif":
-        doc = to_sarif(findings, project)
+        doc = to_sarif(report)
     else:
         raise ValueError(f"unknown machine format: {fmt!r}")
     return json.dumps(doc, indent=2) + "\n"

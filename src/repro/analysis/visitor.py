@@ -1,27 +1,30 @@
-"""Visitor framework shared by every lint rule.
+"""The rule base class and AST name helpers shared by every rule family.
 
-A :class:`FileContext` is built once per file (source lines, import alias
-map, ``# repro: noqa`` suppressions); each :class:`Rule` is an
-``ast.NodeVisitor`` that walks the module tree and emits
-:class:`~repro.analysis.findings.Finding` records through the context.
+Each :class:`Rule` runs once per module of the project model: it sees the
+module's :class:`~repro.analysis.project.model.ModuleInfo` (tree, import
+aliases, ``# repro: noqa`` map) and the whole-program
+:class:`~repro.analysis.project.context.ProjectContext` (call graph and
+reachability), and emits findings through the context's one sink.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from typing import ClassVar, Iterable
+from typing import TYPE_CHECKING, ClassVar, Iterable
 
-from .findings import Finding
+if TYPE_CHECKING:
+    from .project.context import ProjectContext
+    from .project.model import ModuleInfo
 
-__all__ = ["FileContext", "Rule", "dotted_name", "final_attr"]
+__all__ = ["Rule", "collect_noqa", "dotted_name", "final_attr"]
 
 # ``# repro: noqa`` suppresses every rule on the line; ``# repro: noqa[D101]``
 # (comma-separated ids allowed) suppresses just those rules.
 _NOQA_RE = re.compile(r"#\s*repro:\s*noqa(?:\[([A-Za-z0-9_,\s]+)\])?")
 
 
-def _collect_noqa(lines: Iterable[str]) -> dict[int, frozenset[str] | None]:
+def collect_noqa(lines: Iterable[str]) -> dict[int, frozenset[str] | None]:
     """Map 1-based line numbers to suppressed rule ids (None = all rules)."""
     noqa: dict[int, frozenset[str] | None] = {}
     for lineno, text in enumerate(lines, start=1):
@@ -36,29 +39,6 @@ def _collect_noqa(lines: Iterable[str]) -> dict[int, frozenset[str] | None]:
                 part.strip().upper() for part in ids.split(",") if part.strip()
             )
     return noqa
-
-
-def _collect_aliases(tree: ast.Module) -> dict[str, str]:
-    """Map local names to the dotted module/object they were imported as.
-
-    ``import numpy as np`` yields ``np -> numpy``;
-    ``from numpy.random import default_rng`` yields
-    ``default_rng -> numpy.random.default_rng``.  Imports anywhere in the
-    file count (the repo imports lazily inside functions in a few places).
-    """
-    aliases: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for item in node.names:
-                local = item.asname or item.name.split(".")[0]
-                target = item.name if item.asname else item.name.split(".")[0]
-                aliases[local] = target
-        elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
-            for item in node.names:
-                if item.name == "*":
-                    continue
-                aliases[item.asname or item.name] = f"{node.module}.{item.name}"
-    return aliases
 
 
 def dotted_name(node: ast.expr) -> str | None:
@@ -84,63 +64,14 @@ def final_attr(node: ast.expr) -> str | None:
     return None
 
 
-class FileContext:
-    """Everything rules need to know about one source file."""
-
-    def __init__(self, path: str, source: str, tree: ast.Module) -> None:
-        self.path = path
-        self.source = source
-        self.tree = tree
-        self.lines = source.splitlines()
-        self.noqa = _collect_noqa(self.lines)
-        self.aliases = _collect_aliases(tree)
-        self.findings: list[Finding] = []
-
-    def resolve(self, node: ast.expr) -> str | None:
-        """Import-aware dotted name: ``np.random.default_rng`` with
-        ``import numpy as np`` resolves to ``numpy.random.default_rng``."""
-        raw = dotted_name(node)
-        if raw is None:
-            return None
-        head, _, rest = raw.partition(".")
-        resolved_head = self.aliases.get(head, head)
-        return f"{resolved_head}.{rest}" if rest else resolved_head
-
-    def is_suppressed(self, rule_id: str, line: int) -> bool:
-        if line not in self.noqa:
-            return False
-        ids = self.noqa[line]
-        return ids is None or rule_id.upper() in ids
-
-    def add(
-        self,
-        rule_id: str,
-        node: ast.AST,
-        message: str,
-        severity: str = "warning",
-    ) -> None:
-        line = getattr(node, "lineno", 1)
-        col = getattr(node, "col_offset", 0) + 1
-        self.findings.append(
-            Finding(
-                path=self.path,
-                line=line,
-                col=col,
-                rule=rule_id,
-                message=message,
-                suppressed=self.is_suppressed(rule_id, line),
-                severity=severity,
-            )
-        )
-
-
 class Rule(ast.NodeVisitor):
-    """One lint rule: a visitor plus identity metadata.
+    """One lint rule: identity metadata plus a check over one module.
 
-    Subclasses set ``rule_id`` (family letter + number), ``family`` and
-    ``summary``, then implement ``visit_*`` methods calling
-    :meth:`report`.  A fresh instance runs per file, so per-file state can
-    live on ``self``.
+    Subclasses set ``rule_id`` (family letter + number), ``family``,
+    ``severity`` and ``summary``, then either implement ``visit_*``
+    methods (the default :meth:`run` walks the module tree) or override
+    :meth:`run`, calling :meth:`report` for each violation.  A fresh
+    instance runs per module, so per-module state can live on ``self``.
     """
 
     rule_id: ClassVar[str] = "X000"
@@ -148,11 +79,12 @@ class Rule(ast.NodeVisitor):
     summary: ClassVar[str] = ""
     severity: ClassVar[str] = "warning"
 
-    def __init__(self, ctx: FileContext) -> None:
+    def __init__(self, ctx: ProjectContext, module: ModuleInfo) -> None:
         self.ctx = ctx
+        self.module = module
 
     def report(self, node: ast.AST, message: str) -> None:
-        self.ctx.add(self.rule_id, node, message, severity=self.severity)
+        self.ctx.add(self.module, node, self.rule_id, message, self.severity)
 
     def run(self) -> None:
-        self.visit(self.ctx.tree)
+        self.visit(self.module.tree)

@@ -51,6 +51,8 @@ class ResultCache:
             payload = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, ValueError):
             return None
+        if not isinstance(payload, dict):
+            return None
         # The hash already encodes spec+version; the embedded copy guards
         # against (astronomically unlikely) collisions and hand-edited files.
         if payload.get("spec") != spec.to_jsonable():

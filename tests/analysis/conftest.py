@@ -4,9 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import analyze_paths
+from repro.analysis import analyze
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC_ROOT = Path(__file__).parents[2] / "src" / "repro"
 
 
 @pytest.fixture(scope="module")
@@ -14,6 +15,12 @@ def fixture_findings():
     """Lint one fixture file and return its findings."""
 
     def run(name: str):
-        return analyze_paths([FIXTURES / name])
+        return analyze([FIXTURES / name]).findings
 
     return run
+
+
+@pytest.fixture(scope="session")
+def tree_report():
+    """One whole-tree lint pass shared by every test that gates on it."""
+    return analyze([SRC_ROOT])

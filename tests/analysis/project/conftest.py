@@ -1,19 +1,11 @@
 """Shared helpers for the whole-program analysis tests."""
 
-from pathlib import Path
-
 import pytest
 
-from repro.analysis.project import analyze_project, build_project
+from repro.analysis import analyze
+from repro.analysis.project import build_project
 
-FIXTURES = Path(__file__).parents[1] / "fixtures"
-SRC_ROOT = Path(__file__).parents[3] / "src" / "repro"
-
-
-@pytest.fixture(scope="session")
-def tree_report():
-    """One whole-tree analysis shared by every test that gates on it."""
-    return analyze_project(SRC_ROOT)
+from ..conftest import FIXTURES
 
 
 @pytest.fixture(scope="session")
@@ -23,7 +15,7 @@ def fixture_report():
 
     def run(name: str):
         if name not in cache:
-            cache[name] = analyze_project(FIXTURES / name)
+            cache[name] = analyze([FIXTURES / name])
         return cache[name]
 
     return run

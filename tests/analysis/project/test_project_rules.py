@@ -2,7 +2,7 @@
 
 import textwrap
 
-from repro.analysis.project import analyze_project
+from repro.analysis import analyze
 
 
 def _rule_files(report):
@@ -90,7 +90,7 @@ def test_noqa_suppresses_project_findings(tmp_path):
         ),
         encoding="utf-8",
     )
-    report = analyze_project(pkg)
+    report = analyze([pkg])
     assert [f.rule for f in report.findings] == ["G601"]
     assert report.findings[0].suppressed
     assert report.active() == []

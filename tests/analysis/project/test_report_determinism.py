@@ -1,24 +1,16 @@
-"""The project report must be byte-identical across runs and file orders."""
+"""The lint report must be byte-identical across runs and file orders."""
 
 import random
 from pathlib import Path
 
-from repro.analysis.project import analyze_project
+from repro.analysis import analyze
 from repro.analysis.sarif import render
 
-from .conftest import FIXTURES
+from ..conftest import FIXTURES
 
 
 def _document(fmt, root):
-    report = analyze_project(root)
-    meta = {
-        "root": report.root,
-        "modules": report.modules,
-        "entry_points": report.entry_points,
-        "certified": report.certified,
-        "parse_errors": report.parse_errors,
-    }
-    return render(fmt, report.findings, meta)
+    return render(fmt, analyze([root]))
 
 
 def test_repeated_runs_are_byte_identical():
@@ -43,9 +35,9 @@ def test_shuffled_discovery_order_is_byte_identical(monkeypatch):
 
 
 def test_to_jsonable_round_trips_stably():
-    report = analyze_project(FIXTURES / "proj_purity")
+    report = analyze([FIXTURES / "proj_purity"])
     doc1 = report.to_jsonable()
-    doc2 = analyze_project(FIXTURES / "proj_purity").to_jsonable()
+    doc2 = analyze([FIXTURES / "proj_purity"]).to_jsonable()
     assert doc1 == doc2
     assert doc1["version"] == 1
     keys = [(f["path"], f["line"], f["col"], f["rule"])

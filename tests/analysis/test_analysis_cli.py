@@ -1,5 +1,13 @@
 """CLI behavior: exit codes, selection, baselines, and the `repro lint` alias."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.analysis.baseline import load_baseline
 from repro.analysis.cli import main as lint_main
 from repro.cli import main as repro_main
 
@@ -33,10 +41,41 @@ def test_select_limits_rules(capsys):
 
 
 def test_select_unknown_rule_errors():
-    import pytest
-
     with pytest.raises(SystemExit):
         lint_main(["--select", "nosuchrule", BAD])
+
+
+def test_missing_path_is_a_one_line_usage_error():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[2] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.analysis", "src/repr0"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and "src/repr0" in proc.stderr
+
+
+def test_path_without_python_files_is_a_usage_error(tmp_path, capsys):
+    (tmp_path / "notes.txt").write_text("no code here\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        lint_main([CLEAN, str(tmp_path)])
+    assert exc.value.code == 2
+    assert "no Python files" in capsys.readouterr().err
+
+
+def test_malformed_baseline_is_a_usage_error(tmp_path, capsys):
+    baseline = tmp_path / "baseline.json"
+    baseline.write_text('[{"path": "x.py"}]', encoding="utf-8")
+    with pytest.raises(ValueError, match="baseline.json: record 0"):
+        load_baseline(baseline)
+    with pytest.raises(SystemExit) as exc:
+        lint_main([CLEAN, "--baseline", str(baseline)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "baseline.json: record 0" in err and "Traceback" not in err
 
 
 def test_write_then_apply_baseline(tmp_path, capsys):

@@ -2,7 +2,7 @@
 
 import json
 
-from repro.analysis import analyze_paths
+from repro.analysis import analyze
 from repro.analysis.baseline import (
     apply_baseline,
     load_baseline,
@@ -15,7 +15,7 @@ BAD = FIXTURES / "bad_determinism.py"
 
 
 def test_written_baseline_uses_repo_relative_posix_paths(tmp_path):
-    findings = analyze_paths([BAD.resolve()])  # absolute input path
+    findings = analyze([BAD.resolve()]).findings  # absolute input path
     baseline = tmp_path / "baseline.json"
     write_baseline(baseline, findings)
     records = json.loads(baseline.read_text(encoding="utf-8"))
@@ -29,11 +29,11 @@ def test_written_baseline_uses_repo_relative_posix_paths(tmp_path):
 def test_absolute_findings_match_relative_baseline(tmp_path, monkeypatch):
     # Baseline written from a repo-relative invocation...
     monkeypatch.chdir(BAD.parents[3])
-    relative = analyze_paths([BAD.relative_to(BAD.parents[3])])
+    relative = analyze([BAD.relative_to(BAD.parents[3])]).findings
     baseline = tmp_path / "baseline.json"
     write_baseline(baseline, relative)
     # ...still suppresses findings produced from an absolute one.
-    absolute = analyze_paths([BAD.resolve()])
+    absolute = analyze([BAD.resolve()]).findings
     after = apply_baseline(absolute, load_baseline(baseline))
     assert after and all(f.suppressed for f in after)
 

@@ -1,4 +1,5 @@
-"""The determinism family (D1xx) fires on its fixture, and only as expected."""
+"""The determinism family (D1xx) and the RNG rules (R501/R502) fire on the
+determinism fixture, and only as expected."""
 
 from collections import Counter
 
@@ -12,7 +13,7 @@ def rules_of(findings):
 def test_fixture_fires_every_determinism_rule(fixture_findings):
     findings = fixture_findings("bad_determinism.py")
     assert rules_of(findings) == Counter(
-        {"D101": 2, "D102": 2, "D103": 2, "D104": 3, "D105": 2}
+        {"D101": 2, "R501": 2, "R502": 2, "D104": 3, "D105": 2}
     )
 
 
@@ -29,21 +30,23 @@ def test_wall_clock_allows_perf_counter_and_monotonic():
 
 def test_import_aliases_are_resolved():
     src = "import numpy.random as npr\nx = npr.normal()\n"
-    assert [f.rule for f in analyze_source(src)] == ["D103"]
+    assert [f.rule for f in analyze_source(src)] == ["R502"]
 
 
 def test_unseeded_default_rng_flagged_seeded_allowed():
-    bad = "import numpy as np\nrng = np.random.default_rng()\n"
-    good = "import numpy as np\nrng = np.random.default_rng(42)\n"
-    assert [f.rule for f in analyze_source(bad)] == ["D102"]
+    # Inside a function: a module-level generator is R503 on its own.
+    bad = "import numpy as np\ndef f():\n    return np.random.default_rng()\n"
+    good = "import numpy as np\ndef f():\n    return np.random.default_rng(42)\n"
+    assert [f.rule for f in analyze_source(bad)] == ["R501"]
     assert analyze_source(good) == []
 
 
 def test_generator_method_calls_not_confused_with_global_stream():
     src = (
         "import numpy as np\n"
-        "rng = np.random.default_rng(0)\n"
-        "x = rng.normal()\n"
+        "def f():\n"
+        "    rng = np.random.default_rng(0)\n"
+        "    return rng.normal()\n"
     )
     assert analyze_source(src) == []
 

@@ -2,15 +2,14 @@
 
 from pathlib import Path
 
-import repro
 from repro.analysis import (
-    analyze_paths,
+    analyze,
     analyze_source,
     load_baseline,
     write_baseline,
 )
 from repro.analysis.baseline import apply_baseline
-from repro.analysis.engine import iter_python_files
+from repro.analysis.project.model import iter_python_files
 from repro.analysis.rules import ALL_RULES, rule_ids, rules_by_family
 
 from .conftest import FIXTURES
@@ -20,11 +19,9 @@ def test_clean_fixture_has_zero_findings(fixture_findings):
     assert fixture_findings("clean.py") == []
 
 
-def test_whole_library_tree_is_clean():
+def test_whole_library_tree_is_clean(tree_report):
     """The gate the CI job enforces: src/repro itself lints clean."""
-    package_root = Path(repro.__file__).parent
-    findings = analyze_paths([package_root])
-    active = [f for f in findings if not f.suppressed]
+    active = tree_report.active()
     assert active == [], "\n".join(f.format() for f in active)
 
 
@@ -52,7 +49,7 @@ def test_syntax_error_becomes_e000_finding():
 
 
 def test_baseline_roundtrip(tmp_path):
-    findings = analyze_paths([FIXTURES / "bad_hygiene.py"])
+    findings = analyze([FIXTURES / "bad_hygiene.py"]).findings
     assert findings
     baseline_file = tmp_path / "baseline.json"
     count = write_baseline(baseline_file, findings)
@@ -62,10 +59,12 @@ def test_baseline_roundtrip(tmp_path):
 
 
 def test_baseline_misses_new_findings(tmp_path):
-    old = analyze_paths([FIXTURES / "bad_hygiene.py"])
+    old = analyze([FIXTURES / "bad_hygiene.py"]).findings
     baseline_file = tmp_path / "baseline.json"
     write_baseline(baseline_file, old)
-    new = analyze_paths([FIXTURES / "bad_hygiene.py", FIXTURES / "bad_units.py"])
+    new = analyze(
+        [FIXTURES / "bad_hygiene.py", FIXTURES / "bad_units.py"]
+    ).findings
     still_active = [
         f for f in apply_baseline(new, load_baseline(baseline_file))
         if not f.suppressed
@@ -79,8 +78,8 @@ def test_missing_baseline_is_empty():
 
 def test_rule_subset_runs_only_selected_family():
     units_only = rules_by_family()["units"]
-    findings = analyze_paths([FIXTURES / "bad_hygiene.py"], rules=units_only)
-    assert findings == []
+    report = analyze([FIXTURES / "bad_hygiene.py"], rules=units_only)
+    assert report.findings == []
 
 
 def test_iter_python_files_dedups_and_sorts(tmp_path):
@@ -96,5 +95,8 @@ def test_rule_ids_are_unique_and_familied():
     ids = rule_ids()
     assert len(ids) == len(set(ids)) == len(ALL_RULES)
     assert set(rules_by_family()) == {
-        "determinism", "units", "simproc", "hygiene", "docs"
+        "determinism", "units", "simproc", "hygiene", "docs",
+        "rng-provenance", "shared-state", "cache-purity",
     }
+    for rule in ALL_RULES:
+        assert rule.summary and rule.severity in ("warning", "error")

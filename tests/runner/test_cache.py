@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.runner import ResultCache, RunSpec
 from repro.runner.cache import ENV_CACHE_DIR, default_cache_root
 
@@ -41,6 +43,15 @@ def test_corrupt_entry_reads_as_miss(tmp_path):
     spec = RunSpec.make("exp", x=1)
     path = cache.put(spec, {"v": 1})
     path.write_text("{not json", encoding="utf-8")
+    assert cache.get(spec) is None
+
+
+@pytest.mark.parametrize("text", ["[]", '"x"', "3", "null"])
+def test_non_object_entry_reads_as_miss(tmp_path, text):
+    cache = ResultCache(root=tmp_path, version="1")
+    spec = RunSpec.make("exp", x=1)
+    path = cache.put(spec, {"v": 1})
+    path.write_text(text, encoding="utf-8")
     assert cache.get(spec) is None
 
 
