@@ -8,17 +8,23 @@ whose similarity is "low initially [but] increases to 1 towards the end".
 import numpy as np
 import pytest
 
-from repro.experiments import run_fig2a
+from repro.experiments import fig2a
+from repro.runner import run_experiment
 
 
 @pytest.mark.repro
 def test_fig2a(benchmark, print_result):
-    result = benchmark.pedantic(
-        run_fig2a,
-        kwargs={"num_users": 16, "num_frames": 300, "cell_size": 0.5},
+    merged = benchmark.pedantic(
+        run_experiment,
+        args=("fig2a", {"num_users": 16, "num_frames": 300, "cell_size": 0.5}),
         rounds=1,
         iterations=1,
     )
+    stable_pair = tuple(merged["stable_pair"])
+    stable_iou = np.array(merged["stable_iou"])
+    converging_pair = tuple(merged["converging_pair"])
+    converging_iou = np.array(merged["converging_iou"])
+    early, late = fig2a.converging_ends(merged)
 
     def sketch(series, width=60):
         idx = np.linspace(0, len(series) - 1, width).astype(int)
@@ -27,27 +33,23 @@ def test_fig2a(benchmark, print_result):
         )
 
     body = (
-        f"stable pair {result.stable_pair}: mean IoU "
-        f"{result.stable_mean:.3f}\n  [{sketch(result.stable_iou)}]\n"
-        f"converging pair {result.converging_pair}: "
-        f"{np.mean(result.converging_iou[:60]):.2f} -> "
-        f"{np.mean(result.converging_iou[-60:]):.2f} "
-        f"(gain {result.converging_gain:+.2f})\n"
-        f"  [{sketch(result.converging_iou)}]"
+        f"stable pair {stable_pair}: mean IoU "
+        f"{fig2a.stable_mean(merged):.3f}\n  [{sketch(stable_iou)}]\n"
+        f"converging pair {converging_pair}: {early:.2f} -> {late:.2f} "
+        f"(gain {fig2a.converging_gain(merged):+.2f})\n"
+        f"  [{sketch(converging_iou)}]"
     )
     print_result("Fig. 2a (reproduced, IoU 0..1 rendered as ' .:-=+*#%@')", body)
 
     # Stable pair: same content most of the time.
-    assert result.stable_mean > 0.9
-    assert float(np.median(result.stable_iou)) > 0.95
+    assert fig2a.stable_mean(merged) > 0.9
+    assert float(np.median(stable_iou)) > 0.95
 
     # Converging pair: low -> high, ending near 1.
-    early = float(np.mean(result.converging_iou[:60]))
-    late = float(np.mean(result.converging_iou[-60:]))
     assert late - early > 0.2
     assert late > 0.75
 
     # Full 300-frame series, values in [0, 1].
-    for series in (result.stable_iou, result.converging_iou):
+    for series in (stable_iou, converging_iou):
         assert len(series) == 300
         assert np.all(series >= 0.0) and np.all(series <= 1.0)

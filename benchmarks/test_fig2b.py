@@ -11,21 +11,23 @@ Asserts the paper's three comparative findings:
 import numpy as np
 import pytest
 
-from repro.experiments import FIG2B_CURVES, empirical_cdf, run_fig2b
+from repro.experiments import FIG2B_CURVES, empirical_cdf, fig2b
+from repro.runner import run_experiment
 
 
 @pytest.mark.repro
 def test_fig2b(benchmark, print_result):
-    result = benchmark.pedantic(
-        run_fig2b,
-        kwargs={"num_users": 32, "duration_s": 10.0},
+    merged = benchmark.pedantic(
+        run_experiment,
+        args=("fig2b", {"num_users": 32, "duration_s": 10.0}),
         rounds=1,
         iterations=1,
     )
+    samples_by_curve = fig2b.curve_samples(merged)
 
     lines = []
     for curve in FIG2B_CURVES:
-        samples = result.samples[curve]
+        samples = samples_by_curve[curve]
         qs = np.percentile(samples, [10, 25, 50, 75, 90])
         lines.append(
             f"{curve:18s} mean {np.mean(samples):.3f}  "
@@ -34,8 +36,8 @@ def test_fig2b(benchmark, print_result):
         )
     print_result("Fig. 2b (reproduced IoU distributions)", "\n".join(lines))
 
-    means = result.summary()
-    medians = {c: result.median_iou(c) for c in FIG2B_CURVES}
+    means = fig2b.mean_iou(merged)
+    medians = {c: float(np.median(samples_by_curve[c])) for c in FIG2B_CURVES}
 
     # Finding 1: coarser segmentation -> higher similarity.
     assert means["HM(2)-Seg(100cm)"] > means["HM(2)-Seg(50cm)"]
@@ -51,7 +53,7 @@ def test_fig2b(benchmark, print_result):
     # similarity opportunity the paper leverages exists: substantial mass
     # at high IoU.
     for curve in FIG2B_CURVES:
-        xs, _ = empirical_cdf(result.samples[curve])
+        xs, _ = empirical_cdf(samples_by_curve[curve])
         assert xs[0] < 0.9
         assert xs[-1] > 0.6
-        assert float(np.mean(result.samples[curve] > 0.5)) > 0.2
+        assert float(np.mean(samples_by_curve[curve] > 0.5)) > 0.2

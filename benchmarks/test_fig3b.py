@@ -8,29 +8,31 @@ for 2- / 3-user multicast groups under the default sector codebook.
 import numpy as np
 import pytest
 
-from repro.experiments import run_fig3b
+from repro.experiments import fig3b
 from repro.experiments.fig3b import RSS_TARGET_DBM
+from repro.runner import run_experiment
 
 
 @pytest.mark.repro
 def test_fig3b(benchmark, print_result):
-    result = benchmark.pedantic(
-        run_fig3b, kwargs={"num_instants": 150}, rounds=1, iterations=1
+    merged = benchmark.pedantic(
+        run_experiment, args=("fig3b", {"num_instants": 150}), rounds=1, iterations=1
     )
+    group_samples = fig3b.group_samples(merged)
+    cov = fig3b.coverage(merged)
 
     paper = {1: 0.965, 2: 0.79, 3: 0.60}
     lines = []
-    for k in sorted(result.samples):
-        samples = result.samples[k]
+    for k in sorted(group_samples):
+        samples = group_samples[k]
         lines.append(
             f"{k} user(s): coverage@{RSS_TARGET_DBM:.0f}dBm = "
-            f"{result.coverage_at(k):.3f} (paper {paper[k]:.3f}), "
+            f"{cov[k]:.3f} (paper {paper[k]:.3f}), "
             f"RSS range [{samples.min():.1f}, {samples.max():.1f}] dBm, "
             f"median {np.median(samples):.1f}"
         )
     print_result("Fig. 3b (reproduced)", "\n".join(lines))
 
-    cov = result.summary()
     # Monotone decrease with group size — the paper's core observation.
     assert cov[1] > cov[2] > cov[3]
     # Single users are almost always coverable; 3-user groups are not.
@@ -40,6 +42,6 @@ def test_fig3b(benchmark, print_result):
     assert cov[1] - cov[3] > 0.2
 
     # RSS distributions span the measured range (roughly -78..-54 dBm).
-    for samples in result.samples.values():
+    for samples in group_samples.values():
         assert samples.max() > -60.0
         assert samples.min() < -65.0

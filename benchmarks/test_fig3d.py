@@ -10,39 +10,40 @@ kept.
 import numpy as np
 import pytest
 
-from repro.experiments import empirical_cdf, run_fig3d
+from repro.experiments import empirical_cdf, fig3d
+from repro.runner import run_experiment
 
 
 @pytest.mark.repro
 def test_fig3d(benchmark, print_result):
-    result = benchmark.pedantic(
-        run_fig3d, kwargs={"num_instants": 200}, rounds=1, iterations=1
+    merged = benchmark.pedantic(
+        run_experiment, args=("fig3d", {"num_instants": 200}), rounds=1, iterations=1
     )
+    default_rss, custom_rss = fig3d.rss_samples(merged)
+    summary = fig3d.summary(merged)
 
-    xs_d, ps_d = empirical_cdf(result.default_rss)
-    xs_c, ps_c = empirical_cdf(result.custom_rss)
+    xs_d, ps_d = empirical_cdf(default_rss)
+    xs_c, ps_c = empirical_cdf(custom_rss)
     lines = [
         "default  common RSS: p25/p50/p75 = "
-        + "/".join(f"{np.percentile(result.default_rss, q):.1f}" for q in (25, 50, 75)),
+        + "/".join(f"{np.percentile(default_rss, q):.1f}" for q in (25, 50, 75)),
         "custom   common RSS: p25/p50/p75 = "
-        + "/".join(f"{np.percentile(result.custom_rss, q):.1f}" for q in (25, 50, 75)),
-        f"mean improvement  : {result.mean_improvement_db():.2f} dB",
-        f"median improvement: {result.median_improvement_db():.2f} dB",
-        f"custom beam wins at {result.win_fraction() * 100:.0f}% of placements "
+        + "/".join(f"{np.percentile(custom_rss, q):.1f}" for q in (25, 50, 75)),
+        f"mean improvement  : {summary['mean_improvement_db']:.2f} dB",
+        f"median improvement: {summary['median_improvement_db']:.2f} dB",
+        f"custom beam wins at {summary['win_fraction'] * 100:.0f}% of placements "
         "(default kept elsewhere)",
     ]
     print_result("Fig. 3d (reproduced)", "\n".join(lines))
 
     # Custom beams improve the common RSS distribution...
-    assert result.mean_improvement_db() > 1.0
-    assert result.median_improvement_db() > 0.5
+    assert summary["mean_improvement_db"] > 1.0
+    assert summary["median_improvement_db"] > 0.5
     # ...never losing anywhere (the designer falls back to the default).
-    assert np.all(result.custom_rss >= result.default_rss - 1e-9)
+    assert np.all(custom_rss >= default_rss - 1e-9)
     # The win is frequent but not universal — co-located pairs keep the
     # default beam, the paper's "directly use the default common beam" case.
-    assert 0.3 < result.win_fraction() < 1.0
+    assert 0.3 < summary["win_fraction"] < 1.0
     # The custom CDF is right-shifted at every quartile.
     for q in (25, 50, 75):
-        assert np.percentile(result.custom_rss, q) >= np.percentile(
-            result.default_rss, q
-        )
+        assert np.percentile(custom_rss, q) >= np.percentile(default_rss, q)

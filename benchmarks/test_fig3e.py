@@ -8,21 +8,22 @@ beams "can effectively increase the data rate".
 
 import pytest
 
-from repro.experiments import SCHEMES, run_fig3e
+from repro.experiments import SCHEMES, fig3e
+from repro.runner import run_experiment
 
 
 @pytest.mark.repro
 def test_fig3e(benchmark, print_result):
-    result = benchmark.pedantic(
-        run_fig3e, kwargs={"num_instants": 80}, rounds=1, iterations=1
+    merged = benchmark.pedantic(
+        run_experiment, args=("fig3e", {"num_instants": 80}), rounds=1, iterations=1
     )
 
-    means = result.summary()
+    means = fig3e.mean_throughput(merged)
+    worse = fig3e.default_worse_than_unicast_fraction(merged)
     bar = lambda v: "#" * int(round(v * 40))  # noqa: E731
     lines = [f"{s:18s} {means[s]:.3f} |{bar(means[s])}" for s in SCHEMES]
     lines.append(
-        "default-beam multicast loses to unicast at "
-        f"{result.default_worse_than_unicast_fraction() * 100:.0f}% of instants"
+        f"default-beam multicast loses to unicast at {worse * 100:.0f}% of instants"
     )
     print_result("Fig. 3e (reproduced, normalized throughput)", "\n".join(lines))
 
@@ -33,7 +34,7 @@ def test_fig3e(benchmark, print_result):
 
     # Default-beam multicast helps on average but is *not* reliable: there
     # exist instants where it is worse than unicast (the paper's warning).
-    assert result.default_worse_than_unicast_fraction() > 0.0
+    assert worse > 0.0
 
     # Unicast is clearly the weakest scheme on average for overlapped
     # viewports.

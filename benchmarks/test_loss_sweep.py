@@ -10,48 +10,53 @@ feedback and only ~p extra packets, so it keeps the frame rate.
 
 import pytest
 
-from repro.experiments import run_loss_sweep
+from repro.experiments.loss_sweep import by_mode
+from repro.runner import get_experiment, run_experiment
 
 
 @pytest.mark.repro
 def test_loss_sweep(benchmark, print_result):
-    result = benchmark.pedantic(
-        run_loss_sweep, kwargs={"num_frames": 20}, rounds=1, iterations=1
+    merged = benchmark.pedantic(
+        run_experiment, args=("loss_sweep", {"num_frames": 20}), rounds=1, iterations=1
     )
-    print_result("Loss sweep: goodput (Mbps) | frame rate by mode", result.format())
+    print_result(
+        "Loss sweep: goodput (Mbps) | frame rate by mode",
+        get_experiment("loss_sweep").format_result(merged),
+    )
+    goodput = by_mode(merged, "goodput_mbps")
+    fps = by_mode(merged, "effective_fps")
+    delivery = by_mode(merged, "frame_delivery_rate")
 
     # Lossless sanity: every mode sustains the target frame rate, and the
     # ideal fluid model is the ceiling.
-    for mode in result.modes:
-        assert result.effective_fps[mode][0.0] == pytest.approx(30.0)
-        assert result.goodput_mbps["ideal"][0.0] >= result.goodput_mbps[mode][0.0]
+    for mode in merged["modes"]:
+        assert fps[mode][0.0] == pytest.approx(30.0)
+        assert goodput["ideal"][0.0] >= goodput[mode][0.0]
 
     # Mild loss (1-2%): ARQ's spare airtime absorbs the retransmissions.
-    assert result.effective_fps["arq"][0.02] >= 25.0
-    assert result.frame_delivery_rate["arq"][0.02] >= 0.9
+    assert fps["arq"][0.02] >= 25.0
+    assert delivery["arq"][0.02] >= 0.9
 
     # The headline: at >=5% loss ARQ-only multicast collapses while FEC
     # retains >=2x its goodput (here: ARQ delivers nothing at all).
     for p in (0.05, 0.10):
-        fec = result.goodput_mbps["fec"][p]
-        arq = result.goodput_mbps["arq"][p]
+        fec = goodput["fec"][p]
+        arq = goodput["arq"][p]
         assert fec > 0
         assert fec >= 2.0 * arq
-        assert result.effective_fps["fec"][p] >= 25.0
-        assert result.effective_fps["arq"][p] <= 5.0
+        assert fps["fec"][p] >= 25.0
+        assert fps["arq"][p] <= 5.0
 
     # Hybrid uses FEC for the (fully shared) multicast leg, so it matches
     # FEC here; the ideal ceiling is never beaten.
-    for p in result.loss_points:
-        assert result.goodput_mbps["hybrid"][p] == pytest.approx(
-            result.goodput_mbps["fec"][p]
-        )
+    for p in merged["loss_points"]:
+        assert goodput["hybrid"][p] == pytest.approx(goodput["fec"][p])
 
 
 @pytest.mark.repro
 def test_loss_sweep_deterministic():
-    a = run_loss_sweep(num_frames=8, loss_points=(0.0, 0.05, 0.1))
-    b = run_loss_sweep(num_frames=8, loss_points=(0.0, 0.05, 0.1))
-    assert a.goodput_mbps == b.goodput_mbps
-    assert a.effective_fps == b.effective_fps
-    assert a.frame_delivery_rate == b.frame_delivery_rate
+    overrides = {"num_frames": 8, "loss_points": (0.0, 0.05, 0.1)}
+    a = run_experiment("loss_sweep", overrides)
+    b = run_experiment("loss_sweep", overrides)
+    for metric in ("goodput_mbps", "effective_fps", "frame_delivery_rate"):
+        assert by_mode(a, metric) == by_mode(b, metric)

@@ -8,30 +8,33 @@ either lead to more concurrent users or improve the QoE".
 
 import pytest
 
-from repro.experiments import run_scaling
+from repro.experiments import scaling
+from repro.runner import get_experiment, run_experiment
 
 
 @pytest.mark.repro
 def test_scaling(benchmark, print_result):
-    result = benchmark.pedantic(
-        run_scaling, kwargs={"num_frames": 24}, rounds=1, iterations=1
+    merged = benchmark.pedantic(
+        run_experiment, args=("scaling", {"num_frames": 24}), rounds=1, iterations=1
     )
-    print_result("Scaling: max users at ~30 FPS, 550K quality", result.format())
+    print_result(
+        "Scaling: max users at ~30 FPS, 550K quality",
+        get_experiment("scaling").format_result(merged),
+    )
+
+    def max_users(system):
+        return scaling.max_users(merged, system)
 
     # The paper's ladder, rung by rung.
-    assert result.max_users("802.11ac vanilla") == 1
-    assert result.max_users("802.11ad vanilla") == 3
-    assert 4 <= result.max_users("802.11ad ViVo") <= 6  # paper: +1-2 users
-    assert result.max_users("802.11ad ViVo+multicast") >= result.max_users(
-        "802.11ad ViVo"
-    ) + 1
+    assert max_users("802.11ac vanilla") == 1
+    assert max_users("802.11ad vanilla") == 3
+    assert 4 <= max_users("802.11ad ViVo") <= 6  # paper: +1-2 users
+    assert max_users("802.11ad ViVo+multicast") >= max_users("802.11ad ViVo") + 1
 
     # Monotone orderings everywhere: better systems never do worse.
-    counts = sorted(result.fps["802.11ad vanilla"])
+    fps = scaling.fps_by_system(merged)
+    counts = sorted(fps["802.11ad vanilla"])
     for n in counts:
-        assert result.fps["802.11ac ViVo"][n] >= result.fps["802.11ac vanilla"][n]
-        assert result.fps["802.11ad ViVo"][n] >= result.fps["802.11ad vanilla"][n]
-        assert (
-            result.fps["802.11ad ViVo+multicast"][n]
-            >= result.fps["802.11ad ViVo"][n] - 0.5
-        )
+        assert fps["802.11ac ViVo"][n] >= fps["802.11ac vanilla"][n]
+        assert fps["802.11ad ViVo"][n] >= fps["802.11ad vanilla"][n]
+        assert fps["802.11ad ViVo+multicast"][n] >= fps["802.11ad ViVo"][n] - 0.5

@@ -14,23 +14,24 @@ Run:  python examples/policy_shootout.py
 
 from __future__ import annotations
 
-from repro.experiments import run_policy_comparison
+from repro.runner import get_experiment, run_experiment
 
 
 def main() -> None:
     print("Racing the policy stacks on the classroom scenario")
     print("(per stack: one closed-loop session per loss x class size)...\n")
-    result = run_policy_comparison(
-        loss_points=(0.0, 0.05),
-        user_counts=(2, 6),
-        duration_s=5.0,
+    result = run_experiment(
+        "policy_comparison",
+        {"loss_points": (0.0, 0.05), "user_counts": (2, 6), "duration_s": 5.0},
     )
-    print(result.format())
+    print(get_experiment("policy_comparison").format_result(result))
     print()
 
+    # Every stack at a point carries the same allocation comparison.
     gains = {
-        point: result.optimal_utility[point] - result.heuristic_utility[point]
-        for point in result.optimal_utility
+        (run["loss"], run["num_users"]): run["allocation"]["optimal_utility"]
+        - run["allocation"]["heuristic_utility"]
+        for run in result["runs"]
     }
     best_point = max(sorted(gains), key=lambda p: gains[p])
     loss, users = best_point
@@ -38,7 +39,7 @@ def main() -> None:
         f"Largest utility gain over the greedy fill: +{gains[best_point]:.4f} "
         f"at {loss * 100:.0f}% loss with {users} users."
     )
-    assert result.utility_dominates, "exact DP lost to a heuristic fill?!"
+    assert result["utility_dominates"], "exact DP lost to a heuristic fill?!"
     print("The DP allocation never does worse — it is exact on the lattice.")
 
 

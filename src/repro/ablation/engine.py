@@ -46,6 +46,7 @@ __all__ = [
     "AblationResult",
     "ComponentImportance",
     "AblationStudy",
+    "fold_variants",
     "format_report",
     "write_report",
 ]
@@ -143,6 +144,29 @@ def variant_label(ablated: Sequence[str]) -> str:
     if not ablated:
         return "baseline"
     return "+".join(f"no-{name}" for name in sorted(ablated))
+
+
+def fold_variants(
+    config: AblationConfig,
+    runs: Sequence[AblationRun],
+    results: Sequence[tuple[RunSpec, Mapping[str, Any]]],
+) -> tuple[dict[str, dict[str, Any]], dict[str, dict[str, float]]]:
+    """Fold the matrix's flat, spec-ordered unit results back per variant.
+
+    Each variant's chunk goes through the experiment's ``merge`` and the
+    scenario's ``extract``; returns (merged, metrics), keyed by label.
+    """
+    scen = config.scenario_spec()
+    experiment: Experiment = get_experiment(scen.experiment)
+    merged: dict[str, dict[str, Any]] = {}
+    metrics: dict[str, dict[str, float]] = {}
+    offset = 0
+    for run in runs:
+        chunk = results[offset : offset + len(run.specs)]
+        offset += len(run.specs)
+        merged[run.label] = experiment.merge(run.params, list(chunk))
+        metrics[run.label] = scen.extract(merged[run.label])
+    return merged, metrics
 
 
 class AblationStudy:
@@ -245,22 +269,12 @@ class AblationStudy:
         results), then each variant is folded back through the
         experiment's ``merge`` and the scenario's ``extract``.
         """
-        scen = config.scenario_spec()
-        experiment: Experiment = get_experiment(scen.experiment)
         run_list = list(runs) if runs is not None else self.generate_runs(config)
         flat: list[RunSpec] = [spec for run in run_list for spec in run.specs]
         reports = run_specs(flat, workers=workers, cache=cache, progress=progress)
-        merged: dict[str, dict[str, Any]] = {}
-        metrics: dict[str, dict[str, float]] = {}
-        offset = 0
-        for run in run_list:
-            chunk = reports[offset : offset + len(run.specs)]
-            offset += len(run.specs)
-            variant_merged = experiment.merge(
-                run.params, [(r.spec, r.result) for r in chunk]
-            )
-            merged[run.label] = variant_merged
-            metrics[run.label] = scen.extract(variant_merged)
+        merged, metrics = fold_variants(
+            config, run_list, [(r.spec, r.result) for r in reports]
+        )
         return AblationResult(
             config=config,
             runs=tuple(run_list),

@@ -17,7 +17,12 @@
     python -m repro bench --kernels --compare BENCH_2.json  # speedup gate
     python -m repro ablation --parallel 4     # component importance ranking
 
-Each command prints the same formatted rows the benchmarks assert on.
+Each experiment command runs the registered experiment of that name
+(``ablations``: the six agenda studies) with ``run_experiment``, serial
+and uncached, and prints its title and ``format_result`` — the block
+``repro run <name> --no-cache`` prints.  ``--frames``, ``--instants`` and
+``--transport`` override ``num_frames``, ``num_instants`` and ``modes``
+where an experiment has them.
 ``lint`` forwards to :mod:`repro.analysis` (same as
 ``python -m repro.analysis``); ``run`` and ``figures`` forward to the
 deterministic parallel runner in :mod:`repro.runner.cli`; ``trace`` and
@@ -33,120 +38,29 @@ import argparse
 import sys
 import time
 
-import numpy as np
-
-
-def _print_header(title: str) -> None:
-    print(f"\n===== {title} " + "=" * max(0, 60 - len(title)))
-
-
-def _run_table1(args) -> None:
-    from .experiments import run_table1
-
-    _print_header("Table 1 — multi-user FPS, vanilla vs. ViVo")
-    print(run_table1(num_frames=args.frames).format())
-
-
-def _run_fig2a(args) -> None:
-    from .experiments import run_fig2a
-
-    _print_header("Fig. 2a — pairwise IoU over time")
-    result = run_fig2a(num_users=16, num_frames=300)
-    print(f"stable pair {result.stable_pair}: mean IoU {result.stable_mean:.3f}")
-    print(
-        f"converging pair {result.converging_pair}: "
-        f"{np.mean(result.converging_iou[:60]):.2f} -> "
-        f"{np.mean(result.converging_iou[-60:]):.2f}"
-    )
-
-
-def _run_fig2b(args) -> None:
-    from .experiments import FIG2B_CURVES, run_fig2b
-
-    _print_header("Fig. 2b — IoU distributions")
-    result = run_fig2b()
-    for curve in FIG2B_CURVES:
-        samples = result.samples[curve]
-        print(
-            f"{curve:18s} mean {np.mean(samples):.3f} "
-            f"median {np.median(samples):.3f}"
-        )
-
-
-def _run_fig3b(args) -> None:
-    from .experiments import run_fig3b
-
-    _print_header("Fig. 3b — default-codebook multicast coverage")
-    result = run_fig3b(num_instants=args.instants)
-    for k, cov in sorted(result.summary().items()):
-        print(f"{k} user(s): coverage@-68dBm = {cov:.3f}")
-
-
-def _run_fig3d(args) -> None:
-    from .experiments import run_fig3d
-
-    _print_header("Fig. 3d — default vs. custom multicast beams")
-    result = run_fig3d(num_instants=args.instants)
-    print(f"mean improvement  : {result.mean_improvement_db():+.2f} dB")
-    print(f"median improvement: {result.median_improvement_db():+.2f} dB")
-    print(f"custom-beam wins  : {result.win_fraction() * 100:.0f}%")
-
-
-def _run_fig3e(args) -> None:
-    from .experiments import SCHEMES, run_fig3e
-
-    _print_header("Fig. 3e — normalized throughput")
-    result = run_fig3e(num_instants=min(args.instants, 100))
-    for scheme in SCHEMES:
-        print(f"{scheme:20s} {result.mean(scheme):.3f}")
-    print(
-        "default multicast worse than unicast at "
-        f"{result.default_worse_than_unicast_fraction() * 100:.0f}% of instants"
-    )
-
-
-def _run_scaling(args) -> None:
-    from .experiments import run_scaling
-
-    _print_header("Scaling — max users at ~30 FPS (550K quality)")
-    print(run_scaling(num_frames=args.frames).format())
-
-
-def _run_ablations(args) -> None:
-    from .experiments.ablations import ABLATION_EXPERIMENTS
-    from .runner import get_experiment, run_experiment
-
-    for name in ABLATION_EXPERIMENTS:
-        experiment = get_experiment(name)
-        _print_header(experiment.title)
-        print(experiment.format_result(run_experiment(name)))
-
-
-def _run_loss_sweep(args) -> None:
-    from .experiments import LOSS_SWEEP_MODES, run_loss_sweep
-
-    _print_header("Loss sweep — transport goodput vs. packet loss")
-    modes = (
-        LOSS_SWEEP_MODES
-        if args.transport == "all"
-        else (args.transport,)
-    )
-    result = run_loss_sweep(modes=modes)
-    print(result.format())
-    if {"arq", "fec"} <= set(modes):
-        for p in result.loss_points:
-            if p >= 0.05:
-                ratio = result.goodput_ratio(p)
-                shown = "inf" if ratio == float("inf") else f"{ratio:.1f}x"
-                print(f"fec/arq goodput at {p * 100:.0f}% loss: {shown}")
+# Command names in `all` order; each runs the registered experiment of the
+# same name, except `ablations` (the six agenda studies) and `study`.
+_NAMES = (
+    "table1",
+    "fig2a",
+    "fig2b",
+    "fig3b",
+    "fig3d",
+    "fig3e",
+    "scaling",
+    "ablations",
+    "loss_sweep",
+    "study",
+)
 
 
 def _run_study(args) -> None:
     from .experiments import format_table
-    from .traces import Device, generate_user_study
+    from .runner import banner
+    from .traces import generate_user_study
     from .traces.analytics import study_statistics
 
-    _print_header("Synthetic user-study motion statistics")
+    print(banner("Synthetic user-study motion statistics"))
     study = generate_user_study(num_users=args.users, duration_s=10.0)
     stats = study_statistics(study)
     headers = ["Device", "users", "speed(m/s)", "spread(m)", "ang(deg/s)",
@@ -165,18 +79,32 @@ def _run_study(args) -> None:
     print(format_table(headers, rows, float_fmt="{:.3f}"))
 
 
-COMMANDS = {
-    "table1": _run_table1,
-    "fig2a": _run_fig2a,
-    "fig2b": _run_fig2b,
-    "fig3b": _run_fig3b,
-    "fig3d": _run_fig3d,
-    "fig3e": _run_fig3e,
-    "scaling": _run_scaling,
-    "ablations": _run_ablations,
-    "loss_sweep": _run_loss_sweep,
-    "study": _run_study,
-}
+def _print_experiments(command: str, args) -> None:
+    """Run each registered experiment behind ``command``, serial and uncached.
+
+    A set ``--frames`` / ``--instants`` / ``--transport`` flag overrides
+    ``num_frames`` / ``num_instants`` / ``modes`` of every experiment that
+    declares that parameter; unset flags leave the registered defaults.
+    """
+    from .experiments.ablations import ABLATION_EXPERIMENTS
+    from .experiments.loss_sweep import LOSS_SWEEP_MODES
+    from .runner import banner, get_experiment, run_experiment
+
+    flags = {"num_frames": args.frames, "num_instants": args.instants}
+    if args.transport is not None:
+        flags["modes"] = (
+            LOSS_SWEEP_MODES if args.transport == "all" else (args.transport,)
+        )
+    names = ABLATION_EXPERIMENTS if command == "ablations" else (command,)
+    for name in names:
+        experiment = get_experiment(name)
+        overrides = {
+            key: value
+            for key, value in flags.items()
+            if value is not None and key in experiment.default_params
+        }
+        print(banner(experiment.title or experiment.name))
+        print(experiment.format_result(run_experiment(name, overrides)))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -219,14 +147,20 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "experiments",
         nargs="+",
-        choices=[*COMMANDS, "all"],
+        choices=[*_NAMES, "all"],
         help="which experiment(s) to run",
     )
     parser.add_argument(
-        "--frames", type=int, default=45, help="frames per Table 1 cell"
+        "--frames",
+        type=int,
+        default=None,
+        help="override num_frames of each selected experiment that has it",
     )
     parser.add_argument(
-        "--instants", type=int, default=150, help="sampled instants for Fig 3"
+        "--instants",
+        type=int,
+        default=None,
+        help="override num_instants of each selected experiment that has it",
     )
     parser.add_argument(
         "--users", type=int, default=32, help="study size for the study command"
@@ -234,15 +168,18 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--transport",
         choices=["ideal", "arq", "fec", "hybrid", "all"],
-        default="all",
-        help="transport mode(s) for the loss_sweep command",
+        default=None,
+        help="override the transport modes of loss_sweep ('all' = every mode)",
     )
     args = parser.parse_args(argv)
 
-    chosen = list(COMMANDS) if "all" in args.experiments else args.experiments
+    chosen = _NAMES if "all" in args.experiments else args.experiments
     t0 = time.perf_counter()
     for name in chosen:
-        COMMANDS[name](args)
+        if name == "study":
+            _run_study(args)
+        else:
+            _print_experiments(name, args)
     print(f"\ndone in {time.perf_counter() - t0:.1f} s")
     return 0
 

@@ -1,7 +1,15 @@
-"""Experiment runners: one module per paper table/figure, plus ablations."""
+"""Experiment runners: one module per paper table/figure, plus ablations.
+
+Every module registers one runner experiment; callers go through
+``run_experiment(name, overrides)`` and read the merged dict.  Importing
+the package registers them all, in presentation order.
+"""
 
 from . import ablations  # noqa: F401  (registers the six ablation_* studies)
 from . import ablation_engine  # noqa: F401  (registers ablation_session/_importance)
+from . import fig2a, fig2b, fig3b, fig3d, fig3e  # noqa: F401  (register)
+from . import loss_sweep, policy_comparison, scaling, table1  # noqa: F401
+from . import venue_scale  # noqa: F401  (registers venue_scale)
 from .common import (
     AP_POSITION,
     CONTENT_CENTER,
@@ -18,27 +26,17 @@ from .common import (
     ideal_codebook,
     study_in_room,
 )
-from .fig2a import Fig2aResult, run_fig2a
-from .fig2b import FIG2B_CURVES, Fig2bResult, run_fig2b
-from .fig3b import Fig3bResult, run_fig3b
-from .fig3d import Fig3dResult, run_fig3d
-from .fig3e import SCHEMES, Fig3eResult, run_fig3e
-from .loss_sweep import (
-    DEFAULT_LOSS_POINTS,
-    LOSS_SWEEP_MODES,
-    LossSweepResult,
-    run_loss_sweep,
-)
+from .fig2b import FIG2B_CURVES
+from .fig3e import SCHEMES
+from .loss_sweep import DEFAULT_LOSS_POINTS, LOSS_SWEEP_MODES
 from .policy_comparison import (
     DEFAULT_POLICY_LOSS_POINTS,
     DEFAULT_POLICY_USER_COUNTS,
     POLICY_STACKS,
-    PolicyComparisonResult,
-    run_policy_comparison,
 )
-from .scaling import SCALING_SYSTEMS, ScalingResult, run_scaling
-from .table1 import PAPER_TABLE1, Table1Result, Table1Row, run_table1
-from .venue_scale import run_venue_scale, venue_from_params
+from .scaling import SCALING_SYSTEMS
+from .table1 import PAPER_TABLE1
+from .venue_scale import venue_from_params
 
 __all__ = [
     "AP_POSITION",
@@ -55,34 +53,14 @@ __all__ = [
     "grid_for",
     "ideal_codebook",
     "study_in_room",
-    "Fig2aResult",
-    "run_fig2a",
     "FIG2B_CURVES",
-    "Fig2bResult",
-    "run_fig2b",
-    "Fig3bResult",
-    "run_fig3b",
-    "Fig3dResult",
-    "run_fig3d",
     "SCHEMES",
-    "Fig3eResult",
-    "run_fig3e",
     "DEFAULT_LOSS_POINTS",
     "LOSS_SWEEP_MODES",
-    "LossSweepResult",
-    "run_loss_sweep",
     "DEFAULT_POLICY_LOSS_POINTS",
     "DEFAULT_POLICY_USER_COUNTS",
     "POLICY_STACKS",
-    "PolicyComparisonResult",
-    "run_policy_comparison",
     "SCALING_SYSTEMS",
-    "ScalingResult",
-    "run_scaling",
-    "run_venue_scale",
-    "venue_from_params",
     "PAPER_TABLE1",
-    "Table1Result",
-    "Table1Row",
-    "run_table1",
+    "venue_from_params",
 ]

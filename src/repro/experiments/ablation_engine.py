@@ -154,37 +154,6 @@ def run_one(spec: RunSpec) -> dict:
     return summary
 
 
-_PARAM_KEYS = (
-    "num_users",
-    "duration_s",
-    "loss_rate",
-    "max_buffer_frames",
-    "adaptation_interval_s",
-    "horizon_s",
-    "predictor",
-    "grouping",
-    "custom_beams",
-    "blockage_mitigation",
-    "transport_mode",
-    "adaptation",
-)
-
-
-def _decompose(params) -> list[RunSpec]:
-    return [
-        RunSpec.make(
-            "ablation_session",
-            seed=params["seed"],
-            **{k: params[k] for k in _PARAM_KEYS},
-        )
-    ]
-
-
-def _merge(params, runs) -> dict:
-    [(_, result)] = runs
-    return result
-
-
 def _format(merged) -> str:
     return (
         f"users {merged['users']}, qoe {merged['qoe_score']:.1f}, "
@@ -200,8 +169,6 @@ SESSION_EXPERIMENT = register(
         name="ablation_session",
         title="Ablation session — full cross-layer session, every toggle a parameter",
         run_one=run_one,
-        decompose=_decompose,
-        merge=_merge,
         format_result=_format,
         default_params={
             "num_users": 6,
@@ -257,31 +224,18 @@ def _importance_decompose(params) -> list[RunSpec]:
 
 
 def _importance_merge(params, runs) -> dict:
-    from ..ablation.engine import AblationResult, AblationStudy
+    from ..ablation.engine import AblationResult, fold_variants
 
     study, config = _study_config(params)
     run_list = study.generate_runs(config)
-    scen = config.scenario_spec()
-    from ..runner import get_experiment
-
-    experiment = get_experiment(scen.experiment)
-    results = list(runs)
-    merged = {}
-    metrics = {}
-    offset = 0
-    for run in run_list:
-        chunk = results[offset : offset + len(run.specs)]
-        offset += len(run.specs)
-        variant = experiment.merge(run.params, chunk)
-        merged[run.label] = variant
-        metrics[run.label] = scen.extract(variant)
+    merged, metrics = fold_variants(config, run_list, runs)
     result = AblationResult(
         config=config,
         runs=tuple(run_list),
         merged=merged,
         metrics=metrics,
         cached_units=0,
-        total_units=len(results),
+        total_units=len(runs),
     )
     return study.build_report(result)
 

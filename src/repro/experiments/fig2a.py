@@ -10,74 +10,56 @@ hard-coding user ids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from ..core import compute_visibility_maps, iou_series
 from ..pointcloud import VisibilityConfig
-from ..runner import Experiment, RunSpec, register, run_experiment
+from ..runner import Experiment, RunSpec, register
 from .common import DEFAULT_SEED, default_study, default_video, grid_for
 
-__all__ = ["Fig2aResult", "run_fig2a", "run_one"]
-
-
-@dataclass(frozen=True)
-class Fig2aResult:
-    """Two IoU time series (index = frame) plus who the pairs are."""
-
-    stable_pair: tuple[int, int]
-    stable_iou: np.ndarray
-    converging_pair: tuple[int, int]
-    converging_iou: np.ndarray
-
-    @property
-    def stable_mean(self) -> float:
-        return float(np.mean(self.stable_iou))
-
-    @property
-    def converging_gain(self) -> float:
-        """Late-window mean minus early-window mean of the converging pair."""
-        n = len(self.converging_iou)
-        k = max(1, n // 5)
-        return float(
-            np.mean(self.converging_iou[-k:]) - np.mean(self.converging_iou[:k])
-        )
+__all__ = ["run_one", "stable_mean", "converging_gain", "converging_ends"]
 
 
 def run_one(spec: RunSpec) -> dict:
-    """The whole pair search is one unit (every pair shares the maps)."""
-    result = _compute(
+    """The whole pair search is one unit (every pair shares the maps).
+
+    Returns both pairs and their per-frame IoU series (index = frame).
+    """
+    return _compute(
         num_users=int(spec.get("num_users")),
         num_frames=int(spec.get("num_frames")),
         cell_size=float(spec.get("cell_size")),
         seed=spec.seed,
     )
-    return {
-        "stable_pair": [int(u) for u in result.stable_pair],
-        "stable_iou": [float(x) for x in result.stable_iou],
-        "converging_pair": [int(u) for u in result.converging_pair],
-        "converging_iou": [float(x) for x in result.converging_iou],
-    }
 
 
-def _result_from_merged(merged: dict) -> Fig2aResult:
-    return Fig2aResult(
-        stable_pair=tuple(merged["stable_pair"]),
-        stable_iou=np.array(merged["stable_iou"], dtype=np.float64),
-        converging_pair=tuple(merged["converging_pair"]),
-        converging_iou=np.array(merged["converging_iou"], dtype=np.float64),
-    )
+def stable_mean(merged: dict) -> float:
+    """Mean IoU of the stable pair."""
+    return float(np.mean(merged["stable_iou"]))
+
+
+def converging_gain(merged: dict) -> float:
+    """Late-window mean minus early-window mean of the converging pair."""
+    series = np.asarray(merged["converging_iou"], dtype=np.float64)
+    k = max(1, len(series) // 5)
+    return float(np.mean(series[-k:]) - np.mean(series[:k]))
+
+
+def converging_ends(merged: dict) -> tuple[float, float]:
+    """Mean IoU of the converging pair over its first and last 60 frames."""
+    series = np.asarray(merged["converging_iou"], dtype=np.float64)
+    return float(np.mean(series[:60])), float(np.mean(series[-60:]))
 
 
 def _format(merged: dict) -> str:
-    result = _result_from_merged(merged)
+    early, late = converging_ends(merged)
     return (
-        f"stable pair {result.stable_pair}: mean IoU {result.stable_mean:.3f}\n"
-        f"converging pair {result.converging_pair}: "
-        f"{np.mean(result.converging_iou[:60]):.2f} -> "
-        f"{np.mean(result.converging_iou[-60:]):.2f}"
+        f"stable pair {tuple(merged['stable_pair'])}: "
+        f"mean IoU {stable_mean(merged):.3f}\n"
+        f"converging pair {tuple(merged['converging_pair'])}: "
+        f"{early:.2f} -> {late:.2f}"
     )
 
 
@@ -98,31 +80,12 @@ EXPERIMENT = register(
 )
 
 
-def run_fig2a(
-    num_users: int = 16,
-    num_frames: int = 300,
-    cell_size: float = 0.5,
-    seed: int = DEFAULT_SEED,
-) -> Fig2aResult:
-    """Select and return the two representative pair series."""
-    merged = run_experiment(
-        "fig2a",
-        {
-            "num_users": num_users,
-            "num_frames": num_frames,
-            "cell_size": cell_size,
-            "seed": seed,
-        },
-    )
-    return _result_from_merged(merged)
-
-
 def _compute(
     num_users: int,
     num_frames: int,
     cell_size: float,
     seed: int,
-) -> Fig2aResult:
+) -> dict:
     # Fig. 2a runs 300 frames = 10 s at 30 Hz.
     duration = num_frames / 30.0
     study = default_study(num_users=num_users, duration_s=duration, seed=seed)
@@ -165,9 +128,10 @@ def _compute(
         )
         best_converging = candidates[0]
 
-    return Fig2aResult(
-        stable_pair=best_stable[1],
-        stable_iou=series_cache[best_stable[1]],
-        converging_pair=best_converging[1],
-        converging_iou=series_cache[best_converging[1]],
-    )
+    stable, converging = best_stable[1], best_converging[1]
+    return {
+        "stable_pair": [int(u) for u in stable],
+        "stable_iou": [float(x) for x in series_cache[stable]],
+        "converging_pair": [int(u) for u in converging],
+        "converging_iou": [float(x) for x in series_cache[converging]],
+    }

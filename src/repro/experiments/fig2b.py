@@ -14,17 +14,15 @@ groups -> lower IoU.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..core import compute_visibility_maps, group_iou_samples, pairwise_iou_samples
 from ..pointcloud import VisibilityConfig
-from ..runner import Experiment, RunSpec, register, run_experiment
+from ..runner import Experiment, RunSpec, register
 from ..traces import Device
 from .common import DEFAULT_SEED, default_study, default_video, grid_for
 
-__all__ = ["Fig2bResult", "run_fig2b", "run_one", "FIG2B_CURVES"]
+__all__ = ["run_one", "curve_samples", "mean_iou", "FIG2B_CURVES"]
 
 FIG2B_CURVES = (
     "HM(2)-Seg(100cm)",
@@ -42,22 +40,6 @@ _CURVE_DEFS: dict[str, tuple[Device, float, int]] = {
     "PH(2)-Seg(50cm)": (Device.PHONE, 0.5, 2),
     "HM(3)-Seg(50cm)": (Device.HEADSET, 0.5, 3),
 }
-
-
-@dataclass(frozen=True)
-class Fig2bResult:
-    """IoU sample sets per curve (feed to ``empirical_cdf`` for plotting)."""
-
-    samples: dict[str, np.ndarray]
-
-    def mean_iou(self, curve: str) -> float:
-        return float(np.mean(self.samples[curve]))
-
-    def median_iou(self, curve: str) -> float:
-        return float(np.median(self.samples[curve]))
-
-    def summary(self) -> dict[str, float]:
-        return {curve: self.mean_iou(curve) for curve in self.samples}
 
 
 def run_one(spec: RunSpec) -> dict:
@@ -112,25 +94,30 @@ def _merge(params: dict, runs: list) -> dict:
     }
 
 
-def _result_from_merged(merged: dict) -> Fig2bResult:
-    return Fig2bResult(
-        samples={
-            c["curve"]: np.array(c["samples"], dtype=np.float64)
-            for c in merged["curves"]
-        }
-    )
+def curve_samples(merged: dict) -> dict[str, np.ndarray]:
+    """IoU sample set per curve (feed to ``empirical_cdf`` for plotting)."""
+    return {
+        c["curve"]: np.array(c["samples"], dtype=np.float64)
+        for c in merged["curves"]
+    }
+
+
+def mean_iou(merged: dict) -> dict[str, float]:
+    """Mean IoU per curve."""
+    return {
+        curve: float(np.mean(samples))
+        for curve, samples in curve_samples(merged).items()
+    }
 
 
 def _format(merged: dict) -> str:
-    result = _result_from_merged(merged)
-    lines = []
-    for curve in FIG2B_CURVES:
-        samples = result.samples[curve]
-        lines.append(
-            f"{curve:18s} mean {np.mean(samples):.3f} "
-            f"median {np.median(samples):.3f}"
-        )
-    return "\n".join(lines)
+    samples = curve_samples(merged)
+    means = mean_iou(merged)
+    return "\n".join(
+        f"{curve:18s} mean {means[curve]:.3f} "
+        f"median {np.median(samples[curve]):.3f}"
+        for curve in FIG2B_CURVES
+    )
 
 
 EXPERIMENT = register(
@@ -151,21 +138,3 @@ EXPERIMENT = register(
     )
 )
 
-
-def run_fig2b(
-    num_users: int = 32,
-    duration_s: float = 10.0,
-    seed: int = DEFAULT_SEED,
-    max_groups: int = 60,
-) -> Fig2bResult:
-    """Regenerate the four CDF sample sets of Fig. 2b."""
-    merged = run_experiment(
-        "fig2b",
-        {
-            "num_users": num_users,
-            "duration_s": duration_s,
-            "max_groups": max_groups,
-            "seed": seed,
-        },
-    )
-    return _result_from_merged(merged)

@@ -15,65 +15,50 @@ The headline quantity is the rightward shift of the common-RSS CDF — the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..mmwave import combine_weights
-from ..runner import Experiment, RunSpec, register, run_experiment
+from ..runner import Experiment, RunSpec, register
 from .common import DEFAULT_SEED, default_channel, ideal_codebook
 
-__all__ = ["Fig3dResult", "run_fig3d", "run_one"]
-
-
-@dataclass(frozen=True)
-class Fig3dResult:
-    """Common-RSS samples for the two beam strategies (paired per placement)."""
-
-    default_rss: np.ndarray
-    custom_rss: np.ndarray
-
-    def mean_improvement_db(self) -> float:
-        return float(np.mean(self.custom_rss - self.default_rss))
-
-    def max_common_rss_improvement_db(self) -> float:
-        """Improvement at the distribution's top end (95th percentiles)."""
-        return float(
-            np.percentile(self.custom_rss, 95) - np.percentile(self.default_rss, 95)
-        )
-
-    def median_improvement_db(self) -> float:
-        return float(np.median(self.custom_rss) - np.median(self.default_rss))
-
-    def win_fraction(self) -> float:
-        """Fraction of placements where the custom beam strictly wins."""
-        return float(np.mean(self.custom_rss > self.default_rss + 1e-9))
+__all__ = ["run_one", "rss_samples", "summary"]
 
 
 def run_one(spec: RunSpec) -> dict:
-    """One unit: the placement RNG stream spans all sampled instants."""
-    result = _compute(
-        num_instants=int(spec.get("num_instants")), seed=spec.seed
+    """One unit: the placement RNG stream spans all sampled instants.
+
+    The custom candidate combines each member's best individual codebook
+    beam with the paper's RSS-weighted rule; following the paper's
+    observation that already-covered groups should keep the default beam,
+    the effective custom RSS is the better of the two candidates.
+    """
+    return _compute(num_instants=int(spec.get("num_instants")), seed=spec.seed)
+
+
+def rss_samples(merged: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Paired common-RSS samples (dBm): (default beams, custom beams)."""
+    return (
+        np.array(merged["default_rss_dbm"], dtype=np.float64),
+        np.array(merged["custom_rss_dbm"], dtype=np.float64),
     )
+
+
+def summary(merged: dict) -> dict[str, float]:
+    """Mean/median common-RSS improvement (dB) and the custom-beam win rate."""
+    default, custom = rss_samples(merged)
     return {
-        "default_rss_dbm": [float(x) for x in result.default_rss],
-        "custom_rss_dbm": [float(x) for x in result.custom_rss],
+        "mean_improvement_db": float(np.mean(custom - default)),
+        "median_improvement_db": float(np.median(custom) - np.median(default)),
+        "win_fraction": float(np.mean(custom > default + 1e-9)),
     }
 
 
-def _result_from_merged(merged: dict) -> Fig3dResult:
-    return Fig3dResult(
-        default_rss=np.array(merged["default_rss_dbm"], dtype=np.float64),
-        custom_rss=np.array(merged["custom_rss_dbm"], dtype=np.float64),
-    )
-
-
 def _format(merged: dict) -> str:
-    result = _result_from_merged(merged)
+    s = summary(merged)
     return (
-        f"mean improvement  : {result.mean_improvement_db():+.2f} dB\n"
-        f"median improvement: {result.median_improvement_db():+.2f} dB\n"
-        f"custom-beam wins  : {result.win_fraction() * 100:.0f}%"
+        f"mean improvement  : {s['mean_improvement_db']:+.2f} dB\n"
+        f"median improvement: {s['median_improvement_db']:+.2f} dB\n"
+        f"custom-beam wins  : {s['win_fraction'] * 100:.0f}%"
     )
 
 
@@ -89,24 +74,7 @@ EXPERIMENT = register(
 )
 
 
-def run_fig3d(
-    num_instants: int = 150,
-    seed: int = DEFAULT_SEED,
-) -> Fig3dResult:
-    """Compare default-common vs. custom multi-lobe beams for 2-user groups.
-
-    The custom candidate combines each member's best individual codebook
-    beam with the paper's RSS-weighted rule; following the paper's
-    observation that already-covered groups should keep the default beam,
-    the effective custom RSS is the better of the two candidates.
-    """
-    merged = run_experiment(
-        "fig3d", {"num_instants": num_instants, "seed": seed}
-    )
-    return _result_from_merged(merged)
-
-
-def _compute(num_instants: int, seed: int) -> Fig3dResult:
+def _compute(num_instants: int, seed: int) -> dict:
     channel = default_channel()
     codebook = ideal_codebook()
     weight_matrix = codebook.weight_matrix
@@ -144,7 +112,4 @@ def _compute(num_instants: int, seed: int) -> Fig3dResult:
         )
         custom_samples.append(max(default_common, float(combined_common)))
 
-    return Fig3dResult(
-        default_rss=np.array(default_samples),
-        custom_rss=np.array(custom_samples),
-    )
+    return {"default_rss_dbm": default_samples, "custom_rss_dbm": custom_samples}

@@ -18,8 +18,6 @@ MCS down), while custom-beam multicast consistently wins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..mac import UserDemand, multicast_frame_time, unicast_frame_time
@@ -27,7 +25,7 @@ from ..mmwave import combine_weights
 from ..mmwave.mcs import app_rate_mbps
 from ..pointcloud import CellGrid, VisibilityConfig, compute_visibility
 from ..geometry import AABB
-from ..runner import Experiment, RunSpec, register, run_experiment
+from ..runner import Experiment, RunSpec, register
 from .common import (
     CONTENT_CENTER,
     DEFAULT_SEED,
@@ -37,68 +35,58 @@ from .common import (
     study_in_room,
 )
 
-__all__ = ["Fig3eResult", "run_fig3e", "run_one", "SCHEMES"]
+__all__ = [
+    "run_one",
+    "normalized_throughput",
+    "mean_throughput",
+    "default_worse_than_unicast_fraction",
+    "SCHEMES",
+]
 
 SCHEMES = ("unicast", "multicast-default", "multicast-custom")
 
 
-@dataclass(frozen=True)
-class Fig3eResult:
-    """Per-instant normalized throughput for the three schemes."""
-
-    normalized: dict[str, np.ndarray]  # scheme -> (num_instants,)
-
-    def mean(self, scheme: str) -> float:
-        return float(np.mean(self.normalized[scheme]))
-
-    def summary(self) -> dict[str, float]:
-        return {s: self.mean(s) for s in SCHEMES}
-
-    def default_worse_than_unicast_fraction(self) -> float:
-        """How often default-beam multicast loses to plain unicast."""
-        return float(
-            np.mean(
-                self.normalized["multicast-default"]
-                < self.normalized["unicast"] - 1e-12
-            )
-        )
-
-
 def run_one(spec: RunSpec) -> dict:
     """One unit: the member/instant RNG stream spans the whole sweep."""
-    result = _compute(
+    return _compute(
         num_instants=int(spec.get("num_instants")),
         num_users=int(spec.get("num_users")),
         duration_s=float(spec.get("duration_s")),
         cell_size=float(spec.get("cell_size")),
         seed=spec.seed,
     )
+
+
+def normalized_throughput(merged: dict) -> dict[str, np.ndarray]:
+    """Per-instant normalized throughput for each scheme."""
     return {
-        "schemes": [
-            {
-                "scheme": scheme,
-                "normalized": [float(x) for x in result.normalized[scheme]],
-            }
-            for scheme in SCHEMES
-        ]
+        s["scheme"]: np.array(s["normalized"], dtype=np.float64)
+        for s in merged["schemes"]
     }
 
 
-def _result_from_merged(merged: dict) -> Fig3eResult:
-    return Fig3eResult(
-        normalized={
-            s["scheme"]: np.array(s["normalized"], dtype=np.float64)
-            for s in merged["schemes"]
-        }
+def mean_throughput(merged: dict) -> dict[str, float]:
+    """Mean normalized throughput per scheme, in ``SCHEMES`` order."""
+    normalized = normalized_throughput(merged)
+    return {s: float(np.mean(normalized[s])) for s in SCHEMES}
+
+
+def default_worse_than_unicast_fraction(merged: dict) -> float:
+    """How often default-beam multicast loses to plain unicast."""
+    normalized = normalized_throughput(merged)
+    return float(
+        np.mean(normalized["multicast-default"] < normalized["unicast"] - 1e-12)
     )
 
 
 def _format(merged: dict) -> str:
-    result = _result_from_merged(merged)
-    lines = [f"{scheme:20s} {result.mean(scheme):.3f}" for scheme in SCHEMES]
+    lines = [
+        f"{scheme:20s} {mean:.3f}"
+        for scheme, mean in mean_throughput(merged).items()
+    ]
     lines.append(
         "default multicast worse than unicast at "
-        f"{result.default_worse_than_unicast_fraction() * 100:.0f}% of instants"
+        f"{default_worse_than_unicast_fraction(merged) * 100:.0f}% of instants"
     )
     return "\n".join(lines)
 
@@ -121,34 +109,13 @@ EXPERIMENT = register(
 )
 
 
-def run_fig3e(
-    num_instants: int = 60,
-    num_users: int = 8,
-    duration_s: float = 10.0,
-    cell_size: float = 0.5,
-    seed: int = DEFAULT_SEED,
-) -> Fig3eResult:
-    """Compare the three delivery schemes for 2-user groups."""
-    merged = run_experiment(
-        "fig3e",
-        {
-            "num_instants": num_instants,
-            "num_users": num_users,
-            "duration_s": duration_s,
-            "cell_size": cell_size,
-            "seed": seed,
-        },
-    )
-    return _result_from_merged(merged)
-
-
 def _compute(
     num_instants: int,
     num_users: int,
     duration_s: float,
     cell_size: float,
     seed: int,
-) -> Fig3eResult:
+) -> dict:
     study = study_in_room(num_users=num_users, duration_s=duration_s, seed=seed)
     channel = default_channel()
     codebook = ideal_codebook()
@@ -228,4 +195,9 @@ def _compute(
         for scheme in SCHEMES:
             results[scheme].append(throughputs[scheme] / best_tp)
 
-    return Fig3eResult(normalized={s: np.array(v) for s, v in results.items()})
+    return {
+        "schemes": [
+            {"scheme": scheme, "normalized": [float(x) for x in results[scheme]]}
+            for scheme in SCHEMES
+        ]
+    }

@@ -24,61 +24,24 @@ multicast.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..core.qoe import QOE_SAMPLE
 from ..mac.scheduler import UserDemand, plan_frame
 from ..net import TransportConfig, TransportSimulator, packetize_cells
 from ..obs import trace as _trace
 from ..pointcloud import QUALITIES
-from ..runner import Experiment, RunSpec, register, run_experiment
+from ..runner import Experiment, RunSpec, register
 from .common import DEFAULT_SEED, format_table
 
 __all__ = [
     "LOSS_SWEEP_MODES",
     "DEFAULT_LOSS_POINTS",
-    "LossSweepResult",
-    "run_loss_sweep",
     "run_one",
+    "by_mode",
+    "goodput_ratio",
 ]
 
 LOSS_SWEEP_MODES = ("ideal", "arq", "fec", "hybrid")
 DEFAULT_LOSS_POINTS = (0.0, 0.01, 0.02, 0.05, 0.10, 0.20)
-
-
-@dataclass(frozen=True)
-class LossSweepResult:
-    """Per (mode, loss point): goodput and sustained frame rate."""
-
-    goodput_mbps: dict[str, dict[float, float]]
-    effective_fps: dict[str, dict[float, float]]
-    frame_delivery_rate: dict[str, dict[float, float]]
-    loss_points: tuple[float, ...]
-    modes: tuple[str, ...]
-    target_fps: float
-
-    def goodput_ratio(self, loss: float, over: str = "fec", under: str = "arq") -> float:
-        """Goodput of one mode over another at a loss point (inf if under=0)."""
-        top = self.goodput_mbps[over][loss]
-        bottom = self.goodput_mbps[under][loss]
-        if bottom <= 0:
-            return float("inf") if top > 0 else 1.0
-        return top / bottom
-
-    def format(self) -> str:
-        headers = ["loss"] + [
-            f"{mode} Mbps|fps" for mode in self.modes
-        ]
-        rows = []
-        for p in self.loss_points:
-            row: list = [f"{p * 100:.0f}%"]
-            for mode in self.modes:
-                row.append(
-                    f"{self.goodput_mbps[mode][p]:7.1f}|"
-                    f"{self.effective_fps[mode][p]:4.1f}"
-                )
-            rows.append(row)
-        return format_table(headers, rows)
 
 
 def _build_plan(
@@ -105,7 +68,16 @@ def _build_plan(
 
 
 def run_one(spec: RunSpec) -> dict:
-    """One transport mode across every loss point (independent sims)."""
+    """One transport mode across every loss point (independent sims).
+
+    The multicast rate is set so the group's base (no-recovery) wire time
+    fills ``airtime_fraction`` of a frame interval — the operating point a
+    well-run admission controller targets.  Goodput counts only application
+    bytes of frames that *completely* arrived within the frame deadline,
+    divided by all airtime spent (including feedback, retransmissions and
+    repair packets); effective FPS is the per-user mean delivered frame
+    rate.  Deterministic for a fixed seed.
+    """
     mode = spec.get("mode")
     if mode not in LOSS_SWEEP_MODES:
         raise ValueError(f"unknown transport mode {mode!r}")
@@ -197,30 +169,46 @@ def _merge(params: dict, runs: list) -> dict:
     }
 
 
-def _result_from_merged(merged: dict) -> LossSweepResult:
-    goodput: dict[str, dict[float, float]] = {}
-    fps: dict[str, dict[float, float]] = {}
-    delivery: dict[str, dict[float, float]] = {}
-    for entry in merged["per_mode"]:
-        mode = entry["mode"]
-        goodput[mode] = {
-            float(pt["loss"]): float(pt["goodput_mbps"]) for pt in entry["points"]
+def by_mode(merged: dict, metric: str) -> dict[str, dict[float, float]]:
+    """Per mode: loss point -> one point metric, e.g. ``goodput_mbps``."""
+    return {
+        entry["mode"]: {
+            float(pt["loss"]): float(pt[metric]) for pt in entry["points"]
         }
-        fps[mode] = {
-            float(pt["loss"]): float(pt["effective_fps"]) for pt in entry["points"]
-        }
-        delivery[mode] = {
-            float(pt["loss"]): float(pt["frame_delivery_rate"])
-            for pt in entry["points"]
-        }
-    return LossSweepResult(
-        goodput_mbps=goodput,
-        effective_fps=fps,
-        frame_delivery_rate=delivery,
-        loss_points=tuple(float(p) for p in merged["loss_points"]),
-        modes=tuple(merged["modes"]),
-        target_fps=float(merged["target_fps"]),
-    )
+        for entry in merged["per_mode"]
+    }
+
+
+def goodput_ratio(
+    merged: dict, loss: float, over: str = "fec", under: str = "arq"
+) -> float:
+    """Goodput of one mode over another at a loss point (inf if under=0)."""
+    goodput = by_mode(merged, "goodput_mbps")
+    top = goodput[over][loss]
+    bottom = goodput[under][loss]
+    if bottom <= 0:
+        return float("inf") if top > 0 else 1.0
+    return top / bottom
+
+
+def _format(merged: dict) -> str:
+    modes = merged["modes"]
+    goodput = by_mode(merged, "goodput_mbps")
+    fps = by_mode(merged, "effective_fps")
+    headers = ["loss"] + [f"{mode} Mbps|fps" for mode in modes]
+    rows = [
+        [f"{p * 100:.0f}%"]
+        + [f"{goodput[mode][p]:7.1f}|{fps[mode][p]:4.1f}" for mode in modes]
+        for p in merged["loss_points"]
+    ]
+    lines = [format_table(headers, rows)]
+    if {"arq", "fec"} <= set(modes):
+        for p in merged["loss_points"]:
+            if p >= 0.05:
+                ratio = goodput_ratio(merged, p)
+                shown = "inf" if ratio == float("inf") else f"{ratio:.1f}x"
+                lines.append(f"fec/arq goodput at {p * 100:.0f}% loss: {shown}")
+    return "\n".join(lines)
 
 
 EXPERIMENT = register(
@@ -230,7 +218,7 @@ EXPERIMENT = register(
         run_one=run_one,
         decompose=_decompose,
         merge=_merge,
-        format_result=lambda merged: _result_from_merged(merged).format(),
+        format_result=_format,
         default_params={
             "modes": LOSS_SWEEP_MODES,
             "loss_points": DEFAULT_LOSS_POINTS,
@@ -246,40 +234,3 @@ EXPERIMENT = register(
     )
 )
 
-
-def run_loss_sweep(
-    modes: tuple[str, ...] = LOSS_SWEEP_MODES,
-    loss_points: tuple[float, ...] = DEFAULT_LOSS_POINTS,
-    num_users: int = 6,
-    num_frames: int = 30,
-    quality: str = "high",
-    target_fps: float = 30.0,
-    airtime_fraction: float = 0.8,
-    num_cells: int = 64,
-    seed: int = DEFAULT_SEED,
-) -> LossSweepResult:
-    """Sweep per-packet loss across transport modes on one multicast group.
-
-    The multicast rate is set so the group's base (no-recovery) wire time
-    fills ``airtime_fraction`` of a frame interval — the operating point a
-    well-run admission controller targets.  Goodput counts only application
-    bytes of frames that *completely* arrived within the frame deadline,
-    divided by all airtime spent (including feedback, retransmissions and
-    repair packets); effective FPS is the per-user mean delivered frame
-    rate.  Deterministic for a fixed ``seed``.
-    """
-    merged = run_experiment(
-        "loss_sweep",
-        {
-            "modes": tuple(modes),
-            "loss_points": tuple(loss_points),
-            "num_users": num_users,
-            "num_frames": num_frames,
-            "quality": quality,
-            "target_fps": target_fps,
-            "airtime_fraction": airtime_fraction,
-            "num_cells": num_cells,
-            "seed": seed,
-        },
-    )
-    return _result_from_merged(merged)

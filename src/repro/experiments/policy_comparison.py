@@ -27,8 +27,6 @@ Three stacks:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..core import (
@@ -46,7 +44,7 @@ from ..mac import AD_MODEL, RecoveryPolicy, apply_recovery
 from ..mmwave import compute_blockage_timeline
 from ..net import TransportConfig
 from ..pointcloud import CellGrid, VisibilityConfig, compute_visibility
-from ..runner import Experiment, RunSpec, register, run_experiment
+from ..runner import Experiment, RunSpec, register
 from .common import (
     AP_POSITION,
     CONTENT_CENTER,
@@ -60,8 +58,6 @@ __all__ = [
     "POLICY_STACKS",
     "DEFAULT_POLICY_LOSS_POINTS",
     "DEFAULT_POLICY_USER_COUNTS",
-    "PolicyComparisonResult",
-    "run_policy_comparison",
     "run_one",
 ]
 
@@ -74,44 +70,6 @@ POLICY_STACKS: dict[str, tuple[str, str]] = {
 
 DEFAULT_POLICY_LOSS_POINTS = (0.0, 0.02, 0.05)
 DEFAULT_POLICY_USER_COUNTS = (2, 4, 6)
-
-
-@dataclass(frozen=True)
-class PolicyComparisonResult:
-    """Per (stack, loss, users): session QoE; per point: utility check."""
-
-    stacks: tuple[str, ...]
-    loss_points: tuple[float, ...]
-    user_counts: tuple[int, ...]
-    qoe_score: dict[tuple[str, float, int], float]
-    mean_fps: dict[tuple[str, float, int], float]
-    heuristic_utility: dict[tuple[float, int], float]
-    optimal_utility: dict[tuple[float, int], float]
-    utility_dominates: bool
-
-    def format(self) -> str:
-        headers = ["loss", "users"] + [
-            f"{stack} qoe|fps" for stack in self.stacks
-        ] + ["heur_u", "opt_u"]
-        rows = []
-        for loss in self.loss_points:
-            for n in self.user_counts:
-                row: list = [f"{loss * 100:.0f}%", n]
-                for stack in self.stacks:
-                    key = (stack, loss, n)
-                    row.append(
-                        f"{self.qoe_score[key]:7.1f}|{self.mean_fps[key]:4.1f}"
-                    )
-                point = (loss, n)
-                row.append(f"{self.heuristic_utility[point]:.4f}")
-                row.append(f"{self.optimal_utility[point]:.4f}")
-                rows.append(row)
-        verdict = (
-            "DP allocator weakly dominates the greedy fill at every point"
-            if self.utility_dominates
-            else "DP allocator LOST to the greedy fill somewhere (bug!)"
-        )
-        return format_table(headers, rows) + f"\n{verdict}"
 
 
 def _allocation_comparison(
@@ -167,7 +125,11 @@ def _allocation_comparison(
 
 
 def run_one(spec: RunSpec) -> dict:
-    """One policy stack at one (loss, user-count) operating point."""
+    """One policy stack at one (loss, user-count) operating point.
+
+    One closed-loop session plus the static allocation comparison at the
+    point; deterministic for a fixed seed.
+    """
     stack = str(spec.get("stack"))
     if stack not in POLICY_STACKS:
         raise ValueError(
@@ -255,28 +217,30 @@ def _merge(params: dict, runs: list) -> dict:
     }
 
 
-def _result_from_merged(merged: dict) -> PolicyComparisonResult:
-    qoe: dict[tuple[str, float, int], float] = {}
-    fps: dict[tuple[str, float, int], float] = {}
-    heuristic: dict[tuple[float, int], float] = {}
-    optimal: dict[tuple[float, int], float] = {}
-    for r in merged["runs"]:
-        key = (str(r["stack"]), float(r["loss"]), int(r["num_users"]))
-        qoe[key] = float(r["session"]["qoe_score"])
-        fps[key] = float(r["session"]["mean_fps"])
-        point = (float(r["loss"]), int(r["num_users"]))
-        heuristic[point] = float(r["allocation"]["heuristic_utility"])
-        optimal[point] = float(r["allocation"]["optimal_utility"])
-    return PolicyComparisonResult(
-        stacks=tuple(merged["stacks"]),
-        loss_points=tuple(float(p) for p in merged["loss_points"]),
-        user_counts=tuple(int(n) for n in merged["user_counts"]),
-        qoe_score=qoe,
-        mean_fps=fps,
-        heuristic_utility=heuristic,
-        optimal_utility=optimal,
-        utility_dominates=bool(merged["utility_dominates"]),
+def _format(merged: dict) -> str:
+    stacks = merged["stacks"]
+    runs = {(r["stack"], r["loss"], r["num_users"]): r for r in merged["runs"]}
+    headers = ["loss", "users"] + [
+        f"{stack} qoe|fps" for stack in stacks
+    ] + ["heur_u", "opt_u"]
+    rows = []
+    for loss in merged["loss_points"]:
+        for n in merged["user_counts"]:
+            row: list = [f"{loss * 100:.0f}%", n]
+            for stack in stacks:
+                session = runs[(stack, loss, n)]["session"]
+                row.append(f"{session['qoe_score']:7.1f}|{session['mean_fps']:4.1f}")
+            # Every stack at a point carries the same allocation arm.
+            allocation = runs[(stacks[-1], loss, n)]["allocation"]
+            row.append(f"{allocation['heuristic_utility']:.4f}")
+            row.append(f"{allocation['optimal_utility']:.4f}")
+            rows.append(row)
+    verdict = (
+        "DP allocator weakly dominates the greedy fill at every point"
+        if merged["utility_dominates"]
+        else "DP allocator LOST to the greedy fill somewhere (bug!)"
     )
+    return format_table(headers, rows) + f"\n{verdict}"
 
 
 EXPERIMENT = register(
@@ -286,7 +250,7 @@ EXPERIMENT = register(
         run_one=run_one,
         decompose=_decompose,
         merge=_merge,
-        format_result=lambda merged: _result_from_merged(merged).format(),
+        format_result=_format,
         default_params={
             "stacks": tuple(POLICY_STACKS),
             "loss_points": DEFAULT_POLICY_LOSS_POINTS,
@@ -302,29 +266,3 @@ EXPERIMENT = register(
     )
 )
 
-
-def run_policy_comparison(
-    stacks: tuple[str, ...] = tuple(POLICY_STACKS),
-    loss_points: tuple[float, ...] = DEFAULT_POLICY_LOSS_POINTS,
-    user_counts: tuple[int, ...] = DEFAULT_POLICY_USER_COUNTS,
-    duration_s: float = 5.0,
-    seed: int = DEFAULT_SEED,
-) -> PolicyComparisonResult:
-    """Sweep the policy stacks across loss and user-count axes.
-
-    One closed-loop session per (stack, loss, users) plus the static
-    allocation comparison at each operating point.  Deterministic for a
-    fixed ``seed``; the per-run fan-out parallelizes under ``--parallel``
-    with bit-identical merged output.
-    """
-    merged = run_experiment(
-        "policy_comparison",
-        {
-            "stacks": tuple(stacks),
-            "loss_points": tuple(loss_points),
-            "user_counts": tuple(user_counts),
-            "duration_s": duration_s,
-            "seed": seed,
-        },
-    )
-    return _result_from_merged(merged)

@@ -10,12 +10,10 @@ quality — the single-row summary of the whole reproduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..core import SessionConfig, measure_max_fps
-from ..runner import Experiment, RunSpec, register, run_experiment
+from ..runner import Experiment, RunSpec, register
 from ..scenario import SCALING_SYSTEM_SPECS, session_config_for
 from .common import (
     DEFAULT_SEED,
@@ -24,38 +22,11 @@ from .common import (
     format_table,
 )
 
-__all__ = ["ScalingResult", "run_scaling", "run_one", "SCALING_SYSTEMS"]
+__all__ = ["run_one", "fps_by_system", "max_users", "SCALING_SYSTEMS"]
 
 # Labels come from the declarative system ladder the scenario layer owns;
 # the tuple is kept for callers that match on names.
 SCALING_SYSTEMS = tuple(s.label for s in SCALING_SYSTEM_SPECS)
-
-
-@dataclass(frozen=True)
-class ScalingResult:
-    """Per system: user count -> mean FPS, plus max users at ~30 FPS."""
-
-    fps: dict[str, dict[int, float]]
-    threshold_fps: float = 29.0
-
-    def max_users(self, system: str) -> int:
-        counts = self.fps[system]
-        supported = [n for n, f in counts.items() if f >= self.threshold_fps]
-        return max(supported, default=0)
-
-    def format(self) -> str:
-        counts = sorted(next(iter(self.fps.values())))
-        headers = ["System"] + [str(n) for n in counts] + ["max@30"]
-        rows = []
-        for system in SCALING_SYSTEMS:
-            if system not in self.fps:
-                continue
-            rows.append(
-                [system]
-                + [round(self.fps[system][n], 1) for n in counts]
-                + [self.max_users(system)]
-            )
-        return format_table(headers, rows)
 
 
 def _mean_fps(config: SessionConfig, num_frames: int) -> float:
@@ -63,7 +34,14 @@ def _mean_fps(config: SessionConfig, num_frames: int) -> float:
 
 
 def run_one(spec: RunSpec) -> dict:
-    """One user count across all five system configurations."""
+    """One user count across all five system configurations.
+
+    The multicast row runs on the same calibrated 802.11ad capacity model
+    as the unicast rows so user counts compare apples to apples;
+    ``multicast_rate_fraction`` (default 0.8, about one MCS step) charges
+    the group-minimum-MCS penalty of the custom-beam multicast, the
+    penalty level the Fig. 3d/3e beam experiments measure.
+    """
     n = int(spec.get("num_users"))
     quality = str(spec.get("quality"))
     num_frames = int(spec.get("num_frames"))
@@ -104,13 +82,33 @@ def _merge(params: dict, runs: list) -> dict:
     return {"rows": [result for _, result in runs]}
 
 
-def _result_from_merged(merged: dict) -> ScalingResult:
+def fps_by_system(merged: dict) -> dict[str, dict[int, float]]:
+    """Per system: user count -> mean FPS."""
     fps: dict[str, dict[int, float]] = {s: {} for s in SCALING_SYSTEMS}
     for row in merged["rows"]:
-        n = int(row["num_users"])
         for entry in row["fps"]:
-            fps[entry["system"]][n] = float(entry["mean_fps"])
-    return ScalingResult(fps=fps)
+            fps[entry["system"]][int(row["num_users"])] = float(entry["mean_fps"])
+    return fps
+
+
+def max_users(merged: dict, system: str) -> int:
+    """Largest user count at which ``system`` sustains ~30 FPS, i.e. a mean
+    of at least 29 FPS (0 if none)."""
+    counts = fps_by_system(merged)[system]
+    return max((n for n, f in counts.items() if f >= 29.0), default=0)
+
+
+def _format(merged: dict) -> str:
+    fps = fps_by_system(merged)
+    counts = sorted(fps[SCALING_SYSTEMS[0]])
+    headers = ["System"] + [str(n) for n in counts] + ["max@30"]
+    rows = [
+        [system]
+        + [round(fps[system][n], 1) for n in counts]
+        + [max_users(merged, system)]
+        for system in SCALING_SYSTEMS
+    ]
+    return format_table(headers, rows)
 
 
 EXPERIMENT = register(
@@ -120,7 +118,7 @@ EXPERIMENT = register(
         run_one=run_one,
         decompose=_decompose,
         merge=_merge,
-        format_result=lambda merged: _result_from_merged(merged).format(),
+        format_result=_format,
         default_params={
             "user_counts": (1, 2, 3, 4, 5, 6, 7, 8, 9, 10),
             "quality": "high",
@@ -137,32 +135,3 @@ EXPERIMENT = register(
     )
 )
 
-
-def run_scaling(
-    user_counts: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10),
-    quality: str = "high",
-    num_frames: int = 24,
-    duration_s: float = 5.0,
-    seed: int = DEFAULT_SEED,
-    multicast_rate_fraction: float = 0.8,
-) -> ScalingResult:
-    """Sweep user counts across the five system configurations.
-
-    The multicast row runs on the same calibrated 802.11ad capacity model
-    as the unicast rows so user counts compare apples to apples;
-    ``multicast_rate_fraction`` (default 0.8, about one MCS step) charges
-    the group-minimum-MCS penalty of the custom-beam multicast, the
-    penalty level the Fig. 3d/3e beam experiments measure.
-    """
-    merged = run_experiment(
-        "scaling",
-        {
-            "user_counts": tuple(user_counts),
-            "quality": quality,
-            "num_frames": num_frames,
-            "duration_s": duration_s,
-            "multicast_rate_fraction": multicast_rate_fraction,
-            "seed": seed,
-        },
-    )
-    return _result_from_merged(merged)

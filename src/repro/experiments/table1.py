@@ -9,17 +9,15 @@ player.  Also reports the per-user transport data rate column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..core import CapacityRateProvider, FixedQualityPolicy, SessionConfig, measure_max_fps
 from ..mac import AC_MODEL, AD_MODEL, WlanCapacityModel
 from ..pointcloud import QUALITY_ORDER, VisibilityConfig
-from ..runner import Experiment, RunSpec, register, run_experiment
+from ..runner import Experiment, RunSpec, register
 from .common import DEFAULT_SEED, default_study, default_video, format_table
 
-__all__ = ["Table1Row", "Table1Result", "run_table1", "run_one", "PAPER_TABLE1"]
+__all__ = ["run_one", "row", "PAPER_TABLE1"]
 
 # users per network in the paper's table (3 on 802.11ac, 7 on 802.11ad).
 _MAX_USERS = {"802.11ac": 3, "802.11ad": 7}
@@ -43,44 +41,6 @@ PAPER_TABLE1: dict[str, dict[int, tuple]] = {
         7: (144, (16.8, 13.5, 11.2), (27.0, 22.9, 17.2)),
     },
 }
-
-
-@dataclass(frozen=True)
-class Table1Row:
-    """One (network, user-count) row."""
-
-    network: str
-    num_users: int
-    per_user_rate_mbps: float
-    vanilla_fps: tuple[float, float, float]  # low, medium, high
-    vivo_fps: tuple[float, float, float]
-
-
-@dataclass(frozen=True)
-class Table1Result:
-    """All Table 1 rows plus lookup/formatting helpers."""
-
-    rows: list[Table1Row]
-
-    def row(self, network: str, num_users: int) -> Table1Row:
-        for r in self.rows:
-            if r.network == network and r.num_users == num_users:
-                return r
-        raise KeyError(f"no row for {network} x {num_users}")
-
-    def format(self) -> str:
-        headers = [
-            "Network", "Users", "Mbps/user",
-            "V-330K", "V-430K", "V-550K",
-            "ViVo-330K", "ViVo-430K", "ViVo-550K",
-        ]
-        rows = [
-            [r.network, r.num_users, round(r.per_user_rate_mbps, 0),
-             *[round(f, 1) for f in r.vanilla_fps],
-             *[round(f, 1) for f in r.vivo_fps]]
-            for r in self.rows
-        ]
-        return format_table(headers, rows)
 
 
 def _fps_for(
@@ -131,6 +91,11 @@ def run_one(spec: RunSpec) -> dict:
 
 
 def _decompose(params: dict) -> list[RunSpec]:
+    unknown = [n for n in params["networks"] if n not in _MODELS]
+    if unknown:
+        raise ValueError(
+            f"unknown network(s) {unknown}; valid networks: {sorted(_MODELS)}"
+        )
     return [
         RunSpec.make(
             "table1",
@@ -148,19 +113,27 @@ def _merge(params: dict, runs: list) -> dict:
     return {"rows": [result for _, result in runs]}
 
 
-def _result_from_merged(merged: dict) -> Table1Result:
-    return Table1Result(
-        rows=[
-            Table1Row(
-                network=r["network"],
-                num_users=int(r["num_users"]),
-                per_user_rate_mbps=float(r["per_user_rate_mbps"]),
-                vanilla_fps=tuple(float(f) for f in r["vanilla_fps"]),
-                vivo_fps=tuple(float(f) for f in r["vivo_fps"]),
-            )
-            for r in merged["rows"]
-        ]
-    )
+def row(merged: dict, network: str, num_users: int) -> dict:
+    """The row for ``network`` x ``num_users`` (KeyError if there is none)."""
+    for r in merged["rows"]:
+        if r["network"] == network and r["num_users"] == num_users:
+            return r
+    raise KeyError(f"no row for {network} x {num_users}")
+
+
+def _format(merged: dict) -> str:
+    headers = [
+        "Network", "Users", "Mbps/user",
+        "V-330K", "V-430K", "V-550K",
+        "ViVo-330K", "ViVo-430K", "ViVo-550K",
+    ]
+    rows = [
+        [r["network"], r["num_users"], round(r["per_user_rate_mbps"], 0),
+         *[round(f, 1) for f in r["vanilla_fps"]],
+         *[round(f, 1) for f in r["vivo_fps"]]]
+        for r in merged["rows"]
+    ]
+    return format_table(headers, rows)
 
 
 EXPERIMENT = register(
@@ -170,7 +143,7 @@ EXPERIMENT = register(
         run_one=run_one,
         decompose=_decompose,
         merge=_merge,
-        format_result=lambda merged: _result_from_merged(merged).format(),
+        format_result=_format,
         default_params={
             "num_frames": 45,
             "networks": ("802.11ac", "802.11ad"),
@@ -180,18 +153,3 @@ EXPERIMENT = register(
     )
 )
 
-
-def run_table1(
-    num_frames: int = 45,
-    seed: int = DEFAULT_SEED,
-    networks: tuple[str, ...] = ("802.11ac", "802.11ad"),
-) -> Table1Result:
-    """Regenerate Table 1 (per-user rates and FPS at all qualities)."""
-    for network in networks:
-        if network not in _MODELS:
-            raise ValueError(f"unknown network {network!r}")
-    merged = run_experiment(
-        "table1",
-        {"num_frames": num_frames, "seed": seed, "networks": tuple(networks)},
-    )
-    return _result_from_merged(merged)

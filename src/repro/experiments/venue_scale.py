@@ -12,7 +12,7 @@ count.
 
 from __future__ import annotations
 
-from ..runner import Experiment, RunSpec, register, run_experiment
+from ..runner import Experiment, RunSpec, register
 from ..scenario import (
     RoomSpec,
     VenueSpec,
@@ -23,7 +23,6 @@ from ..scenario import (
 from .common import DEFAULT_SEED, format_table
 
 __all__ = [
-    "run_venue_scale",
     "venue_from_params",
     "room_specs_tuple",
     "run_one",
@@ -215,9 +214,3 @@ EXPERIMENT = register(
     )
 )
 
-
-def run_venue_scale(overrides=None, *, scale="default", workers=1) -> dict:
-    """Run the venue experiment through the runner and return the merge."""
-    return run_experiment(
-        "venue_scale", overrides, scale=scale, workers=workers
-    )

@@ -102,6 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point for ``repro trace`` (returns a process exit status)."""
+    from ..runner.progress import banner
     from ..runner.registry import get_experiment, resolve_params
 
     args = build_parser().parse_args(argv)
@@ -135,7 +136,7 @@ def main(argv: list[str] | None = None) -> int:
     merged = experiment.merge(params, runs)
     if not args.quiet:
         title = experiment.title or experiment.name
-        print(f"\n===== {title} " + "=" * max(0, 60 - len(title)))
+        print(banner(title))
         print(experiment.format_result(merged))
         print()
 

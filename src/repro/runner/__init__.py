@@ -10,7 +10,7 @@ surface (``repro run --parallel N``, ``repro figures --parallel N``).
 from .cache import ResultCache, default_cache_root
 from .compare import diff_results, format_diff
 from .executor import RunReport, run_experiment, run_specs, run_specs_iter
-from .progress import ProgressPrinter, TimingSummary
+from .progress import ProgressPrinter, TimingSummary, banner
 from .registry import (
     Experiment,
     all_experiments,
@@ -30,6 +30,7 @@ __all__ = [
     "RunSpec",
     "TimingSummary",
     "all_experiments",
+    "banner",
     "canonical_json",
     "default_cache_root",
     "diff_results",

@@ -24,7 +24,7 @@ from dataclasses import replace
 from ..obs import metrics as obs_metrics
 from .cache import ResultCache
 from .executor import run_specs_iter
-from .progress import ProgressPrinter, TimingSummary
+from .progress import ProgressPrinter, TimingSummary, banner
 from .registry import experiment_names, get_experiment, resolve_params
 
 __all__ = ["main"]
@@ -178,7 +178,7 @@ def main(argv: list[str]) -> int:
     summary.finish()
 
     for title, body in rendered:
-        print(f"\n===== {title} " + "=" * max(0, 60 - len(title)))
+        print(banner(title))
         print(body)
 
     print()

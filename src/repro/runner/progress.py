@@ -17,7 +17,12 @@ from typing import Any, TextIO
 from ..obs.profile import PhaseProfiler
 from .executor import RunReport
 
-__all__ = ["ProgressPrinter", "TimingSummary"]
+__all__ = ["ProgressPrinter", "TimingSummary", "banner"]
+
+
+def banner(title: str) -> str:
+    """The ``===== title =====`` line that opens each printed result block."""
+    return f"\n===== {title} " + "=" * max(0, 60 - len(title))
 
 
 class ProgressPrinter:

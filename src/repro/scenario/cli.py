@@ -134,7 +134,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         venue = _venue_from_args(args)
-    except ValueError as exc:
+    except (OSError, TypeError, ValueError) as exc:  # unreadable or malformed
         print(f"invalid venue spec: {exc}", file=sys.stderr)
         return 2
     overrides = {

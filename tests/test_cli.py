@@ -117,3 +117,48 @@ def test_cli_run_writes_timings(capsys, tmp_path):
     payload = json.loads(timings.read_text())
     assert payload["workers"] == 1
     assert payload["experiments"]["fig3d"]["runs"] == 1
+
+
+def _experiment_blocks(out: str) -> str:
+    """The printed result blocks, without timing lines."""
+    lines = []
+    for line in out.splitlines():
+        if line.startswith(("Experiment ", "done in")):
+            break
+        lines.append(line)
+    return "\n".join(lines).strip()
+
+
+def test_cli_experiment_prints_the_runner_block(capsys):
+    # Unset flags keep the registered defaults: the same block as
+    # `repro run fig3b fig3e --no-cache` at default scale.
+    assert main(["fig3b", "fig3e"]) == 0
+    direct = _experiment_blocks(capsys.readouterr().out)
+    assert main(["run", "fig3b", "fig3e", "--no-cache", "--quiet"]) == 0
+    assert direct == _experiment_blocks(capsys.readouterr().out)
+
+
+def test_cli_flags_override_declared_params(capsys):
+    # fig3d's small scale is num_instants=40, loss_sweep's is num_frames=6.
+    assert main(["fig3d", "loss_sweep", "--instants", "40", "--frames", "6"]) == 0
+    direct = _experiment_blocks(capsys.readouterr().out)
+    argv = ["run", "fig3d", "loss_sweep", "--scale", "small", "--no-cache", "--quiet"]
+    assert main(argv) == 0
+    assert direct == _experiment_blocks(capsys.readouterr().out)
+
+
+def test_scenario_missing_spec_file_exits_2(capsys, tmp_path):
+    missing = tmp_path / "nope.json"
+    assert main(["scenario", "--spec", str(missing)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("invalid venue spec: ") and "nope.json" in err[0]
+
+
+def test_scenario_malformed_spec_json_exits_2(capsys, tmp_path):
+    spec = tmp_path / "venue.json"
+    spec.write_text('{"rooms": [', encoding="utf-8")
+    assert main(["scenario", "--spec", str(spec)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("invalid venue spec: ")

@@ -11,17 +11,7 @@ import time
 
 import numpy as np
 
-from repro.experiments import (
-    PAPER_TABLE1,
-    run_scaling,
-    run_fig2a,
-    run_fig2b,
-    run_fig3b,
-    run_fig3d,
-    run_fig3e,
-    run_table1,
-    run_venue_scale,
-)
+from repro.experiments import PAPER_TABLE1, fig2a, fig2b, fig3b, fig3d, fig3e, table1
 from repro.ablation import format_report
 from repro.runner import get_experiment, run_experiment
 
@@ -314,7 +304,7 @@ def main() -> None:
 
     # ------------------------------------------------------ Venue scale ----
     print("Venue scale ...")
-    venue_report = run_venue_scale(scale="default", workers=4)
+    venue_report = run_experiment("venue_scale", workers=4)
     summary = venue_report["venue"]
     parts.append(block([
         "### Measured — the default 10-room venue",
@@ -353,14 +343,14 @@ def main() -> None:
 
     # ---------------------------------------------------------- Table 1 ----
     print("Table 1 ...")
-    t1 = run_table1(num_frames=45)
+    t1 = run_experiment("table1", {"num_frames": 45})
     lines = [
         "## Table 1 — multi-user FPS, vanilla vs. ViVo",
         "",
         "Measured (this repo):",
         "",
         "```",
-        t1.format(),
+        get_experiment("table1").format_result(t1),
         "```",
         "",
         "Paper values for comparison (per-user Mbps, vanilla FPS low/med/high,"
@@ -381,8 +371,8 @@ def main() -> None:
     diffs = []
     for network, rows in PAPER_TABLE1.items():
         for n, (rate, vanilla, vivo) in rows.items():
-            ours = t1.row(network, n)
-            for p, o in zip(vanilla + vivo, ours.vanilla_fps + ours.vivo_fps):
+            ours = table1.row(t1, network, n)
+            for p, o in zip(vanilla + vivo, ours["vanilla_fps"] + ours["vivo_fps"]):
                 diffs.append(abs(p - o))
     lines.append(
         f"Mean absolute FPS deviation across all {len(diffs)} cells: "
@@ -395,11 +385,11 @@ def main() -> None:
 
     # ---------------------------------------------------------- Scaling ----
     print("Scaling ...")
-    sc = run_scaling(num_frames=24)
+    sc = run_experiment("scaling", {"num_frames": 24})
     parts.append(block([
         "## Headline scaling — max users at ~30 FPS (550K quality)",
         "",
-        "```", sc.format(), "```",
+        "```", get_experiment("scaling").format_result(sc), "```",
         "",
         "The paper's ladder: one vanilla 802.11ac user, three vanilla "
         "802.11ad users, five with ViVo ('one or two' more), and the "
@@ -411,24 +401,25 @@ def main() -> None:
 
     # ---------------------------------------------------------- Fig 2a ----
     print("Fig 2a ...")
-    f2a = run_fig2a(num_users=16, num_frames=300)
+    f2a = run_experiment("fig2a", {"num_users": 16, "num_frames": 300})
+    early, late = fig2a.converging_ends(f2a)
     parts.append(block([
         "## Fig. 2a — pairwise IoU over time (50 cm cells)",
         "",
-        f"- Stable pair {f2a.stable_pair}: mean IoU "
-        f"**{f2a.stable_mean:.3f}** (paper: 'watch exactly the same content "
-        "most of the time' — IoU ≈ 1).",
-        f"- Converging pair {f2a.converging_pair}: IoU "
-        f"**{np.mean(f2a.converging_iou[:60]):.2f} → "
-        f"{np.mean(f2a.converging_iou[-60:]):.2f}** over the session "
+        f"- Stable pair {tuple(f2a['stable_pair'])}: mean IoU "
+        f"**{fig2a.stable_mean(f2a):.3f}** (paper: 'watch exactly the same "
+        "content most of the time' — IoU ≈ 1).",
+        f"- Converging pair {tuple(f2a['converging_pair'])}: IoU "
+        f"**{early:.2f} → {late:.2f}** over the session "
         "(paper: 'low initially, increases to 1 towards the end').",
         "",
     ]))
 
     # ---------------------------------------------------------- Fig 2b ----
     print("Fig 2b ...")
-    f2b = run_fig2b(num_users=32, duration_s=10.0)
-    m = f2b.summary()
+    m = fig2b.mean_iou(
+        run_experiment("fig2b", {"num_users": 32, "duration_s": 10.0})
+    )
     parts.append(block([
         "## Fig. 2b — IoU distributions across settings",
         "",
@@ -446,8 +437,9 @@ def main() -> None:
 
     # ---------------------------------------------------------- Fig 3b ----
     print("Fig 3b ...")
-    f3b = run_fig3b(num_instants=150)
-    cov = f3b.summary()
+    f3b = run_experiment("fig3b", {"num_instants": 150})
+    cov = fig3b.coverage(f3b)
+    f3b_samples = fig3b.group_samples(f3b).values()
     paper_cov = {1: 0.965, 2: 0.79, 3: 0.60}
     lines = [
         "## Fig. 3b — default-codebook multicast coverage at -68 dBm",
@@ -461,8 +453,8 @@ def main() -> None:
         "",
         "Monotone coverage collapse with group size reproduces; the measured "
         "RSS range "
-        f"([{min(s.min() for s in f3b.samples.values()):.0f}, "
-        f"{max(s.max() for s in f3b.samples.values()):.0f}] dBm) matches the "
+        f"([{min(s.min() for s in f3b_samples):.0f}, "
+        f"{max(s.max() for s in f3b_samples):.0f}] dBm) matches the "
         "paper's -78..-54 dBm axis.",
         "",
     ]
@@ -470,13 +462,13 @@ def main() -> None:
 
     # ---------------------------------------------------------- Fig 3d ----
     print("Fig 3d ...")
-    f3d = run_fig3d(num_instants=200)
+    f3d = fig3d.summary(run_experiment("fig3d", {"num_instants": 200}))
     parts.append(block([
         "## Fig. 3d — default vs. customized multicast beams (2 users)",
         "",
-        f"- Mean common-RSS improvement: **{f3d.mean_improvement_db():+.2f} dB**"
-        f" (median {f3d.median_improvement_db():+.2f} dB).",
-        f"- Custom beams win at **{f3d.win_fraction()*100:.0f}%** of "
+        f"- Mean common-RSS improvement: **{f3d['mean_improvement_db']:+.2f} dB**"
+        f" (median {f3d['median_improvement_db']:+.2f} dB).",
+        f"- Custom beams win at **{f3d['win_fraction']*100:.0f}%** of "
         "placements and never lose (the designer keeps the default common "
         "beam when it is already good — the paper's own fallback rule).",
         "- Paper: custom beams 'achieve much higher common RSS values', "
@@ -486,8 +478,8 @@ def main() -> None:
 
     # ---------------------------------------------------------- Fig 3e ----
     print("Fig 3e ...")
-    f3e = run_fig3e(num_instants=80)
-    s3e = f3e.summary()
+    f3e = run_experiment("fig3e", {"num_instants": 80})
+    s3e = fig3e.mean_throughput(f3e)
     parts.append(block([
         "## Fig. 3e — normalized throughput of the three schemes (2 users)",
         "",
@@ -498,7 +490,7 @@ def main() -> None:
         f"| multicast, custom beams | {s3e['multicast-custom']:.3f} |",
         "",
         f"Default-beam multicast loses to unicast at "
-        f"**{f3e.default_worse_than_unicast_fraction()*100:.0f}%** of "
+        f"**{fig3e.default_worse_than_unicast_fraction(f3e)*100:.0f}%** of "
         "instants — the paper's warning that default beams 'may in fact "
         "sometimes reduce the data rate'.  Custom-beam multicast is best "
         "essentially everywhere, as in the paper's bar chart.",

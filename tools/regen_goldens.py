@@ -35,7 +35,8 @@ GOLDEN_DIR = REPO_ROOT / "tests" / "experiments" / "goldens"
 # CI golden job runs.  Tolerances absorb last-bit libm/BLAS differences
 # across platforms while still failing on any real numeric drift.
 GOLDEN_EXPERIMENTS = (
-    "table1", "fig2a", "fig2b", "fig3d", "loss_sweep", "venue_scale",
+    "table1", "fig2a", "fig2b", "fig3b", "fig3d", "fig3e", "scaling",
+    "loss_sweep", "venue_scale",
     "ablation_importance", "policy_comparison",
     "ablation_prediction", "ablation_blockage", "ablation_grouping",
     "ablation_adaptation", "ablation_cellsize", "ablation_multiap",
