@@ -14,7 +14,12 @@ admission constraint ``T_m(k) <= 1/F``.  Three policies:
 The multicast rate of a candidate group comes from a caller-supplied
 ``rate_fn(members) -> Mbps`` so the same grouper works with the calibrated
 capacity models (Table 1) and the beam-level channel (Fig. 3e): the rate a
-group gets depends on which beam the AP can design for it.
+group gets depends on which beam the AP can design for it.  ``rate_fn``
+must be pure: each grouper asks it once per distinct group.
+
+Each grouper builds its frame's :class:`~repro.mac.scheduler.FrameDemands`
+once and plans every candidate over it, so a candidate merge prices only
+the one group it creates; every other airtime comes from the frame's memo.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..mac.scheduler import FramePlan, UserDemand, plan_frame
+from ..mac.scheduler import FrameDemands, FramePlan, UserDemand, plan_frame
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
 from .qoe import QoEWeights
@@ -107,41 +112,52 @@ def _visibility_map(demand: UserDemand) -> frozenset:
     return frozenset(demand.cell_bytes)
 
 
-def _member_rows(
-    demand_list: list[UserDemand],
-) -> tuple[dict[int, np.ndarray], int]:
-    """One boolean membership row per user over the sorted cell universe."""
-    universe = sorted({c for d in demand_list for c in d.cell_bytes})
-    index = {cell: i for i, cell in enumerate(universe)}
-    rows: dict[int, np.ndarray] = {}
-    for d in demand_list:
-        row = np.zeros(len(universe), dtype=bool)
-        if d.cell_bytes:
-            row[[index[cell] for cell in d.cell_bytes]] = True
-        rows[d.user_id] = row
-    return rows, len(universe)
+def _partition_planner(
+    frame_demands: FrameDemands, multicast_rate_fn: RateFn
+) -> Callable[[list[tuple[int, ...]]], FramePlan]:
+    """``plan_for(partition)``: the partition's plan over the frame's
+    demands, with each distinct group's rate asked of ``rate_fn`` once.
+
+    ``plan_frame`` is looked up at call time, so every candidate still
+    goes through this module's ``plan_frame``.
+    """
+    rates: dict[tuple[int, ...], float] = {}
+
+    def plan_for(partition: list[tuple[int, ...]]) -> FramePlan:
+        multicast_groups = []
+        for g in partition:
+            if len(g) > 1:
+                if g not in rates:
+                    rates[g] = multicast_rate_fn(g)
+                multicast_groups.append((g, rates[g]))
+        return plan_frame(frame_demands, groups=multicast_groups)
+
+    return plan_for
 
 
 def _group_iou_matrix(
-    groups: list[tuple[int, ...]],
-    rows: dict[int, np.ndarray],
-    num_cells: int,
+    groups: list[tuple[int, ...]], frame_demands: FrameDemands
 ) -> np.ndarray:
     """IoU of every merged group pair, as a symmetric (G, G) matrix.
 
     Entry (a, b) equals ``group_iou`` over the member maps of ``a`` and
     ``b`` combined, bit-identically: intersection/union member counts are
-    exact integers and the final division matches the scalar
-    ``len(inter) / len(union)``.
+    exact integers (held in float64) and the final division matches the
+    scalar ``len(inter) / len(union)``.
     """
-    inter_rows = np.empty((len(groups), num_cells), dtype=bool)
-    union_rows = np.empty((len(groups), num_cells), dtype=bool)
+    matrix = frame_demands.matrix
+    user_row = frame_demands.user_row
+    # How many members of each group want each cell: a (G, R) member
+    # count per distinct-demand row times the (R, C) presence mask.  All
+    # counts are small integers, exact in float64.
+    weights = np.zeros((len(groups), len(matrix.present)))
     for gi, g in enumerate(groups):
-        stacked = [rows[u] for u in g]
-        inter_rows[gi] = np.logical_and.reduce(stacked)
-        union_rows[gi] = np.logical_or.reduce(stacked)
-    ii = inter_rows.astype(np.int64)
-    uu = union_rows.astype(np.int64)
+        for u in g:
+            weights[gi, user_row[u]] += 1.0
+    counts = weights @ matrix.present
+    sizes = np.array([len(g) for g in groups], dtype=np.float64)[:, None]
+    ii = (counts == sizes).astype(np.float64)
+    uu = (counts > 0).astype(np.float64)
     inter_count = ii @ ii.T
     union_sizes = uu.sum(axis=1)
     union_count = union_sizes[:, None] + union_sizes[None, :] - uu @ uu.T
@@ -151,7 +167,6 @@ def _group_iou_matrix(
 def greedy_similarity_grouping(
     demands: Sequence[UserDemand],
     multicast_rate_fn: RateFn,
-    target_fps: float = 30.0,
     min_iou: float = 0.05,
     frame: int | None = None,
 ) -> GroupingResult:
@@ -159,30 +174,25 @@ def greedy_similarity_grouping(
 
     Start with singletons.  Repeatedly take the pair of groups whose merged
     visibility maps have the highest IoU and merge them if doing so strictly
-    reduces the plan's total airtime; stop when no merge helps.  Finally
-    verify the paper's constraint ``T_m(k) <= 1/F``; if the best plan still
-    misses the deadline it is returned anyway (the session simulator then
-    reports the sub-30 FPS, exactly like Table 1 does).
+    reduces the plan's total airtime; stop when no merge helps.  The
+    fastest plan found is returned whether or not it meets the paper's
+    deadline ``T_m(k) <= 1/F``: the caller reports the frame rate it
+    sustains (sub-30 FPS, exactly like Table 1 does).
 
     Groups whose pairwise IoU is below ``min_iou`` are never merged —
     multicasting nearly-disjoint viewports only adds beam complexity.
     """
     demand_list = list(demands)
     groups: list[tuple[int, ...]] = [(d.user_id,) for d in demand_list]
-    rows, num_cells = _member_rows(demand_list)
-
-    def plan_for(partition: list[tuple[int, ...]]) -> FramePlan:
-        multicast_groups = [
-            (g, multicast_rate_fn(g)) for g in partition if len(g) > 1
-        ]
-        return plan_frame(demand_list, groups=multicast_groups)
+    frame_demands = FrameDemands(demand_list)
+    plan_for = _partition_planner(frame_demands, multicast_rate_fn)
 
     best_plan = plan_for(groups)
     best_time = best_plan.total_time_s()
     improved = True
     while improved and len(groups) > 1:
         improved = False
-        iou_matrix = _group_iou_matrix(groups, rows, num_cells)
+        iou_matrix = _group_iou_matrix(groups, frame_demands)
         candidates = []
         for ia, ib in combinations(range(len(groups)), 2):
             iou = float(iou_matrix[ia, ib])
@@ -256,20 +266,15 @@ def qoe_aware_grouping(
     qoe_weights = weights if weights is not None else QoEWeights()
     demand_list = sorted(demands, key=lambda d: d.user_id)
     groups: list[tuple[int, ...]] = [(d.user_id,) for d in demand_list]
-    rows, num_cells = _member_rows(demand_list)
-
-    def plan_for(partition: list[tuple[int, ...]]) -> FramePlan:
-        multicast_groups = [
-            (g, multicast_rate_fn(g)) for g in partition if len(g) > 1
-        ]
-        return plan_frame(demand_list, groups=multicast_groups)
+    frame_demands = FrameDemands(demand_list)
+    plan_for = _partition_planner(frame_demands, multicast_rate_fn)
 
     best_plan = plan_for(groups)
     best_qoe = _predicted_qoe(best_plan, demand_list, target_fps, qoe_weights)
     improved = True
     while improved and len(groups) > 1:
         improved = False
-        iou_matrix = _group_iou_matrix(groups, rows, num_cells)
+        iou_matrix = _group_iou_matrix(groups, frame_demands)
         candidates = []
         for ia, ib in combinations(range(len(groups)), 2):
             iou = float(iou_matrix[ia, ib])
@@ -315,7 +320,6 @@ def _partitions(items: list[int]):
 def exhaustive_grouping(
     demands: Sequence[UserDemand],
     multicast_rate_fn: RateFn,
-    target_fps: float = 30.0,
     max_users: int = 9,
     frame: int | None = None,
 ) -> GroupingResult:
@@ -331,15 +335,11 @@ def exhaustive_grouping(
             f"(got {len(demand_list)}); use greedy_similarity_grouping"
         )
     ids = [d.user_id for d in demand_list]
+    plan_for = _partition_planner(FrameDemands(demand_list), multicast_rate_fn)
     best_plan: FramePlan | None = None
     best_time = 0.0
     for partition in _partitions(ids):
-        multicast_groups = [
-            (tuple(sorted(block)), multicast_rate_fn(tuple(sorted(block))))
-            for block in partition
-            if len(block) > 1
-        ]
-        plan = plan_frame(demand_list, groups=multicast_groups)
+        plan = plan_for([tuple(sorted(block)) for block in partition])
         plan_time = plan.total_time_s()
         if best_plan is None or plan_time < best_time:
             best_plan, best_time = plan, plan_time

@@ -233,17 +233,14 @@ def _group_demands(
         return no_grouping(demands, frame=frame)
     if config.grouping == "greedy":
         return greedy_similarity_grouping(
-            demands, rate_fn, target_fps=config.target_fps,
-            min_iou=config.min_group_iou, frame=frame,
+            demands, rate_fn, min_iou=config.min_group_iou, frame=frame
         )
     if config.grouping == "qoe":
         return qoe_aware_grouping(
             demands, rate_fn, target_fps=config.target_fps,
             min_iou=config.min_group_iou, frame=frame,
         )
-    return exhaustive_grouping(
-        demands, rate_fn, target_fps=config.target_fps, frame=frame
-    )
+    return exhaustive_grouping(demands, rate_fn, frame=frame)
 
 
 def measure_max_fps(
@@ -291,7 +288,7 @@ def measure_max_fps(
         plan = result.plan
         if config.beam_switch_overhead_s:
             plan = plan_frame(
-                list(plan.demands.values()),
+                plan.frame_demands,
                 groups=plan.groups,
                 beam_switch_overhead_s=config.beam_switch_overhead_s,
                 frame=f,
@@ -410,7 +407,7 @@ class StreamingSession:
             plan = result.plan
             if config.beam_switch_overhead_s:
                 plan = plan_frame(
-                    demands,
+                    plan.frame_demands,
                     groups=plan.groups,
                     beam_switch_overhead_s=config.beam_switch_overhead_s,
                     frame=frame_index,

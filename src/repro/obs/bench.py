@@ -88,6 +88,7 @@ KERNEL_MIN_SPEEDUP = {
     "beam_gains": 1.5,
     "frustum_planes": 10.0,
     "frustum_cull": 2.0,
+    "frame_plan": 5.0,
 }
 
 
@@ -182,6 +183,7 @@ def run_kernel_bench(num_users: int = 1000) -> list[dict[str, Any]]:
 
     from ..core.similarity import group_iou, pairwise_iou_matrix
     from ..geometry import cull_aabbs, frustum_planes
+    from ..mac.scheduler import UserDemand, plan_frame, plan_time_reference
     from ..mmwave import Codebook, PhasedArray
     from ..pointcloud import CellGrid, VisibilityConfig, synthesize_video
     from ..pointcloud.visibility import (
@@ -321,6 +323,55 @@ def run_kernel_bench(num_users: int = 1000) -> list[dict[str, Any]]:
         cull_aabbs(frustums, lows, highs)
     t2 = perf_counter()
     _entry("frustum_cull", t1 - t0, t2 - t1)
+
+    # -- one venue-sized tick planned over its archetype mappings -----------
+    # Hundreds of users share eight archetype ``{cell: bytes}`` dicts by
+    # reference (cells in sorted order, as visibility emits them); the
+    # plan multicasts one whole cluster and two per-archetype splits.
+    archetypes = []
+    for _ in range(8):
+        cells = np.sort(rng.choice(600, size=int(rng.integers(150, 300)),
+                                   replace=False))
+        archetypes.append({
+            int(c): float(b)
+            for c, b in zip(cells, rng.uniform(2e3, 2e4, size=len(cells)))
+        })
+    num_viewers = 480
+
+    def tick_demands() -> list[UserDemand]:
+        return [
+            UserDemand(u, archetypes[u % len(archetypes)], 350.0)
+            for u in range(num_viewers)
+        ]
+
+    def members_of(arches: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(
+            u for u in range(num_viewers) if u % len(archetypes) in arches
+        )
+
+    groups = [
+        (members_of((0, 1, 2)), 280.0),
+        (members_of((3,)), 280.0),
+        (members_of((4,)), 280.0),
+    ]
+    repeats = 3
+    scalar_ticks = [tick_demands() for _ in range(repeats)]
+    array_ticks = [tick_demands() for _ in range(repeats)]
+    scalar_total = plan_time_reference(
+        {d.user_id: d for d in tick_demands()}, groups
+    )
+    if plan_frame(tick_demands(), groups).total_time_s() != scalar_total:
+        raise RuntimeError(
+            "frame-demand matrix plan diverged from the scalar reference"
+        )
+    t0 = perf_counter()
+    for demands in scalar_ticks:
+        plan_time_reference({d.user_id: d for d in demands}, groups)
+    t1 = perf_counter()
+    for demands in array_ticks:
+        plan_frame(demands, groups).total_time_s()
+    t2 = perf_counter()
+    _entry("frame_plan", t1 - t0, t2 - t1)
 
     return entries
 

@@ -28,12 +28,7 @@ from dataclasses import dataclass
 
 from ..core.similarity import pairwise_iou_matrix
 from ..geometry import Frustum
-from ..mac.scheduler import (
-    UserDemand,
-    multicast_frame_time,
-    plan_frame,
-    unicast_frame_time,
-)
+from ..mac.scheduler import FrameDemands, UserDemand, plan_frame
 from ..net import transport as _transport
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
@@ -414,25 +409,31 @@ class ShardEngine:
             ),
         )
         unicast = rates.unicast_rate_mbps(0, 0)
-        demands = [
+        frame_demands = FrameDemands(
             UserDemand(
                 user_id=uid,
                 cell_bytes=cell_bytes[state.active[uid]],
                 unicast_rate_mbps=unicast,
             )
             for uid in uids
-        ]
+        )
 
         groups: list[tuple[tuple[int, ...], float]] = []
         if clusters is not None:
-            demand_of = {d.user_id: d for d in demands}
+            multicast_rates: dict[tuple[int, ...], float] = {}
+
+            def multicast_rate(members: tuple[int, ...]) -> float:
+                if members not in multicast_rates:
+                    multicast_rates[members] = rates.multicast_rate_mbps(
+                        members, 0
+                    )
+                return multicast_rates[members]
 
             def group_time(members: tuple[int, ...]) -> float:
-                group = [demand_of[u] for u in members]
                 if len(members) < 2:
-                    return unicast_frame_time(group)
-                return multicast_frame_time(
-                    group, rates.multicast_rate_mbps(members, 0)
+                    return frame_demands.unicast_time_s(members)
+                return frame_demands.group_time_s(
+                    members, multicast_rate(members)
                 )
 
             by_cluster: dict[int, list[int]] = {}
@@ -462,9 +463,7 @@ class ShardEngine:
                 ]
                 t_whole = group_time(members)
                 t_split = sum(group_time(sub) for sub in split)
-                t_solo = unicast_frame_time(
-                    [demand_of[u] for u in members]
-                )
+                t_solo = frame_demands.unicast_time_s(members)
                 if venue.grouping == "qoe":
                     # QoE-aware admission: if plain unicast already fits
                     # this cluster's fair share of the frame deadline, the
@@ -481,11 +480,9 @@ class ShardEngine:
                 chosen = [members] if best == t_whole else split
                 for sub in chosen:
                     if len(sub) >= 2:
-                        groups.append(
-                            (sub, rates.multicast_rate_mbps(sub, 0))
-                        )
+                        groups.append((sub, multicast_rate(sub)))
 
-        plan = plan_frame(demands, groups, frame=frame)
+        plan = plan_frame(frame_demands, groups, frame=frame)
         airtime = plan.total_time_s()
         fps = (
             venue.target_fps

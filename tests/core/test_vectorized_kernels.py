@@ -10,13 +10,13 @@ tolerance is needed or used.
 import numpy as np
 import pytest
 
-from repro.core.grouping import _group_iou_matrix, _member_rows
+from repro.core.grouping import _group_iou_matrix
 from repro.core.similarity import (
     group_iou,
     membership_matrix,
     pairwise_iou_matrix,
 )
-from repro.mac.scheduler import UserDemand
+from repro.mac.scheduler import FrameDemands, UserDemand
 
 
 def _random_maps(rng, count, universe=400, density=0.25):
@@ -86,8 +86,7 @@ def test_group_iou_matrix_bitwise_matches_scalar_reference():
     rng = np.random.default_rng(29)
     demands = _demands(rng, 12)
     groups = [(0, 1), (2,), (3, 4, 5), (6,), (7, 8), (9, 10, 11)]
-    rows, num_cells = _member_rows(demands)
-    matrix = _group_iou_matrix(groups, rows, num_cells)
+    matrix = _group_iou_matrix(groups, FrameDemands(demands))
     by_id = {d.user_id: d for d in demands}
     for gi, ga in enumerate(groups):
         for gj, gb in enumerate(groups):

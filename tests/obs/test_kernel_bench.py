@@ -63,7 +63,7 @@ def test_run_kernel_bench_covers_every_gated_kernel(kernel_entries):
     names = [entry["name"] for entry in kernel_entries]
     assert names == [
         "pairwise_similarity_48", "occlusion_mask", "beam_gains",
-        "frustum_planes", "frustum_cull",
+        "frustum_planes", "frustum_cull", "frame_plan",
     ]
     for entry in kernel_entries:
         assert entry["scalar_wall_s"] > 0
@@ -130,7 +130,7 @@ def test_committed_bench_points_validate_and_record_the_win():
     # Floors added after BENCH_2 gate against their own recorded value
     # (test_compare_gates_speedup_against_the_baseline_floor).
     assert set(KERNEL_MIN_SPEEDUP) - set(kernels) == {
-        "frustum_planes", "frustum_cull",
+        "frustum_planes", "frustum_cull", "frame_plan",
     }
     for name, entry in kernels.items():
         assert entry["min_speedup"] == KERNEL_MIN_SPEEDUP[name]
@@ -154,12 +154,12 @@ def test_main_kernels_only_writes_a_gateable_point(tmp_path, capsys):
     assert doc["experiments"] == []
     assert [k["name"] for k in doc["kernels"]] == [
         "pairwise_similarity_1000", "occlusion_mask", "beam_gains",
-        "frustum_planes", "frustum_cull",
+        "frustum_planes", "frustum_cull", "frame_plan",
     ]
 
     # The fresh point gates cleanly against the committed floors (the
     # ratio gate, so this holds on any machine with working BLAS); the
-    # two kernels BENCH_2 lacks gate against their own floors.
+    # three kernels BENCH_2 lacks gate against their own floors.
     baseline = json.loads(
         (_REPO_ROOT / "BENCH_2.json").read_text(encoding="utf-8")
     )

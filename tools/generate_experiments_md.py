@@ -46,7 +46,7 @@ python -m repro run all --scale small           # quick CI-sized configs
   timing table; `--timings PATH` writes the summary as JSON (CI archives
   it as an artifact).
 - **Golden results.** `tests/experiments/goldens/` pins the full result
-  tree of six experiments at small scale with explicit tolerances
+  tree of 17 experiments at small scale with explicit tolerances
   (rtol 1e-6 / atol 1e-9).  After an intentional behavior change,
   regenerate with `PYTHONPATH=src python tools/regen_goldens.py` and
   review the fixture diff; `--check` mode diffs without writing.
