@@ -30,6 +30,9 @@ __all__ = [
 BODY_RADIUS_M = 0.22
 BODY_HEIGHT_M = 1.75
 
+# Links (sample x receiver x body) per chunk of the batched timeline.
+_BLOCKAGE_CHUNK_LINKS = 1 << 18
+
 
 def HumanBody(center_xy: np.ndarray, radius: float = BODY_RADIUS_M,
               height: float = BODY_HEIGHT_M) -> VerticalCylinder:
@@ -118,7 +121,83 @@ class BlockageTimeline:
 def compute_blockage_timeline(
     study: UserStudy, ap_position: np.ndarray
 ) -> BlockageTimeline:
-    """LoS blockage of every user by every *other* user over the session."""
+    """LoS blockage of every user by every *other* user over the session.
+
+    One segment-against-cylinder test for the whole study: each sample's
+    link AP -> user ``u`` against the body under every user ``b``, as
+    ``(S, U, U)`` arrays over samples, receivers and bodies (samples in
+    chunks of about 2^18 links), with the diagonal (a receiver's own body)
+    excluded.  The steps and comparisons are those of
+    :meth:`~repro.geometry.VerticalCylinder.intersection_interval`; its
+    2-vector dot products are stacked ``matmul`` calls, which equal
+    ``np.dot`` bit for bit, so the timeline equals
+    :func:`_compute_blockage_timeline_reference`'s.
+    """
+    ap = np.asarray(ap_position, dtype=np.float64)
+    positions = np.stack([t.positions for t in study.traces], axis=1)  # (S, U, 3)
+    n_samples, n_users = positions.shape[:2]
+    blocked = np.zeros((n_users, n_samples), dtype=bool)
+    others = ~np.eye(n_users, dtype=bool)
+    chunk = max(1, _BLOCKAGE_CHUNK_LINKS // (n_users * n_users))
+    for start in range(0, n_samples, chunk):
+        hit = _links_blocked(ap, positions[start : start + chunk])
+        blocked[:, start : start + chunk] = (hit & others).any(axis=2).T
+    return BlockageTimeline(blocked=blocked, rate_hz=study.rate_hz)
+
+
+def _dot2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise dot product of stacked 2-vectors, equal to ``np.dot``."""
+    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
+
+
+def _links_blocked(ap: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """``(S, U, B)``: does link AP -> user ``u`` cross the body of user ``b``?
+
+    ``positions`` is ``(S, U, 3)`` head positions; every user's body
+    stands under its head, the receiver's own included.
+    """
+    a2 = ap[:2] - positions[:, :, :2]  # (S, B, 2)
+    d2 = positions[:, :, :2] - ap[:2]  # (S, U, 2)
+    # Quadratic |a2 + t*d2|^2 = r^2.
+    qa = _dot2(d2, d2)[:, :, None]  # (S, U, 1)
+    qb = 2.0 * _dot2(a2[:, None, :, :], d2[:, :, None, :])  # (S, U, B)
+    qc = (_dot2(a2, a2) - BODY_RADIUS_M**2)[:, None, :]  # (S, 1, B)
+    # A vertical segment crosses the body only from inside the circle.
+    vertical = qa < 1e-15
+    disc = qb * qb - 4 * qa * qc
+    hit = np.where(vertical, qc <= 0.0, disc >= 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sq = np.sqrt(disc)
+        t0 = np.where(vertical, 0.0, (-qb - sq) / (2 * qa))
+        t1 = np.where(vertical, 1.0, (-qb + sq) / (2 * qa))
+        # Clip to the segment.
+        t0, t1 = np.maximum(t0, 0.0), np.minimum(t1, 1.0)
+        hit &= t0 < t1
+        # Clip against the z extent: z(t) = az + t*(bz-az) within [0, height].
+        az = ap[2]
+        dz = (positions[:, :, 2] - az)[:, :, None]  # (S, U, 1)
+        flat = np.abs(dz) < 1e-15
+        tz0 = (0.0 - az) / dz
+        tz1 = (BODY_HEIGHT_M - az) / dz
+        tz0, tz1 = np.minimum(tz0, tz1), np.maximum(tz0, tz1)
+        crosses_z = np.where(
+            flat,
+            0.0 <= az <= BODY_HEIGHT_M,
+            np.maximum(t0, tz0) < np.minimum(t1, tz1),
+        )
+    return hit & crosses_z
+
+
+def _compute_blockage_timeline_reference(
+    study: UserStudy, ap_position: np.ndarray
+) -> BlockageTimeline:
+    """Scalar reference for :func:`compute_blockage_timeline`.
+
+    One :func:`link_blockers` call per (sample, user), as the timeline was
+    first computed.  Kept as the equivalence baseline for the batched test
+    (``tests/mmwave/test_blockage_kernels.py``) and timed against it by
+    ``repro bench --kernels``.
+    """
     ap = np.asarray(ap_position, dtype=np.float64)
     n_users = len(study)
     n_samples = study.num_samples

@@ -21,9 +21,10 @@ kernels.
 
 ``--kernels`` additionally (or, with no experiments named, exclusively)
 times the vectorized hot-path kernels against their retained scalar
-references — pairwise viewport IoU at venue scale, the batched occlusion
-cull, the codebook gain sweep, the many-viewer frustum plane build and the
-many-viewer frustum cull — and records each kernel's measured speedup plus
+references — pairwise viewport IoU at venue scale, the frame occlusion
+kernel, the study's blockage timeline, the codebook gain sweep, the
+many-viewer frustum plane build, the many-viewer frustum cull and the
+frame plan — and records each kernel's measured speedup plus
 its ``min_speedup`` floor.  ``--compare`` gates *speedup
 against the baseline's floor*, not wall time, so the kernel gate is
 machine-independent: a slower CI box passes as long as the vectorized
@@ -46,8 +47,9 @@ import argparse
 import json
 import re
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 
 from .profile import PhaseProfiler
 
@@ -85,6 +87,7 @@ _REQUIRED_KERNEL = (
 KERNEL_MIN_SPEEDUP = {
     "pairwise_similarity_1000": 5.0,
     "occlusion_mask": 1.5,
+    "blockage_timeline": 5.0,
     "beam_gains": 1.5,
     "frustum_planes": 10.0,
     "frustum_cull": 2.0,
@@ -176,7 +179,83 @@ def run_kernel_bench(num_users: int = 1000) -> list[dict[str, Any]]:
     ``--compare`` gate holds future runs to.  ``num_users`` sizes the
     pairwise-similarity population (1,000 is the venue-scale acceptance
     point; tests shrink it).
+
+    The rows run with BLAS held to one thread (:func:`_single_threaded_blas`),
+    whatever the caller's environment, so they time the kernels and not
+    BLAS thread hand-offs.
     """
+    with _single_threaded_blas():
+        return _time_kernels(num_users)
+
+
+# (get, set) thread-count symbols, as OpenBLAS builds prefix and suffix
+# them: numpy's wheels export ``scipy_openblas_set_num_threads64_``, a
+# system OpenBLAS ``openblas_set_num_threads``.
+_OPENBLAS_THREAD_SYMBOLS = tuple(
+    (f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
+    for prefix in ("scipy_openblas", "openblas")
+    for suffix in ("64_", "")
+)
+
+
+def _blas_thread_controls() -> list[tuple[Any, Any]]:
+    """``(get, set)`` thread-count functions of every loaded OpenBLAS.
+
+    Libraries are found in ``/proc/self/maps``; elsewhere, or without
+    OpenBLAS, the list is empty.
+    """
+    import ctypes
+
+    import numpy  # noqa: F401 -- loads the BLAS numpy links
+
+    try:
+        maps = Path("/proc/self/maps").read_text(encoding="utf-8")
+    except OSError:
+        return []
+    paths = sorted({
+        fields[5]
+        for fields in (line.split(maxsplit=5) for line in maps.splitlines())
+        if len(fields) == 6 and "openblas" in fields[5].lower()
+    })
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.restype = ctypes.c_int
+                set_.argtypes = [ctypes.c_int]
+                controls.append((get, set_))
+                break
+    return controls
+
+
+@contextmanager
+def _single_threaded_blas() -> Iterator[None]:
+    """Hold every loaded OpenBLAS to one thread inside the block.
+
+    A threaded OpenBLAS hands mid-sized products to its worker threads:
+    ``Codebook.gains_toward``'s 192x32 complex matvec is past its
+    threading threshold.  On a two-core host where the worker shares a
+    core with the caller, each hand-off can wait a scheduler time slice
+    (about 8 ms instead of 30 us), so a timed loop of small products would
+    measure the waits.  The previous thread counts are restored on exit.
+    """
+    controls = _blas_thread_controls()
+    previous = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), count in zip(controls, previous):
+            set_(count)
+
+
+def _time_kernels(num_users: int) -> list[dict[str, Any]]:
     from time import perf_counter
 
     import numpy as np
@@ -184,7 +263,8 @@ def run_kernel_bench(num_users: int = 1000) -> list[dict[str, Any]]:
     from ..core.similarity import group_iou, pairwise_iou_matrix
     from ..geometry import cull_aabbs, frustum_planes
     from ..mac.scheduler import UserDemand, plan_frame, plan_time_reference
-    from ..mmwave import Codebook, PhasedArray
+    from ..mmwave import Codebook, PhasedArray, compute_blockage_timeline
+    from ..mmwave.blockage import _compute_blockage_timeline_reference
     from ..pointcloud import CellGrid, VisibilityConfig, synthesize_video
     from ..pointcloud.visibility import (
         _occlusion_mask,
@@ -227,18 +307,26 @@ def run_kernel_bench(num_users: int = 1000) -> list[dict[str, Any]]:
     _entry(f"pairwise_similarity_{num_users}", t1 - t0, t2 - t1,
            floor_name="pairwise_similarity_1000")
 
-    # -- batched occlusion cull over one frame's frustums -------------------
+    # -- frame occlusion kernel over one frame's frustums -------------------
     video = synthesize_video("medium", num_frames=1, points_per_frame=6000,
                              seed=0)
     grid = CellGrid.covering(video.bounds, 0.5, margin=0.05)
     study = generate_user_study(num_users=8, duration_s=2.0, seed=0)
     occ = grid.occupancy(video[0])
     config = VisibilityConfig()
-    cell_ids = occ.cell_ids
-    nominal = occ.nominal_counts().astype(np.float64)
-    lows, highs = grid.cell_bounds_array(cell_ids)
-    centers = grid.cell_centers(cell_ids)
+    cell_ids, nominal = occ.cell_ids, occ.nominal
     frustums = [t.pose_at(1.0).frustum() for t in study.traces]
+    eyes = np.array([f.position for f in frustums])
+    in_view = np.ones((len(frustums), len(cell_ids)), dtype=bool)
+    reference = [
+        _occlusion_mask_reference(grid, cell_ids, nominal, f, config)
+        for f in frustums
+    ]
+    if not np.array_equal(_occlusion_mask(occ, eyes, in_view, config),
+                          reference):
+        raise RuntimeError(
+            "frame occlusion kernel diverged from the scalar reference"
+        )
     repeats = 20  # single pass is ~ms-scale; repeat to swamp timer jitter
     t0 = perf_counter()
     for _ in range(repeats):
@@ -248,13 +336,28 @@ def run_kernel_bench(num_users: int = 1000) -> list[dict[str, Any]]:
             )
     t1 = perf_counter()
     for _ in range(repeats):
-        for frustum in frustums:
-            _occlusion_mask(
-                centers, lows, highs, nominal, frustum, config,
-                grid.cell_size,
-            )
+        _occlusion_mask(occ, eyes, in_view, config)
     t2 = perf_counter()
     _entry("occlusion_mask", t1 - t0, t2 - t1)
+
+    # -- one study's blockage timeline, every link at once ------------------
+    ap = np.array([4.0, 0.3, 2.0])  # the experiments' ceiling AP
+    if not np.array_equal(
+        compute_blockage_timeline(study, ap).blocked,
+        _compute_blockage_timeline_reference(study, ap).blocked,
+    ):
+        raise RuntimeError(
+            "batched blockage timeline diverged from the scalar reference"
+        )
+    repeats = 3
+    t0 = perf_counter()
+    for _ in range(repeats):
+        _compute_blockage_timeline_reference(study, ap)
+    t1 = perf_counter()
+    for _ in range(repeats):
+        compute_blockage_timeline(study, ap)
+    t2 = perf_counter()
+    _entry("blockage_timeline", t1 - t0, t2 - t1)
 
     # -- codebook gain sweep over many directions ---------------------------
     codebook = Codebook(array=PhasedArray(), num_az=64)

@@ -35,6 +35,9 @@ __all__ = [
     "compute_visibility_batch",
 ]
 
+# Elements of the ``(3, pairs, cells)`` slab temporary per occlusion chunk.
+_SLAB_CHUNK_ELEMENTS = 1 << 18
+
 
 @dataclass(frozen=True)
 class VisibilityConfig:
@@ -84,7 +87,7 @@ class VisibilityResult:
         if not (len(self.cell_ids) == len(self.fractions) == len(self.nominal_counts)):
             raise ValueError("parallel arrays must align")
         object.__setattr__(
-            self, "_visible_set", frozenset(int(c) for c in self.cell_ids)
+            self, "_visible_set", frozenset(np.asarray(self.cell_ids).tolist())
         )
 
     @property
@@ -140,142 +143,160 @@ def compute_visibility_batch(
     """Visibility for many viewers of one frame, sharing per-frame arrays.
 
     Cell bounds, centers, and nominal counts depend only on the occupancy
-    and are read from its cached per-frame geometry.  The viewport cull
-    tests every viewer against every cell in one ``(V, C)`` batch
-    (:func:`~repro.geometry.cull_aabbs`); occlusion and distance then run
-    per viewer on the surviving cells.  Each viewer's result is identical
-    to calling :func:`compute_visibility` alone.
+    and are read from its cached per-frame geometry.  Each stage runs once
+    for the whole frame over ``(V, C)`` viewer-by-cell arrays: the
+    viewport cull (:func:`~repro.geometry.cull_aabbs`), the occlusion slab
+    test (:func:`_occlusion_mask`) and the distance fractions.  Only the
+    assembly of each viewer's :class:`VisibilityResult` is per viewer.
+    Each viewer's result is identical to calling
+    :func:`compute_visibility` alone.
     """
     config = config or VisibilityConfig()
-    grid = occupancy.grid
+    if not frustums:
+        return []
     all_ids = occupancy.cell_ids
     all_nominal = occupancy.nominal
     frame_points = occupancy.frame_points
-
-    all_lows = all_highs = all_centers = None
-    if len(all_ids) and (config.viewport or config.occlusion):
-        all_lows, all_highs = occupancy.lows_highs
-    if len(all_ids) and (config.occlusion or config.distance):
-        all_centers = occupancy.centers
+    eyes = np.array([frustum.position for frustum in frustums])  # (V, 3)
 
     # 1. Viewport: frustum-cull occupied cells, all viewers at once.
-    in_view = None
     if config.viewport and len(all_ids):
-        in_view = cull_aabbs(frustums, all_lows, all_highs)
+        visible = cull_aabbs(frustums, *occupancy.lows_highs)
+    else:
+        visible = np.ones((len(frustums), len(all_ids)), dtype=bool)
 
-    results = []
-    for i, frustum in enumerate(frustums):
-        cell_ids, nominal = all_ids, all_nominal
-        lows, highs, centers = all_lows, all_highs, all_centers
+    # 2. Occlusion: ray-cast depth culling of every viewer's in-view cells.
+    if config.occlusion and len(all_ids):
+        visible = _occlusion_mask(occupancy, eyes, visible, config)
 
-        if in_view is not None:
-            mask = in_view[i]
-            cell_ids = cell_ids[mask]
-            nominal = nominal[mask]
-            lows, highs = lows[mask], highs[mask]
-            if centers is not None:
-                centers = centers[mask]
-
-        # 2. Occlusion: angular-bin depth culling.
-        if config.occlusion and len(cell_ids):
-            keep = _occlusion_mask(
-                centers, lows, highs, nominal, frustum, config, grid.cell_size
-            )
-            cell_ids = cell_ids[keep]
-            nominal = nominal[keep]
-            centers = centers[keep]
-
-        # 3. Distance: reduced fetch fraction for far cells.
-        if config.distance and len(cell_ids):
-            dist = np.linalg.norm(centers - frustum.position, axis=1)
-            fractions = np.where(
-                dist <= config.distance_full_m,
-                1.0,
-                np.maximum(
-                    config.distance_min_fraction,
-                    (config.distance_full_m / np.maximum(dist, 1e-9)) ** 2,
-                ),
-            )
-        else:
-            fractions = np.ones(len(cell_ids))
-
-        order = np.argsort(cell_ids)
-        results.append(
-            VisibilityResult(
-                cell_ids=cell_ids[order],
-                fractions=fractions[order],
-                nominal_counts=nominal[order],
-                frame_nominal_points=frame_points,
-            )
+    # 3. Distance: reduced fetch fraction for far cells, (V, C) at once.
+    fractions = np.ones(visible.shape)
+    if config.distance and len(all_ids):
+        dist = np.linalg.norm(occupancy.centers[None, :, :] - eyes[:, None, :],
+                              axis=2)
+        fractions = np.where(
+            dist <= config.distance_full_m,
+            1.0,
+            np.maximum(
+                config.distance_min_fraction,
+                (config.distance_full_m / np.maximum(dist, 1e-9)) ** 2,
+            ),
         )
-    return results
+
+    # Occupied cell ids are sorted, so each viewer's mask selects its
+    # visible cells in ascending order.
+    return [
+        VisibilityResult(
+            cell_ids=all_ids[mask],
+            fractions=fractions[v, mask],
+            nominal_counts=all_nominal[mask],
+            frame_nominal_points=frame_points,
+        )
+        for v, mask in enumerate(visible)
+    ]
 
 
 def _occlusion_mask(
-    centers: np.ndarray,
-    lows: np.ndarray,
-    highs: np.ndarray,
-    nominal: np.ndarray,
-    frustum: Frustum,
+    occupancy: FrameOccupancy,
+    eyes: np.ndarray,
+    in_view: np.ndarray,
     config: VisibilityConfig,
-    cell_size: float,
 ) -> np.ndarray:
-    """Boolean keep-mask implementing ray-based occlusion culling.
+    """``(V, C)`` mask of the occupied cells each viewer keeps after occlusion.
 
-    For every candidate cell, cast the sight ray from the eye to the cell
-    center and accumulate the point mass of the *other* cells the ray
-    passes through on the way.  Once the accumulated mass exceeds the
-    opacity fraction of the frame, the surface in front is opaque and the
-    cell is culled — the point-level occlusion behaviour of ViVo reduced
-    to cell granularity.
+    For every cell a viewer has in view (``in_view[v]``), cast the sight
+    ray from the viewer's eye to the cell center and accumulate the point
+    mass of the *other* in-view cells the ray passes through on the way.
+    Once that mass reaches the opacity fraction of the viewer's in-view
+    mass, the surface in front is opaque and the cell is culled — the
+    point-level occlusion behaviour of ViVo reduced to cell granularity.
 
-    Batched slab tests: targets are processed in chunks, each chunk testing
-    (T, C, 3) segment-vs-box slabs in one shot.  Nominal counts are
-    integer-valued, so the accumulated blocker mass is exact under any
-    summation order and the keep decisions are bit-identical to
-    :func:`_occlusion_mask_reference`.
+    One slab test covers the whole frame: every (viewer, in-view target)
+    pair is tested against every cell in some viewer's view, in chunks of
+    pairs that keep the ``(3, P, C)`` temporary near 2^18 elements.  Each
+    viewer then sums its blocker mass over its own compacted in-view cells
+    with :func:`_blocker_mass`, as the reference does.  ``nominal`` is
+    ``counts * scale_factor`` and in general not integer-valued, so a sum
+    over the padded frame axis can round differently and flip a cull
+    decision.
     """
-    n = len(centers)
-    if n <= 1:
-        return np.ones(n, dtype=bool)
-    eye = frustum.position
-    rel = centers - eye  # ray directions (to each cell center)
-    threshold = config.occlusion_opacity_fraction * float(nominal.sum())
+    keep = in_view.copy()
+    counts = in_view.sum(axis=1)
+    active = counts > 1  # a lone in-view cell has nothing in front of it
+    if not active.any():
+        return keep
+    # Blockers: every cell some active viewer has in view, ascending.
+    union = np.flatnonzero(in_view[active].any(axis=0))
+    view_u = in_view[:, union] & active[:, None]  # (V, U)
+    pair_v, pair_t = np.nonzero(view_u)  # grouped by viewer, targets ascending
+    centers_u = occupancy.centers[union]
+    nominal_u = occupancy.nominal[union]
+    lows, highs = occupancy.lows_highs
 
     # Shrink blocker boxes slightly so rays grazing a shared face do not
     # count neighbours as blockers.
-    eps_box = 0.02 * cell_size
-    b_lo = lows + eps_box
-    b_hi = highs - eps_box
-    lo_rel = b_lo - eye  # (C, 3), shared by every target ray
-    outside_axis = (eye < b_lo) | (eye > b_hi)  # (C, 3)
-    hi_rel = b_hi - eye
+    eps_box = 0.02 * occupancy.grid.cell_size
+    b_lo = lows[union] + eps_box
+    b_hi = highs[union] - eps_box
+    # Axis-first layout: the reductions over the three slabs then run
+    # over the leading axis.
+    eyes_t = eyes.T[:, :, None]  # (3, V, 1)
+    lo_rel = b_lo.T[:, None, :] - eyes_t  # (3, V, U)
+    hi_rel = b_hi.T[:, None, :] - eyes_t
+    outside_axis = (eyes_t < b_lo.T[:, None, :]) | (eyes_t > b_hi.T[:, None, :])
 
-    keep = np.ones(n, dtype=bool)
-    chunk = max(1, (1 << 18) // n)
+    num_pairs, num_blockers = len(pair_v), len(union)
+    before = np.empty((num_pairs, num_blockers), dtype=bool)
+    chunk = max(1, _SLAB_CHUNK_ELEMENTS // (3 * num_blockers))
     with np.errstate(divide="ignore", invalid="ignore"):
-        for start in range(0, n, chunk):
-            idx = np.arange(start, min(start + chunk, n))
-            d = rel[idx]  # (T, 3)
+        for start in range(0, num_pairs, chunk):
+            pv = pair_v[start : start + chunk]
+            pt = pair_t[start : start + chunk]
+            d = (centers_u[pt] - eyes[pv]).T[:, :, None]  # (3, P, 1) rays
             inv = np.where(np.abs(d) > 1e-12, 1.0 / d, np.inf)
-            # Slab test of segments eye -> center_i against all boxes.
-            t0 = lo_rel[None, :, :] * inv[:, None, :]  # (T, C, 3)
-            t1 = hi_rel[None, :, :] * inv[:, None, :]
+            # Slab test of segments eye -> target center against all boxes.
+            t0 = lo_rel[:, pv] * inv  # (3, P, U)
+            t1 = hi_rel[:, pv] * inv
             # Degenerate axes: if the eye coordinate is outside the slab,
             # the box cannot be hit along that axis.
-            degenerate = (np.abs(d) <= 1e-12)[:, None, :]  # (T, 1, 3)
-            outside = degenerate & outside_axis[None, :, :]
+            degenerate = np.abs(d) <= 1e-12
+            outside = degenerate & outside_axis[:, pv]
             tmin = np.where(degenerate, -np.inf, np.minimum(t0, t1))
             tmax = np.where(degenerate, np.inf, np.maximum(t0, t1))
-            enter = tmin.max(axis=2)  # (T, C)
-            exit_ = tmax.min(axis=2)
-            hit = (enter < exit_) & (exit_ > 0.0) & ~outside.any(axis=2)
+            enter = tmin.max(axis=0)  # (P, U)
+            exit_ = tmax.min(axis=0)
+            hit = (enter < exit_) & (exit_ > 0.0) & ~outside.any(axis=0)
             # Block only if crossed strictly before reaching the target cell.
-            before = hit & (enter < 0.98) & (enter > 0.0)
-            before[np.arange(len(idx)), idx] = False
-            mass = before @ nominal  # exact: integer-valued counts
-            keep[idx] = mass < threshold
+            rows = before[start : start + chunk]
+            np.logical_and(hit, (enter < 0.98) & (enter > 0.0), out=rows)
+            rows[np.arange(len(pt)), pt] = False
+
+    # Per viewer: blocker mass over its compacted in-view cells.
+    ends = np.cumsum(counts * active)
+    for v in np.flatnonzero(active):
+        m = view_u[v]
+        nom = nominal_u[m]
+        n = len(nom)
+        blocked_by = before[ends[v] - n : ends[v]][:, m]  # (n, n)
+        threshold = config.occlusion_opacity_fraction * float(nom.sum())
+        keep[v, union[m]] = _blocker_mass(blocked_by, nom) < threshold
     return keep
+
+
+def _blocker_mass(blocked_by: np.ndarray, nominal: np.ndarray) -> np.ndarray:
+    """Mass in front of each of a viewer's ``n`` in-view cells.
+
+    ``blocked_by`` is the viewer's ``(n, n)`` target-by-blocker mask over
+    its compacted in-view cells.  The sums are ``(rows, n) @ (n,)``
+    products in row chunks; this order is part of the result, because a
+    mass within rounding of the threshold can compare either way when
+    summed in another.
+    """
+    n = len(nominal)
+    step = max(1, _SLAB_CHUNK_ELEMENTS // n)
+    return np.concatenate(
+        [blocked_by[i : i + step] @ nominal for i in range(0, n, step)]
+    )
 
 
 def _occlusion_mask_reference(
@@ -285,11 +306,15 @@ def _occlusion_mask_reference(
     frustum: Frustum,
     config: VisibilityConfig,
 ) -> np.ndarray:
-    """Scalar reference for :func:`_occlusion_mask` (one ray per iteration).
+    """Scalar reference for :func:`_occlusion_mask` (one viewer, one ray
+    per iteration).
 
-    Kept verbatim as the golden-equivalence baseline for the batched kernel
-    (asserted by ``tests/pointcloud/test_visibility_kernels.py``) and timed
-    against it by ``repro bench --kernels``.
+    The golden-equivalence baseline for the frame kernel (asserted by
+    ``tests/pointcloud/test_visibility_kernels.py``) and timed against it
+    by ``repro bench --kernels``.  The slab test runs ray by ray; the
+    blocker masses are then summed by :func:`_blocker_mass`, in the
+    kernel's order, since ``nominal`` is not integer-valued and a sum in
+    another order can flip a near-threshold cull.
     """
     n = len(cell_ids)
     if n <= 1:
@@ -300,7 +325,7 @@ def _occlusion_mask_reference(
     rel = centers - eye
     threshold = config.occlusion_opacity_fraction * float(nominal.sum())
 
-    keep = np.ones(n, dtype=bool)
+    blocked_by = np.empty((n, n), dtype=bool)
     eps_box = 0.02 * grid.cell_size
     b_lo = lows + eps_box
     b_hi = highs - eps_box
@@ -319,6 +344,5 @@ def _occlusion_mask_reference(
             hit = (enter < exit_) & (exit_ > 0.0) & ~outside.any(axis=1)
             before = hit & (enter < 0.98) & (enter > 0.0)
             before[i] = False
-            if float(nominal[before].sum()) >= threshold:
-                keep[i] = False
-    return keep
+            blocked_by[i] = before
+    return _blocker_mass(blocked_by, nominal) < threshold

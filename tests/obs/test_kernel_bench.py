@@ -17,7 +17,9 @@ import pytest
 from repro.obs.bench import (
     BENCH_SCHEMA,
     KERNEL_MIN_SPEEDUP,
+    _blas_thread_controls,
     _kernel_entry,
+    _single_threaded_blas,
     main as bench_main,
     run_kernel_bench,
     validate_bench,
@@ -62,8 +64,8 @@ def kernel_entries():
 def test_run_kernel_bench_covers_every_gated_kernel(kernel_entries):
     names = [entry["name"] for entry in kernel_entries]
     assert names == [
-        "pairwise_similarity_48", "occlusion_mask", "beam_gains",
-        "frustum_planes", "frustum_cull", "frame_plan",
+        "pairwise_similarity_48", "occlusion_mask", "blockage_timeline",
+        "beam_gains", "frustum_planes", "frustum_cull", "frame_plan",
     ]
     for entry in kernel_entries:
         assert entry["scalar_wall_s"] > 0
@@ -130,7 +132,7 @@ def test_committed_bench_points_validate_and_record_the_win():
     # Floors added after BENCH_2 gate against their own recorded value
     # (test_compare_gates_speedup_against_the_baseline_floor).
     assert set(KERNEL_MIN_SPEEDUP) - set(kernels) == {
-        "frustum_planes", "frustum_cull", "frame_plan",
+        "blockage_timeline", "frustum_planes", "frustum_cull", "frame_plan",
     }
     for name, entry in kernels.items():
         assert entry["min_speedup"] == KERNEL_MIN_SPEEDUP[name]
@@ -153,13 +155,13 @@ def test_main_kernels_only_writes_a_gateable_point(tmp_path, capsys):
     validate_bench(doc)
     assert doc["experiments"] == []
     assert [k["name"] for k in doc["kernels"]] == [
-        "pairwise_similarity_1000", "occlusion_mask", "beam_gains",
-        "frustum_planes", "frustum_cull", "frame_plan",
+        "pairwise_similarity_1000", "occlusion_mask", "blockage_timeline",
+        "beam_gains", "frustum_planes", "frustum_cull", "frame_plan",
     ]
 
     # The fresh point gates cleanly against the committed floors (the
     # ratio gate, so this holds on any machine with working BLAS); the
-    # three kernels BENCH_2 lacks gate against their own floors.
+    # four kernels BENCH_2 lacks gate against their own floors.
     baseline = json.loads(
         (_REPO_ROOT / "BENCH_2.json").read_text(encoding="utf-8")
     )
@@ -175,3 +177,15 @@ def test_kernel_without_a_floor_is_an_error():
     assert entry["speedup"] == 2.0
     with pytest.raises(ValueError, match="no min_speedup floor"):
         _kernel_entry("pairwise_similarity_48", 1.0, 0.5)
+
+
+def test_kernel_rows_hold_openblas_to_one_thread():
+    """The rows time kernels, not BLAS thread hand-offs (``beam_gains``
+    timed ~8 ms waits per matvec on a loaded two-core host)."""
+    controls = _blas_thread_controls()
+    if not controls:
+        pytest.skip("numpy is not linked against OpenBLAS here")
+    before = [get() for get, _ in controls]
+    with _single_threaded_blas():
+        assert [get() for get, _ in controls] == [1] * len(controls)
+    assert [get() for get, _ in controls] == before
