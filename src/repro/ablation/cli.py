@@ -144,7 +144,8 @@ def main(argv: list[str]) -> int:
             seed=args.seed,
         )
     except (KeyError, ValueError) as exc:
-        raise SystemExit(str(exc)) from exc
+        # A KeyError's str() is the repr of its message; print the message.
+        raise SystemExit(exc.args[0]) from exc
 
     cache = None if args.no_cache else ResultCache(root=args.cache_dir)
     if args.clear_cache and cache is not None:

@@ -13,8 +13,8 @@
     python -m repro obs check t.jsonl --spec slo.json   # SLO gating
     python -m repro obs diff a.json b.json    # run-to-run regression diff
     python -m repro obs report a.json         # self-contained HTML report
-    python -m repro bench loss_sweep          # BENCH_<n>.json perf point
-    python -m repro bench --kernels --compare BENCH_2.json  # speedup gate
+    python -m repro bench                     # BENCH_<n>.json perf point
+    python -m repro bench --kernels --compare BENCH_3.json  # speedup gate
     python -m repro ablation --parallel 4     # component importance ranking
 
 Each experiment command runs the registered experiment of that name
@@ -27,8 +27,8 @@ where an experiment has them.
 ``python -m repro.analysis``); ``run`` and ``figures`` forward to the
 deterministic parallel runner in :mod:`repro.runner.cli`; ``trace`` and
 ``obs`` forward to the observability layer in :mod:`repro.obs.cli`;
-``bench`` forwards to the perf-trajectory harness in
-:mod:`repro.obs.bench`; ``ablation`` forwards to the component-ablation
+``bench`` forwards to :mod:`repro.obs.bench`, which runs the
+``BENCHMARK.json`` workloads and kernel timings into a trajectory point; ``ablation`` forwards to the component-ablation
 engine in :mod:`repro.ablation.cli`.
 """
 

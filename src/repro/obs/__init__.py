@@ -27,16 +27,19 @@ On top of the recording substrate sits the analysis tier:
 * :mod:`repro.obs.diff` — ``repro obs diff``: canonical
   ``repro.obs.diff/1`` regression reports over two runs' artifacts, and
   the one BENCH comparison rule behind ``repro bench --compare``;
-* :mod:`repro.obs.bench` — the ``repro bench`` perf-trajectory harness
-  (``BENCH_<n>.json`` points, their schema, and ``--compare`` gating);
+* :mod:`repro.obs.bench` — ``repro bench``: runs the ``BENCHMARK.json``
+  workloads (``perfbench/``) and the kernel timings into
+  ``BENCH_<n>.json`` trajectory points; their schema and ``--compare``
+  gating;
 * :mod:`repro.obs.report` — ``repro obs report``: self-contained
-  markdown/HTML run reports with a BENCH trajectory sparkline.
+  markdown/HTML run reports with per-workload BENCH trajectory
+  sparklines.
 
 CLI surface: ``repro trace <experiment>`` records a timeline straight to
 disk (with ``--layer``/``--event`` write filters), ``repro obs analyze`` /
 ``repro obs check`` consume one, ``repro obs diff`` / ``repro obs
-report`` consume the resulting artifacts, ``repro bench`` measures the
-runner, ``repro run --metrics-out FILE`` dumps merged metrics.  Every
+report`` consume the resulting artifacts, ``repro bench`` records the
+benchmark, ``repro run --metrics-out FILE`` dumps merged metrics.  Every
 metric, event, segment, and SLO metric is documented in
 ``docs/METRICS.md``, generated (and drift-checked in CI) by
 ``tools/gen_metrics_doc.py``.

@@ -1,44 +1,38 @@
-"""``repro bench`` — a perf-trajectory harness for the experiment runner.
+"""``repro bench`` — the benchmark's trajectory points and their gate.
 
-Runs registered experiments through the deterministic runner with the
-:class:`~repro.obs.profile.PhaseProfiler` wrapped around the plan /
-execute / merge phases, samples peak RSS, and writes one trajectory point
-as ``BENCH_<n>.json`` (monotonically numbered, so a directory of them is
-a perf history)::
+Runs every workload ``BENCHMARK.json`` declares through its ``command``
+(``perfbench/run.py``) at perfbench's pinned seed, twice: ``--trace 0``
+for the end-to-end metrics and ``--trace 1`` for the per-layer ones.  It
+then times the vectorized kernels against their scalar references and
+writes one ``repro.bench/2`` point as ``BENCH_<n>.json`` (monotonically
+numbered, so a directory of them is a perf history)::
 
-    python -m repro bench loss_sweep table1 --scale small
-    python -m repro bench loss_sweep --compare BENCH_1.json --tolerance 0.2
-    python -m repro bench --kernels --compare BENCH_2.json
+    python -m repro bench                                  # a full point
+    python -m repro bench --compare BENCH_3.json           # ... gated
+    python -m repro bench --kernels --compare BENCH_3.json # kernels only
 
-``--compare`` validates the baseline file, re-runs the measurement, and
-exits non-zero when :func:`repro.obs.diff.build_diff` lists any bench
-regression against it — the CI hook that keeps the runner's performance
-honest across PRs.  The rule lives in :mod:`repro.obs.diff`: an
-experiment's wall time regresses beyond the tolerance, a kernel's speedup
-falls below the baseline's floor, and the totals (wall time, peak RSS)
-regress only between points that measured the same experiments and
-kernels.
+The ``workloads`` section holds each pass's ``attempted``/``failed``
+unit counts and metrics; every end-to-end metric carries the ``unit``,
+``better`` and ``bound`` ``BENCHMARK.json`` declares.  The ``kernels``
+section records each kernel's speedup and ``min_speedup`` floor.
+``--kernels`` alone writes a kernels-only point, which is what CI runs.
 
-``--kernels`` additionally (or, with no experiments named, exclusively)
-times the vectorized hot-path kernels against their retained scalar
-references — pairwise viewport IoU at venue scale, the frame occlusion
-kernel, the study's blockage timeline, the codebook gain sweep, the
-many-viewer frustum plane build, the many-viewer frustum cull and the
-frame plan — and records each kernel's measured speedup plus
-its ``min_speedup`` floor.  ``--compare`` gates *speedup
-against the baseline's floor*, not wall time, so the kernel gate is
-machine-independent: a slower CI box passes as long as the vectorized
-path still beats the scalar one by the required factor.
+``--compare`` validates the baseline first, then exits non-zero when
+:func:`repro.obs.diff.build_diff` lists a bench regression against it:
+an end-to-end metric worse than the baseline's ``bound``, more failed
+units, or a kernel speedup (a ratio, so the gate holds on any machine)
+below the baseline's floor.
 
 This module is also the one place BENCH files are named, parsed and
 validated (:func:`bench_points`, :func:`load_bench`,
-:func:`validate_bench`).
+:func:`validate_bench`).  ``repro.bench/1`` points (the experiment
+timings of the earlier harness) still load: validation checks only the
+sections a point carries.
 
-Measurement uses ``time.perf_counter`` only (monotonic elapsed time; the
-repo's D1xx lint permits it, wall-clock *timestamps* stay banned), and
-the output deliberately carries no timestamp: the trajectory index ``n``
-is the ordering.  Benchmarking never touches experiment results — the
-runner path is exactly the one ``repro run`` uses.
+Kernel timing uses ``time.perf_counter`` only (monotonic elapsed time;
+the repo's D1xx lint permits it, wall-clock *timestamps* stay banned),
+and the output deliberately carries no timestamp: the trajectory index
+``n`` is the ordering.
 """
 
 from __future__ import annotations
@@ -46,17 +40,18 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import subprocess
 import sys
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
-from .profile import PhaseProfiler
-
 __all__ = [
     "BENCH_SCHEMA",
     "KERNEL_MIN_SPEEDUP",
-    "run_bench",
+    "PERFBENCH_SEED",
+    "load_benchmark",
+    "run_workloads",
     "run_kernel_bench",
     "bench_points",
     "next_bench_path",
@@ -66,14 +61,19 @@ __all__ = [
     "main",
 ]
 
-BENCH_SCHEMA = "repro.bench/1"
+BENCH_SCHEMA = "repro.bench/2"
+_SCHEMAS = ("repro.bench/1", BENCH_SCHEMA)
 _BENCH_NAME = re.compile(r"^BENCH_(\d+)\.json$")
 
-_REQUIRED_TOP = ("schema", "scale", "workers", "experiments", "total_wall_s")
-_REQUIRED_EXPERIMENT = (
-    "name", "units", "cached_units", "cache_hit_rate", "wall_s",
-    "units_per_s", "phases",
-)
+# The checkout ``repro bench`` measures: BENCHMARK.json and perfbench/
+# sit beside src/.
+REPO_ROOT = Path(__file__).resolve().parents[3]
+# perfbench checks unit outputs against expected.json at this seed only.
+PERFBENCH_SEED = 1
+# (section, --trace) of the two passes run per workload.
+_PASSES = (("end_to_end", 0), ("per_layer", 1))
+_RUN_KEYS = {"correct", "attempted", "failed", "metrics"}
+
 _REQUIRED_KERNEL = (
     "name", "scalar_wall_s", "vectorized_wall_s", "speedup", "min_speedup",
 )
@@ -95,79 +95,124 @@ KERNEL_MIN_SPEEDUP = {
 }
 
 
-def _peak_rss_bytes() -> int | None:
-    """Peak resident set size of this process, or None if unsupported."""
-    try:
-        import resource
-    except ImportError:  # pragma: no cover - non-POSIX platforms
-        return None
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    # ru_maxrss is KiB on Linux, bytes on macOS.
-    return int(peak) if sys.platform == "darwin" else int(peak) * 1024
+def _is_num(x: Any) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def run_bench(
-    experiment_names: list[str],
-    scale: str = "small",
-    workers: int = 1,
-    use_cache: bool = True,
-    cache_dir: str | None = None,
-) -> dict[str, Any]:
-    """Measure the named experiments; returns a ``repro.bench/1`` document.
+def _is_count(x: Any) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
-    Each experiment goes through the standard decompose → run → merge
-    pipeline with per-phase wall time accumulated by a
-    :class:`PhaseProfiler`; units/sec and the cache hit rate come from the
-    runner's own reports.
+
+def load_benchmark() -> dict[str, Any]:
+    """The ``BENCHMARK.json`` declaration of the checkout at
+    :data:`REPO_ROOT`.
+
+    A missing ``BENCHMARK.json`` or ``perfbench/run.py``, or a declaration
+    without the keys the bench reads, is a ``ValueError`` naming the file.
     """
-    from ..runner.cache import ResultCache
-    from ..runner.executor import run_specs
-    from ..runner.registry import get_experiment, resolve_params
+    path = REPO_ROOT / "BENCHMARK.json"
+    for needed in (path, REPO_ROOT / "perfbench" / "run.py"):
+        if not needed.is_file():
+            raise ValueError(f"{needed}: not found beside src/repro")
+    try:
+        benchmark = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: not valid JSON: {exc}") from None
+    missing = [
+        key for key in ("command", "workloads", "run_seconds", "end_to_end")
+        if key not in benchmark
+    ]
+    if missing:
+        raise ValueError(f"{path}: missing {', '.join(missing)}")
+    return benchmark
 
-    cache = (
-        ResultCache(cache_dir) if use_cache and cache_dir is not None
-        else ResultCache() if use_cache
-        else None
-    )
-    entries: list[dict[str, Any]] = []
-    total_wall = 0.0
-    for name in experiment_names:
-        experiment = get_experiment(name)
-        profiler = PhaseProfiler()
-        with profiler.phase("plan"):
-            params = resolve_params(experiment, None, scale=scale)
-            specs = list(experiment.decompose(params))
-        with profiler.phase("execute"):
-            reports = run_specs(specs, workers=workers, cache=cache)
-        with profiler.phase("merge"):
-            experiment.merge(params, [(r.spec, r.result) for r in reports])
-        wall_s = sum(profiler.wall_s(p) for p in profiler.names())
-        cached = sum(1 for r in reports if r.cached)
-        units = len(specs)
-        entries.append(
-            {
-                "name": name,
-                "units": units,
-                "cached_units": cached,
-                "cache_hit_rate": (cached / units) if units else 0.0,
-                "wall_s": round(wall_s, 6),
-                "units_per_s": round(units / wall_s, 6) if wall_s > 0 else 0.0,
-                "phases": profiler.to_jsonable(),
+
+def run_workloads(benchmark: Mapping[str, Any]) -> dict[str, Any]:
+    """Run both passes of every declared workload; the ``workloads`` section.
+
+    Each pass is ``benchmark["command"]`` run from :data:`REPO_ROOT` for
+    ``run_seconds`` at :data:`PERFBENCH_SEED`; a leading
+    ``python``/``python3`` becomes this interpreter.  A pass that exits
+    non-zero, whose last output line is not perfbench's result object, or
+    whose end-to-end result lacks a declared metric, is a ``ValueError``
+    naming the workload.
+    """
+    command = [
+        sys.executable if part in ("python", "python3") else str(part)
+        for part in benchmark["command"]
+    ]
+    declared = {spec["name"]: spec for spec in benchmark["end_to_end"]}
+    workloads: dict[str, Any] = {}
+    for name in (workload["name"] for workload in benchmark["workloads"]):
+        entry = {}
+        for section, trace in _PASSES:
+            where = f"workload {name!r} (--trace {trace})"
+            proc = subprocess.run(
+                [*command, "--workload", name,
+                 "--seed", str(PERFBENCH_SEED),
+                 "--seconds", str(benchmark["run_seconds"]),
+                 "--trace", str(trace)],
+                cwd=REPO_ROOT,
+                stdout=subprocess.PIPE,
+                text=True,
+            )
+            if proc.returncode != 0:
+                raise ValueError(
+                    f"{where}: {' '.join(command)} exited with status "
+                    f"{proc.returncode}"
+                )
+            run = _result(proc.stdout)
+            if run is None:
+                raise ValueError(
+                    f"{where}: last output line is not a "
+                    "{correct, attempted, failed, metrics} result"
+                )
+            metrics = run["metrics"]
+            if section == "end_to_end":
+                missing = [m for m in declared if m not in metrics]
+                if missing:
+                    raise ValueError(
+                        f"{where}: result lacks {', '.join(missing)}"
+                    )
+                metrics = {
+                    metric: {
+                        "value": metrics[metric]["value"],
+                        **{k: spec[k] for k in ("unit", "better", "bound")},
+                    }
+                    for metric, spec in declared.items()
+                }
+            entry[section] = {
+                "attempted": run["attempted"],
+                "failed": run["failed"],
+                "metrics": metrics,
             }
+            print(
+                f"{where}: {run['attempted']} unit(s), "
+                f"{run['failed']} failed", flush=True,
+            )
+        workloads[name] = entry
+    return workloads
+
+
+def _result(stdout: str) -> dict[str, Any] | None:
+    """The last output line as perfbench's ``{correct, attempted, failed,
+    metrics}`` object (counts, numeric metric values), else None."""
+    try:
+        run = json.loads(stdout.strip().splitlines()[-1])
+    except (IndexError, ValueError):
+        return None
+    ok = (
+        isinstance(run, dict)
+        and set(run) == _RUN_KEYS
+        and _is_count(run["attempted"])
+        and _is_count(run["failed"])
+        and isinstance(run["metrics"], dict)
+        and all(
+            isinstance(cell, dict) and _is_num(cell.get("value"))
+            for cell in run["metrics"].values()
         )
-        total_wall += wall_s
-    doc: dict[str, Any] = {
-        "schema": BENCH_SCHEMA,
-        "scale": scale,
-        "workers": workers,
-        "experiments": entries,
-        "total_wall_s": round(total_wall, 6),
-    }
-    peak = _peak_rss_bytes()
-    if peak is not None:
-        doc["peak_rss_bytes"] = peak
-    validate_bench(doc)
-    return doc
+    )
+    return run if ok else None
 
 
 def run_kernel_bench(num_users: int = 1000) -> list[dict[str, Any]]:
@@ -548,40 +593,78 @@ def load_bench(path: Path | str) -> dict[str, Any]:
 
 
 def validate_bench(doc: Mapping[str, Any]) -> None:
-    """Raise ``ValueError`` listing every schema problem in ``doc``."""
-    problems: list[str] = []
+    """Raise ``ValueError`` listing every problem in the sections ``doc``
+    carries.
+
+    A ``workloads`` section must give every end-to-end metric this
+    checkout's ``BENCHMARK.json`` declares, with its ``unit``, ``better``
+    and ``bound``.
+    """
     if not isinstance(doc, Mapping):
         raise ValueError("bench document must be a JSON object")
-    for key in _REQUIRED_TOP:
-        if key not in doc:
-            problems.append(f"missing top-level key {key!r}")
-    if doc.get("schema") not in (None, BENCH_SCHEMA):
+    problems: list[str] = []
+    schema = doc.get("schema")
+    if schema not in _SCHEMAS:
         problems.append(
-            f"schema is {doc.get('schema')!r}, expected {BENCH_SCHEMA!r}"
+            f"schema is {schema!r}, expected one of "
+            + ", ".join(repr(s) for s in _SCHEMAS)
         )
-    experiments = doc.get("experiments")
-    if not isinstance(experiments, list):
-        problems.append("'experiments' must be a list")
-        experiments = []
-    for i, entry in enumerate(experiments):
-        if not isinstance(entry, Mapping):
-            problems.append(f"experiments[{i}] must be an object")
-            continue
-        for key in _REQUIRED_EXPERIMENT:
-            if key not in entry:
-                problems.append(f"experiments[{i}] missing key {key!r}")
-        wall = entry.get("wall_s")
-        if isinstance(wall, (int, float)) and wall < 0:
-            problems.append(f"experiments[{i}].wall_s must be non-negative")
-        rate = entry.get("cache_hit_rate")
-        if isinstance(rate, (int, float)) and not 0.0 <= rate <= 1.0:
-            problems.append(
-                f"experiments[{i}].cache_hit_rate must be in [0, 1]"
-            )
-    kernels = doc.get("kernels", [])
+    elif schema == BENCH_SCHEMA and not {"workloads", "kernels"} & set(doc):
+        problems.append("a repro.bench/2 point carries workloads or kernels")
+    if "workloads" in doc:
+        declared = [spec["name"] for spec in load_benchmark()["end_to_end"]]
+        problems += _workload_problems(doc["workloads"], declared)
+    if "kernels" in doc:
+        problems += _kernel_problems(doc["kernels"])
+    if problems:
+        raise ValueError("invalid bench document: " + "; ".join(problems))
+
+
+def _workload_problems(workloads: Any, declared: list[str]) -> list[str]:
+    if not isinstance(workloads, Mapping) or not workloads:
+        return ["'workloads' must be a non-empty object"]
+    problems = []
+    for name, entry in workloads.items():
+        for section, _ in _PASSES:
+            where = f"workloads[{name}].{section}"
+            run = entry.get(section) if isinstance(entry, Mapping) else None
+            if not (
+                isinstance(run, Mapping)
+                and isinstance(run.get("metrics"), Mapping)
+            ):
+                problems.append(f"{where} must be an object with metrics")
+                continue
+            for key in ("attempted", "failed"):
+                if not _is_count(run.get(key)):
+                    problems.append(f"{where}.{key} must be a count")
+            metrics = run["metrics"]
+            for metric, cell in metrics.items():
+                if not (isinstance(cell, Mapping)
+                        and _is_num(cell.get("value"))):
+                    problems.append(f"{where}.{metric} has no numeric value")
+                elif section == "end_to_end" and not (
+                    isinstance(cell.get("unit"), str)
+                    and cell.get("better") in ("lower", "higher")
+                    and _is_num(cell.get("bound")) and cell["bound"] >= 0
+                ):
+                    problems.append(
+                        f"{where}.{metric} needs a unit, better "
+                        "('lower'/'higher') and a non-negative bound"
+                    )
+            if section == "end_to_end":
+                missing = [m for m in declared if m not in metrics]
+                if missing:
+                    problems.append(
+                        f"{where} lacks declared metric(s) "
+                        + ", ".join(missing)
+                    )
+    return problems
+
+
+def _kernel_problems(kernels: Any) -> list[str]:
     if not isinstance(kernels, list):
-        problems.append("'kernels' must be a list when present")
-        kernels = []
+        return ["'kernels' must be a list when present"]
+    problems = []
     for i, entry in enumerate(kernels):
         if not isinstance(entry, Mapping):
             problems.append(f"kernels[{i}] must be an object")
@@ -596,8 +679,7 @@ def validate_bench(doc: Mapping[str, Any]) -> None:
         floor = entry.get("min_speedup")
         if isinstance(floor, (int, float)) and floor <= 0:
             problems.append(f"kernels[{i}].min_speedup must be positive")
-    if problems:
-        raise ValueError("invalid bench document: " + "; ".join(problems))
+    return problems
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -605,25 +687,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro bench",
         description=(
-            "Benchmark registered experiments through the deterministic "
-            "runner and write a BENCH_<n>.json perf-trajectory point."
+            "Run the BENCHMARK.json workloads (end-to-end and per-layer "
+            "passes) and the kernel timings, and write a BENCH_<n>.json "
+            "perf-trajectory point."
         ),
-    )
-    parser.add_argument(
-        "experiments",
-        nargs="*",
-        metavar="EXPERIMENT",
-        help="experiment names to benchmark (default: every registered one)",
-    )
-    parser.add_argument(
-        "--scale",
-        choices=["default", "small"],
-        default="small",
-        help="parameter scale (default: small — bench is about the runner, "
-             "not the physics)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=1, help="parallel worker processes"
     )
     parser.add_argument(
         "--out-dir",
@@ -632,77 +699,52 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory for the BENCH_<n>.json point (default: cwd)",
     )
     parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="bypass the result cache (hit rate reports as 0)",
-    )
-    parser.add_argument(
         "--kernels",
         action="store_true",
-        help="also time the vectorized kernels against their scalar "
-             "references; with no experiments named, bench kernels only",
+        help="time only the vectorized kernels against their scalar "
+             "references (a kernels-only point)",
     )
     parser.add_argument(
         "--compare",
         default=None,
         metavar="BASELINE",
         help="a previous BENCH_<n>.json; exit 1 on any bench regression "
-             "against it (wall time beyond --tolerance, a kernel speedup "
-             "below the baseline's floor)",
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.2,
-        help="allowed fractional wall-time growth for --compare "
-             "(default: 0.2 = 20%%)",
+             "against it (an end-to-end metric worse than the baseline's "
+             "bound, more failed units, a kernel speedup below the "
+             "baseline's floor)",
     )
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point for ``repro bench`` (returns a process exit status)."""
-    from ..runner.registry import experiment_names
-    from .diff import build_diff, check_tolerance, format_regression
+    from .diff import build_diff, format_regression
 
     args = build_parser().parse_args(argv)
     baseline = None
     if args.compare:
         # Fail on a bad baseline before spending the measurement on it.
         try:
-            check_tolerance(args.tolerance)
             baseline = load_bench(args.compare)
         except (OSError, ValueError) as exc:
             raise SystemExit(f"cannot compare: {exc}") from None
-    if args.kernels and not args.experiments:
-        names = []  # kernels-only point
-    else:
-        names = args.experiments or experiment_names()
+    doc: dict[str, Any] = {"schema": BENCH_SCHEMA}
     try:
-        doc = run_bench(
-            names,
-            scale=args.scale,
-            workers=args.workers,
-            use_cache=not args.no_cache,
-        )
-    except KeyError as err:
-        raise SystemExit(str(err)) from None
-    if args.kernels:
-        kernels = run_kernel_bench()
-        doc["kernels"] = kernels
-        doc["total_wall_s"] = round(
-            doc["total_wall_s"]
-            + sum(k["scalar_wall_s"] + k["vectorized_wall_s"] for k in kernels),
-            6,
-        )
-    path = write_bench(doc, args.out_dir)
-    for entry in doc["experiments"]:
-        print(
-            f"{entry['name']}: {entry['units']} unit(s) in "
-            f"{entry['wall_s']:.3f}s ({entry['units_per_s']:.2f}/s, "
-            f"cache hit rate {entry['cache_hit_rate'] * 100:.0f}%)"
-        )
-    for entry in doc.get("kernels", []):
+        if not args.kernels:
+            benchmark = load_benchmark()
+            doc["seed"] = PERFBENCH_SEED
+            doc["run_seconds"] = benchmark["run_seconds"]
+            doc["workloads"] = run_workloads(benchmark)
+        doc["kernels"] = run_kernel_bench()
+        path = write_bench(doc, args.out_dir)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"cannot bench: {exc}") from None
+    for name, entry in doc.get("workloads", {}).items():
+        print(f"{name}: " + ", ".join(
+            f"{metric} {cell['value']:.6g} {cell['unit']}"
+            for metric, cell in entry["end_to_end"]["metrics"].items()
+        ))
+    for entry in doc["kernels"]:
         print(
             f"kernel {entry['name']}: scalar {entry['scalar_wall_s']:.3f}s, "
             f"vectorized {entry['vectorized_wall_s']:.3f}s -> "
@@ -710,15 +752,16 @@ def main(argv: list[str] | None = None) -> int:
         )
     print(f"bench point written to {path}")
     if baseline is not None:
-        regressions = build_diff(
-            bench_a=baseline, bench_b=doc, tolerance=args.tolerance
-        )["regressions"]
-        if regressions:
+        diff = build_diff(bench_a=baseline, bench_b=doc)
+        unpaired = diff["bench"]["unpaired_workloads"]
+        if unpaired:
+            print(f"not compared (one point only): {', '.join(unpaired)}")
+        if diff["regressions"]:
             print(f"PERF REGRESSION vs {args.compare}:")
-            for reg in regressions:
+            for reg in diff["regressions"]:
                 print(f"  {format_regression(reg)}")
             return 1
-        print(f"no regression vs {args.compare} (tolerance {args.tolerance})")
+        print(f"no regression vs {args.compare}")
     return 0
 
 

@@ -109,7 +109,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         experiment = get_experiment(args.experiment)
     except KeyError as err:
-        raise SystemExit(str(err)) from None
+        raise SystemExit(err.args[0]) from None
     overrides = {"seed": args.seed} if args.seed is not None else None
     params = resolve_params(experiment, overrides, scale=args.scale)
     specs = list(experiment.decompose(params))
@@ -250,12 +250,13 @@ def build_obs_parser() -> argparse.ArgumentParser:
         )
         diff_p.add_argument(
             f"--bench-{side}", default=None, metavar="PATH",
-            help=f"run {side.upper()}'s BENCH_<n>.json (repro.bench/1)",
+            help=f"run {side.upper()}'s BENCH_<n>.json (repro.bench/1 or /2)",
         )
     diff_p.add_argument(
         "--tolerance", type=float, default=0.0, metavar="FRACTION",
-        help="relative slack for continuous regressions (wall time, "
-             "airtime, RSS); counts regress on any increase (default: 0)",
+        help="relative slack for continuous regressions (problem "
+             "airtime); counts regress on any increase, bench metrics on "
+             "the baseline's bounds (default: 0)",
     )
     diff_p.add_argument(
         "--json", default=None, metavar="PATH",

@@ -3,13 +3,14 @@
 ``repro obs diff <run_a> <run_b>`` consumes the canonical JSON artifacts
 two runs left behind — the ``repro.obs.analyze/2`` blame report, and
 optionally a metrics snapshot, an ``repro.obs.slo/1`` verdict document,
-and a ``repro.bench/1`` trajectory point per side — and emits one
+and a ``BENCH_<n>.json`` trajectory point per side — and emits one
 canonical ``repro.obs.diff/1`` document: per-segment and per-layer
 latency-blame deltas, per-``(room, ap)`` rollup deltas, admission and
-policy-attribution deltas, SLO status transitions, and bench wall-time /
-peak-RSS / kernel-speedup deltas, all as ``{"a": ..., "b": ..., "delta":
-b - a}`` cells.  Every section is optional, so ``repro bench --compare``
-is :func:`build_diff` over two bench points alone.
+policy-attribution deltas, SLO status transitions, and per-workload
+end-to-end and per-layer bench deltas and kernel-speedup deltas, all as
+``{"a": ..., "b": ..., "delta": b - a}`` cells.  Every section is
+optional, so ``repro bench --compare`` is :func:`build_diff` over two
+bench points alone.
 
 Two properties make the output CI-friendly:
 
@@ -18,7 +19,8 @@ Two properties make the output CI-friendly:
   (bit-identical across worker counts and cache hits), so is the diff.
 * ``regressions`` lists every delta that crossed the tolerance in the
   bad direction (more late/lost frames, more problem airtime, an SLO
-  flipping pass→fail, slower or fatter bench, a kernel below its floor),
+  flipping pass→fail, a bench metric worse than its bound, a kernel below
+  its floor),
   so ``--fail-on-regression`` turns the diff into a gate.
 """
 
@@ -30,7 +32,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from .analyze import SEGMENT_ORDER
-from .bench import validate_bench
+from .bench import _PASSES, _is_num, validate_bench
 
 __all__ = [
     "DIFF_SCHEMA",
@@ -46,13 +48,6 @@ __all__ = [
 ]
 
 DIFF_SCHEMA = "repro.obs.diff/1"
-
-_NUM = (int, float)
-
-
-def _is_num(x: Any) -> bool:
-    return isinstance(x, _NUM) and not isinstance(x, bool)
-
 
 class _Builder:
     """Tracks whether any compared value differed while cells are built."""
@@ -284,42 +279,54 @@ def diff_slo(
     }
 
 
-def _named_rows(
-    rows_a: Any, rows_b: Any, keys: tuple[str, ...], out: _Builder
-) -> list[dict[str, Any]]:
-    """Cells for ``keys`` of every name on either side, sorted by name."""
-    by_a = {row["name"]: row for row in rows_a}
-    by_b = {row["name"]: row for row in rows_b}
-    rows = []
-    for name in _union_keys(by_a, by_b):
-        ra = by_a.get(name, {})
-        rb = by_b.get(name, {})
-        out.mark(not ra or not rb)
-        rows.append(
-            {"name": name, **{k: out.cell(ra.get(k), rb.get(k)) for k in keys}}
-        )
-    return rows
-
-
 def diff_bench(
     a: Mapping[str, Any], b: Mapping[str, Any], out: _Builder
 ) -> dict[str, Any]:
-    """Diff two ``repro.bench/1`` trajectory points (validated upstream)."""
+    """Diff two bench points (validated upstream).
+
+    Workloads are compared only when both points measured them; the rest
+    are listed in ``unpaired_workloads``.  An end-to-end row keeps the
+    baseline's ``better`` and ``bound``, which the gate reads.  Kernels
+    are compared by name, on either side.
+    """
+    wa, wb = a.get("workloads", {}), b.get("workloads", {})
+    unpaired = sorted(set(wa) ^ set(wb))
+    out.mark(bool(unpaired))
+    ka = {row["name"]: row for row in a.get("kernels", ())}
+    kb = {row["name"]: row for row in b.get("kernels", ())}
+    out.mark(set(ka) != set(kb))
+    kernels = [
+        {"name": name, **{
+            key: out.cell(ka.get(name, {}).get(key), kb.get(name, {}).get(key))
+            for key in ("speedup", "min_speedup")
+        }}
+        for name in _union_keys(ka, kb)
+    ]
+    workloads = {}
+    for name in sorted(set(wa) & set(wb)):
+        workloads[name] = {}
+        for section, _ in _PASSES:
+            ra, rb = wa[name][section], wb[name][section]
+            ma, mb = ra["metrics"], rb["metrics"]
+            metrics = {}
+            for metric in _union_keys(ma, mb):
+                cell_a = ma.get(metric, {})
+                cell = out.cell(cell_a.get("value"),
+                                mb.get(metric, {}).get("value"))
+                metrics[metric] = cell if section == "per_layer" else {
+                    "value": cell,
+                    "better": cell_a.get("better"),
+                    "bound": cell_a.get("bound"),
+                }
+            workloads[name][section] = {
+                "attempted": out.cell(ra["attempted"], rb["attempted"]),
+                "failed": out.cell(ra["failed"], rb["failed"]),
+                "metrics": metrics,
+            }
     return {
-        "total_wall_s": out.cell(
-            a.get("total_wall_s"), b.get("total_wall_s")
-        ),
-        "peak_rss_bytes": out.cell(
-            a.get("peak_rss_bytes"), b.get("peak_rss_bytes")
-        ),
-        "experiments": _named_rows(
-            a["experiments"], b["experiments"],
-            ("wall_s", "units_per_s", "cache_hit_rate"), out,
-        ),
-        "kernels": _named_rows(
-            a.get("kernels", ()), b.get("kernels", ()),
-            ("speedup", "min_speedup"), out,
-        ),
+        "workloads": workloads,
+        "unpaired_workloads": unpaired,
+        "kernels": kernels,
     }
 
 
@@ -329,14 +336,16 @@ def _collect_regressions(
     """Every delta that crossed ``tolerance`` in the bad direction.
 
     Counts (late/lost frames, SLO flips) regress on *any* increase;
-    continuous quantities (airtime, wall time, RSS) get the relative
-    tolerance: ``b > a * (1 + tolerance)``.  Bench points follow one rule:
-    an experiment's wall time regresses only when both points ran it; a
-    kernel regresses when b's speedup falls below a's ``min_speedup``
-    floor, or b's own floor for a kernel a never measured (a ratio, so the
-    gate holds on any machine; the entry's ``a`` is that floor); the
-    totals regress only when both points measured the same experiments
-    and kernels.
+    continuous quantities (problem airtime) get the relative tolerance:
+    ``b > a * (1 + tolerance)``.  Bench points follow one rule, whose
+    limits come from the baseline ``a``: a workload both points measured
+    regresses when an end-to-end metric is worse than a's value by more
+    than a's ``bound`` (in the direction a's ``better`` names) or when
+    either pass fails more units; a kernel regresses when b's speedup
+    falls below a's ``min_speedup`` floor, or b's own floor for a kernel
+    a never measured (a ratio, so the gate holds on any machine; the
+    entry's ``a`` is that floor).  Per-layer metrics have no bound and
+    never regress.
     """
     regressions: list[dict[str, Any]] = []
 
@@ -379,16 +388,21 @@ def _collect_regressions(
 
     bench = report.get("bench")
     if bench:
-        def _paired(cell: Mapping[str, Any]) -> bool:
-            return cell["a"] is not None and cell["b"] is not None
-
-        if all(_paired(r["wall_s"]) for r in bench["experiments"]) and all(
-            _paired(r["speedup"]) for r in bench["kernels"]
-        ):  # both points measured the same experiments and kernels
-            _continuous("bench.total_wall_s", bench["total_wall_s"])
-            _continuous("bench.peak_rss_bytes", bench["peak_rss_bytes"])
-        for row in bench["experiments"]:
-            _continuous(f"bench[{row['name']}].wall_s", row["wall_s"])
+        for name, entry in bench["workloads"].items():
+            for section, _ in _PASSES:
+                _count(f"bench.workload[{name}].{section}.failed",
+                       entry[section]["failed"])
+            for metric, row in entry["end_to_end"]["metrics"].items():
+                a, b = row["value"]["a"], row["value"]["b"]
+                bound = row["bound"]
+                if not (_is_num(a) and _is_num(b) and _is_num(bound)):
+                    continue
+                if (b > a * (1.0 + bound) if row["better"] == "lower"
+                        else b < a * (1.0 - bound)):
+                    regressions.append(
+                        {"what": f"bench.workload[{name}].{metric}",
+                         "a": a, "b": b, "delta": row["value"]["delta"]}
+                    )
         for row in bench["kernels"]:
             # A kernel the baseline never measured is held to the floor b
             # recorded for it, so a new floor gates from its first point.
@@ -566,12 +580,16 @@ def format_diff(report: Mapping[str, Any]) -> str:
     bench = report.get("bench")
     if bench:
         lines.append("bench:")
-        for key in ("total_wall_s", "peak_rss_bytes"):
-            cell = bench[key]
-            lines.append(
-                f"  {key:<16} {_fmt(cell['a']):>12} -> "
-                f"{_fmt(cell['b']):>12}  ({_fmt_delta(cell)})"
-            )
+        for name, entry in bench["workloads"].items():
+            for metric, row in entry["end_to_end"]["metrics"].items():
+                cell = row["value"]
+                lines.append(
+                    f"  {name + '.' + metric:<28} {_fmt(cell['a']):>12} -> "
+                    f"{_fmt(cell['b']):>12}  ({_fmt_delta(cell)})"
+                )
+        if bench["unpaired_workloads"]:
+            lines.append("  one point only: "
+                         + ", ".join(bench["unpaired_workloads"]))
 
     regressions = report.get("regressions", ())
     if regressions:

@@ -5,8 +5,8 @@ run — the ``repro.obs.analyze/2`` blame report, optionally an SLO verdict
 document and a directory of ``BENCH_<n>.json`` trajectory points — into a
 reviewer-facing document: frame outcome summary, the critical-path blame
 table, worst frames, per-room admission, policy attribution, the SLO
-table, and a perf-trajectory sparkline (unicode blocks in markdown, an
-inline SVG in HTML).
+table, and per-workload perf-trajectory sparklines of ``wall_ref`` and
+``peak_rss_mb`` (unicode blocks in markdown, inline SVG in HTML).
 
 The HTML output is deliberately dependency-free and self-contained (one
 file, inline ``<style>``, no scripts, no external fetches) so it can be
@@ -80,7 +80,7 @@ def _svg_sparkline(
     )
 
 
-# -- section extraction (shared by both renderers) -------------------------
+# -- the report as blocks (shared by both renderers) -----------------------
 
 
 def _fmt(value: Any, digits: int = 6) -> str:
@@ -112,23 +112,139 @@ def _blame_rows(entry: Mapping[str, Any]) -> list[tuple[str, str, str, str]]:
     return rows
 
 
-def _frame_summary(analyze: Mapping[str, Any]) -> list[tuple[str, str]]:
-    frames = analyze.get("frames", {})
-    return [
-        (key, _fmt(frames.get(key)))
-        for key in ("total", "closed", "incomplete", "on_time", "late", "lost")
-    ]
-
-
-def _bench_series(
+def _trajectory_blocks(
     trajectory: Sequence[tuple[int, Mapping[str, Any]]],
-) -> dict[str, list]:
-    ns = [n for n, _ in trajectory]
-    wall = [float(doc.get("total_wall_s", 0.0)) for _, doc in trajectory]
-    rss = [
-        doc.get("peak_rss_bytes") for _, doc in trajectory
+) -> list[tuple]:
+    """One ``spark`` block per workload, then the trajectory table.
+
+    Each workload's series holds only the points that measured it, so a
+    point without workloads (a kernels-only or ``repro.bench/1`` point)
+    adds nothing.
+    """
+    series: dict[str, list[tuple[int, float, float]]] = {}
+    for n, doc in trajectory:
+        for name, entry in doc.get("workloads", {}).items():
+            metrics = entry["end_to_end"]["metrics"]
+            series.setdefault(name, []).append(
+                (n, metrics["wall_ref"]["value"],
+                 metrics["peak_rss_mb"]["value"])
+            )
+    if not series:
+        return [("p", "No point measured the benchmark workloads.")]
+    rows = [
+        (str(n), name, _fmt(wall), _fmt(rss))
+        for name, points in series.items()
+        for n, wall, rss in points
     ]
-    return {"n": ns, "total_wall_s": wall, "peak_rss_bytes": rss}
+    return [("spark", name, points) for name, points in series.items()] + [
+        ("table", ["n", "workload", "wall_ref", "peak RSS (MB)"], rows, 2)
+    ]
+
+
+def _blocks(
+    analyze: Mapping[str, Any],
+    slo: Mapping[str, Any] | None,
+    trajectory: Sequence[tuple[int, Mapping[str, Any]]],
+) -> list[tuple]:
+    """The report body as renderer-neutral blocks, in order.
+
+    Kinds: ``("h2", text)``, ``("p", text)``, ``("table", headers, rows,
+    numeric_from)``, ``("verdict", ok)`` and ``("spark", workload,
+    [(n, wall_ref, peak_rss_mb), ...])``.
+    """
+    frames = analyze.get("frames", {})
+    blocks: list[tuple] = [
+        ("p", f"{analyze.get('num_events', 0)} trace event(s) across "
+              f"{len(analyze.get('units', ()))} unit(s)."),
+        ("h2", "Frames"),
+        ("table", ["outcome", "count"], [
+            (key, _fmt(frames.get(key)))
+            for key in ("total", "closed", "incomplete", "on_time", "late",
+                        "lost")
+        ], 1),
+    ]
+    blame = analyze.get("blame", {})
+    for scope, heading in (
+        ("all", "Blame — all closed frames"),
+        ("problem", "Blame — problem frames (late + lost)"),
+    ):
+        entry = blame.get(scope)
+        if not entry or not entry.get("frames"):
+            continue
+        blocks += [
+            ("h2", heading),
+            ("p", f"{entry['frames']} frame(s), "
+                  f"{entry['airtime_s']:.6f} s total airtime."),
+            ("table", ["segment", "layer", "seconds", "share"],
+             _blame_rows(entry), 2),
+        ]
+    worst = analyze.get("worst_frames", ())
+    if worst:
+        blocks += [("h2", "Worst frames"), (
+            "table",
+            ["unit", "frame", "status", "airtime (ms)", "deadline (ms)"],
+            [
+                (
+                    str(row.get("unit", "-")), str(row.get("frame", "-")),
+                    str(row.get("status", "-")),
+                    _fmt_ms(row.get("airtime_s")),
+                    _fmt_ms(row.get("deadline_s")),
+                )
+                for row in worst
+            ],
+            1,
+        )]
+    admission = analyze.get("admission", ())
+    if admission:
+        blocks += [("h2", "Admission by room"), (
+            "table",
+            ["room", "ap", "arrivals", "rejected", "departures", "peak",
+             "capacity"],
+            [
+                (
+                    row["room"], row["ap"], str(row["arrivals"]),
+                    str(row["rejected"]), str(row["departures"]),
+                    str(row["peak_occupancy"]), _fmt(row.get("capacity")),
+                )
+                for row in admission
+            ],
+            2,
+        )]
+    policies = analyze.get("policies", {})
+    if policies:
+        blocks += [("h2", "Policy attribution"), (
+            "table",
+            ["decision event", "policy", "count"],
+            [
+                (event, label, str(count))
+                for event in policies
+                for label, count in policies[event].items()
+            ],
+            2,
+        )]
+    if slo:
+        blocks += [("h2", "SLOs"), (
+            "table",
+            ["metric", "bound", "value", "verdict"],
+            [
+                (
+                    r["metric"],
+                    ("<=" if r["kind"] == "max" else ">=")
+                    + f" {r['bound']:g}",
+                    _fmt(r.get("value")),
+                    "ok" if r["ok"] else "FAIL",
+                )
+                for r in slo.get("results", ())
+            ],
+            1,
+        ), ("verdict", bool(slo.get("ok")))]
+    if trajectory:
+        blocks += [("h2", "Bench trajectory"), *_trajectory_blocks(trajectory)]
+    return blocks
+
+
+def _n_range(points: Sequence[tuple[int, float, float]]) -> str:
+    return f"(n={points[0][0]}..{points[-1][0]})"
 
 
 # -- markdown ---------------------------------------------------------------
@@ -140,8 +256,29 @@ def _md_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
         "|" + "|".join(" --- " for _ in headers) + "|",
     ]
     for row in rows:
-        lines.append("| " + " | ".join(str(c) for c in row) + " |")
+        lines.append(
+            "| " + " | ".join(
+                "**FAIL**" if c == "FAIL" else str(c) for c in row
+            ) + " |"
+        )
     return "\n".join(lines)
+
+
+def _md_block(kind: str, *args: Any) -> str:
+    if kind == "h2":
+        return f"## {args[0]}"
+    if kind == "table":
+        return _md_table(args[0], args[1])
+    if kind == "verdict":
+        return "Overall: " + ("**PASS**" if args[0] else "**FAIL**")
+    if kind == "spark":
+        name, points = args
+        return (
+            f"{name}: wall_ref `{sparkline([p[1] for p in points])}` "
+            f"peak RSS `{sparkline([p[2] for p in points])}` "
+            + _n_range(points)
+        )
+    return args[0]
 
 
 def render_markdown(
@@ -151,120 +288,9 @@ def render_markdown(
     title: str = "repro run report",
 ) -> str:
     """The full markdown report (GitHub-flavored tables)."""
-    parts = [f"# {title}", ""]
-    parts.append(
-        f"{analyze.get('num_events', 0)} trace event(s) across "
-        f"{len(analyze.get('units', ()))} unit(s)."
-    )
-    parts += ["", "## Frames", ""]
-    parts.append(
-        _md_table(["outcome", "count"], _frame_summary(analyze))
-    )
-
-    blame = analyze.get("blame", {})
-    for scope, heading in (
-        ("all", "Blame — all closed frames"),
-        ("problem", "Blame — problem frames (late + lost)"),
-    ):
-        entry = blame.get(scope)
-        if not entry or not entry.get("frames"):
-            continue
-        parts += ["", f"## {heading}", ""]
-        parts.append(
-            f"{entry['frames']} frame(s), "
-            f"{entry['airtime_s']:.6f} s total airtime."
-        )
-        parts += ["", _md_table(
-            ["segment", "layer", "seconds", "share"], _blame_rows(entry)
-        )]
-
-    worst = analyze.get("worst_frames", ())
-    if worst:
-        parts += ["", "## Worst frames", ""]
-        rows = [
-            (
-                str(row.get("unit", "-")),
-                str(row.get("frame", "-")),
-                str(row.get("status", "-")),
-                _fmt_ms(row.get("airtime_s")),
-                _fmt_ms(row.get("deadline_s")),
-            )
-            for row in worst
-        ]
-        parts.append(_md_table(
-            ["unit", "frame", "status", "airtime (ms)", "deadline (ms)"],
-            rows,
-        ))
-
-    admission = analyze.get("admission", ())
-    if admission:
-        parts += ["", "## Admission by room", ""]
-        rows = [
-            (
-                row["room"], row["ap"], str(row["arrivals"]),
-                str(row["rejected"]), str(row["departures"]),
-                str(row["peak_occupancy"]), _fmt(row.get("capacity")),
-            )
-            for row in admission
-        ]
-        parts.append(_md_table(
-            ["room", "ap", "arrivals", "rejected", "departures",
-             "peak", "capacity"],
-            rows,
-        ))
-
-    policies = analyze.get("policies", {})
-    if policies:
-        parts += ["", "## Policy attribution", ""]
-        rows = [
-            (event, label, str(count))
-            for event in policies
-            for label, count in policies[event].items()
-        ]
-        parts.append(_md_table(["decision event", "policy", "count"], rows))
-
-    if slo:
-        parts += ["", "## SLOs", ""]
-        rows = [
-            (
-                r["metric"],
-                ("<=" if r["kind"] == "max" else ">=") + f" {r['bound']:g}",
-                _fmt(r.get("value")),
-                "ok" if r["ok"] else "**FAIL**",
-            )
-            for r in slo.get("results", ())
-        ]
-        parts.append(_md_table(["metric", "bound", "value", "verdict"], rows))
-        parts.append("")
-        parts.append(
-            "Overall: " + ("**PASS**" if slo.get("ok") else "**FAIL**")
-        )
-
-    if trajectory:
-        series = _bench_series(trajectory)
-        parts += ["", "## Bench trajectory", ""]
-        parts.append(
-            f"wall time  `{sparkline(series['total_wall_s'])}` "
-            f"(n={series['n'][0]}..{series['n'][-1]})"
-        )
-        rss_vals = [v for v in series["peak_rss_bytes"] if v is not None]
-        if rss_vals:
-            parts.append("")
-            parts.append(f"peak RSS   `{sparkline(rss_vals)}`")
-        parts.append("")
-        rows = [
-            (
-                str(n),
-                f"{wall:.3f}",
-                _fmt(rss if rss is None else rss // (1024 * 1024)),
-            )
-            for n, wall, rss in zip(
-                series["n"], series["total_wall_s"],
-                series["peak_rss_bytes"],
-            )
-        ]
-        parts.append(_md_table(["n", "wall (s)", "peak RSS (MiB)"], rows))
-
+    parts = [f"# {title}"]
+    for block in _blocks(analyze, slo, trajectory):
+        parts += ["", _md_block(*block)]
     parts.append("")
     return "\n".join(parts)
 
@@ -310,6 +336,28 @@ def _html_table(
     )
 
 
+def _html_block(kind: str, *args: Any) -> str:
+    if kind == "h2":
+        return f"<h2>{html.escape(args[0])}</h2>"
+    if kind == "table":
+        return _html_table(*args)
+    if kind == "verdict":
+        verdict = (
+            '<span class="ok">PASS</span>'
+            if args[0]
+            else '<span class="fail">FAIL</span>'
+        )
+        return f"<p>Overall: {verdict}</p>"
+    if kind == "spark":
+        name, points = args
+        return (
+            f"<p>{html.escape(name)}: wall_ref "
+            f"{_svg_sparkline([p[1] for p in points])} peak RSS "
+            f"{_svg_sparkline([p[2] for p in points])} {_n_range(points)}</p>"
+        )
+    return f"<p>{html.escape(args[0])}</p>"
+
+
 def render_html(
     analyze: Mapping[str, Any],
     slo: Mapping[str, Any] | None = None,
@@ -323,125 +371,7 @@ def render_html(
         f"<title>{html.escape(title)}</title>",
         f"<style>{_HTML_STYLE}</style></head><body>",
         f"<h1>{html.escape(title)}</h1>",
-        f"<p>{analyze.get('num_events', 0)} trace event(s) across "
-        f"{len(analyze.get('units', ()))} unit(s).</p>",
-        "<h2>Frames</h2>",
-        _html_table(["outcome", "count"], _frame_summary(analyze)),
     ]
-
-    blame = analyze.get("blame", {})
-    for scope, heading in (
-        ("all", "Blame — all closed frames"),
-        ("problem", "Blame — problem frames (late + lost)"),
-    ):
-        entry = blame.get(scope)
-        if not entry or not entry.get("frames"):
-            continue
-        out.append(f"<h2>{html.escape(heading)}</h2>")
-        out.append(
-            f"<p>{entry['frames']} frame(s), "
-            f"{entry['airtime_s']:.6f} s total airtime.</p>"
-        )
-        out.append(_html_table(
-            ["segment", "layer", "seconds", "share"],
-            _blame_rows(entry),
-            numeric_from=2,
-        ))
-
-    worst = analyze.get("worst_frames", ())
-    if worst:
-        out.append("<h2>Worst frames</h2>")
-        out.append(_html_table(
-            ["unit", "frame", "status", "airtime (ms)", "deadline (ms)"],
-            [
-                (
-                    str(row.get("unit", "-")), str(row.get("frame", "-")),
-                    str(row.get("status", "-")),
-                    _fmt_ms(row.get("airtime_s")),
-                    _fmt_ms(row.get("deadline_s")),
-                )
-                for row in worst
-            ],
-        ))
-
-    admission = analyze.get("admission", ())
-    if admission:
-        out.append("<h2>Admission by room</h2>")
-        out.append(_html_table(
-            ["room", "ap", "arrivals", "rejected", "departures", "peak",
-             "capacity"],
-            [
-                (
-                    row["room"], row["ap"], str(row["arrivals"]),
-                    str(row["rejected"]), str(row["departures"]),
-                    str(row["peak_occupancy"]), _fmt(row.get("capacity")),
-                )
-                for row in admission
-            ],
-            numeric_from=2,
-        ))
-
-    policies = analyze.get("policies", {})
-    if policies:
-        out.append("<h2>Policy attribution</h2>")
-        out.append(_html_table(
-            ["decision event", "policy", "count"],
-            [
-                (event, label, str(count))
-                for event in policies
-                for label, count in policies[event].items()
-            ],
-            numeric_from=2,
-        ))
-
-    if slo:
-        out.append("<h2>SLOs</h2>")
-        out.append(_html_table(
-            ["metric", "bound", "value", "verdict"],
-            [
-                (
-                    r["metric"],
-                    ("<=" if r["kind"] == "max" else ">=")
-                    + f" {r['bound']:g}",
-                    _fmt(r.get("value")),
-                    "ok" if r["ok"] else "FAIL",
-                )
-                for r in slo.get("results", ())
-            ],
-        ))
-        verdict = (
-            '<span class="ok">PASS</span>'
-            if slo.get("ok")
-            else '<span class="fail">FAIL</span>'
-        )
-        out.append(f"<p>Overall: {verdict}</p>")
-
-    if trajectory:
-        series = _bench_series(trajectory)
-        out.append("<h2>Bench trajectory</h2>")
-        out.append(
-            "<p>wall time "
-            + _svg_sparkline(series["total_wall_s"])
-            + f" (n={series['n'][0]}..{series['n'][-1]})</p>"
-        )
-        rss_vals = [v for v in series["peak_rss_bytes"] if v is not None]
-        if rss_vals:
-            out.append(
-                "<p>peak RSS " + _svg_sparkline(rss_vals) + "</p>"
-            )
-        out.append(_html_table(
-            ["n", "wall (s)", "peak RSS (MiB)"],
-            [
-                (
-                    str(n), f"{wall:.3f}",
-                    _fmt(rss if rss is None else rss // (1024 * 1024)),
-                )
-                for n, wall, rss in zip(
-                    series["n"], series["total_wall_s"],
-                    series["peak_rss_bytes"],
-                )
-            ],
-        ))
-
+    out += [_html_block(*block) for block in _blocks(analyze, slo, trajectory)]
     out.append("</body></html>")
     return "\n".join(out) + "\n"

@@ -30,8 +30,10 @@ def test_list_names_components_and_scenarios(capsys):
 
 
 def test_unknown_component_is_a_clean_error():
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as err:
         ablation_main(["--components", "hyperdrive", "--no-cache"])
+    # The message itself, not the repr of the KeyError carrying it.
+    assert str(err.value.code).startswith("unknown component 'hyperdrive'")
 
 
 def test_output_round_trip_and_cache_hit_byte_identity(tmp_path, capsys):

@@ -73,8 +73,10 @@ def test_trace_cli_metrics_snapshot_covers_the_layers(traced):
 
 
 def test_trace_cli_rejects_unknown_experiment():
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as err:
         trace_main(["frobnicate"])
+    # The message itself, not the repr of the KeyError carrying it.
+    assert str(err.value.code).startswith("unknown experiment 'frobnicate'")
 
 
 def test_trace_subcommand_routed_from_main_cli(tmp_path, capsys):
@@ -114,8 +116,7 @@ def test_trace_cli_event_filter_composes_with_layer(tmp_path):
     assert {r["event"] for r in records} == {"net.frame_outcome"}
 
 
-def test_obs_and_bench_subcommands_routed_from_main_cli(tmp_path, capsys,
-                                                        monkeypatch):
+def test_obs_and_bench_subcommands_routed_from_main_cli(tmp_path, capsys):
     trace_path = tmp_path / "t.jsonl"
     assert repro_main(["trace", "loss_sweep", "--scale", "small",
                        "--out", str(trace_path), "--quiet"]) == 0
@@ -133,12 +134,10 @@ def test_obs_and_bench_subcommands_routed_from_main_cli(tmp_path, capsys,
     ) == 0
     assert "SLO check: PASS" in capsys.readouterr().out
 
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    assert repro_main(
-        ["bench", "fig3d", "--scale", "small", "--out-dir", str(tmp_path)]
-    ) == 0
-    assert "bench point written to" in capsys.readouterr().out
-    assert (tmp_path / "BENCH_1.json").exists()
+    with pytest.raises(SystemExit) as err:
+        repro_main(["bench", "--help"])
+    assert err.value.code == 0
+    assert "--kernels" in capsys.readouterr().out
 
 
 def test_run_metrics_out_round_trip(tmp_path, capsys):

@@ -15,6 +15,8 @@ from repro.obs.diff import (
 )
 from repro.runner.cli import main as run_main
 
+from .bench_points import bench_point, workload
+
 
 @pytest.fixture(scope="module")
 def analyze_path(tmp_path_factory):
@@ -209,73 +211,63 @@ def test_slo_transition_to_fail_is_a_regression():
 
 def test_bench_wall_and_rss_regressions():
     analyze = _synthetic_analyze(late=0, lost=0, problem_airtime=0.0)
-
-    def _bench(wall, rss):
-        return {
-            "schema": "repro.bench/1", "scale": "small", "workers": 1,
-            "total_wall_s": wall, "peak_rss_bytes": rss,
-            "experiments": [
-                {"name": "loss_sweep", "units": 4, "cached_units": 0,
-                 "cache_hit_rate": 0.0, "wall_s": wall,
-                 "units_per_s": 4 / wall, "phases": {}},
-            ],
-        }
-
     doc = build_diff(
         analyze, analyze,
-        bench_a=_bench(1.0, 100_000_000),
-        bench_b=_bench(1.5, 150_000_000),
-        tolerance=0.2,
+        bench_a=bench_point(workloads={"closed_loop": workload()}),
+        bench_b=bench_point(workloads={"closed_loop": workload(
+            wall_ref=90.0, peak_rss_mb=95.0, setup_s=0.31)}),
     )
-    whats = {reg["what"] for reg in doc["regressions"]}
-    assert "bench.total_wall_s" in whats
-    assert "bench.peak_rss_bytes" in whats
-    assert "bench[loss_sweep].wall_s" in whats
+    # Bounds come from the point: wall_ref 0.2, peak_rss_mb 0.05, setup_s
+    # 0.25 (0.3 -> 0.31 is within it).  --tolerance plays no part.
+    assert [reg["what"] for reg in doc["regressions"]] == [
+        "bench.workload[closed_loop].peak_rss_mb",
+        "bench.workload[closed_loop].wall_ref",
+    ]
+    row = doc["bench"]["workloads"]["closed_loop"]["end_to_end"]["metrics"][
+        "wall_ref"]
+    assert row == {"value": {"a": 60.0, "b": 90.0, "delta": 30.0},
+                   "better": "lower", "bound": 0.2}
+    # Per-layer metrics are deltas only: no bound, never a regression.
+    per_layer = doc["bench"]["workloads"]["closed_loop"]["per_layer"]
+    assert per_layer["metrics"]["sim.run.self_s"] == {
+        "a": 1.5, "b": 1.5, "delta": 0.0}
+    assert "wall_ref" in format_diff(doc)
 
 
-def _bench_point(wall, rss=100_000_000, names=("loss_sweep",), kernels=()):
-    return {
-        "schema": "repro.bench/1", "scale": "small", "workers": 1,
-        "total_wall_s": wall * len(names), "peak_rss_bytes": rss,
-        "experiments": [
-            {"name": name, "units": 4, "cached_units": 0,
-             "cache_hit_rate": 0.0, "wall_s": wall,
-             "units_per_s": 4 / wall, "phases": {}}
-            for name in names
-        ],
-        "kernels": [
-            {"name": name, "scalar_wall_s": 1.0, "vectorized_wall_s": 0.5,
-             "speedup": speedup, "min_speedup": 2.0}
-            for name, speedup in kernels
-        ],
-    }
+def _bench_point(kernels=()):
+    return bench_point(kernels=list(kernels))
 
 
-def test_bench_totals_gate_only_between_like_points():
-    # A kernels-only point against a full point: the totals measured
-    # different work, so only the kernel floors gate.
-    full = _bench_point(1.0, kernels=[("k", 3.0)])
-    kernels_only = _bench_point(1.0, names=(), rss=900_000_000,
-                                kernels=[("k", 2.5)])
+def test_bench_workloads_gate_only_between_like_points():
+    # A kernels-only point against a full point: the workloads measured
+    # nothing comparable, so only the kernel floors gate.
+    full = bench_point(workloads={"venue": workload()}, kernels=[("k", 3.0)])
+    kernels_only = _bench_point([("k", 2.5)])
     doc = build_diff(bench_a=full, bench_b=kernels_only)
     assert "analyze" not in doc and "unpaired" not in doc
-    assert doc["regressions"] == []
-    slow = _bench_point(1.0, names=(), kernels=[("k", 1.5)])
+    assert doc["bench"]["unpaired_workloads"] == ["venue"]
+    assert doc["bench"]["workloads"] == {}
+    assert doc["regressions"] == [] and doc["identical"] is False
+    slow = _bench_point([("k", 1.5)])
     assert [r["what"] for r in build_diff(
         bench_a=full, bench_b=slow)["regressions"]] == ["bench.kernel[k].speedup"]
-    # Like points: the totals gate too.
-    fat = _bench_point(1.0, rss=200_000_000, kernels=[("k", 3.0)])
-    assert [r["what"] for r in build_diff(
-        bench_a=full, bench_b=fat)["regressions"]] == ["bench.peak_rss_bytes"]
+    # A workload only one side measured is listed, the rest still gate.
+    more = bench_point(workloads={"venue": workload(sim_fps=1.0),
+                                  "transport": workload()})
+    doc = build_diff(bench_a=full, bench_b=more)
+    assert doc["bench"]["unpaired_workloads"] == ["transport"]
+    assert [r["what"] for r in doc["regressions"]] == [
+        "bench.workload[venue].sim_fps"
+    ]
 
 
 def test_kernel_missing_from_the_baseline_gates_on_its_own_floor():
-    baseline = _bench_point(1.0, names=(), kernels=[("k", 3.0)])
+    baseline = _bench_point([("k", 3.0)])
     # "new" is unpaired (min_speedup 2.0 recorded only in b).
-    fast = _bench_point(1.0, names=(), kernels=[("k", 3.0), ("new", 2.5)])
+    fast = _bench_point([("k", 3.0), ("new", 2.5)])
     doc = build_diff(bench_a=baseline, bench_b=fast)
     assert doc["regressions"] == []
-    slow = _bench_point(1.0, names=(), kernels=[("k", 3.0), ("new", 1.5)])
+    slow = _bench_point([("k", 3.0), ("new", 1.5)])
     assert build_diff(bench_a=baseline, bench_b=slow)["regressions"] == [
         {"what": "bench.kernel[new].speedup", "a": 2.0, "b": 1.5,
          "delta": -0.5},
@@ -286,25 +278,24 @@ def test_kernel_missing_from_the_baseline_gates_on_its_own_floor():
 
 @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -0.01])
 def test_tolerance_must_be_finite_and_non_negative(tolerance, tmp_path):
-    a, b = _bench_point(1.0), _bench_point(1.05)
+    a = _synthetic_analyze(late=0, lost=0, problem_airtime=0.1)
+    b = _synthetic_analyze(late=0, lost=0, problem_airtime=0.105)
     with pytest.raises(ValueError, match="tolerance"):
-        build_diff(bench_a=a, bench_b=b, tolerance=tolerance)
+        build_diff(a, b, tolerance=tolerance)
     path = tmp_path / "a.json"
-    path.write_text(json.dumps(
-        _synthetic_analyze(late=0, lost=0, problem_airtime=0.1)
-    ))
+    path.write_text(json.dumps(a))
     with pytest.raises(SystemExit, match="tolerance"):
         obs_main(["diff", str(path), str(path), "--quiet",
                   "--tolerance", str(tolerance)])
-    # The gate NaN used to switch off: 1.0 s -> 1.05 s at zero tolerance.
-    assert build_diff(bench_a=a, bench_b=b)["regressions"]
+    # The gate NaN used to switch off: 0.1 s -> 0.105 s at zero tolerance.
+    assert build_diff(a, b)["regressions"]
 
 
 def test_malformed_bench_fails_validation_not_keyerror(tmp_path):
-    bad = _bench_point(1.0)
-    del bad["experiments"][0]["name"]
+    bad = _bench_point([("k", 3.0)])
+    del bad["kernels"][0]["name"]
     with pytest.raises(ValueError, match="missing key 'name'"):
-        build_diff(bench_a=bad, bench_b=_bench_point(1.0))
+        build_diff(bench_a=bad, bench_b=_bench_point([("k", 3.0)]))
     analyze = tmp_path / "analyze.json"
     analyze.write_text(json.dumps(
         _synthetic_analyze(late=0, lost=0, problem_airtime=0.1)

@@ -87,21 +87,3 @@ def test_offline_analysis_is_result_neutral():
             f"{spec.key()} changed after running the analyzer"
         )
 
-
-def test_bench_harness_is_result_neutral(tmp_path):
-    """`repro bench` runs the exact runner path: results stay bit-identical."""
-    from repro.obs.bench import run_bench
-    from repro.runner import run_specs
-
-    experiment = get_experiment("fig3d")
-    params = resolve_params(experiment, scale="small")
-    specs = list(experiment.decompose(params))
-    plain = _run_plain(experiment, specs)
-
-    run_bench(["fig3d"], scale="small", cache_dir=str(tmp_path / "cache"))
-
-    after = [(r.spec, r.result) for r in run_specs(specs, cache=None)]
-    for (spec, a), (_, b) in zip(plain, after):
-        assert canonical_json(a) == canonical_json(b), (
-            f"{spec.key()} changed after benchmarking"
-        )

@@ -1,10 +1,10 @@
-"""`repro bench --kernels`: schema, the speedup gate, and the committed point.
+"""`repro bench --kernels`: schema, the speedup gate, and the committed points.
 
 The kernel gate is a *ratio* gate — current speedup vs. the baseline's
 ``min_speedup`` floor — so these tests never assert absolute wall times,
-and the committed ``BENCH_2.json`` check asserts the recorded speedups
-(measured once, on the machine that produced the point) rather than
-re-measuring.
+and the committed-point check asserts what ``BENCH_1.json`` to
+``BENCH_3.json`` recorded (measured once, on the machine that produced
+each point) rather than re-measuring.
 """
 
 from __future__ import annotations
@@ -26,18 +26,19 @@ from repro.obs.bench import (
 )
 from repro.obs.diff import build_diff
 
+from .bench_points import BENCHMARK
+
 _REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def _doc(kernels=()):
-    return {
-        "schema": BENCH_SCHEMA,
-        "scale": "small",
-        "workers": 1,
-        "experiments": [],
-        "total_wall_s": 0.0,
-        "kernels": list(kernels),
-    }
+    return {"schema": BENCH_SCHEMA, "kernels": list(kernels)}
+
+
+def _committed(n):
+    return json.loads(
+        (_REPO_ROOT / f"BENCH_{n}.json").read_text(encoding="utf-8")
+    )
 
 
 def _regressions(point, baseline):
@@ -114,17 +115,12 @@ def test_compare_gates_speedup_against_the_baseline_floor():
         {"what": "bench.kernel[novel].speedup",
          "a": 5.0, "b": 1.0, "delta": -4.0},
     ]
-    # Experiment-only documents still compare cleanly.
+    # Points without kernel rows compare cleanly.
     assert _regressions(_doc(), _doc()) == []
 
 
 def test_committed_bench_points_validate_and_record_the_win():
-    seed = json.loads(
-        (_REPO_ROOT / "BENCH_1.json").read_text(encoding="utf-8")
-    )
-    point = json.loads(
-        (_REPO_ROOT / "BENCH_2.json").read_text(encoding="utf-8")
-    )
+    seed, point = _committed(1), _committed(2)
     validate_bench(seed)
     validate_bench(point)
     assert "kernels" not in seed  # the pre-vectorization baseline
@@ -143,6 +139,38 @@ def test_committed_bench_points_validate_and_record_the_win():
     assert kernels["pairwise_similarity_1000"]["speedup"] >= 5.0
 
 
+def test_committed_bench_3_records_every_workload_and_kernel():
+    point = _committed(3)
+    validate_bench(point)
+    assert point["schema"] == BENCH_SCHEMA
+    assert list(point["workloads"]) == sorted(
+        w["name"] for w in BENCHMARK["workloads"]
+    )
+    declared = {spec["name"]: spec for spec in BENCHMARK["end_to_end"]}
+    per_layer = {spec["name"] for spec in BENCHMARK["per_layer"]}
+    for name, entry in point["workloads"].items():
+        metrics = entry["end_to_end"]["metrics"]
+        assert set(metrics) == set(declared), name
+        for metric, spec in declared.items():
+            for key in ("unit", "better", "bound"):
+                assert metrics[metric][key] == spec[key], (name, metric, key)
+        assert set(entry["per_layer"]["metrics"]) == per_layer, name
+        for section in ("end_to_end", "per_layer"):
+            assert entry[section]["attempted"] > 0, (name, section)
+            assert entry[section]["failed"] == 0, (name, section)
+        assert metrics["ok_frac"]["value"] == 1.0, name
+    kernels = {entry["name"]: entry for entry in point["kernels"]}
+    assert set(kernels) == set(KERNEL_MIN_SPEEDUP)
+    for name, entry in kernels.items():
+        assert entry["min_speedup"] == KERNEL_MIN_SPEEDUP[name]
+        assert entry["speedup"] >= entry["min_speedup"], (
+            f"{name} was committed below its own floor"
+        )
+    # Against itself: identical, nothing to gate.
+    diff = build_diff(bench_a=point, bench_b=point)
+    assert diff["identical"] and diff["regressions"] == []
+
+
 def test_main_kernels_only_writes_a_gateable_point(tmp_path, capsys):
     out_dir = tmp_path / "points"
     code = bench_main(["--kernels", "--out-dir", str(out_dir)])
@@ -153,19 +181,46 @@ def test_main_kernels_only_writes_a_gateable_point(tmp_path, capsys):
         (out_dir / "BENCH_1.json").read_text(encoding="utf-8")
     )
     validate_bench(doc)
-    assert doc["experiments"] == []
+    assert doc["schema"] == BENCH_SCHEMA and "workloads" not in doc
     assert [k["name"] for k in doc["kernels"]] == [
         "pairwise_similarity_1000", "occlusion_mask", "blockage_timeline",
         "beam_gains", "frustum_planes", "frustum_cull", "frame_plan",
     ]
 
     # The fresh point gates cleanly against the committed floors (the
-    # ratio gate, so this holds on any machine with working BLAS); the
-    # four kernels BENCH_2 lacks gate against their own floors.
-    baseline = json.loads(
-        (_REPO_ROOT / "BENCH_2.json").read_text(encoding="utf-8")
+    # ratio gate, so this holds on any machine with working BLAS): the
+    # four kernels BENCH_2 lacks gate against their own floors, and
+    # BENCH_3's workloads, which this point did not measure, are listed
+    # as unpaired rather than gated.
+    assert _regressions(doc, _committed(2)) == []
+    diff = build_diff(bench_a=_committed(3), bench_b=doc)
+    assert diff["regressions"] == []
+    assert diff["bench"]["unpaired_workloads"] == sorted(
+        w["name"] for w in BENCHMARK["workloads"]
     )
-    assert _regressions(doc, baseline) == []
+
+
+def test_v1_baseline_compares_kernels_and_lists_workloads_unpaired():
+    baseline = _committed(2)  # repro.bench/1: experiments and kernels
+    point = _committed(3)
+    diff = build_diff(bench_a=baseline, bench_b=point)
+    assert diff["regressions"] == []
+    assert diff["bench"]["unpaired_workloads"] == list(point["workloads"])
+    speedups = {row["name"]: row["speedup"] for row in diff["bench"]["kernels"]}
+    assert speedups["beam_gains"]["a"] == next(
+        row["speedup"] for row in baseline["kernels"]
+        if row["name"] == "beam_gains"
+    )
+    assert speedups["frame_plan"]["a"] is None  # BENCH_2 never timed it
+    # A kernel below the /1 baseline's floor still regresses.
+    slow = {**point, "kernels": [
+        {**row, "speedup": 1.0} if row["name"] == "beam_gains" else row
+        for row in point["kernels"]
+    ]}
+    assert [r["what"] for r in build_diff(
+        bench_a=baseline, bench_b=slow)["regressions"]] == [
+        "bench.kernel[beam_gains].speedup"
+    ]
 
 
 def test_kernel_without_a_floor_is_an_error():

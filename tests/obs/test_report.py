@@ -14,6 +14,8 @@ from repro.obs.report import (
     sparkline,
 )
 
+from .bench_points import bench_point, workload
+
 
 @pytest.fixture(scope="module")
 def artifacts(tmp_path_factory):
@@ -44,12 +46,21 @@ def artifacts(tmp_path_factory):
     )
     bench_dir = root / "bench"
     bench_dir.mkdir()
-    for n, wall in ((1, 2.0), (2, 1.5), (3, 1.8)):
-        (bench_dir / f"BENCH_{n}.json").write_text(json.dumps({
-            "schema": "repro.bench/1", "scale": "small", "workers": 1,
-            "experiments": [], "total_wall_s": wall,
-            "peak_rss_bytes": 50_000_000 + n,
-        }))
+    points = [
+        # An experiment-timing point of the earlier harness...
+        {"schema": "repro.bench/1", "scale": "small", "workers": 1,
+         "experiments": [], "total_wall_s": 2.0,
+         "peak_rss_bytes": 50_000_000},
+        # ...a kernels-only point...
+        bench_point(kernels=[("k", 3.0)]),
+        # ...and two points that measured the workloads.
+        bench_point(workloads={"venue": workload(wall_ref=80.0),
+                               "transport": workload(wall_ref=20.0)}),
+        bench_point(workloads={"venue": workload(wall_ref=56.0,
+                                                 peak_rss_mb=64.0)}),
+    ]
+    for n, doc in enumerate(points, start=1):
+        (bench_dir / f"BENCH_{n}.json").write_text(json.dumps(doc))
     return {"analyze": analyze, "slo": slo, "bench_dir": bench_dir}
 
 
@@ -62,8 +73,30 @@ def test_sparkline_shapes():
 
 def test_load_bench_trajectory_sorts_by_index(artifacts):
     points = load_bench_trajectory(artifacts["bench_dir"])
-    assert [n for n, _ in points] == [1, 2, 3]
-    assert points[1][1]["total_wall_s"] == 1.5
+    assert [n for n, _ in points] == [1, 2, 3, 4]
+    assert points[0][1]["total_wall_s"] == 2.0
+    assert "kernels" in points[1][1]
+
+
+def test_trajectory_has_one_series_per_workload(artifacts):
+    analyze = json.loads(artifacts["analyze"].read_text())
+    trajectory = load_bench_trajectory(artifacts["bench_dir"])
+    text = render_markdown(analyze, trajectory=trajectory)
+    section = text.split("## Bench trajectory", 1)[1]
+    # Only the points that measured a workload contribute to its series.
+    assert f"transport: wall_ref `{sparkline([20.0])}`" in section
+    assert f"venue: wall_ref `{sparkline([80.0, 56.0])}` " in section
+    assert f"peak RSS `{sparkline([85.0, 64.0])}` (n=3..4)" in section
+    assert "| 3 | venue | 80 | 85 |" in section
+    assert "| 4 | venue | 56 | 64 |" in section
+    assert "| 1 |" not in section and "| 2 |" not in section
+    # Points that measured no workload render no series at all.
+    early = [p for p in trajectory if p[0] <= 2]
+    assert "No point measured the benchmark workloads." in render_markdown(
+        analyze, trajectory=early
+    )
+    html = render_html(analyze, trajectory=trajectory)
+    assert html.count('<svg class="spark"') == 4
 
 
 def test_markdown_report_contains_every_section(artifacts):

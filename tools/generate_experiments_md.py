@@ -130,9 +130,11 @@ Two gates build on the same machinery:
 # Declarative SLOs over a trace (CI runs tools/ci_slo.json; exit 1 on violation):
 python -m repro obs check loss.jsonl --spec tools/ci_slo.json
 
-# A BENCH_<n>.json perf-trajectory point; exit 1 on wall-time regression:
-python -m repro bench loss_sweep fig3d --scale small
-python -m repro bench loss_sweep fig3d --scale small --compare BENCH_1.json
+# A BENCH_<n>.json perf-trajectory point over the BENCHMARK.json workloads;
+# exit 1 on a metric worse than the baseline's bound or a kernel below
+# its floor:
+python -m repro bench --compare BENCH_3.json
+python -m repro bench --kernels --compare BENCH_3.json
 ```
 """
 
@@ -186,7 +188,7 @@ demands, and viewport IoU are computed once per archetype with the
 vectorized kernels (`pairwise_iou_matrix`,
 `compute_visibility_batch`, the batched codebook gain sweep — each
 golden-equivalent to its retained scalar reference, speedups pinned in
-`BENCH_2.json` and gated by `repro bench --kernels --compare`).
+`BENCH_3.json` and gated by `repro bench --kernels --compare`).
 *Sharding*: rooms partition into contiguous shards, one `RunSpec` each,
 through the same executor/cache as every other experiment.
 
