@@ -321,10 +321,12 @@ class FramePlan:
     frame_demands: FrameDemands | None = field(
         default=None, repr=False, compare=False
     )
-    # Set by __post_init__; the total on first total_time_s call.
+    # Set by __post_init__; the total on first total_time_s call, the
+    # transmission units (per packetization config) on first delivery.
     _grouped: frozenset[int] = field(init=False, repr=False, compare=False)
     _solo: list[int] = field(init=False, repr=False, compare=False)
     _total: float | None = field(init=False, repr=False, compare=False)
+    _units: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         covered: set[int] = set()
@@ -348,6 +350,7 @@ class FramePlan:
             self, "_solo", [u for u in self.demands if u not in covered]
         )
         object.__setattr__(self, "_total", None)
+        object.__setattr__(self, "_units", {})
 
     @property
     def grouped_users(self) -> frozenset[int]:

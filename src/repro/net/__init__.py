@@ -41,7 +41,6 @@ from .packetization import (
     packet_count,
     packetize_bytes,
     packetize_cells,
-    packetize_demand,
 )
 from .transport import FrameOutcome, TransportSimulator
 
@@ -74,7 +73,6 @@ __all__ = [
     "packet_count",
     "packetize_bytes",
     "packetize_cells",
-    "packetize_demand",
     "FrameOutcome",
     "TransportSimulator",
 ]

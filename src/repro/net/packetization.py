@@ -12,18 +12,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from ..mac.scheduler import UserDemand
+from ..mac.scheduler import FramePlan
 
 __all__ = [
     "DEFAULT_MTU_BYTES",
     "DEFAULT_HEADER_BYTES",
     "PacketizationConfig",
     "PacketizedUnit",
+    "PlanUnits",
     "packet_count",
     "packetize_bytes",
     "packetize_cells",
-    "packetize_demand",
+    "plan_units",
 ]
 
 DEFAULT_MTU_BYTES = 1500
@@ -112,8 +114,54 @@ def packetize_cells(
     return unit
 
 
-def packetize_demand(
-    demand: UserDemand, config: PacketizationConfig = PacketizationConfig()
-) -> PacketizedUnit:
-    """Packetize one user's whole frame demand."""
-    return packetize_cells(demand.cell_bytes, config)
+class PlanUnits(NamedTuple):
+    """A frame plan's transmission units, in the order they are sent.
+
+    ``groups`` follows ``plan.groups``: each group's shared unit, then one
+    residual unit per member (``None`` when the member has no residual
+    cells).  ``solos`` follows ``plan.solo_users``.
+    """
+
+    groups: tuple[tuple[PacketizedUnit, tuple[PacketizedUnit | None, ...]], ...]
+    solos: tuple[PacketizedUnit, ...]
+
+
+def plan_units(plan: FramePlan, config: PacketizationConfig) -> PlanUnits:
+    """``plan``'s transmission units, memoised on the plan per ``config``.
+
+    A group's shared map holds the cells every member requests, in sorted
+    cell order, each at the largest member demand; a member's residual map
+    holds its other cells in its own insertion order.
+    """
+    units = plan._units.get(config)
+    if units is not None:
+        return units
+    demands = plan.demands
+    groups = []
+    for members, _rate in plan.groups:
+        group_demands = [demands[m] for m in members]
+        shared_cells = set(group_demands[0].cell_bytes)
+        for d in group_demands[1:]:
+            shared_cells &= set(d.cell_bytes)
+        shared_map = {
+            c: max(d.cell_bytes[c] for d in group_demands)
+            for c in sorted(shared_cells)
+        }
+        residuals = []
+        for d in group_demands:
+            residual_map = {
+                c: b for c, b in d.cell_bytes.items() if c not in shared_cells
+            }
+            # An all-zero-byte residual still costs a beam switch and a leg.
+            residuals.append(
+                packetize_cells(residual_map, config) if residual_map else None
+            )
+        groups.append((packetize_cells(shared_map, config), tuple(residuals)))
+    units = plan._units[config] = PlanUnits(
+        groups=tuple(groups),
+        solos=tuple(
+            packetize_cells(demands[u].cell_bytes, config)
+            for u in plan.solo_users
+        ),
+    )
+    return units

@@ -6,7 +6,8 @@ The fluid scheduler (:mod:`repro.mac.scheduler`) prices a frame plan as
 run as processes on the :mod:`repro.sim` engine:
 
 1. each transmission unit (a group's shared cells, a member's residual
-   cells, a solo user's frame) is packetized into MTU-sized PDUs;
+   cells, a solo user's frame) is packetized into MTU-sized PDUs, once
+   per plan (:func:`~repro.net.packetization.plan_units`);
 2. each PDU is lost independently with the link's per-packet error
    probability (:mod:`repro.net.errormodel`);
 3. losses are recovered per the configured mode — block-ACK ARQ rounds
@@ -33,7 +34,7 @@ from ..sim import Environment, Event, any_of
 from .arq import block_arq_process
 from .config import TransportConfig
 from .fec import sample_decodes, total_packets_needed
-from .packetization import PacketizedUnit, packetize_cells
+from .packetization import PacketizedUnit, plan_units
 
 __all__ = ["FrameOutcome", "TransportSimulator", "DEADLINE", "TX_DONE"]
 
@@ -270,76 +271,41 @@ class TransportSimulator:
         deadline_event = env.timeout(deadline_s, value=DEADLINE)
         stats = _DeliveryStats()
         delivered: dict[int, bool] = {}
-        pk = self.config.packetization
         overhead_s = plan.beam_switch_overhead_s
 
-        for members, rate in plan.groups:
-            group_demands = [demands[m] for m in members]
-            shared_cells = set(group_demands[0].cell_bytes)
-            for d in group_demands[1:]:
-                shared_cells &= set(d.cell_bytes)
-            shared_map = {
-                c: max(d.cell_bytes[c] for d in group_demands)
-                for c in sorted(shared_cells)
-            }
-            shared_unit = packetize_cells(shared_map, pk)
-            member_pers = [pers.get(m, 0.0) for m in members]
-            if overhead_s > 0:
-                yield env.timeout(overhead_s)
-                self._emit_beam_switch(env, overhead_s, frame)
-            if self.config.multicast_scheme() == "arq":
-                ok = yield from self._arq_unit(
-                    env, shared_unit, rate, member_pers, deadline_event, stats,
-                    frame=frame, members=tuple(members),
-                )
-            else:
-                ok = yield from self._fec_unit(
-                    env, shared_unit, rate, member_pers, deadline_event, stats,
-                    frame=frame, members=tuple(members),
-                )
-            for m, shared_ok, demand in zip(members, ok, group_demands):
-                residual_map = {
-                    c: b
-                    for c, b in demand.cell_bytes.items()
-                    if c not in shared_cells
-                }
-                if not shared_ok:
-                    # The frame is unusable without its shared cells; the
-                    # member's NACK suppresses the pointless residual leg.
-                    delivered[m] = False
-                    continue
-                if not residual_map:
-                    delivered[m] = True
-                    continue
-                if overhead_s > 0:
-                    yield env.timeout(overhead_s)
-                    self._emit_beam_switch(env, overhead_s, frame)
-                delivered[m] = yield from self._unicast_leg(
-                    env,
-                    packetize_cells(residual_map, pk),
-                    demand.unicast_rate_mbps,
-                    pers.get(m, 0.0),
-                    deadline_event,
-                    stats,
-                    frame=frame,
-                    user=m,
-                )
-
-        for u in plan.solo_users:
-            demand = demands[u]
-            if overhead_s > 0:
-                yield env.timeout(overhead_s)
-                self._emit_beam_switch(env, overhead_s, frame)
-            delivered[u] = yield from self._unicast_leg(
-                env,
-                packetize_cells(demand.cell_bytes, pk),
-                demand.unicast_rate_mbps,
-                pers.get(u, 0.0),
-                deadline_event,
-                stats,
-                frame=frame,
-                user=u,
+        units = plan_units(plan, self.config.packetization)
+        arq, fec = self._arq_unit, self._fec_unit
+        multicast = arq if self.config.multicast_scheme() == "arq" else fec
+        unicast = arq if self.config.unicast_scheme() == "arq" else fec
+        for (members, rate), (shared_unit, residual_units) in zip(
+            plan.groups, units.groups
+        ):
+            yield from self._beam_switch(env, overhead_s, frame)
+            ok = yield from multicast(
+                env, shared_unit, rate, [pers.get(m, 0.0) for m in members],
+                deadline_event, stats, frame=frame, members=tuple(members),
             )
+            for m, shared_ok, residual_unit in zip(members, ok, residual_units):
+                if not shared_ok or residual_unit is None:
+                    # Without its shared cells the frame is unusable: the
+                    # member's NACK suppresses the pointless residual leg.
+                    delivered[m] = bool(shared_ok)
+                    continue
+                yield from self._beam_switch(env, overhead_s, frame)
+                ok_m = yield from unicast(
+                    env, residual_unit, demands[m].unicast_rate_mbps,
+                    [pers.get(m, 0.0)], deadline_event, stats,
+                    frame=frame, members=(m,),
+                )
+                delivered[m] = ok_m[0]
+
+        for u, unit in zip(plan.solo_users, units.solos):
+            yield from self._beam_switch(env, overhead_s, frame)
+            ok_u = yield from unicast(
+                env, unit, demands[u].unicast_rate_mbps, [pers.get(u, 0.0)],
+                deadline_event, stats, frame=frame, members=(u,),
+            )
+            delivered[u] = ok_u[0]
 
         airtime = env.now - start
         num_users = len(demands)
@@ -368,32 +334,16 @@ class TransportSimulator:
     # -- transmission units ---------------------------------------------
 
     @staticmethod
-    def _emit_beam_switch(
-        env: Environment, overhead_s: float, frame: int | None
-    ) -> None:
-        if _trace._RECORDER is not None:
-            _EV_BEAM_SWITCH.emit(
-                t=env.now,
-                overhead_s=overhead_s,
-                **_trace.correlation(frame=frame),
-            )
-
-    def _unicast_leg(
-        self, env, unit, rate, per, deadline_event, stats,
-        frame=None, user=None,
-    ):
-        members = None if user is None else (user,)
-        if self.config.unicast_scheme() == "arq":
-            ok = yield from self._arq_unit(
-                env, unit, rate, [per], deadline_event, stats,
-                frame=frame, members=members,
-            )
-        else:
-            ok = yield from self._fec_unit(
-                env, unit, rate, [per], deadline_event, stats,
-                frame=frame, members=members,
-            )
-        return ok[0]
+    def _beam_switch(env: Environment, overhead_s: float, frame: int | None):
+        """Process: pay one beam-switch overhead (nothing when it is 0)."""
+        if overhead_s > 0:
+            yield env.timeout(overhead_s)
+            if _trace._RECORDER is not None:
+                _EV_BEAM_SWITCH.emit(
+                    t=env.now,
+                    overhead_s=overhead_s,
+                    **_trace.correlation(frame=frame),
+                )
 
     def _arq_unit(
         self,

@@ -229,15 +229,17 @@ def build_obs_parser() -> argparse.ArgumentParser:
         help="regression-diff the artifacts of two runs",
         description=(
             "Compare two runs' canonical observability artifacts (analyze "
-            "reports, plus optional metrics / SLO / bench docs) and emit a "
-            "canonical repro.obs.diff/1 regression report."
+            "reports, metrics / SLO / bench docs; at least one pair) and "
+            "emit a canonical repro.obs.diff/1 regression report."
         ),
     )
     diff_p.add_argument(
-        "run_a", metavar="ANALYZE_A", help="run A's analyze report JSON"
+        "run_a", nargs="?", default=None, metavar="ANALYZE_A",
+        help="run A's analyze report JSON",
     )
     diff_p.add_argument(
-        "run_b", metavar="ANALYZE_B", help="run B's analyze report JSON"
+        "run_b", nargs="?", default=None, metavar="ANALYZE_B",
+        help="run B's analyze report JSON",
     )
     for side in ("a", "b"):
         diff_p.add_argument(
@@ -276,12 +278,13 @@ def build_obs_parser() -> argparse.ArgumentParser:
         help="render a self-contained markdown/HTML run report",
         description=(
             "Render one run's observability artifacts (analyze report, "
-            "optional SLO results and BENCH_<n>.json trajectory) as a "
-            "self-contained markdown or HTML document."
+            "SLO results and BENCH_<n>.json trajectory; at least one) as "
+            "a self-contained markdown or HTML document."
         ),
     )
     report_p.add_argument(
-        "analyze", metavar="ANALYZE", help="the run's analyze report JSON"
+        "analyze", nargs="?", default=None, metavar="ANALYZE",
+        help="the run's analyze report JSON",
     )
     report_p.add_argument(
         "--slo", default=None, metavar="PATH",
@@ -330,6 +333,16 @@ def _diff_main(args: argparse.Namespace) -> int:
         except (OSError, ValueError) as exc:
             raise SystemExit(f"cannot read artifact: {exc}") from None
 
+    sides = [
+        (args.run_a, args.run_b), (args.metrics_a, args.metrics_b),
+        (args.slo_a, args.slo_b), (args.bench_a, args.bench_b),
+    ]
+    if not any(a and b for a, b in sides):
+        raise SystemExit(
+            "cannot diff: no artifact pair given (ANALYZE_A ANALYZE_B, or "
+            "--metrics-a/-b, --slo-a/-b or --bench-a/-b)"
+        )
+    label_a, label_b = next((a, b) for a, b in sides if a and b)
     try:
         report = build_diff(
             _load(args.run_a, "repro.obs.analyze"),
@@ -341,8 +354,8 @@ def _diff_main(args: argparse.Namespace) -> int:
             bench_a=_load(args.bench_a, load=load_bench),
             bench_b=_load(args.bench_b, load=load_bench),
             tolerance=args.tolerance,
-            label_a=args.run_a,
-            label_b=args.run_b,
+            label_a=label_a,
+            label_b=label_b,
         )
     except ValueError as exc:
         raise SystemExit(f"cannot diff: {exc}") from None
@@ -359,8 +372,15 @@ def _report_main(args: argparse.Namespace) -> int:
     from .diff import load_json_artifact
     from .report import load_bench_trajectory, render_html, render_markdown
 
+    if not (args.analyze or args.slo or args.bench_dir):
+        raise SystemExit(
+            "cannot report: give ANALYZE, --slo or --bench-dir"
+        )
     try:
-        analyze_doc = load_json_artifact(args.analyze, "repro.obs.analyze")
+        analyze_doc = (
+            load_json_artifact(args.analyze, "repro.obs.analyze")
+            if args.analyze else None
+        )
         slo_doc = (
             load_json_artifact(args.slo, "repro.obs.slo")
             if args.slo else None

@@ -1,12 +1,14 @@
 """Self-contained run reports: markdown or single-file HTML.
 
 ``repro obs report`` turns the canonical observability artifacts of one
-run — the ``repro.obs.analyze/2`` blame report, optionally an SLO verdict
-document and a directory of ``BENCH_<n>.json`` trajectory points — into a
-reviewer-facing document: frame outcome summary, the critical-path blame
-table, worst frames, per-room admission, policy attribution, the SLO
-table, and per-workload perf-trajectory sparklines of ``wall_ref`` and
-``peak_rss_mb`` (unicode blocks in markdown, inline SVG in HTML).
+run — the ``repro.obs.analyze/2`` blame report, an SLO verdict document
+and a directory of ``BENCH_<n>.json`` trajectory points, any of them
+optional — into a human-readable document: frame outcome summary, the
+critical-path blame table, worst frames, per-room admission, policy
+attribution, the SLO table, per-workload perf-trajectory sparklines of
+``wall_ref`` and ``peak_rss_mb`` (unicode blocks in markdown, inline SVG
+in HTML), and each workload's layer shares in the newest point that
+measured the workloads.
 
 The HTML output is deliberately dependency-free and self-contained (one
 file, inline ``<style>``, no scripts, no external fetches) so it can be
@@ -141,8 +143,42 @@ def _trajectory_blocks(
     ]
 
 
+def _layer_share_blocks(
+    trajectory: Sequence[tuple[int, Mapping[str, Any]]],
+) -> list[tuple]:
+    """One table per workload of the newest point that measured them.
+
+    A span's share is its ``*.self_s`` over the sum of every ``*.self_s``
+    per-layer metric of the workload, ``other.self_s`` included.
+    """
+    measured = [(n, doc) for n, doc in trajectory if doc.get("workloads")]
+    if not measured:
+        return []
+    n, doc = measured[-1]
+    blocks: list[tuple] = [("h2", f"Layer shares (BENCH_{n})")]
+    for name, entry in doc["workloads"].items():
+        self_s = {
+            key[: -len(".self_s")]: float(cell["value"])
+            for key, cell in entry["per_layer"]["metrics"].items()
+            if key.endswith(".self_s")
+        }
+        total = sum(self_s.values())
+        rows = [
+            (span, f"{sec:.6f}",
+             f"{sec / total * 100:5.1f}%" if total > 0 else "-")
+            for span, sec in sorted(
+                self_s.items(), key=lambda kv: (-kv[1], kv[0])
+            )
+        ]
+        blocks += [
+            ("p", f"{name}: {total:.6f} s per-layer self time."),
+            ("table", ["span", "self_s", "share"], rows, 1),
+        ]
+    return blocks
+
+
 def _blocks(
-    analyze: Mapping[str, Any],
+    analyze: Mapping[str, Any] | None,
     slo: Mapping[str, Any] | None,
     trajectory: Sequence[tuple[int, Mapping[str, Any]]],
 ) -> list[tuple]:
@@ -150,8 +186,34 @@ def _blocks(
 
     Kinds: ``("h2", text)``, ``("p", text)``, ``("table", headers, rows,
     numeric_from)``, ``("verdict", ok)`` and ``("spark", workload,
-    [(n, wall_ref, peak_rss_mb), ...])``.
+    [(n, wall_ref, peak_rss_mb), ...])``.  Without ``analyze`` the
+    frame, blame, worst-frame, admission and policy sections are left out.
     """
+    blocks = _analyze_blocks(analyze) if analyze is not None else []
+    if slo:
+        blocks += [("h2", "SLOs"), (
+            "table",
+            ["metric", "bound", "value", "verdict"],
+            [
+                (
+                    r["metric"],
+                    ("<=" if r["kind"] == "max" else ">=")
+                    + f" {r['bound']:g}",
+                    _fmt(r.get("value")),
+                    "ok" if r["ok"] else "FAIL",
+                )
+                for r in slo.get("results", ())
+            ],
+            1,
+        ), ("verdict", bool(slo.get("ok")))]
+    if trajectory:
+        blocks += [("h2", "Bench trajectory"), *_trajectory_blocks(trajectory)]
+        blocks += _layer_share_blocks(trajectory)
+    return blocks
+
+
+def _analyze_blocks(analyze: Mapping[str, Any]) -> list[tuple]:
+    """The sections read from one ``repro.obs.analyze/2`` report."""
     frames = analyze.get("frames", {})
     blocks: list[tuple] = [
         ("p", f"{analyze.get('num_events', 0)} trace event(s) across "
@@ -222,24 +284,6 @@ def _blocks(
             ],
             2,
         )]
-    if slo:
-        blocks += [("h2", "SLOs"), (
-            "table",
-            ["metric", "bound", "value", "verdict"],
-            [
-                (
-                    r["metric"],
-                    ("<=" if r["kind"] == "max" else ">=")
-                    + f" {r['bound']:g}",
-                    _fmt(r.get("value")),
-                    "ok" if r["ok"] else "FAIL",
-                )
-                for r in slo.get("results", ())
-            ],
-            1,
-        ), ("verdict", bool(slo.get("ok")))]
-    if trajectory:
-        blocks += [("h2", "Bench trajectory"), *_trajectory_blocks(trajectory)]
     return blocks
 
 
@@ -282,7 +326,7 @@ def _md_block(kind: str, *args: Any) -> str:
 
 
 def render_markdown(
-    analyze: Mapping[str, Any],
+    analyze: Mapping[str, Any] | None,
     slo: Mapping[str, Any] | None = None,
     trajectory: Sequence[tuple[int, Mapping[str, Any]]] = (),
     title: str = "repro run report",
@@ -359,7 +403,7 @@ def _html_block(kind: str, *args: Any) -> str:
 
 
 def render_html(
-    analyze: Mapping[str, Any],
+    analyze: Mapping[str, Any] | None,
     slo: Mapping[str, Any] | None = None,
     trajectory: Sequence[tuple[int, Mapping[str, Any]]] = (),
     title: str = "repro run report",

@@ -105,8 +105,11 @@ def _ou_process(
         return x
     alpha = np.exp(-dt / tau)
     drive = sigma * np.sqrt(max(1e-12, 1.0 - alpha**2))
+    # One bulk draw takes the same values, in the same order, as one
+    # normal(size=3) per step; the recurrence itself stays sequential.
+    steps = rng.normal(size=(max(n - 1, 0), 3))
     for i in range(1, n):
-        x[i] = alpha * x[i - 1] + drive * rng.normal(size=3)
+        x[i] = alpha * x[i - 1] + drive * steps[i - 1]
     return x
 
 

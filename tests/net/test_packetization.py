@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.mac.scheduler import UserDemand
 from repro.net import (
     DEFAULT_HEADER_BYTES,
     DEFAULT_MTU_BYTES,
@@ -11,7 +10,6 @@ from repro.net import (
     packet_count,
     packetize_bytes,
     packetize_cells,
-    packetize_demand,
 )
 
 
@@ -54,11 +52,11 @@ def test_cells_never_share_a_pdu():
     assert merged.num_packets == 1
 
 
-def test_packetize_demand_matches_cells():
-    demand = UserDemand(
-        user_id=0, cell_bytes={0: 3000.0, 1: 700.0}, unicast_rate_mbps=100.0
+def test_packetize_cells_sums_each_cell():
+    cells = {0: 3000.0, 1: 700.0}
+    assert packetize_cells(cells) == packetize_bytes(3000.0) + packetize_bytes(
+        700.0
     )
-    assert packetize_demand(demand) == packetize_cells(demand.cell_bytes)
 
 
 def test_airtime():

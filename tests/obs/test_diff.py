@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -334,6 +335,32 @@ def test_fail_on_regression_exit_code(tmp_path):
         )
         == 1
     )
+
+
+def test_bench_only_diff_needs_no_analyze_reports(tmp_path, capsys):
+    bench = Path(__file__).resolve().parents[2] / "BENCH_3.json"
+    out = tmp_path / "diff.json"
+    assert obs_main(["diff", "--bench-a", str(bench), "--bench-b",
+                     str(bench), "--json", str(out),
+                     "--fail-on-regression"]) == 0
+    doc = json.loads(out.read_text())
+    assert "analyze" not in doc and "unpaired" not in doc
+    assert doc["identical"] is True and doc["regressions"] == []
+    assert doc["a"]["label"] == str(bench)
+    assert "wall_ref" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["--bench-a", "BENCH_3.json"],
+    ["--metrics-a", "m.json", "--slo-b", "s.json"],
+])
+def test_diff_without_an_artifact_pair_exits_with_one_line(argv):
+    with pytest.raises(SystemExit) as err:
+        obs_main(["diff", *argv])
+    message = str(err.value)
+    assert message.startswith("cannot diff: no artifact pair given")
+    assert "\n" not in message
 
 
 def test_load_json_artifact_validates_schema_family(tmp_path):

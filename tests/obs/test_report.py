@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
+from repro.obs.bench import bench_points
 from repro.obs.cli import main as trace_main, obs_main
 from repro.obs.report import (
     load_bench_trajectory,
@@ -186,3 +188,59 @@ def test_report_cli_rejects_wrong_schema(tmp_path):
     bogus.write_text('{"schema": "repro.bench/1"}')
     with pytest.raises(SystemExit, match="cannot read artifact"):
         obs_main(["report", str(bogus)])
+
+
+def _with_self_s(entry, **self_s):
+    metrics = entry["per_layer"]["metrics"]
+    for span, seconds in self_s.items():
+        metrics[f"{span}.self_s"] = {"value": seconds, "unit": "s"}
+    return entry
+
+
+def test_layer_shares_come_from_the_newest_measured_point():
+    old = bench_point(workloads={"transport": _with_self_s(
+        workload(), **{"net.deliver": 8.5})})
+    new = bench_point(workloads={
+        # sim.run.self_s is 1.5 in every fixture workload.
+        "transport": _with_self_s(
+            workload(), **{"net.deliver": 0.9, "other": 0.6}),
+        "venue": _with_self_s(workload(), **{"mac.plan_frame": 0.0}),
+    })
+    trajectory = [(3, old), (4, new), (5, bench_point(kernels=[("k", 3.0)]))]
+    text = render_markdown(None, trajectory=trajectory)
+    shares = text.split("## Layer shares (BENCH_4)", 1)[1]
+    transport, venue = shares.split("venue:", 1)
+    assert "transport: 3.000000 s per-layer self time." in transport
+    # Largest share first; other.self_s counts towards the total.
+    assert transport.index("| sim.run |") < transport.index("| net.deliver |")
+    assert "| sim.run | 1.500000 |  50.0% |" in transport
+    assert "| net.deliver | 0.900000 |  30.0% |" in transport
+    assert "| other | 0.600000 |  20.0% |" in transport
+    assert "8.5" not in shares and "sim.run.calls" not in shares
+    assert "| sim.run | 1.500000 | 100.0% |" in venue
+    assert "| mac.plan_frame | 0.000000 |   0.0% |" in venue
+    html = render_html(None, trajectory=trajectory)
+    assert "Layer shares (BENCH_4)" in html
+    assert "Layer shares" not in render_markdown(
+        None, trajectory=[(5, bench_point(kernels=[("k", 3.0)]))]
+    )
+
+
+def test_report_cli_renders_bench_dir_alone(tmp_path, monkeypatch):
+    repo = Path(__file__).resolve().parents[2]
+    monkeypatch.chdir(repo)
+    out = tmp_path / "bench.md"
+    assert obs_main(["report", "--bench-dir", ".", "--format", "md",
+                     "--out", str(out)]) == 0
+    text = out.read_text()
+    newest = bench_points(repo)[-1][0]
+    assert "## Bench trajectory" in text
+    assert f"## Layer shares (BENCH_{newest})" in text
+    for analyze_section in ("## Frames", "## Blame", "## Worst frames"):
+        assert analyze_section not in text
+    assert "trace event(s)" not in text
+
+
+def test_report_cli_needs_some_artifact():
+    with pytest.raises(SystemExit, match="cannot report: give ANALYZE"):
+        obs_main(["report"])
