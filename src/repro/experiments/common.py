@@ -14,7 +14,7 @@ import numpy as np
 
 from ..defaults import DEFAULT_SEED
 from ..mmwave import AccessPoint, Channel, Codebook, Room
-from ..pointcloud import QUALITIES, CellGrid, PointCloudVideo, synthesize_video
+from ..pointcloud import CellGrid, PointCloudVideo, synthesize_video
 from ..traces import UserStudy, generate_user_study
 
 __all__ = [
@@ -53,15 +53,6 @@ AP_BORESIGHT_AZ = np.pi / 2.0  # facing +Y, into the room
 # hashes 1 == 1.0 == True together; both bite silently otherwise.)
 
 
-def _checked_quality(quality: str) -> str:
-    quality = str(quality)
-    if quality not in QUALITIES:
-        raise ValueError(
-            f"unknown quality {quality!r}; expected one of {sorted(QUALITIES)}"
-        )
-    return quality
-
-
 @lru_cache(maxsize=8)
 def _default_video(
     quality: str, num_frames: int, points_per_frame: int
@@ -79,7 +70,7 @@ def default_video(
 ) -> PointCloudVideo:
     """The synthetic soldier video, centered at the origin (memoized)."""
     return _default_video(
-        _checked_quality(quality), int(num_frames), int(points_per_frame)
+        quality, int(num_frames), int(points_per_frame)
     )
 
 
@@ -100,7 +91,7 @@ def room_video(
     CONTENT_CENTER, so the content must be there for visibility to work.
     """
     return _room_video(
-        _checked_quality(quality), int(num_frames), int(points_per_frame)
+        quality, int(num_frames), int(points_per_frame)
     )
 
 

@@ -33,11 +33,29 @@ class AABB:
 
     @staticmethod
     def of_points(points: np.ndarray) -> "AABB":
-        """Tight bounding box of an ``(N, 3)`` point set."""
+        """Tight bounding box of an ``(N, 3)`` point set of finite points.
+
+        The reduction runs over one contiguous ``(3, N)`` copy: a row-wise
+        min/max is a fast contiguous pass, while ``min(axis=0)`` strides
+        across rows.  Min and max are exact, so the bounds are bitwise
+        ``min(axis=0)`` / ``max(axis=0)``, with one exception handled below.
+        """
         points = np.asarray(points, dtype=np.float64)
         if points.ndim != 2 or points.shape[1] != 3 or len(points) == 0:
             raise ValueError("need a non-empty (N, 3) point array")
-        return AABB(points.min(axis=0), points.max(axis=0))
+        columns = np.ascontiguousarray(points.T)
+        lo, hi = columns.min(axis=1), columns.max(axis=1)
+        # A NaN propagates into both bounds and an infinity reaches one, so
+        # finite bounds mean finite points.
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise ValueError("points must be finite")
+        # Which of 0.0 and -0.0 wins a tie depends on the reduction order:
+        # where a zero bound's column holds both, reduce as min(axis=0) does.
+        if _mixed_zeros(columns[lo == 0]):
+            lo = points.min(axis=0)
+        if _mixed_zeros(columns[hi == 0]):
+            hi = points.max(axis=0)
+        return AABB(lo, hi)
 
     @property
     def center(self) -> np.ndarray:
@@ -87,3 +105,10 @@ class AABB:
         p = np.asarray(point, dtype=np.float64)
         d = np.maximum(np.maximum(self.lo - p, 0.0), p - self.hi)
         return float(np.linalg.norm(d))
+
+
+def _mixed_zeros(values: np.ndarray) -> bool:
+    """True when ``values`` holds both 0.0 and -0.0."""
+    zero = values == 0
+    negative = np.count_nonzero(zero & np.signbit(values))
+    return 0 < negative < np.count_nonzero(zero)

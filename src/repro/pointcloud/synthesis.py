@@ -118,6 +118,11 @@ def _sample_ellipsoid_surface(
     return center + u * radii * jitter
 
 
+def _check_fps(fps: float) -> None:
+    if not (np.isfinite(fps) and fps > 0):
+        raise ValueError(f"fps must be finite and positive, got {fps!r}")
+
+
 def synthesize_frame(
     frame_index: int,
     points: int = 8000,
@@ -140,6 +145,7 @@ def synthesize_frame(
     """
     if points <= 0:
         raise ValueError("points must be positive")
+    _check_fps(fps)
     model = model or HumanoidModel()
     t = frame_index / fps
     phase = 2.0 * np.pi * 0.8 * t  # ~0.8 Hz gait cycle
@@ -178,7 +184,15 @@ def synthesize_video(
     ``"medium"`` = 430K, ``"high"`` = 550K nominal points/frame), which sets
     ``nominal_points`` on every frame and hence the streaming bitrate.
     """
-    level = QUALITIES[quality] if isinstance(quality, str) else quality
+    if isinstance(quality, str):
+        if quality not in QUALITIES:
+            raise ValueError(
+                f"unknown quality {quality!r}; expected one of {list(QUALITIES)}"
+            )
+        level = QUALITIES[quality]
+    else:
+        level = quality
+    _check_fps(fps)
     frames = [
         synthesize_frame(
             i,

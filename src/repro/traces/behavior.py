@@ -28,10 +28,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..geometry import Quaternion
+from ..geometry import Quaternion, vec
 from .trace import Device, Trace
 
 __all__ = ["BehaviorParams", "AttentionModel", "generate_trace", "device_profile"]
+
+# Quaternion.normalized falls back to the identity below this norm.
+_QUATERNION_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -108,9 +111,110 @@ def _ou_process(
     # One bulk draw takes the same values, in the same order, as one
     # normal(size=3) per step; the recurrence itself stays sequential.
     steps = rng.normal(size=(max(n - 1, 0), 3))
-    for i in range(1, n):
-        x[i] = alpha * x[i - 1] + drive * steps[i - 1]
+    # The recurrence runs per column over Python floats: the same IEEE
+    # multiply and add per element as the row-wise numpy form, without a
+    # numpy call per step.
+    a, d = float(alpha), float(drive)
+    for c in range(3):
+        xc = 0.0
+        col = [xc]
+        for s in steps[:, c].tolist():
+            xc = a * xc + d * s
+            col.append(xc)
+        x[:, c] = col[:n]
     return x
+
+
+def _check_sampling(duration_s: float, rate_hz: float) -> None:
+    """Reject a trace length or sample rate that is not finite and positive."""
+    for name, value in (("duration_s", duration_s), ("rate_hz", rate_hz)):
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
+def _look_at_orientations_reference(
+    center: np.ndarray,
+    gaze_z: np.ndarray,
+    positions: np.ndarray,
+    gaze_noise: np.ndarray,
+    gaze_noise_rad: float,
+) -> np.ndarray:
+    """Scalar reference of :func:`_look_at_orientations`: one look-at per sample."""
+    n = len(positions)
+    orientations = np.empty((n, 4))
+    for i in range(n):
+        target = np.array([center[0], center[1], gaze_z[i]])
+        look = Quaternion.look_at(target - positions[i])
+        if gaze_noise_rad > 0:
+            noise = Quaternion.from_euler(
+                float(gaze_noise[i, 0]), float(gaze_noise[i, 1]), 0.0
+            )
+            look = (look * noise).normalized()
+        orientations[i] = look.as_array()
+    return orientations
+
+
+def _euler_quaternions(yaw: np.ndarray, pitch: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``Quaternion.from_euler(yaw, pitch, 0.0)`` per row, as ``(w, x, y, z)``.
+
+    The roll terms stay in, in ``from_euler``'s order: dropping them would
+    change the sign of zero components.
+    """
+    roll = 0.0
+    cy, sy = np.cos(yaw / 2), np.sin(yaw / 2)
+    cp, sp = np.cos(pitch / 2), np.sin(pitch / 2)
+    cr, sr = np.cos(roll / 2), np.sin(roll / 2)
+    return (
+        cy * cp * cr + sy * sp * sr,
+        cy * cp * sr - sy * sp * cr,
+        cy * sp * cr + sy * cp * sr,
+        sy * cp * cr - cy * sp * sr,
+    )
+
+
+def _look_at_orientations(
+    center: np.ndarray,
+    gaze_z: np.ndarray,
+    positions: np.ndarray,
+    gaze_noise: np.ndarray,
+    gaze_noise_rad: float,
+) -> np.ndarray:
+    """Noisy look-at orientations of one trace, shape ``(n, 4)``.
+
+    Each sample looks from its position at ``(center.x, center.y, gaze_z)``
+    and is then turned by the yaw and pitch of its gaze noise.  Bitwise
+    :func:`_look_at_orientations_reference`: the forward vector is
+    normalised twice with :func:`vec.normalize` as ``look_at`` and
+    ``azimuth_elevation`` do, and the quaternion norm squares Python floats,
+    because ``float ** 2`` (libm ``pow``) and numpy's ``x * x`` round
+    differently on some inputs.
+    """
+    targets = np.empty_like(positions)
+    targets[:, 0] = center[0]
+    targets[:, 1] = center[1]
+    targets[:, 2] = gaze_z
+    forward = vec.normalize(vec.normalize(targets - positions))
+    az = np.arctan2(forward[:, 1], forward[:, 0])
+    el = np.arctan2(forward[:, 2], np.hypot(forward[:, 0], forward[:, 1]))
+    w1, x1, y1, z1 = _euler_quaternions(az, -el)
+    if not gaze_noise_rad > 0:
+        return np.stack([w1, x1, y1, z1], axis=1)
+
+    w2, x2, y2, z2 = _euler_quaternions(gaze_noise[:, 0], gaze_noise[:, 1])
+    w = w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2
+    x = w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2
+    y = w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2
+    z = w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2
+    squares = [
+        a**2 + b**2 + c**2 + d**2
+        for a, b, c, d in zip(w.tolist(), x.tolist(), y.tolist(), z.tolist())
+    ]
+    norm = np.sqrt(np.array(squares))
+    degenerate = norm < _QUATERNION_EPS
+    safe = np.where(degenerate, 1.0, norm)
+    out = np.stack([w / safe, x / safe, y / safe, z / safe], axis=1)
+    out[degenerate] = (1.0, 0.0, 0.0, 0.0)
+    return out
 
 
 def generate_trace(
@@ -136,8 +240,7 @@ def generate_trace(
         rate_hz: sampling rate (the study logged 30 Hz).
         seed: RNG seed (combine with user_id for a study).
     """
-    if duration_s <= 0:
-        raise ValueError("duration_s must be positive")
+    _check_sampling(duration_s, rate_hz)
     rng = np.random.default_rng(np.random.SeedSequence([seed, user_id]))
     params = params or device_profile(device, rng)
     attention = attention or AttentionModel()
@@ -185,16 +288,9 @@ def generate_trace(
     # Gaze jitter is temporally correlated (an OU process, ~0.4 s memory):
     # heads drift and re-fixate, they do not shake sample to sample.
     gaze_noise = _ou_process(rng, n, dt, params.gaze_noise_rad, 0.4)
-    orientations = np.empty((n, 4))
-    for i in range(n):
-        target = np.array([center[0], center[1], gaze_z[i]])
-        look = Quaternion.look_at(target - positions[i])
-        if params.gaze_noise_rad > 0:
-            noise = Quaternion.from_euler(
-                float(gaze_noise[i, 0]), float(gaze_noise[i, 1]), 0.0
-            )
-            look = (look * noise).normalized()
-        orientations[i] = look.as_array()
+    orientations = _look_at_orientations(
+        center, gaze_z, positions, gaze_noise, params.gaze_noise_rad
+    )
 
     return Trace(
         user_id=user_id,

@@ -19,7 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .behavior import AttentionModel, device_profile, generate_trace, with_anchor
+from .behavior import (
+    AttentionModel,
+    _check_sampling,
+    device_profile,
+    generate_trace,
+    with_anchor,
+)
 from .trace import Device, Trace
 
 __all__ = ["UserStudy", "generate_user_study"]
@@ -98,6 +104,7 @@ def generate_user_study(
     """
     if num_users <= 0:
         raise ValueError("num_users must be positive")
+    _check_sampling(duration_s, rate_hz)
     attention = attention or AttentionModel()
     traces = []
     for uid in range(num_users):

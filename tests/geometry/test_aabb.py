@@ -35,6 +35,41 @@ def test_of_points_rejects_empty():
         AABB.of_points(np.empty((0, 3)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_of_points_rejects_non_finite(bad):
+    pts = np.zeros((5, 3))
+    pts[2, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        AABB.of_points(pts)
+
+
+def _of_points_inputs(seed):
+    """Random, Fortran-order, strided-view, single-point and signed-zero sets."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 3000))
+    plain = rng.normal(scale=10.0, size=(n, 3))
+    zeros = rng.choice([0.0, -0.0], size=(n, 3))
+    return [
+        plain,
+        np.asfortranarray(plain),
+        rng.normal(size=(2 * n, 7))[::2, ::3],
+        plain[seed % n : seed % n + 1],
+        zeros,
+        np.asfortranarray(zeros),
+        rng.choice([0.0, -0.0, 1.5, -2.5], size=(n, 3)),
+        np.abs(plain) * rng.choice([0.0, 1.0], size=(n, 3)),
+        -np.abs(plain) * rng.choice([0.0, 1.0], size=(n, 3)),
+    ]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_of_points_is_bitwise_min_max(seed):
+    for pts in _of_points_inputs(seed):
+        b = AABB.of_points(pts)
+        assert b.lo.tobytes() == pts.min(axis=0).tobytes()
+        assert b.hi.tobytes() == pts.max(axis=0).tobytes()
+
+
 def test_center_size_volume():
     b = box(hi=(2, 4, 6))
     assert np.allclose(b.center, [1, 2, 3])

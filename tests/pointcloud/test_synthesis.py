@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.pointcloud import synthesize_frame, synthesize_video
+from repro.pointcloud import QUALITIES, synthesize_frame, synthesize_video
 
 
 def test_frame_determinism():
@@ -70,3 +70,22 @@ def test_animation_changes_cell_occupancy():
     occ0 = set(grid.occupancy(v[0]).cell_ids.tolist())
     occ29 = set(grid.occupancy(v[29]).cell_ids.tolist())
     assert occ0 != occ29
+
+
+@pytest.mark.parametrize("fps", [0.0, -30.0, float("nan"), float("inf")])
+def test_frame_rejects_bad_fps(fps):
+    with pytest.raises(ValueError, match="fps"):
+        synthesize_frame(0, points=100, fps=fps)
+
+
+@pytest.mark.parametrize("fps", [0.0, float("nan")])
+def test_video_rejects_bad_fps(fps):
+    with pytest.raises(ValueError, match="fps"):
+        synthesize_video("low", num_frames=2, points_per_frame=100, fps=fps)
+
+
+def test_video_rejects_unknown_quality_listing_the_known_ones():
+    with pytest.raises(ValueError, match="ultra") as err:
+        synthesize_video("ultra", num_frames=2, points_per_frame=100)
+    for name in QUALITIES:
+        assert repr(name) in str(err.value)

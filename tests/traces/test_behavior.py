@@ -33,6 +33,26 @@ def test_generate_trace_rejects_bad_duration():
         generate_trace(0, Device.PHONE, duration_s=0.0)
 
 
+# (duration_s, rate_hz, the argument the error must name); rate 0, a NaN
+# duration and an infinite one used to raise ZeroDivisionError, a NaN-to-int
+# conversion error and OverflowError.
+BAD_SAMPLING = [
+    (1.0, 0.0, "rate_hz"),
+    (float("nan"), 30.0, "duration_s"),
+    (float("inf"), 30.0, "duration_s"),
+    (-2.0, 30.0, "duration_s"),
+    (1.0, -30.0, "rate_hz"),
+    (1.0, float("nan"), "rate_hz"),
+    (1.0, float("inf"), "rate_hz"),
+]
+
+
+@pytest.mark.parametrize("duration_s,rate_hz,name", BAD_SAMPLING)
+def test_generate_trace_names_bad_sampling_argument(duration_s, rate_hz, name):
+    with pytest.raises(ValueError, match=name):
+        generate_trace(0, Device.HEADSET, duration_s=duration_s, rate_hz=rate_hz)
+
+
 def test_determinism_per_seed_and_user():
     a = generate_trace(1, Device.PHONE, duration_s=1.0, seed=5)
     b = generate_trace(1, Device.PHONE, duration_s=1.0, seed=5)

@@ -85,3 +85,18 @@ def test_content_center_propagates():
     )
     mean_pos = np.mean([t.positions.mean(axis=0) for t in study.traces], axis=0)
     assert np.linalg.norm(mean_pos[:2] - center[:2]) < 2.0
+
+
+@pytest.mark.parametrize(
+    "duration_s,rate_hz,name",
+    [
+        (1.0, 0.0, "rate_hz"),
+        (float("nan"), 30.0, "duration_s"),
+        (float("inf"), 30.0, "duration_s"),
+        (0.0, 30.0, "duration_s"),
+        (1.0, float("nan"), "rate_hz"),
+    ],
+)
+def test_study_names_bad_sampling_argument(duration_s, rate_hz, name):
+    with pytest.raises(ValueError, match=name):
+        generate_user_study(num_users=2, duration_s=duration_s, rate_hz=rate_hz)
