@@ -526,6 +526,11 @@ class AnalyzeAccumulator:
         }
 
 
+# One held decoder: a line is decoded by its C scanner alone, without the
+# ``json.loads`` -> ``decode`` -> ``raw_decode`` frames around it.
+_SCAN_ONCE = json.JSONDecoder().scan_once
+
+
 def iter_events(path: Path | str) -> Iterator[dict[str, Any]]:
     """Stream a ``repro trace`` JSONL file one event dict at a time.
 
@@ -535,6 +540,10 @@ def iter_events(path: Path | str) -> Iterator[dict[str, Any]]:
     interrupted run) is called out as truncated, and a ``seq`` that does
     not increase — a reordered or concatenated file, which would fold
     into a silently different report — names the offending line.
+
+    Each stripped line is one scanner call that must consume the whole
+    line; a line it does not (bad JSON, trailing data) is handed to
+    ``json.loads``, so the diagnostics quote that decoder's own error.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lineno = 0
@@ -545,16 +554,11 @@ def iter_events(path: Path | str) -> Iterator[dict[str, Any]]:
             if not line:
                 continue
             try:
-                event = json.loads(line)
-            except ValueError as exc:
-                if not raw.endswith("\n"):
-                    raise ValueError(
-                        f"{path}:{lineno}: truncated trace record (partial "
-                        f"write?): {line[:60]!r}"
-                    ) from exc
-                raise ValueError(
-                    f"{path}:{lineno}: not valid JSON: {exc}"
-                ) from exc
+                event, end = _SCAN_ONCE(line, 0)
+            except (StopIteration, ValueError):
+                end = -1
+            if end != len(line):
+                event = _decode_line(path, lineno, raw, line)
             if not isinstance(event, dict):
                 raise ValueError(f"{path}:{lineno}: expected a JSON object")
             seq = event.get("seq")
@@ -566,6 +570,19 @@ def iter_events(path: Path | str) -> Iterator[dict[str, Any]]:
                     )
                 last_seq = seq
             yield event
+
+
+def _decode_line(path: Path | str, lineno: int, raw: str, line: str) -> Any:
+    """``json.loads`` of a line the scanner rejected, its error diagnosed."""
+    try:
+        return json.loads(line)
+    except ValueError as exc:
+        if not raw.endswith("\n"):
+            raise ValueError(
+                f"{path}:{lineno}: truncated trace record (partial "
+                f"write?): {line[:60]!r}"
+            ) from exc
+        raise ValueError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
 
 
 def fold_trace(

@@ -171,6 +171,75 @@ def event_type(
 # Pending JSONL lines a file-backed recorder buffers between flushes.
 FLUSH_EVERY = 4096
 
+# The record envelope: these keys lead every line, in this order.
+_ENVELOPE = ("t", "seq", "layer", "event")
+
+# Values the line encoder does not spell out itself (lists, None, dicts,
+# subclasses of the scalar types) go through this one encoder, which
+# writes exactly what ``json.dumps(..., separators=(",", ":"))`` embeds.
+_JSON = json.JSONEncoder(separators=(",", ":"))
+_encode_str = json.encoder.encode_basestring_ascii
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_value(value: Any) -> str:
+    """``value`` as ``json.dumps`` embeds it in a compact record."""
+    cls = type(value)
+    if cls is float:
+        text = repr(value)
+        return _NONFINITE.get(text, text)
+    if cls is int:
+        return repr(value)
+    if cls is str:
+        return _encode_str(value)
+    if cls is bool:
+        return "true" if value else "false"
+    return _JSON.encode(value)
+
+
+def _trace_line_reference(
+    t: Any, seq: int, kind: TraceEventType, fields: Mapping[str, Any]
+) -> str:
+    """Scalar reference of the file sink's line encoder: the generic
+    ``json.dumps`` of the record's canonical dict."""
+    ev = TraceEvent(
+        t=t, seq=seq, layer=kind.layer, event=kind.name, fields=dict(fields)
+    )
+    return json.dumps(ev.to_jsonable(), separators=(",", ":"))
+
+
+def _line_plan(
+    kind: TraceEventType, names: tuple[Any, ...]
+) -> tuple[str, tuple[tuple[str, Any], ...]] | None:
+    """The encoded ``,"layer":…,"event":…`` head of one record shape and
+    its ``(',"key":', key)`` pairs in sorted key order, or None when a
+    field shadows an envelope key (those lines keep the envelope's key
+    order, so they take the reference path)."""
+    if any(name in _ENVELOPE for name in names):
+        return None
+    head = _JSON.encode({"layer": kind.layer, "event": kind.name})[1:-1]
+    # Encode each key the way the encoder writes a dict key (a one-entry
+    # dict minus its value), so non-str keys come out as json.dumps has them.
+    pairs = tuple(
+        ("," + _JSON.encode({key: 0})[1:-2], key) for key in sorted(names)
+    )
+    return "," + head, pairs
+
+
+def _unencodable(
+    exc: TypeError, kind: TraceEventType, fields: Mapping[str, Any]
+) -> TypeError:
+    """``exc`` restated with the event type and the field that caused it."""
+    for key, value in fields.items():
+        try:
+            _JSON.encode(value)
+        except TypeError:
+            return TypeError(
+                f"trace event {kind.name!r}: field {key!r} is not JSON "
+                f"serializable: {exc}"
+            )
+    return exc
+
 
 class TraceRecorder:
     """Records :class:`TraceEvent` records into one sink.
@@ -182,9 +251,17 @@ class TraceRecorder:
     and bookkeeping, and the file is exactly what serializing
     :attr:`events` line by line would give.
 
+    The file sink writes each line directly: a plan per event type and
+    field-name tuple, built on the first record of that shape, holds the
+    encoded ``layer``/``event`` head and the sorted key prefixes, and each
+    value is encoded as ``json.dumps`` would.  No :class:`TraceEvent` is
+    built; :func:`_trace_line_reference` is the generic form it matches
+    byte for byte.
+
     ``now`` is the ambient sim time, maintained by the engine while firing
     events.  ``context`` fields (e.g. the :class:`~repro.runner.RunSpec`
-    key the trace CLI sets per work unit) are merged into every event.
+    key the trace CLI sets per work unit) are merged into every event;
+    an event's own field of the same name wins.
     ``layers``/``events`` apply the trace CLI's write filters at record
     time; filtered events still consume a ``seq``, so the kept records
     carry the numbers a full recording would.  ``len()`` counts kept
@@ -206,6 +283,11 @@ class TraceRecorder:
         self._seq = 0
         self._counts: dict[str, int] = {}
         self._pending: list[str] = []
+        self._plans: dict[tuple[TraceEventType, tuple[Any, ...]], Any] = {}
+        # The last float ``t`` encoded and its text: the events of one
+        # engine step share the clock's float object, so most lines reuse it.
+        self._t_last: float | None = None
+        self._t_json = ""
         self._fh = None
         if self.path is not None:
             if self.path.parent != Path(""):
@@ -220,28 +302,45 @@ class TraceRecorder:
     ) -> None:
         """Record one event (called through :meth:`TraceEventType.emit`)."""
         seq = self._seq
-        self._seq += 1
+        self._seq = seq + 1
         if self._layers is not None and kind.layer not in self._layers:
             return
         if self._names is not None and kind.name not in self._names:
             return
-        merged = {**self.context, **fields} if self.context else dict(fields)
-        ev = TraceEvent(
-            t=self.now if t is None else float(t),
-            seq=seq,
-            layer=kind.layer,
-            event=kind.name,
-            fields=merged,
-        )
-        self._counts[kind.layer] = self._counts.get(kind.layer, 0) + 1
+        if self.context:
+            fields = {**self.context, **fields}
+        t = self.now if t is None else float(t)
         if self._fh is None:
-            self.events.append(ev)
-            return
-        self._pending.append(
-            json.dumps(ev.to_jsonable(), separators=(",", ":"))
-        )
-        if len(self._pending) >= FLUSH_EVERY:
-            self.flush()
+            self.events.append(
+                TraceEvent(t, seq, kind.layer, kind.name, dict(fields))
+            )
+        else:
+            names = tuple(fields)
+            try:
+                plan = self._plans[kind, names]
+            except KeyError:
+                plan = self._plans[kind, names] = _line_plan(kind, names)
+            try:
+                if plan is None:
+                    line = _trace_line_reference(t, seq, kind, fields)
+                else:
+                    if t is self._t_last:
+                        t_json = self._t_json
+                    else:
+                        t_json = _json_value(t)
+                        if type(t) is float:
+                            self._t_last, self._t_json = t, t_json
+                    head, pairs = plan
+                    line = f'{{"t":{t_json},"seq":{seq}{head}'
+                    for prefix, key in pairs:
+                        line += prefix + _json_value(fields[key])
+                    line += "}"
+            except TypeError as exc:
+                raise _unencodable(exc, kind, fields) from exc
+            self._pending.append(line)
+            if len(self._pending) >= FLUSH_EVERY:
+                self.flush()
+        self._counts[kind.layer] = self._counts.get(kind.layer, 0) + 1
 
     def flush(self) -> None:
         """Write the pending lines out (newline-terminated)."""
@@ -282,11 +381,15 @@ class TraceRecorder:
 _RECORDER: TraceRecorder | None = None
 
 
+def _require_no_recorder() -> None:
+    if _RECORDER is not None:
+        raise RuntimeError("a trace recorder is already installed")
+
+
 def install(recorder: TraceRecorder) -> None:
     """Make ``recorder`` the active sink for every ``emit`` in the process."""
     global _RECORDER
-    if _RECORDER is not None:
-        raise RuntimeError("a trace recorder is already installed")
+    _require_no_recorder()
     _RECORDER = recorder
 
 
@@ -307,7 +410,12 @@ def recording(
     layers: Iterable[str] | None = None,
     events: Iterable[str] | None = None,
 ) -> Iterator[TraceRecorder]:
-    """Install a fresh recorder, yield it, then uninstall and close it."""
+    """Install a fresh recorder, yield it, then uninstall and close it.
+
+    Fails before touching ``path`` when a recorder is already installed,
+    so a nested recording cannot truncate an existing trace.
+    """
+    _require_no_recorder()
     recorder = TraceRecorder(path, layers=layers, events=events)
     install(recorder)
     try:
