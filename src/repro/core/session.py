@@ -30,6 +30,7 @@ from ..pointcloud import (
     CellGrid,
     CompressionModel,
     DEFAULT_COMPRESSION,
+    FrameOccupancy,
     PointCloudVideo,
     QUALITIES,
     VisibilityConfig,
@@ -90,10 +91,6 @@ class SessionConfig:
     max_buffer_frames: int = 30
     beam_switch_overhead_s: float = 0.0
     min_group_iou: float = 0.05
-    # "grid" = uniform cells of ``cell_size``; "octree" = adaptive leaves
-    # targeting ``octree_points_per_leaf`` sampled points each.
-    partitioner: str = "grid"
-    octree_points_per_leaf: int = 300
     # Packet-level delivery model; the "ideal" default keeps the fluid
     # transfer-time math (and every pre-existing result) unchanged.
     transport: TransportConfig = field(default_factory=TransportConfig)
@@ -101,8 +98,6 @@ class SessionConfig:
     def __post_init__(self) -> None:
         if self.grouping not in ("none", "greedy", "qoe", "exhaustive"):
             raise ValueError(f"unknown grouping policy {self.grouping!r}")
-        if self.partitioner not in ("grid", "octree"):
-            raise ValueError(f"unknown partitioner {self.partitioner!r}")
         if self.target_fps <= 0:
             raise ValueError("target_fps must be positive")
         if self.startup_frames < 1:
@@ -128,25 +123,12 @@ class _DemandBuilder:
         self.grid = CellGrid.covering(
             config.video.bounds, config.cell_size, margin=margin
         )
-        self._octree_cache: dict[int, object] = {}
 
-    def occupancy(self, frame_index: int):
-        """The frame's occupancy; grid occupancies are memoized on the
-        frame itself, so sessions over the same video share them."""
-        vf = frame_index % len(self.config.video)
-        frame = self.config.video[vf]
-        if self.config.partitioner == "grid":
-            return self.grid.occupancy(frame)
-        if vf not in self._octree_cache:
-            from ..pointcloud import build_octree
-
-            tree = build_octree(
-                frame,
-                root=self.config.video.bounds,
-                max_points_per_leaf=self.config.octree_points_per_leaf,
-            )
-            self._octree_cache[vf] = tree.occupancy()
-        return self._octree_cache[vf]
+    def occupancy(self, frame_index: int) -> FrameOccupancy:
+        """The frame's occupancy, memoized on the frame itself, so sessions
+        over the same video share it."""
+        video = self.config.video
+        return self.grid.occupancy(video[frame_index % len(video)])
 
     def pose_for(self, user_index: int, frame_index: int, now_s: float):
         """Pose used to compute the demand: predicted or oracle."""

@@ -43,7 +43,8 @@ _C_REACTIVE = _metrics.counter(
 _EV_RECOVERY = _trace.event_type(
     "mac.beam_recovery", layer="mac",
     help="one blockage interval was resolved (beam decision: proactive "
-         "switch vs. reactive re-search)",
+         "switch vs. reactive re-search); emitted before the session runs, "
+         "with t = the blockage onset",
     fields=("user", "predicted", "duration_s", "outage_s"),
 )
 

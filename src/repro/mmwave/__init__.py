@@ -30,7 +30,6 @@ from .mcs import (
     phy_rate_mbps,
 )
 from .raytrace import PropagationPath, Room, trace_paths
-from .sweep import BeamTracker, SectorSweep, SweepResult, SweepTiming
 from .sinr import (
     NOISE_FLOOR_DBM,
     app_rate_for_sinr_mbps,
@@ -76,8 +75,4 @@ __all__ = [
     "app_rate_for_sinr_mbps",
     "mcs_for_sinr",
     "sinr_db",
-    "BeamTracker",
-    "SectorSweep",
-    "SweepResult",
-    "SweepTiming",
 ]

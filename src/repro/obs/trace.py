@@ -21,12 +21,15 @@ call itself with :func:`active` so not even the kwargs dict is built.
 Recording is explicit: install a :class:`TraceRecorder` (directly or via
 the :func:`recording` / :func:`streaming_recording` context managers) and
 run the workload; the recorder keeps the timeline in memory or writes it
-to a JSONL file as it goes.  Events carry the sim
-time they were emitted at; within one :class:`~repro.sim.Environment` run
-the emission order *is* sim-time order (the engine fires events in time
-order), and the monotonically increasing ``seq`` field makes the total
-order explicit across equal timestamps and across successive private
-clocks (e.g. one transport simulation per frame).
+to a JSONL file as it goes.  The monotonically increasing ``seq`` field
+is the emission order.  ``t`` is the sim time the event describes.  Inside
+one :class:`~repro.sim.Environment` run the two orders agree (the engine
+fires events in time order), and ``seq`` breaks ties across equal
+timestamps and across successive private clocks (e.g. one transport
+simulation per frame).  Precomputed events do not follow the clock:
+``mac.beam_recovery`` is emitted while a blockage timeline is expanded,
+before the session's environment runs, and carries the blockage onset as
+``t``.  So ``t`` is not ordered by ``seq`` across a whole trace.
 
 Nothing here reads a clock or an RNG: tracing on/off cannot change any
 experiment result (asserted by ``tests/obs/test_equivalence.py``).
@@ -98,7 +101,7 @@ def correlation(
 class TraceEvent:
     """One recorded occurrence: where on the timeline, what, and details."""
 
-    t: float  # sim time the event was emitted at
+    t: float  # sim time the event describes
     seq: int  # global emission order (total tie-break)
     layer: str  # sim | net | mac | core | runner
     event: str  # registered event-type name

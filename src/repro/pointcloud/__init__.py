@@ -9,7 +9,6 @@ from .compression import (
     CompressionModel,
     DecoderModel,
 )
-from .octree import Octree, OctreeOccupancy, build_octree
 from .synthesis import HumanoidModel, synthesize_frame, synthesize_video
 from .video import QUALITIES, QUALITY_ORDER, PointCloudVideo, QualityLevel
 from .visibility import (
@@ -30,9 +29,6 @@ __all__ = [
     "DecoderModel",
     "DEFAULT_COMPRESSION",
     "DEFAULT_DECODER",
-    "Octree",
-    "OctreeOccupancy",
-    "build_octree",
     "HumanoidModel",
     "synthesize_frame",
     "synthesize_video",

@@ -17,7 +17,7 @@ import numpy as np
 from ..geometry import AABB
 from .cloud import PointCloudFrame
 
-__all__ = ["CellGrid", "FrameOccupancy", "OccupancyGeometry", "PAPER_CELL_SIZES"]
+__all__ = ["CellGrid", "FrameOccupancy", "PAPER_CELL_SIZES"]
 
 # Cell edge lengths used in the paper's Fig. 2 analysis, in meters.
 PAPER_CELL_SIZES: tuple[float, ...] = (0.25, 0.50, 1.00)
@@ -136,41 +136,8 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-class OccupancyGeometry:
-    """Per-frame cell arrays every viewer's visibility reads.
-
-    They depend only on the occupancy, so they are computed once per
-    occupancy (on first use) and shared, read-only, by every viewer, frame
-    batch and session that sees it.  Mixed into :class:`FrameOccupancy` and
-    :class:`~repro.pointcloud.octree.OctreeOccupancy`, which supply
-    ``grid``, ``cell_ids`` and ``nominal_counts()``.
-    """
-
-    @cached_property
-    def nominal(self) -> np.ndarray:
-        """Nominal (full-density) point count per occupied cell, float64."""
-        return _read_only(self.nominal_counts().astype(np.float64))
-
-    @cached_property
-    def frame_points(self) -> float:
-        """Nominal points in the whole frame (the sum of :attr:`nominal`)."""
-        return float(self.nominal.sum())
-
-    @cached_property
-    def lows_highs(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(lows, highs)`` corner arrays of the occupied cells."""
-        lows, highs = self.grid.cell_bounds_array(self.cell_ids)
-        return _read_only(lows), _read_only(highs)
-
-    @cached_property
-    def centers(self) -> np.ndarray:
-        """Centers of the occupied cells."""
-        lows, highs = self.lows_highs
-        return _read_only(0.5 * (lows + highs))
-
-
 @dataclass(frozen=True)
-class FrameOccupancy(OccupancyGeometry):
+class FrameOccupancy:
     """Occupied cells of one frame on a :class:`CellGrid`.
 
     ``counts`` are sampled-point counts; multiply by ``scale_factor`` for
@@ -196,6 +163,32 @@ class FrameOccupancy(OccupancyGeometry):
 
     def nominal_counts(self) -> np.ndarray:
         return self.counts * self.scale_factor
+
+    # -- per-frame geometry ------------------------------------------------
+    # Computed once per occupancy (on first use) and shared, read-only, by
+    # every viewer, frame batch and session that sees it.
+
+    @cached_property
+    def nominal(self) -> np.ndarray:
+        """Nominal (full-density) point count per occupied cell, float64."""
+        return _read_only(self.nominal_counts().astype(np.float64))
+
+    @cached_property
+    def frame_points(self) -> float:
+        """Nominal points in the whole frame (the sum of :attr:`nominal`)."""
+        return float(self.nominal.sum())
+
+    @cached_property
+    def lows_highs(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(lows, highs)`` corner arrays of the occupied cells."""
+        lows, highs = self.grid.cell_bounds_array(self.cell_ids)
+        return _read_only(lows), _read_only(highs)
+
+    @cached_property
+    def centers(self) -> np.ndarray:
+        """Centers of the occupied cells."""
+        lows, highs = self.lows_highs
+        return _read_only(0.5 * (lows + highs))
 
     def count_of(self, cell_id: int) -> float:
         """Nominal point count of one cell (0 if unoccupied)."""

@@ -8,7 +8,7 @@ prediction for the session simulator).
 from __future__ import annotations
 
 from ..pointcloud import CellGrid, PointCloudVideo, VisibilityConfig, compute_visibility
-from ..traces import Pose
+from ..traces import Pose, Trace
 from .base import ViewportPredictor
 
 __all__ = ["predicted_visibility_iou"]

@@ -2,7 +2,6 @@
 
 from .analytics import TraceStatistics, study_statistics, trace_statistics
 from .behavior import AttentionModel, BehaviorParams, device_profile, generate_trace
-from .io import load_study_npz, save_study_npz, trace_from_json, trace_to_json
 from .pose import Pose
 from .trace import Device, Trace
 from .userstudy import UserStudy, generate_user_study
@@ -15,10 +14,6 @@ __all__ = [
     "BehaviorParams",
     "device_profile",
     "generate_trace",
-    "load_study_npz",
-    "save_study_npz",
-    "trace_from_json",
-    "trace_to_json",
     "Pose",
     "Device",
     "Trace",

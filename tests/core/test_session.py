@@ -161,36 +161,6 @@ def test_beam_switch_overhead_lowers_fps(small_video, small_study):
     assert f_slow < f_base
 
 
-def test_octree_partitioner_session(small_video, small_study):
-    """The session runs unchanged on adaptive octree leaves."""
-    cfg = config_for(
-        small_video,
-        small_study,
-        visibility=VisibilityConfig(),
-        partitioner="octree",
-    )
-    report = StreamingSession(cfg).run()
-    assert report.mean_fps > 10.0
-    assert all(u.frames_played > 0 for u in report.users)
-
-
-def test_octree_and_grid_similar_fps(small_video, small_study):
-    """Partitioner choice must not change the big FPS picture."""
-    grid_cfg = config_for(small_video, small_study, visibility=VisibilityConfig())
-    oct_cfg = config_for(
-        small_video, small_study, visibility=VisibilityConfig(),
-        partitioner="octree",
-    )
-    f_grid = float(np.mean(measure_max_fps(grid_cfg, num_frames=9, stride=3)))
-    f_oct = float(np.mean(measure_max_fps(oct_cfg, num_frames=9, stride=3)))
-    assert abs(f_grid - f_oct) < 8.0
-
-
-def test_unknown_partitioner_rejected(small_video, small_study):
-    with pytest.raises(ValueError):
-        config_for(small_video, small_study, partitioner="voxhash")
-
-
 def test_server_skips_outage_users(small_video):
     """A user in permanent outage must not block the others' streams."""
     from repro.traces import generate_user_study
@@ -334,14 +304,8 @@ def _per_user_demand(builder, user, frame, quality, now_s, rate):
     }
 
 
-@pytest.mark.parametrize("partitioner", ["grid", "octree"])
-def test_batched_demands_match_per_user_visibility(
-    small_video, small_study, partitioner
-):
-    cfg = config_for(
-        small_video, small_study, visibility=VisibilityConfig(),
-        partitioner=partitioner,
-    )
+def test_batched_demands_match_per_user_visibility(small_video, small_study):
+    cfg = config_for(small_video, small_study, visibility=VisibilityConfig())
     builder = StreamingSession(cfg).builder
     users = [4, 0, 2, 5]
     qualities = ["high", "low", "medium", "high"]
@@ -365,25 +329,6 @@ def test_sessions_over_one_video_share_frame_occupancy(small_video, small_study)
     ).builder
     assert finer.occupancy(0) is not a.occupancy(0)
     assert finer.occupancy(0).grid.cell_size == 0.25
-
-
-def test_octree_occupancy_stays_per_session(small_video, small_study):
-    from repro.pointcloud import OctreeOccupancy
-
-    a = StreamingSession(
-        config_for(small_video, small_study, partitioner="octree")
-    ).builder
-    b = StreamingSession(
-        config_for(small_video, small_study, partitioner="octree")
-    ).builder
-    occ_a, occ_b = a.occupancy(3), b.occupancy(3)
-    assert isinstance(occ_a, OctreeOccupancy)
-    assert occ_a is not occ_b
-    assert np.array_equal(occ_a.cell_ids, occ_b.cell_ids)
-    assert all(
-        not isinstance(o, OctreeOccupancy)
-        for o in small_video[3]._occupancies.values()
-    )
 
 
 def test_cold_and_warm_sessions_report_identically(small_study):

@@ -5,6 +5,7 @@ import pytest
 
 from repro.mac import RecoveryPolicy, apply_recovery
 from repro.mmwave import BlockageTimeline
+from repro.obs import trace
 
 
 def timeline_with_event(start=10, end=40, n=90, users=1):
@@ -96,3 +97,19 @@ def test_multi_user_independent_events():
     out = apply_recovery(tl, RecoveryPolicy.reactive(), seed=0)
     assert np.all(out.multiplier[1] == 1.0)
     assert np.any(out.multiplier[0] < 1.0)
+
+
+def test_recorded_recovery_carries_the_blockage_onset_time():
+    """``t`` is the onset ``start * dt``, not the clock at emission; user 0's
+    later blockage is emitted first, so ``t`` is not ordered by ``seq``."""
+    blocked = np.zeros((2, 60), dtype=bool)
+    blocked[0, 40:50] = True
+    blocked[1, 10:20] = True
+    tl = BlockageTimeline(blocked=blocked, rate_hz=30.0)
+    with trace.recording(events=["mac.beam_recovery"]) as rec:
+        apply_recovery(tl, RecoveryPolicy.reactive(), seed=0)
+    assert [(e.fields["user"], e.t) for e in rec.events] == [
+        (0, 40 * (1.0 / 30.0)),
+        (1, 10 * (1.0 / 30.0)),
+    ]
+    assert rec.events[0].seq < rec.events[1].seq

@@ -1,5 +1,7 @@
 """Prediction metric tests."""
 
+import typing
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from repro.prediction import (
     pose_errors,
     predicted_visibility_iou,
 )
-from repro.traces import Device, Pose, generate_trace
+from repro.traces import Device, Pose, Trace, generate_trace
 
 
 def test_pose_errors():
@@ -68,3 +70,8 @@ def test_oracle_has_perfect_visibility_iou(small_video, grid_50cm):
         ZeroHorizonOracle(), tr, small_video, grid_50cm, horizon_s=0.0, stride=10
     )
     assert iou == pytest.approx(1.0)
+
+
+def test_predicted_visibility_iou_annotations_resolve():
+    hints = typing.get_type_hints(predicted_visibility_iou)
+    assert hints["trace"] is Trace
