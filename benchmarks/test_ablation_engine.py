@@ -7,21 +7,16 @@ asserting the paper-level ordering (§4) on the importance ranking.
 
 import pytest
 
-from repro.ablation import AblationStudy
+from repro.ablation import format_report
+from repro.runner import run_experiment
 
 
 @pytest.mark.repro
 def test_ablation_engine_full_matrix(benchmark, print_result):
-    study = AblationStudy()
-    config = study.configure(components="all")
-
     def run():
-        return study.execute(config, workers=2, cache=None)
+        return run_experiment("ablation_importance", workers=2)
 
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
-    report = study.build_report(result)
-    from repro.ablation import format_report
-
+    report = benchmark.pedantic(run, rounds=1, iterations=1)
     print_result("Ablation engine: component importance", format_report(report))
 
     importance = {

@@ -11,34 +11,29 @@ six hand-rolled benchmark scripts:
   values;
 * :mod:`~repro.ablation.scenarios` — where a toggle lands: the full
   closed-loop streaming session (default) or the sharded small venue;
-* :mod:`~repro.ablation.engine` — :class:`AblationStudy`
-  (``configure`` → ``generate_runs`` → ``compute_importance``): emits the
-  baseline + leave-one-out (+ optional pairwise) run matrix as
-  :class:`~repro.runner.spec.RunSpec` work units for the cached parallel
-  runner, then folds the per-run metrics into per-component deltas,
-  normalized importance scores, and a deterministic ranking report;
+* :mod:`~repro.ablation.engine` — plain functions over plain data
+  (``configure`` → ``generate_runs`` → ``build_report``): expand the
+  baseline + leave-one-out (+ optional pairwise) run matrix into
+  :class:`~repro.runner.spec.RunSpec` work units, then fold the
+  per-variant metrics into per-component deltas, normalized importance
+  scores, and a deterministic ranking report;
 * :mod:`~repro.ablation.cli` — the ``repro ablation`` verb.
 
-The whole matrix is ordinary runner work: results are cached on disk by
-spec, executed serial or parallel with spec-ordered merging, and the
-report is canonical JSON — the same byte-identity discipline as
-``repro obs analyze``.
+A study runs one way: as the registered ``ablation_importance``
+experiment through :func:`repro.runner.run_experiment`.  Results are
+cached on disk by spec, executed serial or parallel with spec-ordered
+merging, and the report is canonical JSON — the same byte-identity
+discipline as ``repro obs analyze``.
 """
 
-from .components import (
-    COMPONENTS,
-    Component,
-    component,
-    component_names,
-    get_component,
-)
+from .components import COMPONENTS, Component, component_names, get_component
 from .engine import (
     AblationConfig,
-    AblationResult,
     AblationRun,
-    AblationStudy,
-    ComponentImportance,
+    build_report,
+    configure,
     format_report,
+    generate_runs,
     write_report,
 )
 from .scenarios import SCENARIOS, MetricSpec, Scenario, Toggle, get_scenario
@@ -46,15 +41,14 @@ from .scenarios import SCENARIOS, MetricSpec, Scenario, Toggle, get_scenario
 __all__ = [
     "COMPONENTS",
     "Component",
-    "component",
     "component_names",
     "get_component",
     "AblationConfig",
-    "AblationResult",
     "AblationRun",
-    "AblationStudy",
-    "ComponentImportance",
+    "build_report",
+    "configure",
     "format_report",
+    "generate_runs",
     "write_report",
     "SCENARIOS",
     "MetricSpec",

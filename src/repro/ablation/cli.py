@@ -6,11 +6,12 @@
     python -m repro ablation --scenario venue --scale small
     python -m repro ablation --list
 
-Generates the baseline + leave-one-out (+ ``--pairwise``) run matrix for
-the selected scenario, executes it through the cached parallel runner,
-prints the ranked importance table, and (with ``--output``) writes the
-canonical-JSON report — byte-identical across ``--parallel`` settings
-and across cache hits and misses.
+Validates the flags, then runs the registered ``ablation_importance``
+experiment (baseline + leave-one-out, + ``--pairwise``, for the selected
+scenario) through the cached parallel runner, prints the ranked
+importance table, and (with ``--output``) writes the canonical-JSON
+report — byte-identical across ``--parallel`` settings and across cache
+hits and misses.
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ import argparse
 import sys
 
 from ..runner.cache import ResultCache
+from ..runner.executor import RunReport, run_experiment
 from ..runner.progress import ProgressPrinter
 from .components import COMPONENTS, get_component
-from .engine import AblationStudy, format_report, write_report
+from .engine import configure, format_report, generate_runs, write_report
 from .scenarios import SCENARIOS, get_scenario, scenario_names
 
 __all__ = ["main"]
@@ -134,9 +136,8 @@ def main(argv: list[str]) -> int:
         _print_listing()
         return 0
 
-    study = AblationStudy()
     try:
-        config = study.configure(
+        config = configure(
             scenario=args.scenario,
             components=_parse_components(args.components),
             pairwise=args.pairwise,
@@ -151,28 +152,39 @@ def main(argv: list[str]) -> int:
     if args.clear_cache and cache is not None:
         cache.clear()
 
-    runs = study.generate_runs(config)
     if not args.quiet:
+        runs = generate_runs(config)
         units = sum(len(run.specs) for run in runs)
         print(
             f"ablation matrix: {len(runs)} variants "
             f"({units} work units) in scenario {config.scenario!r}"
         )
-    result = study.execute(
-        config,
-        runs,
+    printer = ProgressPrinter(quiet=args.quiet)
+    cached: list[bool] = []
+
+    def progress(report: RunReport, completed: int, total: int) -> None:
+        cached.append(report.cached)
+        printer(report, completed, total)
+
+    overrides = {
+        "scenario": config.scenario,
+        "components": config.components,
+        "pairwise": config.pairwise,
+    }
+    if config.seed is not None:
+        overrides["seed"] = config.seed
+    report = run_experiment(
+        "ablation_importance",
+        overrides,
+        scale=config.scale,
         workers=args.parallel,
         cache=cache,
-        progress=ProgressPrinter(quiet=args.quiet),
+        progress=progress,
     )
-    report = study.build_report(result)
 
     print(format_report(report))
     if not args.quiet:
-        print(
-            f"{result.cached_units}/{result.total_units} work units "
-            "served from cache"
-        )
+        print(f"{sum(cached)}/{len(cached)} work units served from cache")
     if args.output:
         write_report(report, args.output)
         print(f"report written to {args.output}")

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 __all__ = [
     "Component",
     "COMPONENTS",
-    "component",
     "component_names",
     "get_component",
 ]
@@ -37,24 +36,61 @@ class Component:
     description: str
 
 
-COMPONENTS: dict[str, Component] = {}
+COMPONENTS: dict[str, Component] = {
+    c.name: c
+    for c in (
+        Component(
+            "prediction",
+            "Viewport prediction",
+            "Linear-regression viewport prediction; ablated to last-value "
+            "(frozen-viewport) prediction.",
+        ),
+        Component(
+            "grouping",
+            "Multicast grouping",
+            "Viewport-similarity multicast grouping; ablated to per-user unicast "
+            "(no groups).",
+        ),
+        Component(
+            "custom_beams",
+            "Custom multicast beams",
+            "Custom wide beams serving a multicast group in one transmission; "
+            "ablated to the group-minimum-MCS penalty of stock single-user beams.",
+        ),
+        Component(
+            "blockage",
+            "Blockage mitigation",
+            "Proactive blockage forecasting and recovery (reflector fallback); "
+            "ablated to reactive-only recovery with no forecaster.",
+        ),
+        Component(
+            "fec",
+            "Multicast FEC",
+            "Rateless FEC repair on the multicast downlink; ablated to "
+            "ARQ-only retransmission.",
+        ),
+        Component(
+            "adaptation",
+            "Cross-layer rate adaptation",
+            "Cross-layer quality adaptation driven by MAC feedback; ablated to a "
+            "fixed highest-quality ladder position.",
+        ),
+        Component(
+            "utility_adaptation",
+            "Utility-optimal rate allocation",
+            "Rate-utility quality optimization (distance/visibility-weighted "
+            "log-rate utility under the MAC budget); ablated to the greedy "
+            "budget-fill cross-layer heuristic.",
+        ),
+        Component(
+            "qoe_grouping",
+            "QoE-aware multicast grouping",
+            "Multicast merges scored by predicted QoE delta; ablated to the raw "
+            "airtime-greedy similarity grouper.",
+        ),
+    )
+}
 """Global component registry, keyed by :attr:`Component.name`."""
-
-
-def component(name: str, title: str, description: str) -> Component:
-    """Declare (or return the existing) component ``name``.
-
-    Re-declaring an existing name with identical fields is a no-op so
-    modules can be re-imported safely; conflicting re-declarations raise.
-    """
-    comp = Component(name=name, title=title, description=description)
-    existing = COMPONENTS.get(name)
-    if existing is not None:
-        if existing != comp:
-            raise ValueError(f"component {name!r} already registered with different fields")
-        return existing
-    COMPONENTS[name] = comp
-    return comp
 
 
 def component_names() -> tuple[str, ...]:
@@ -70,53 +106,3 @@ def get_component(name: str) -> Component:
         known = ", ".join(component_names())
         raise KeyError(f"unknown component {name!r}; known components: {known}") from None
 
-
-component(
-    "prediction",
-    "Viewport prediction",
-    "Linear-regression viewport prediction; ablated to last-value "
-    "(frozen-viewport) prediction.",
-)
-component(
-    "grouping",
-    "Multicast grouping",
-    "Viewport-similarity multicast grouping; ablated to per-user unicast "
-    "(no groups).",
-)
-component(
-    "custom_beams",
-    "Custom multicast beams",
-    "Custom wide beams serving a multicast group in one transmission; "
-    "ablated to the group-minimum-MCS penalty of stock single-user beams.",
-)
-component(
-    "blockage",
-    "Blockage mitigation",
-    "Proactive blockage forecasting and recovery (reflector fallback); "
-    "ablated to reactive-only recovery with no forecaster.",
-)
-component(
-    "fec",
-    "Multicast FEC",
-    "Rateless FEC repair on the multicast downlink; ablated to "
-    "ARQ-only retransmission.",
-)
-component(
-    "adaptation",
-    "Cross-layer rate adaptation",
-    "Cross-layer quality adaptation driven by MAC feedback; ablated to a "
-    "fixed highest-quality ladder position.",
-)
-component(
-    "utility_adaptation",
-    "Utility-optimal rate allocation",
-    "Rate-utility quality optimization (distance/visibility-weighted "
-    "log-rate utility under the MAC budget); ablated to the greedy "
-    "budget-fill cross-layer heuristic.",
-)
-component(
-    "qoe_grouping",
-    "QoE-aware multicast grouping",
-    "Multicast merges scored by predicted QoE delta; ablated to the raw "
-    "airtime-greedy similarity grouper.",
-)

@@ -20,7 +20,7 @@ generate the matrix, run the specs, extract, score.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 __all__ = [
@@ -98,7 +98,7 @@ class Scenario:
     metrics: tuple[MetricSpec, ...]
     extract: Callable[[dict], dict]
     overrides: tuple[tuple[str, object], ...] = ()
-    small_overrides: tuple[tuple[str, object], ...] = field(default=())
+    small_overrides: tuple[tuple[str, object], ...] = ()
 
     def component_names(self) -> tuple[str, ...]:
         """Names of the components this scenario can ablate, sorted."""
@@ -113,17 +113,6 @@ class Scenario:
         raise KeyError(
             f"scenario {self.name!r} has no toggle for component "
             f"{component!r}; available: {known}"
-        )
-
-    def metric_for(self, name: str) -> MetricSpec:
-        """The scored metric spec named ``name``."""
-        for m in self.metrics:
-            if m.name == name:
-                return m
-        known = ", ".join(m.name for m in self.metrics)
-        raise KeyError(
-            f"scenario {self.name!r} scores no metric {name!r}; "
-            f"available: {known}"
         )
 
     def baseline_overrides(self) -> dict:

@@ -10,9 +10,10 @@ Two registered experiments back :mod:`repro.ablation`:
 * ``ablation_importance`` — the whole study as a single experiment: its
   ``decompose`` emits the engine-generated run matrix (baseline +
   leave-one-out + optional pairwise) and its ``merge`` folds the
-  per-variant results into the canonical importance report.  Registering
-  the study itself buys the golden-result suite, the serial/parallel
-  bit-identity tests, and ``repro run ablation_importance`` for free.
+  per-variant results into the canonical importance report.  It is the
+  only way a study runs: ``repro ablation``, ``repro run
+  ablation_importance``, the golden-result suite and the serial/parallel
+  bit-identity tests all go through it.
 
 The session regime deliberately stresses every component at once: enough
 users to contend for airtime, a lossy link (so FEC matters), blockage
@@ -204,40 +205,30 @@ SESSION_EXPERIMENT = register(
 
 
 def _study_config(params):
-    from ..ablation.engine import AblationStudy
+    from ..ablation.engine import configure
 
-    study = AblationStudy()
     components = params["components"]
-    config = study.configure(
+    return configure(
         scenario=str(params["scenario"]),
         components="all" if components == "all" else tuple(components),
         pairwise=bool(params["pairwise"]),
         scale=str(params["study_scale"]),
         seed=int(params["seed"]),
     )
-    return study, config
 
 
 def _importance_decompose(params) -> list[RunSpec]:
-    study, config = _study_config(params)
-    return [spec for run in study.generate_runs(config) for spec in run.specs]
+    from ..ablation.engine import generate_runs
+
+    return [spec for run in generate_runs(_study_config(params)) for spec in run.specs]
 
 
 def _importance_merge(params, runs) -> dict:
-    from ..ablation.engine import AblationResult, fold_variants
+    from ..ablation.engine import build_report, fold_variants, generate_runs
 
-    study, config = _study_config(params)
-    run_list = study.generate_runs(config)
-    merged, metrics = fold_variants(config, run_list, runs)
-    result = AblationResult(
-        config=config,
-        runs=tuple(run_list),
-        merged=merged,
-        metrics=metrics,
-        cached_units=0,
-        total_units=len(runs),
-    )
-    return study.build_report(result)
+    config = _study_config(params)
+    run_list = generate_runs(config)
+    return build_report(config, run_list, fold_variants(config, run_list, runs))
 
 
 def _importance_format(merged) -> str:

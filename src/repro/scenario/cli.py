@@ -163,6 +163,7 @@ def main(argv: list[str] | None = None) -> int:
     print(EXPERIMENT.format_result(merged))
     print(f"done in {elapsed:.1f} s")
     if args.json_out is not None:
+        args.json_out.parent.mkdir(parents=True, exist_ok=True)
         args.json_out.write_text(
             json.dumps(merged, indent=2, sort_keys=True) + "\n",
             encoding="utf-8",

@@ -1,15 +1,16 @@
 """Shared helpers for the ablation-engine tests.
 
-``fake_result`` builds an :class:`~repro.ablation.engine.AblationResult`
-from synthetic per-variant metrics so the scoring/reporting layers can be
-tested exactly, without running any sessions.
+``make_fake_result`` builds a config's run matrix and synthetic
+per-variant metrics — the ``(runs, metrics)`` the scoring and reporting
+functions take alongside the config — so those layers can be tested
+exactly, without running any sessions.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.ablation.engine import AblationConfig, AblationResult, AblationStudy
+from repro.ablation.engine import AblationConfig, AblationRun, generate_runs
 
 
 def synthetic_metrics(config: AblationConfig, label: str) -> dict:
@@ -28,17 +29,13 @@ def synthetic_metrics(config: AblationConfig, label: str) -> dict:
 
 
 @pytest.fixture()
-def study() -> AblationStudy:
-    """A fresh (stateless) engine instance."""
-    return AblationStudy()
+def make_fake_result():
+    """Build a config's ``(runs, metrics)`` from given or synthetic metrics."""
 
-
-@pytest.fixture()
-def make_fake_result(study):
-    """Build an executed-looking AblationResult from synthetic metrics."""
-
-    def _make(config: AblationConfig, metrics=None) -> AblationResult:
-        runs = tuple(study.generate_runs(config))
+    def _make(
+        config: AblationConfig, metrics=None
+    ) -> tuple[list[AblationRun], dict[str, dict]]:
+        runs = generate_runs(config)
         resolved = {
             run.label: (
                 metrics[run.label]
@@ -47,13 +44,6 @@ def make_fake_result(study):
             )
             for run in runs
         }
-        return AblationResult(
-            config=config,
-            runs=runs,
-            merged={label: dict(m) for label, m in resolved.items()},
-            metrics=resolved,
-            cached_units=0,
-            total_units=sum(len(run.specs) for run in runs),
-        )
+        return runs, resolved
 
     return _make

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.ablation import cli
 from repro.ablation.cli import main as ablation_main
 from repro.ablation.engine import REPORT_SCHEMA
 from repro.cli import main as repro_main
@@ -36,6 +37,31 @@ def test_unknown_component_is_a_clean_error():
     assert str(err.value.code).startswith("unknown component 'hyperdrive'")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["--components", "fec", "--pairwise"],
+            "pairwise ablation needs at least two components",
+        ),
+        (
+            ["--scenario", "venue", "--components", "prediction"],
+            "scenario 'venue' has no toggle for component 'prediction'",
+        ),
+    ],
+)
+def test_invalid_selection_exits_cleanly_before_any_unit_runs(
+    argv, message, monkeypatch
+):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a bad flag must be rejected before the study runs")
+
+    monkeypatch.setattr(cli, "run_experiment", no_run)
+    with pytest.raises(SystemExit) as err:
+        ablation_main([*argv, "--no-cache"])
+    assert str(err.value.code).startswith(message)
+
+
 def test_output_round_trip_and_cache_hit_byte_identity(tmp_path, capsys):
     cache = str(tmp_path / "cache")
     first = tmp_path / "first.json"
@@ -63,6 +89,15 @@ def test_output_round_trip_and_cache_hit_byte_identity(tmp_path, capsys):
     assert status == 0
     assert "3/3 work units served from cache" in out
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_output_creates_missing_parent_directories(tmp_path, capsys):
+    out = tmp_path / "new" / "dir" / "r.json"
+    argv = ["--components", "fec", "--scale", "small", "--no-cache", "--quiet"]
+    status, stdout = _run([*argv, "--output", str(out)], capsys)
+    assert status == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["components"] == ["fec"]
+    assert f"report written to {out}" in stdout
 
 
 def test_repro_dispatches_ablation_verb(capsys):

@@ -1,89 +1,87 @@
-"""End-to-end engine execution: bit-identity, caching, and the dual path.
+"""End-to-end study execution: bit-identity and caching.
 
-Real (small-scale) session runs, kept to 2-component matrices so the
-whole module stays a few seconds.
+Real (small-scale) session runs of the registered ``ablation_importance``
+experiment, kept to 2-component matrices so the whole module stays a few
+seconds.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.ablation.engine import AblationStudy, write_report
+from repro.ablation.engine import configure, generate_runs, write_report
 from repro.runner import ResultCache, canonical_json, run_experiment
 
 COMPONENTS = ("fec", "grouping")
 
 
+def _run(workers: int = 1, cache: ResultCache | None = None):
+    """The study's merged report and its per-unit run reports."""
+    units = []
+    report = run_experiment(
+        "ablation_importance",
+        {"components": COMPONENTS},
+        scale="small",
+        workers=workers,
+        cache=cache,
+        progress=lambda unit, completed, total: units.append(unit),
+    )
+    return report, units
+
+
 @pytest.fixture(scope="module")
 def executed():
     """One serial, uncached execution shared by the cheap assertions."""
-    study = AblationStudy()
-    config = study.configure(components=COMPONENTS, scale="small")
-    return study, config, study.execute(config, workers=1, cache=None)
+    return _run()
 
 
 def test_execute_produces_metrics_for_every_variant(executed):
-    study, config, result = executed
-    assert set(result.metrics) == {"baseline", "no-fec", "no-grouping"}
-    scen = config.scenario_spec()
-    for metrics in result.metrics.values():
+    report, units = executed
+    runs = {run["label"]: run for run in report["runs"]}
+    assert set(runs) == {"baseline", "no-fec", "no-grouping"}
+    scen = configure(components=COMPONENTS).scenario_spec()
+    for run in runs.values():
         for metric in scen.metrics:
-            assert metric.name in metrics
-    assert result.total_units == 3
-    assert result.cached_units == 0
+            assert metric.name in run["metrics"]
+    assert sum(run["units"] for run in runs.values()) == len(units) == 3
+    assert not any(unit.cached for unit in units)
 
 
 def test_ablations_degrade_the_small_workload(executed):
     """Paper-level sanity: removing FEC or grouping hurts under loss."""
-    study, config, result = executed
-    importance = study.compute_importance(result)
-    assert importance["fec"].degradation["qoe_score"] > 0
-    assert importance["grouping"].degradation["qoe_score"] > 0
-    assert importance["fec"].degradation["stall_time_s"] > 0
-    ranking = study.rank_components(result)
-    assert len(ranking) == 2 and ranking[0][1] >= ranking[1][1]
+    report, _ = executed
+    importance = report["importance"]
+    assert importance["fec"]["degradation"]["qoe_score"] > 0
+    assert importance["grouping"]["degradation"]["qoe_score"] > 0
+    assert importance["fec"]["degradation"]["stall_time_s"] > 0
+    ranking = report["ranking"]
+    assert len(ranking) == 2 and ranking[0]["score"] >= ranking[1]["score"]
 
 
 def test_serial_parallel_and_cache_hit_reports_are_byte_identical(
     executed, tmp_path
 ):
-    study, config, serial_result = executed
-    serial = canonical_json(study.build_report(serial_result))
+    serial_report, _ = executed
+    serial = canonical_json(serial_report)
 
     cache = ResultCache(root=tmp_path / "cache")
-    parallel_result = study.execute(config, workers=4, cache=cache)
-    parallel = canonical_json(study.build_report(parallel_result))
-    assert parallel == serial
-    assert parallel_result.cached_units == 0
+    parallel_report, parallel_units = _run(workers=4, cache=cache)
+    assert canonical_json(parallel_report) == serial
+    assert not any(unit.cached for unit in parallel_units)
 
-    rerun_result = study.execute(config, workers=1, cache=cache)
-    assert rerun_result.cached_units == rerun_result.total_units == 3
-    assert canonical_json(study.build_report(rerun_result)) == serial
+    rerun_report, rerun_units = _run(workers=1, cache=cache)
+    assert sum(unit.cached for unit in rerun_units) == len(rerun_units) == 3
+    assert canonical_json(rerun_report) == serial
 
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    write_report(study.build_report(parallel_result), a)
-    write_report(study.build_report(rerun_result), b)
+    write_report(parallel_report, a)
+    write_report(rerun_report, b)
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_registered_importance_experiment_matches_engine_path(
-    executed, tmp_path
-):
-    """``repro run ablation_importance`` and the engine agree bytewise."""
-    study, config, serial_result = executed
-    engine_report = study.build_report(serial_result)
-    merged = run_experiment(
-        "ablation_importance",
-        {"components": COMPONENTS},
-        scale="small",
-        cache=ResultCache(root=tmp_path / "cache"),
-    )
-    assert canonical_json(merged) == canonical_json(engine_report)
-
-
-def test_seed_override_changes_the_study(executed):
-    study, config, result = executed
-    reseeded = study.configure(components=COMPONENTS, scale="small", seed=11)
-    runs = study.generate_runs(reseeded)
+def test_seed_override_changes_the_study():
+    config = configure(components=COMPONENTS, scale="small")
+    reseeded = configure(components=COMPONENTS, scale="small", seed=11)
+    runs = generate_runs(reseeded)
     assert all(run.params["seed"] == 11 for run in runs)
-    assert runs[0].specs[0] != study.generate_runs(config)[0].specs[0]
+    assert runs[0].specs[0] != generate_runs(config)[0].specs[0]

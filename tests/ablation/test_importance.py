@@ -8,7 +8,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.ablation.engine import REPORT_SCHEMA
+from repro.ablation.engine import (
+    REPORT_SCHEMA,
+    build_report,
+    compute_importance,
+    compute_interactions,
+    configure,
+    rank_components,
+)
 
 
 def _metrics(qoe, fps, stall, late):
@@ -20,9 +27,9 @@ def _metrics(qoe, fps, stall, late):
     }
 
 
-def test_degradation_respects_metric_polarity(study, make_fake_result):
-    config = study.configure(components=("fec", "grouping"))
-    result = make_fake_result(
+def test_degradation_respects_metric_polarity(make_fake_result):
+    config = configure(components=("fec", "grouping"))
+    _, metrics = make_fake_result(
         config,
         metrics={
             "baseline": _metrics(200.0, 30.0, 0.0, 0.0),
@@ -32,28 +39,28 @@ def test_degradation_respects_metric_polarity(study, make_fake_result):
             "no-grouping": _metrics(100.0, 30.0, 4.0, 0.0),
         },
     )
-    importance = study.compute_importance(result)
+    importance = compute_importance(config, metrics)
     fec = importance["fec"]
-    assert fec.deltas["qoe_score"] == -50.0
-    assert fec.degradation["qoe_score"] == 50.0  # higher-is-better flips sign
-    assert fec.deltas["stall_time_s"] == 2.0
-    assert fec.degradation["stall_time_s"] == 2.0  # lower-is-better keeps sign
+    assert fec["deltas"]["qoe_score"] == -50.0
+    assert fec["degradation"]["qoe_score"] == 50.0  # higher-is-better flips sign
+    assert fec["deltas"]["stall_time_s"] == 2.0
+    assert fec["degradation"]["stall_time_s"] == 2.0  # lower-is-better keeps sign
     # normalized by the largest per-metric degradation (grouping's)
-    assert fec.normalized["qoe_score"] == pytest.approx(0.5)
-    assert fec.normalized["stall_time_s"] == pytest.approx(0.5)
+    assert fec["normalized"]["qoe_score"] == pytest.approx(0.5)
+    assert fec["normalized"]["stall_time_s"] == pytest.approx(0.5)
     grouping = importance["grouping"]
-    assert grouping.normalized["qoe_score"] == pytest.approx(1.0)
+    assert grouping["normalized"]["qoe_score"] == pytest.approx(1.0)
     # untouched metrics normalize to exactly zero, never NaN
-    assert fec.normalized["mean_fps"] == 0.0
-    assert fec.normalized["late_fraction"] == 0.0
+    assert fec["normalized"]["mean_fps"] == 0.0
+    assert fec["normalized"]["late_fraction"] == 0.0
     # score = mean normalized degradation over the scored metrics
-    assert fec.score == pytest.approx((0.5 + 0.0 + 0.5 + 0.0) / 4)
-    assert grouping.score == pytest.approx((1.0 + 0.0 + 1.0 + 0.0) / 4)
+    assert fec["score"] == pytest.approx((0.5 + 0.0 + 0.5 + 0.0) / 4)
+    assert grouping["score"] == pytest.approx((1.0 + 0.0 + 1.0 + 0.0) / 4)
 
 
-def test_helpful_ablation_scores_negative(study, make_fake_result):
-    config = study.configure(components=("fec", "prediction"))
-    result = make_fake_result(
+def test_helpful_ablation_scores_negative(make_fake_result):
+    config = configure(components=("fec", "prediction"))
+    _, metrics = make_fake_result(
         config,
         metrics={
             "baseline": _metrics(200.0, 30.0, 1.0, 0.0),
@@ -62,13 +69,13 @@ def test_helpful_ablation_scores_negative(study, make_fake_result):
             "no-prediction": _metrics(250.0, 30.0, 1.0, 0.0),
         },
     )
-    importance = study.compute_importance(result)
-    assert importance["prediction"].score < 0 < importance["fec"].score
+    importance = compute_importance(config, metrics)
+    assert importance["prediction"]["score"] < 0 < importance["fec"]["score"]
 
 
-def test_ranking_orders_by_score_then_name(study, make_fake_result):
-    config = study.configure(components=("adaptation", "fec", "grouping"))
-    result = make_fake_result(
+def test_ranking_orders_by_score_then_name(make_fake_result):
+    config = configure(components=("adaptation", "fec", "grouping"))
+    _, metrics = make_fake_result(
         config,
         metrics={
             "baseline": _metrics(200.0, 30.0, 0.0, 0.0),
@@ -77,26 +84,26 @@ def test_ranking_orders_by_score_then_name(study, make_fake_result):
             "no-grouping": _metrics(50.0, 30.0, 0.0, 0.0),
         },
     )
-    ranking = study.rank_components(result)
+    ranking = rank_components(config, metrics)
     assert [name for name, _ in ranking] == ["grouping", "adaptation", "fec"]
     assert ranking[1][1] == ranking[2][1]  # tie broken by name
 
 
-def test_all_zero_matrix_scores_zero_without_dividing(study, make_fake_result):
-    config = study.configure(components=("fec", "grouping"))
+def test_all_zero_matrix_scores_zero_without_dividing(make_fake_result):
+    config = configure(components=("fec", "grouping"))
     flat = _metrics(200.0, 30.0, 0.0, 0.0)
-    result = make_fake_result(
+    _, metrics = make_fake_result(
         config,
         metrics={"baseline": flat, "no-fec": dict(flat), "no-grouping": dict(flat)},
     )
-    for imp in study.compute_importance(result).values():
-        assert imp.score == 0.0
-        assert all(v == 0.0 for v in imp.normalized.values())
+    for imp in compute_importance(config, metrics).values():
+        assert imp["score"] == 0.0
+        assert all(v == 0.0 for v in imp["normalized"].values())
 
 
-def test_pairwise_interaction_is_excess_over_sum(study, make_fake_result):
-    config = study.configure(components=("fec", "grouping"), pairwise=True)
-    result = make_fake_result(
+def test_pairwise_interaction_is_excess_over_sum(make_fake_result):
+    config = configure(components=("fec", "grouping"), pairwise=True)
+    _, metrics = make_fake_result(
         config,
         metrics={
             "baseline": _metrics(200.0, 30.0, 0.0, 0.0),
@@ -106,7 +113,7 @@ def test_pairwise_interaction_is_excess_over_sum(study, make_fake_result):
             "no-fec+no-grouping": _metrics(20.0, 30.0, 0.0, 0.0),
         },
     )
-    interactions = study.compute_interactions(result)
+    interactions = compute_interactions(config, metrics)
     entry = interactions["no-fec+no-grouping"]
     assert entry["components"] == ["fec", "grouping"]
     assert entry["interaction"]["qoe_score"] == pytest.approx(30.0)
@@ -114,16 +121,16 @@ def test_pairwise_interaction_is_excess_over_sum(study, make_fake_result):
     assert entry["normalized"]["qoe_score"] == pytest.approx(0.3)
 
 
-def test_interactions_empty_without_pairwise(study, make_fake_result):
-    config = study.configure(components=("fec", "grouping"))
-    result = make_fake_result(config)
-    assert study.compute_interactions(result) == {}
+def test_interactions_empty_without_pairwise(make_fake_result):
+    config = configure(components=("fec", "grouping"))
+    _, metrics = make_fake_result(config)
+    assert compute_interactions(config, metrics) == {}
 
 
-def test_report_shape_and_determinism_fields(study, make_fake_result):
-    config = study.configure(components=("fec", "grouping"), pairwise=True)
-    result = make_fake_result(config)
-    report = study.build_report(result)
+def test_report_shape_and_determinism_fields(make_fake_result):
+    config = configure(components=("fec", "grouping"), pairwise=True)
+    runs, metrics = make_fake_result(config)
+    report = build_report(config, runs, metrics)
     assert report["schema"] == REPORT_SCHEMA
     assert report["scenario"] == "session"
     assert report["experiment"] == "ablation_session"

@@ -8,8 +8,9 @@ import pytest
 
 from repro.ablation import (
     COMPONENTS,
-    component,
     component_names,
+    configure,
+    generate_runs,
     get_component,
     get_scenario,
 )
@@ -30,13 +31,6 @@ def test_component_registry_is_sorted_and_complete():
     }
 
 
-def test_component_redeclaration_is_idempotent_but_conflicts_raise():
-    existing = get_component("fec")
-    assert component("fec", existing.title, existing.description) is existing
-    with pytest.raises(ValueError, match="already registered"):
-        component("fec", "Different title", existing.description)
-
-
 def test_unknown_component_and_scenario_errors_name_alternatives():
     with pytest.raises(KeyError, match="known components"):
         get_component("quantum_beams")
@@ -50,23 +44,23 @@ def test_variant_labels_are_sorted_and_stable():
     assert variant_label(("grouping", "fec")) == "no-fec+no-grouping"
 
 
-def test_configure_validates_components(study):
-    config = study.configure(components="all")
+def test_configure_validates_components():
+    config = configure(components="all")
     assert config.components == get_scenario("session").component_names()
     with pytest.raises(KeyError):
-        study.configure(components=("fec", "warp_drive"))
+        configure(components=("fec", "warp_drive"))
     with pytest.raises(ValueError, match="no components"):
-        study.configure(components=())
+        configure(components=())
     with pytest.raises(ValueError, match="at least two"):
-        study.configure(components=("fec",), pairwise=True)
+        configure(components=("fec",), pairwise=True)
     # venue only ablates the MAC-facing components
     with pytest.raises(KeyError):
-        study.configure(scenario="venue", components=("prediction",))
+        configure(scenario="venue", components=("prediction",))
 
 
-def test_leave_one_out_matrix_structure(study):
-    config = study.configure(components=("grouping", "fec", "prediction"))
-    runs = study.generate_runs(config)
+def test_leave_one_out_matrix_structure():
+    config = configure(components=("grouping", "fec", "prediction"))
+    runs = generate_runs(config)
     assert [run.label for run in runs] == [
         "baseline",
         "no-fec",
@@ -91,10 +85,10 @@ def test_leave_one_out_matrix_structure(study):
         assert run.specs[0].experiment == "ablation_session"
 
 
-def test_pairwise_matrix_adds_sorted_pairs(study):
+def test_pairwise_matrix_adds_sorted_pairs():
     names = ("adaptation", "fec", "grouping")
-    config = study.configure(components=names, pairwise=True)
-    runs = study.generate_runs(config)
+    config = configure(components=names, pairwise=True)
+    runs = generate_runs(config)
     pair_labels = [run.label for run in runs if len(run.ablated) == 2]
     assert pair_labels == [
         variant_label(pair) for pair in itertools.combinations(sorted(names), 2)
@@ -102,19 +96,16 @@ def test_pairwise_matrix_adds_sorted_pairs(study):
     assert len(runs) == 1 + len(names) + 3
 
 
-def test_seed_and_overrides_flow_into_every_variant(study):
-    config = study.configure(
-        components=("fec",), seed=123, overrides={"num_users": 3}
-    )
-    for run in study.generate_runs(config):
+def test_seed_flows_into_every_variant():
+    config = configure(components=("fec",), seed=123)
+    for run in generate_runs(config):
         assert run.params["seed"] == 123
-        assert run.params["num_users"] == 3
         assert run.specs[0].seed == 123
 
 
-def test_venue_matrix_decomposes_into_shards(study):
-    config = study.configure(scenario="venue", components="all", scale="small")
-    runs = study.generate_runs(config)
+def test_venue_matrix_decomposes_into_shards():
+    config = configure(scenario="venue", components="all", scale="small")
+    runs = generate_runs(config)
     assert [run.label for run in runs] == [
         "baseline",
         "no-custom_beams",

@@ -10,7 +10,7 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.ablation import get_scenario
-from repro.ablation.engine import AblationResult, AblationStudy
+from repro.ablation.engine import build_report, configure, generate_runs
 from repro.runner import canonical_json
 
 from .conftest import synthetic_metrics
@@ -25,36 +25,24 @@ subsets = st.sets(
 @given(order=subsets, pairwise=st.booleans())
 @settings(max_examples=25, deadline=None)
 def test_component_order_never_changes_the_matrix(order, pairwise):
-    study = AblationStudy()
-    shuffled = study.configure(components=tuple(order), pairwise=pairwise)
-    sorted_sel = study.configure(components=tuple(sorted(order)), pairwise=pairwise)
+    shuffled = configure(components=tuple(order), pairwise=pairwise)
+    sorted_sel = configure(components=tuple(sorted(order)), pairwise=pairwise)
     assert shuffled == sorted_sel
-    runs_a = study.generate_runs(shuffled)
-    runs_b = study.generate_runs(sorted_sel)
+    runs_a = generate_runs(shuffled)
+    runs_b = generate_runs(sorted_sel)
     assert [r.label for r in runs_a] == [r.label for r in runs_b]
     assert [r.params for r in runs_a] == [r.params for r in runs_b]
     assert [r.specs for r in runs_a] == [r.specs for r in runs_b]
 
 
-def _report_bytes(study: AblationStudy, components: tuple[str, ...]) -> str:
-    config = study.configure(components=components, pairwise=True)
-    runs = tuple(study.generate_runs(config))
+def _report_bytes(components: tuple[str, ...]) -> str:
+    config = configure(components=components, pairwise=True)
+    runs = generate_runs(config)
     metrics = {run.label: synthetic_metrics(config, run.label) for run in runs}
-    result = AblationResult(
-        config=config,
-        runs=runs,
-        merged={label: dict(m) for label, m in metrics.items()},
-        metrics=metrics,
-        cached_units=0,
-        total_units=len(runs),
-    )
-    return canonical_json(study.build_report(result))
+    return canonical_json(build_report(config, runs, metrics))
 
 
 @given(order=subsets)
 @settings(max_examples=10, deadline=None)
 def test_component_order_never_changes_the_report_bytes(order):
-    study = AblationStudy()
-    assert _report_bytes(study, tuple(order)) == _report_bytes(
-        study, tuple(sorted(order))
-    )
+    assert _report_bytes(tuple(order)) == _report_bytes(tuple(sorted(order)))

@@ -1,5 +1,7 @@
 """CLI smoke tests (small parameters, capture stdout)."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -162,3 +164,12 @@ def test_scenario_malformed_spec_json_exits_2(capsys, tmp_path):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("invalid venue spec: ")
+
+
+def test_scenario_json_creates_missing_parent_directories(capsys, tmp_path):
+    out = tmp_path / "new" / "dir" / "x.json"
+    argv = ["scenario", "--rooms", "1", "--shards", "1", "--duration", "2",
+            "--capacity", "8", "--initial", "4", "--json", str(out)]
+    assert main(argv) == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["venue"]["rooms"] == 1
+    assert f"wrote {out}" in capsys.readouterr().out

@@ -229,8 +229,10 @@ ABLATION_SECTION = """\
 one declarative, bit-reproducible study.  The system's components —
 viewport `prediction`, multicast `grouping`, `custom_beams`, `blockage`
 mitigation, `fec`, and rate `adaptation` — are declared once as named
-toggles (baseline vs. ablated parameter values); the engine follows the
-`AblationStudy` shape `configure → generate_runs → compute_importance`:
+toggles (baseline vs. ablated parameter values).  The engine is plain
+functions over plain data, `configure → generate_runs → build_report`,
+and a study runs one way: as the registered `ablation_importance`
+experiment, which `repro ablation` and `repro run` both call:
 
 1. **configure** validates the component selection against a scenario
    (the closed-loop `session` by default, or the sharded small `venue`
@@ -239,11 +241,11 @@ toggles (baseline vs. ablated parameter values); the engine follows the
    leave-one-out variant per component, optional `--pairwise` pairs —
    where every variant is a fully-resolved parameter set decomposed into
    `RunSpec` work units.
-3. The matrix executes through the same cached parallel runner as every
-   other experiment (spec-keyed on-disk cache, `--parallel N`,
-   spec-ordered merging), so re-runs are incremental and worker count is
-   invisible in the output.
-4. **compute_importance** folds per-variant metrics into per-component
+3. The matrix executes through `run_experiment`, the same cached
+   parallel runner as every other experiment (spec-keyed on-disk cache,
+   `--parallel N`, spec-ordered merging), so re-runs are incremental and
+   worker count is invisible in the output.
+4. **build_report** folds per-variant metrics into per-component
    deltas with explicit polarity (`qoe_score` up is good, `stall_time_s`
    down is good), normalizes each metric by the largest absolute
    degradation in the matrix, and ranks components by mean normalized
