@@ -34,7 +34,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
-from ..runner.registry import Experiment, get_experiment, resolve_params
+from ..runner.registry import (
+    Experiment,
+    check_seed,
+    get_experiment,
+    resolve_params,
+)
 from ..runner.spec import RunSpec, canonical_json
 from .components import get_component
 from .scenarios import Scenario, get_scenario
@@ -87,6 +92,8 @@ class AblationConfig:
             scen.toggle_for(name)
         if self.pairwise and len(self.components) < 2:
             raise ValueError("pairwise ablation needs at least two components")
+        if self.seed is not None:
+            check_seed("ablation_importance", self.seed)
 
     def scenario_spec(self) -> Scenario:
         """The :class:`Scenario` this config runs in."""

@@ -10,6 +10,7 @@ from . import ablation_engine  # noqa: F401  (registers ablation_session/_import
 from . import fig2a, fig2b, fig3b, fig3d, fig3e  # noqa: F401  (register)
 from . import loss_sweep, policy_comparison, scaling, table1  # noqa: F401
 from . import venue_scale  # noqa: F401  (registers venue_scale)
+from . import study  # noqa: F401  (registers study; last, so `figures` order holds)
 from .common import (
     AP_POSITION,
     CONTENT_CENTER,

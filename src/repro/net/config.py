@@ -99,7 +99,7 @@ class TransportConfig:
 
     @classmethod
     def preset(cls, mode: str, base_per: float | None = None) -> "TransportConfig":
-        """Preset by mode name (the CLI's ``--transport`` values)."""
+        """Preset by mode name (loss_sweep's ``modes``, e.g. ``--set modes=fec``)."""
         if mode == "ideal":
             return cls.ideal()
         if mode == "arq":

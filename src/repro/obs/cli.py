@@ -105,13 +105,17 @@ def main(argv: list[str] | None = None) -> int:
     from ..runner.progress import banner
     from ..runner.registry import get_experiment, resolve_params
 
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         experiment = get_experiment(args.experiment)
     except KeyError as err:
         raise SystemExit(err.args[0]) from None
     overrides = {"seed": args.seed} if args.seed is not None else None
-    params = resolve_params(experiment, overrides, scale=args.scale)
+    try:
+        params = resolve_params(experiment, overrides, scale=args.scale)
+    except ValueError as err:
+        parser.error(str(err))
     specs = list(experiment.decompose(params))
     out_path = Path(args.out or f"{experiment.name}-trace.jsonl")
 

@@ -2,6 +2,7 @@
 
     python -m repro run table1 loss_sweep --parallel 4
     python -m repro run all --scale small
+    python -m repro run loss_sweep --set modes=fec --set num_frames=6
     python -m repro figures --parallel 4 --timings timings.json
 
 Both commands decompose every selected experiment into its
@@ -13,6 +14,11 @@ the output is independent of ``--parallel`` by construction.
 Results are cached on disk (``.repro-cache`` or ``$REPRO_CACHE_DIR``)
 keyed by the hash of (spec, package version); ``--no-cache`` bypasses the
 cache, ``--clear-cache`` empties it first.
+
+``repro run --set KEY=VALUE`` (repeatable) overrides ``KEY`` in every
+selected experiment that declares it, parsed by the type of that
+experiment's default: ``int``, ``float``, ``str``, ``bool``
+(``true``/``false``), or a comma-separated tuple of the first item's type.
 """
 
 from __future__ import annotations
@@ -20,12 +26,13 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from typing import Any
 
 from ..obs import metrics as obs_metrics
 from .cache import ResultCache
 from .executor import run_specs_iter
 from .progress import ProgressPrinter, TimingSummary, banner
-from .registry import experiment_names, get_experiment, resolve_params
+from .registry import Experiment, experiment_names, get_experiment, resolve_params
 
 __all__ = ["main"]
 
@@ -45,6 +52,16 @@ def _parser(command: str) -> argparse.ArgumentParser:
             nargs="+",
             metavar="EXPERIMENT",
             help="registered experiment name(s), or 'all'",
+        )
+        parser.add_argument(
+            "--set",
+            action="append",
+            default=[],
+            metavar="KEY=VALUE",
+            help=(
+                "override parameter KEY of each selected experiment that "
+                "declares it (repeatable; tuples take comma-separated items)"
+            ),
         )
     parser.add_argument(
         "--parallel",
@@ -112,19 +129,85 @@ def _select_names(command: str, requested: list[str] | None) -> list[str]:
     return list(dict.fromkeys(requested or []))
 
 
+def _parse_value(text: str, default: Any) -> Any:
+    """``text`` read as the type of ``default`` (ValueError if it does not parse)."""
+    if isinstance(default, tuple):
+        if not default:
+            raise ValueError("an empty default has no item type")
+        return tuple(_parse_value(item, default[0]) for item in text.split(","))
+    if isinstance(default, bool):  # before int: bool is an int subclass
+        if text not in ("true", "false"):
+            raise ValueError("expected true or false")
+        return text == "true"
+    return type(default)(text)
+
+
+def _overrides(
+    parser: argparse.ArgumentParser,
+    experiments: list[Experiment],
+    items: list[str],
+    seed: int | None,
+) -> list[dict[str, Any]]:
+    """Per-experiment overrides from ``--set`` items and ``--seed``.
+
+    Each ``KEY=VALUE`` applies to every experiment whose defaults declare
+    ``KEY``; a malformed item, a key no experiment declares, or a value
+    that does not parse is an argparse error.
+    """
+    pairs = []
+    for item in items:
+        key, sep, text = item.partition("=")
+        if not sep:
+            parser.error(f"--set {item!r}: expected KEY=VALUE")
+        pairs.append((key, text))
+    declared = set().union(*(e.default_params for e in experiments))
+    unknown = sorted({key for key, _ in pairs} - declared)
+    if unknown:
+        parser.error(
+            f"--set: no selected experiment declares {', '.join(unknown)}"
+        )
+
+    per_experiment = []
+    for experiment in experiments:
+        defaults = experiment.default_params
+        overrides = {}
+        for key, text in pairs:
+            if key not in defaults:
+                continue
+            try:
+                overrides[key] = _parse_value(text, defaults[key])
+            except ValueError as exc:
+                parser.error(
+                    f"--set {key}={text}: not a valid value for "
+                    f"{experiment.name}'s {key} (default {defaults[key]!r}): {exc}"
+                )
+        if seed is not None:
+            overrides["seed"] = seed
+        per_experiment.append(overrides)
+    return per_experiment
+
+
 def main(argv: list[str]) -> int:
     """Entry point for ``repro run`` / ``repro figures`` (exit status)."""
     command = argv[0]
-    args = _parser(command).parse_args(argv[1:])
+    parser = _parser(command)
+    args = parser.parse_args(argv[1:])
     names = _select_names(command, getattr(args, "experiments", None))
+    experiments = [get_experiment(name) for name in names]
+    overrides = _overrides(
+        parser, experiments, getattr(args, "set", []), args.seed
+    )
 
     summary = TimingSummary(workers=args.parallel)
-    overrides = {"seed": args.seed} if args.seed is not None else None
     with summary.profiler.phase("plan"):
         plans = []
-        for name in names:
-            experiment = get_experiment(name)
-            params = resolve_params(experiment, overrides, scale=args.scale)
+        for experiment, experiment_overrides in zip(experiments, overrides):
+            try:
+                params = resolve_params(
+                    experiment, experiment_overrides, scale=args.scale
+                )
+            except ValueError as exc:
+                parser.error(str(exc))
             plans.append(
                 (experiment, params, list(experiment.decompose(params)))
             )

@@ -249,10 +249,10 @@ def run_experiment(
 ) -> dict[str, Any]:
     """Decompose → run → merge one experiment; returns the merged dict.
 
-    This is the one way to run an experiment from code: ``python -m repro
-    <name>``, ``repro ablation``, the benchmarks, the examples and the docs
-    generator call it with ``overrides`` and read the merged dict, the
-    same dict ``repro run``, the golden fixtures and the result cache see.
+    This is the one way to run an experiment from code: ``repro
+    ablation``, the benchmarks, the examples and the docs generator call
+    it with ``overrides`` and read the merged dict, the same dict
+    ``repro run``, the golden fixtures and the result cache see.
     """
     experiment: Experiment = get_experiment(name)
     params = resolve_params(experiment, overrides, scale=scale)

@@ -27,6 +27,7 @@ __all__ = [
     "experiment_names",
     "all_experiments",
     "resolve_params",
+    "check_seed",
 ]
 
 MergedResult = dict[str, Any]
@@ -125,12 +126,30 @@ def all_experiments() -> list[Experiment]:
     return list(_REGISTRY.values())
 
 
+def check_seed(experiment: str, seed: Any) -> int:
+    """``seed`` itself if it is a non-negative ``int`` (not a ``bool``).
+
+    Otherwise a ``ValueError`` naming ``experiment`` and the value, raised
+    before any work unit hands the seed to numpy.
+    """
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ValueError(
+            f"experiment {experiment!r}: seed must be a non-negative "
+            f"integer, got {seed!r}"
+        )
+    return seed
+
+
 def resolve_params(
     experiment: Experiment,
     overrides: Mapping[str, Any] | None = None,
     scale: str = "default",
 ) -> dict[str, Any]:
-    """Full parameter set: scale defaults overlaid with explicit overrides."""
+    """Full parameter set: scale defaults overlaid with explicit overrides.
+
+    Raises ``ValueError`` for an unknown scale or parameter name, or a seed
+    that :func:`check_seed` rejects.
+    """
     if scale == "default":
         params = dict(experiment.default_params)
     elif scale == "small":
@@ -146,4 +165,6 @@ def resolve_params(
                 f"{experiment.name!r}; accepted: {sorted(params)}"
             )
         params.update(overrides)
+    if "seed" in params:
+        check_seed(experiment.name, params["seed"])
     return params

@@ -48,6 +48,11 @@ def test_unknown_component_is_a_clean_error():
             ["--scenario", "venue", "--components", "prediction"],
             "scenario 'venue' has no toggle for component 'prediction'",
         ),
+        (
+            ["--components", "fec", "--seed", "-5"],
+            "experiment 'ablation_importance': seed must be a non-negative "
+            "integer, got -5",
+        ),
     ],
 )
 def test_invalid_selection_exits_cleanly_before_any_unit_runs(

@@ -43,6 +43,7 @@ EXPECTED_EXPERIMENTS = (
     "ablation_multiap",
     "ablation_session",
     "policy_comparison",
+    "study",
 )
 
 # Cheap experiments re-run a third time for the explicit same-seed check.

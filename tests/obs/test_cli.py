@@ -79,6 +79,17 @@ def test_trace_cli_rejects_unknown_experiment():
     assert str(err.value.code).startswith("unknown experiment 'frobnicate'")
 
 
+def test_trace_cli_rejects_negative_seed_before_any_unit_runs(tmp_path, capsys):
+    out = tmp_path / "t.jsonl"
+    with pytest.raises(SystemExit) as err:
+        trace_main(["fig3d", "--seed", "-1", "--out", str(out)])
+    assert err.value.code == 2
+    assert "experiment 'fig3d': seed must be a non-negative integer, got -1" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
+
+
 def test_trace_subcommand_routed_from_main_cli(tmp_path, capsys):
     out = tmp_path / "t.jsonl"
     assert repro_main(["trace", "fig3d", "--scale", "small",

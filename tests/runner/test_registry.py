@@ -14,6 +14,7 @@ from repro.runner import (
     get_experiment,
     resolve_params,
 )
+from repro.runner.registry import check_seed
 
 # Module -> experiment names it must register.  A new experiment module
 # that forgets to register itself fails test_every_module_is_registered.
@@ -27,6 +28,7 @@ MODULE_EXPERIMENTS = {
     "scaling": ("scaling",),
     "venue_scale": ("venue_scale",),
     "loss_sweep": ("loss_sweep",),
+    "study": ("study",),
     "ablations": (
         "ablation_prediction",
         "ablation_blockage",
@@ -103,3 +105,16 @@ def test_resolve_params_scales():
     assert small != default
     with pytest.raises(ValueError, match="unknown scale"):
         resolve_params(experiment, scale="huge")
+
+
+@pytest.mark.parametrize("seed", [-1, -5, True, 1.5, "7", None])
+def test_resolve_params_rejects_a_seed_numpy_would_refuse(seed):
+    with pytest.raises(ValueError) as err:
+        resolve_params(get_experiment("fig3d"), {"seed": seed})
+    message = str(err.value)
+    assert "'fig3d'" in message and repr(seed) in message
+
+
+def test_check_seed_passes_non_negative_ints_through():
+    assert check_seed("fig3d", 0) == 0
+    assert resolve_params(get_experiment("fig3d"), {"seed": 11})["seed"] == 11

@@ -7,50 +7,61 @@ import pytest
 from repro.cli import main
 
 
+def _run(*argv: str) -> list[str]:
+    """``repro run ARGV --no-cache --quiet`` as an argv list."""
+    return ["run", *argv, "--no-cache", "--quiet"]
+
+
 def test_cli_requires_experiment(capsys):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as excinfo:
         main([])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "run" in err[0] and "ablation" in err[0]
 
 
 def test_cli_rejects_unknown(capsys):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])
+    assert excinfo.value.code == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
 def test_cli_study(capsys):
-    assert main(["study", "--users", "8"]) == 0
+    assert main(_run("study", "--set", "num_users=8")) == 0
     out = capsys.readouterr().out
     assert "PH" in out and "HM" in out
-    assert "done in" in out
+    # Device enum order, not the sorted key order of the merged result.
+    assert out.index("PH ") < out.index("HM ")
 
 
 def test_cli_fig3d(capsys):
-    assert main(["fig3d", "--instants", "20"]) == 0
+    assert main(_run("fig3d", "--set", "num_instants=20")) == 0
     out = capsys.readouterr().out
     assert "improvement" in out
 
 
 def test_cli_fig3b(capsys):
-    assert main(["fig3b", "--instants", "15"]) == 0
+    assert main(_run("fig3b", "--set", "num_instants=15")) == 0
     out = capsys.readouterr().out
     assert "coverage@-68dBm" in out
 
 
 def test_cli_multiple_commands(capsys):
-    assert main(["fig3d", "fig3b", "--instants", "10"]) == 0
+    assert main(_run("fig3d", "fig3b", "--set", "num_instants=10")) == 0
     out = capsys.readouterr().out
     assert "Fig. 3d" in out and "Fig. 3b" in out
 
 
 def test_cli_loss_sweep(capsys):
-    assert main(["loss_sweep"]) == 0
+    assert main(_run("loss_sweep")) == 0
     out = capsys.readouterr().out
     assert "Loss sweep" in out
     assert "fec/arq goodput at 5% loss" in out
 
 
 def test_cli_loss_sweep_single_mode(capsys):
-    assert main(["loss_sweep", "--transport", "fec"]) == 0
+    assert main(_run("loss_sweep", "--set", "modes=fec")) == 0
     out = capsys.readouterr().out
     assert "fec Mbps|fps" in out
     assert "arq Mbps|fps" not in out
@@ -121,32 +132,69 @@ def test_cli_run_writes_timings(capsys, tmp_path):
     assert payload["experiments"]["fig3d"]["runs"] == 1
 
 
-def _experiment_blocks(out: str) -> str:
-    """The printed result blocks, without timing lines."""
-    lines = []
-    for line in out.splitlines():
-        if line.startswith(("Experiment ", "done in")):
-            break
-        lines.append(line)
-    return "\n".join(lines).strip()
+@pytest.fixture
+def resolved(monkeypatch):
+    """Record each experiment's resolved parameters; run no work unit."""
+    from repro.runner import cli as runner_cli
+
+    seen: dict[str, dict] = {}
+    real = runner_cli.resolve_params
+
+    def spy(experiment, overrides=None, scale="default"):
+        params = real(experiment, overrides, scale=scale)
+        seen[experiment.name] = params
+        return params
+
+    def no_units(*args, **kwargs):
+        raise AssertionError("a work unit ran")
+
+    monkeypatch.setattr(runner_cli, "resolve_params", spy)
+    monkeypatch.setattr(runner_cli, "run_specs_iter", no_units)
+    return seen
 
 
-def test_cli_experiment_prints_the_runner_block(capsys):
-    # Unset flags keep the registered defaults: the same block as
-    # `repro run fig3b fig3e --no-cache` at default scale.
-    assert main(["fig3b", "fig3e"]) == 0
-    direct = _experiment_blocks(capsys.readouterr().out)
-    assert main(["run", "fig3b", "fig3e", "--no-cache", "--quiet"]) == 0
-    assert direct == _experiment_blocks(capsys.readouterr().out)
+@pytest.mark.parametrize(
+    "names, item, expected",
+    [
+        (["fig3d"], "num_instants=20", {"fig3d": ("num_instants", 20)}),
+        (["study"], "duration_s=2.5", {"study": ("duration_s", 2.5)}),
+        (["ablation_importance"], "pairwise=true",
+         {"ablation_importance": ("pairwise", True)}),
+        (["loss_sweep"], "modes=fec,arq", {"loss_sweep": ("modes", ("fec", "arq"))}),
+        (["loss_sweep"], "loss_points=0.1,0.2",
+         {"loss_sweep": ("loss_points", (0.1, 0.2))}),
+        (["loss_sweep"], "quality=low", {"loss_sweep": ("quality", "low")}),
+        # Declared by loss_sweep only: fig3d keeps its own parameters.
+        (["fig3d", "loss_sweep"], "num_frames=6",
+         {"loss_sweep": ("num_frames", 6), "fig3d": ("num_instants", 150)}),
+    ],
+)
+def test_cli_run_set_parses_by_declared_default(resolved, names, item, expected):
+    with pytest.raises(AssertionError, match="a work unit ran"):
+        main(["run", *names, "--set", item, "--no-cache", "--quiet"])
+    for name, (key, value) in expected.items():
+        assert resolved[name][key] == value
+        assert type(resolved[name][key]) is type(value)
 
 
-def test_cli_flags_override_declared_params(capsys):
-    # fig3d's small scale is num_instants=40, loss_sweep's is num_frames=6.
-    assert main(["fig3d", "loss_sweep", "--instants", "40", "--frames", "6"]) == 0
-    direct = _experiment_blocks(capsys.readouterr().out)
-    argv = ["run", "fig3d", "loss_sweep", "--scale", "small", "--no-cache", "--quiet"]
-    assert main(argv) == 0
-    assert direct == _experiment_blocks(capsys.readouterr().out)
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["fig3d", "--set", "num_instants"], "expected KEY=VALUE"),
+        (["fig3d", "--set", "num_frames=6"], "no selected experiment declares"),
+        (["fig3d", "--set", "num_instants=many"], "not a valid value"),
+        (["ablation_importance", "--set", "pairwise=1"], "expected true or false"),
+        (["loss_sweep", "--seed", "-5"], "seed must be a non-negative integer"),
+    ],
+)
+def test_cli_run_bad_override_is_an_argparse_error(resolved, capsys, argv, needle):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", *argv, "--no-cache"])
+    assert excinfo.value.code == 2
+    errors = [
+        line for line in capsys.readouterr().err.splitlines() if "error:" in line
+    ]
+    assert len(errors) == 1 and needle in errors[0]
 
 
 def test_scenario_missing_spec_file_exits_2(capsys, tmp_path):

@@ -1,13 +1,19 @@
 #!/usr/bin/env python
 """Regenerate EXPERIMENTS.md: run every experiment, record paper-vs-measured.
 
-Run from the repository root:  python tools/generate_experiments_md.py
-Takes a few minutes (full benchmark-scale parameters).
+Run from the repository root (about half a minute at the full
+benchmark-scale parameters); ``--check`` verifies the file instead of
+writing it, so the document cannot drift from the code:
+
+    PYTHONPATH=src python tools/generate_experiments_md.py          # rewrite
+    PYTHONPATH=src python tools/generate_experiments_md.py --check  # verify only
 """
 
 from __future__ import annotations
 
-import time
+import argparse
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -15,7 +21,7 @@ from repro.experiments import PAPER_TABLE1, fig2a, fig2b, fig3b, fig3d, fig3e, t
 from repro.ablation import format_report
 from repro.runner import get_experiment, run_experiment
 
-OUT = "EXPERIMENTS.md"
+OUT = Path(__file__).resolve().parent.parent / "EXPERIMENTS.md"
 
 # Static documentation for the parallel runner; regenerated into the
 # document on every run so hand edits cannot drift away.
@@ -46,7 +52,7 @@ python -m repro run all --scale small           # quick CI-sized configs
   timing table; `--timings PATH` writes the summary as JSON (CI archives
   it as an artifact).
 - **Golden results.** `tests/experiments/goldens/` pins the full result
-  tree of 17 experiments at small scale with explicit tolerances
+  tree of 18 experiments at small scale with explicit tolerances
   (rtol 1e-6 / atol 1e-9).  After an intentional behavior change,
   regenerate with `PYTHONPATH=src python tools/regen_goldens.py` and
   review the fixture diff; `--check` mode diffs without writing.
@@ -289,8 +295,8 @@ def block(lines: list[str]) -> str:
     return "\n".join(lines)
 
 
-def main() -> None:
-    t0 = time.time()
+def render() -> str:
+    """The whole EXPERIMENTS.md text (runs every experiment it reports)."""
     parts: list[str] = []
     parts.append(
         "# EXPERIMENTS — paper vs. measured\n\n"
@@ -542,14 +548,37 @@ def main() -> None:
         "Two coordinated APs (SINR-aware spatial reuse / AP-TDMA) beat one "
         "AP for split audiences.",
         "",
-        f"---\nGenerated in {time.time() - t0:.0f} s by "
-        "`tools/generate_experiments_md.py`.",
+        "---\nGenerated by `tools/generate_experiments_md.py`.",
     ]))
+    return "\n\n".join(parts) + "\n"
 
-    with open(OUT, "w") as f:
-        f.write("\n\n".join(parts) + "\n")
-    print(f"wrote {OUT} in {time.time() - t0:.0f} s")
+
+def main(argv: list[str] | None = None) -> int:
+    """Write EXPERIMENTS.md, or with ``--check`` verify it is current."""
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="exit 1 if the file on disk differs from the generated content",
+    )
+    args = parser.parse_args(argv)
+
+    content = render()
+    if args.check:
+        on_disk = OUT.read_text(encoding="utf-8") if OUT.exists() else None
+        if on_disk != content:
+            print(
+                f"{OUT.name} is stale; regenerate with "
+                "`PYTHONPATH=src python tools/generate_experiments_md.py`",
+                file=sys.stderr,
+            )
+            return 1
+        print(f"{OUT.name} is up to date")
+        return 0
+    OUT.write_text(content, encoding="utf-8")
+    print(f"wrote {OUT.name}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -40,6 +40,7 @@ GOLDEN_EXPERIMENTS = (
     "ablation_importance", "policy_comparison",
     "ablation_prediction", "ablation_blockage", "ablation_grouping",
     "ablation_adaptation", "ablation_cellsize", "ablation_multiap",
+    "study",
 )
 RTOL = 1e-6
 ATOL = 1e-9
