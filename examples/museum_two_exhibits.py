@@ -21,9 +21,15 @@ from repro.core import (
     coordinated_frame_time,
     single_ap_frame_time,
 )
+from repro.geometry import Frustum
 from repro.mac import UserDemand
 from repro.mmwave import AccessPoint, Channel, Codebook, LinkBudget, Room
-from repro.pointcloud import CellGrid, VisibilityConfig, compute_visibility, synthesize_video
+from repro.pointcloud import (
+    CellGrid,
+    VisibilityConfig,
+    compute_visibility_batch,
+    synthesize_video,
+)
 from repro.traces import generate_user_study
 
 EXHIBIT_CENTERS = (np.array([4.0, 2.8, 0.0]), np.array([4.0, 7.2, 0.0]))
@@ -65,13 +71,15 @@ def main() -> None:
     uid = 0
     for ci, study in enumerate(clusters):
         occ = grids[ci].occupancy(videos[ci][sample % len(videos[ci])])
-        for trace in study.traces:
-            vis = compute_visibility(occ, trace.pose(sample).frustum(), config)
+        bpp = videos[ci].quality.bytes_per_point
+        # Every visitor of one exhibit sees the same frame: cull them together.
+        frustums = Frustum.many(trace.pose(sample) for trace in study.traces)
+        results = compute_visibility_batch(occ, frustums, config)
+        for trace, vis in zip(study.traces, results):
+            # Offset exhibit-1 cell ids so the two contents do not alias.
             cell_bytes = {
-                int(c) + ci * 10**6: float(
-                    f * n * videos[ci].quality.bytes_per_point
-                )
-                for c, f, n in zip(vis.cell_ids, vis.fractions, vis.nominal_counts)
+                cid + ci * 10**6: b
+                for cid, b in vis.cell_bytes(lambda p: float(p * bpp)).items()
             }
             demands[uid] = UserDemand(uid, cell_bytes, 0.0)
             positions[uid] = trace.positions[sample]

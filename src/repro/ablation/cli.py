@@ -108,7 +108,7 @@ def _parse_components(raw: str) -> str | tuple[str, ...]:
         return "all"
     names = tuple(name.strip() for name in raw.split(",") if name.strip())
     if not names:
-        raise SystemExit("--components must name at least one component")
+        raise ValueError("--components must name at least one component")
     return names
 
 
@@ -131,7 +131,8 @@ def _print_listing() -> None:
 
 def main(argv: list[str]) -> int:
     """Entry point for ``repro ablation`` (returns an exit status)."""
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
     if args.list:
         _print_listing()
         return 0
@@ -145,8 +146,8 @@ def main(argv: list[str]) -> int:
             seed=args.seed,
         )
     except (KeyError, ValueError) as exc:
-        # A KeyError's str() is the repr of its message; print the message.
-        raise SystemExit(exc.args[0]) from exc
+        # A KeyError's str() is the repr of its message; report the message.
+        parser.error(exc.args[0])
 
     cache = None if args.no_cache else ResultCache(root=args.cache_dir)
     if args.clear_cache and cache is not None:

@@ -44,6 +44,7 @@ from .similarity import (
     group_iou_samples,
     iou_series,
     pairwise_iou_samples,
+    predicted_visibility_iou,
 )
 from .utility import (
     AllocationResult,
@@ -111,4 +112,5 @@ __all__ = [
     "group_iou_samples",
     "iou_series",
     "pairwise_iou_samples",
+    "predicted_visibility_iou",
 ]

@@ -34,7 +34,6 @@ from ..pointcloud import (
     PointCloudVideo,
     QUALITIES,
     VisibilityConfig,
-    VisibilityResult,
     compute_visibility,
     compute_visibility_batch,
 )
@@ -162,35 +161,21 @@ class _DemandBuilder:
         results = compute_visibility_batch(
             occ, Frustum.many(poses), self.config.visibility
         )
-        return [
-            self._demand(u, vis, quality, rate)
-            for u, vis, quality, rate in zip(
-                users, results, qualities, unicast_rates_mbps
+        compression = self.config.compression
+        source_points = self.config.video.quality.points_per_frame
+        demands = []
+        for u, vis, quality, rate in zip(users, results, qualities, unicast_rates_mbps):
+            level = QUALITIES[quality]
+            scale = level.points_per_frame / source_points
+            cell_bytes = vis.cell_bytes(
+                lambda p: compression.cell_bytes(p * scale, level.points_per_frame)
             )
-        ]
-
-    def _demand(
-        self,
-        user_index: int,
-        vis: VisibilityResult,
-        quality: str,
-        unicast_rate_mbps: float,
-    ) -> UserDemand:
-        level = QUALITIES[quality]
-        scale = level.points_per_frame / self.config.video.quality.points_per_frame
-        cell_bytes = {}
-        for cid, frac, count in zip(vis.cell_ids, vis.fractions, vis.nominal_counts):
-            points = frac * count * scale
-            cell_bytes[int(cid)] = self.config.compression.cell_bytes(
-                points, level.points_per_frame
-            )
-        return UserDemand(
-            user_id=user_index,
-            cell_bytes=cell_bytes,
-            unicast_rate_mbps=unicast_rate_mbps,
-        )
+            demands.append(UserDemand(u, cell_bytes, rate))
+        return demands
 
     def visible_fraction(self, user_index: int, frame_index: int, now_s: float) -> float:
+        # One viewer per call: each user asks about its own next playback
+        # frame, so the users of one adaptation tick share no occupancy.
         occ = self.occupancy(frame_index)
         pose = self.pose_for(user_index, frame_index, now_s)
         vis = compute_visibility(occ, pose.frustum(), self.config.visibility)

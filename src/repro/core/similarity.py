@@ -20,6 +20,7 @@ from ..pointcloud import (
     VisibilityConfig,
     compute_visibility_batch,
 )
+from ..prediction.base import ViewportPredictor
 from ..traces import Trace, UserStudy
 
 __all__ = [
@@ -31,6 +32,7 @@ __all__ = [
     "iou_series",
     "pairwise_iou_samples",
     "group_iou_samples",
+    "predicted_visibility_iou",
 ]
 
 
@@ -217,3 +219,39 @@ def group_iou_samples(
         groups = [groups[i] for i in chosen]
     samples = [iou_series(maps, list(g)) for g in groups]
     return np.concatenate(samples)
+
+
+def predicted_visibility_iou(
+    predictor: ViewportPredictor,
+    trace: Trace,
+    video: PointCloudVideo,
+    grid: CellGrid,
+    horizon_s: float = 0.5,
+    stride: int = 5,
+    min_history_s: float = 1.0,
+    config: VisibilityConfig | None = None,
+) -> float:
+    """Mean IoU between predicted and actual visibility maps.
+
+    This is the streaming-relevant prediction accuracy: 1.0 means every
+    prefetched cell was the right one.  Each instant culls the predicted
+    and the true pose in one batch over the frame's occupancy.
+    """
+    config = config or VisibilityConfig()
+    rate = trace.rate_hz
+    start = int(round(min_history_s * rate))
+    horizon_samples = int(round(horizon_s * rate))
+    ious = []
+    for end in range(start, len(trace) - horizon_samples, stride):
+        history = trace.window(end, start)
+        predicted = predictor.predict(history, horizon_s)
+        actual = trace.pose(end + horizon_samples)
+        frame_index = (end + horizon_samples) % len(video)
+        occupancy = grid.occupancy(video[frame_index])
+        vis_pred, vis_true = compute_visibility_batch(
+            occupancy, Frustum.many([predicted, actual]), config
+        )
+        ious.append(group_iou([vis_pred.visible_set, vis_true.visible_set]))
+    if not ious:
+        raise ValueError("trace too short for the horizon")
+    return float(sum(ious) / len(ious))

@@ -43,6 +43,7 @@ from ..core import (
     coordinated_frame_time,
     measure_max_fps,
     pairwise_iou_samples,
+    predicted_visibility_iou,
     single_ap_frame_time,
 )
 from ..mac import AD_MODEL, RecoveryPolicy, UserDemand, apply_recovery
@@ -54,7 +55,14 @@ from ..mmwave import (
     Room,
     compute_blockage_timeline,
 )
-from ..pointcloud import PAPER_CELL_SIZES, VisibilityConfig, compute_visibility
+from ..geometry import Frustum
+from ..pointcloud import (
+    DEFAULT_COMPRESSION,
+    PAPER_CELL_SIZES,
+    VisibilityConfig,
+    compute_visibility,
+    compute_visibility_batch,
+)
 from ..prediction import (
     BlockageForecaster,
     JointViewportPredictor,
@@ -63,7 +71,6 @@ from ..prediction import (
     MlpViewportPredictor,
     evaluate_joint_predictor,
     evaluate_predictor,
-    predicted_visibility_iou,
 )
 from ..runner import Experiment, RunSpec, register
 from ..traces import generate_user_study
@@ -492,12 +499,19 @@ def run_cellsize(spec: RunSpec) -> dict:
     maps = compute_visibility_maps(study, video, grid, config=config)
     iou = float(np.mean(pairwise_iou_samples(maps)))
     fractions, bytes_ = [], []
+    # One viewer per call, trace-major: the append order is the order
+    # ``np.mean`` sums in.
     for trace in study.traces[:4]:
         for f in range(0, study.num_samples, 10):
             occ = grid.occupancy(video[f % len(video)])
             vis = compute_visibility(occ, trace.pose(f).frustum(), config)
             fractions.append(vis.visible_fraction)
-            bytes_.append(vis.request_bytes() / 1e6)
+            cell_bytes = vis.cell_bytes(
+                lambda p: DEFAULT_COMPRESSION.cell_bytes(
+                    p, vis.frame_nominal_points
+                )
+            )
+            bytes_.append(float(sum(cell_bytes.values())) / 1e6)
     return {
         "cell_size": size,
         "pair_iou": iou,
@@ -608,18 +622,17 @@ def run_multiap(spec: RunSpec) -> dict:
             uid = 0
             for ci, study in enumerate(clusters):
                 occ = grids[ci].occupancy(videos[ci][s % len(videos[ci])])
-                for trace in study.traces:
-                    pose = trace.pose(s)
-                    vis = compute_visibility(occ, pose.frustum(), config)
+                bpp = videos[ci].quality.bytes_per_point
+                bytes_of = lambda p: float(p * bpp)  # noqa: E731
+                results = compute_visibility_batch(
+                    occ, Frustum.many(t.pose(s) for t in study.traces), config
+                )
+                for trace, vis in zip(study.traces, results):
+                    # Offset cluster-1 cell ids so the two contents do not
+                    # alias in the similarity computation.
                     cell_bytes = {
-                        # Offset cluster-1 cell ids so the two contents do
-                        # not alias in the similarity computation.
-                        int(c) + ci * 10**6: float(
-                            f * cnt * videos[ci].quality.bytes_per_point
-                        )
-                        for c, f, cnt in zip(
-                            vis.cell_ids, vis.fractions, vis.nominal_counts
-                        )
+                        cid + ci * 10**6: b
+                        for cid, b in vis.cell_bytes(bytes_of).items()
                     }
                     demands[uid] = UserDemand(uid, cell_bytes, 0.0)
                     positions[uid] = trace.positions[s]

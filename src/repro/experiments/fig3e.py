@@ -23,8 +23,8 @@ import numpy as np
 from ..mac import UserDemand, multicast_frame_time, unicast_frame_time
 from ..mmwave import combine_weights
 from ..mmwave.mcs import app_rate_mbps
-from ..pointcloud import CellGrid, VisibilityConfig, compute_visibility
-from ..geometry import AABB
+from ..pointcloud import CellGrid, VisibilityConfig, compute_visibility_batch
+from ..geometry import AABB, Frustum
 from ..runner import Experiment, RunSpec, register
 from .common import (
     CONTENT_CENTER,
@@ -127,6 +127,7 @@ def _compute(
     room_bounds = AABB(bounds.lo + CONTENT_CENTER, bounds.hi + CONTENT_CENTER)
     grid = CellGrid.covering(room_bounds, cell_size, margin=0.05)
     config = VisibilityConfig()
+    bytes_of = lambda p: float(p * video.quality.bytes_per_point)  # noqa: E731
     rng = np.random.default_rng(seed)
 
     results: dict[str, list[float]] = {s: [] for s in SCHEMES}
@@ -136,19 +137,16 @@ def _compute(
         frame_index = s % len(video)
         occ = grid.occupancy(video[frame_index].transformed(CONTENT_CENTER))
 
+        visible = compute_visibility_batch(
+            occ, Frustum.many(study.traces[u].pose(s) for u in members), config
+        )
         demands = []
         positions = []
         rates = []
         per_user_beam_rss = []
-        for u in members:
-            trace = study.traces[u]
-            pose = trace.pose(s)
-            vis = compute_visibility(occ, pose.frustum(), config)
-            cell_bytes = {
-                int(c): float(f * n * video.quality.bytes_per_point)
-                for c, f, n in zip(vis.cell_ids, vis.fractions, vis.nominal_counts)
-            }
-            pos = trace.positions[s]
+        for u, vis in zip(members, visible):
+            cell_bytes = vis.cell_bytes(bytes_of)
+            pos = study.traces[u].positions[s]
             rss_all = channel.rss_matrix_dbm(weight_matrix, pos)
             best = int(np.argmax(rss_all))
             rate = app_rate_mbps(float(rss_all[best]))

@@ -87,6 +87,8 @@ def _allocation_comparison(
     grid = CellGrid.covering(video.bounds, 0.5, margin=0.05)
     occupancy = grid.occupancy(video[0])
     users = []
+    # One viewer per call: perfbench/layers.py times this experiment's
+    # visibility by patching ``compute_visibility`` in this module.
     for u in range(num_users):
         pose = study.traces[u].pose_at(0.0)
         vis = compute_visibility(occupancy, pose.frustum(), VisibilityConfig())

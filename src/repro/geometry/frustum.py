@@ -23,7 +23,6 @@ import numpy as np
 
 from .aabb import AABB
 from .quaternion import Quaternion
-from . import vec
 
 __all__ = ["Frustum", "cull_aabbs", "frustum_planes"]
 
@@ -276,20 +275,3 @@ class Frustum:
             pv = np.where(n >= 0.0, highs, lows)  # (N, 3) positive vertices
             inside &= pv @ n + off >= 0.0
         return inside
-
-    def with_pose(self, position: np.ndarray, orientation: Quaternion) -> "Frustum":
-        """A copy of this frustum moved to a new pose."""
-        return Frustum(
-            position=position,
-            orientation=orientation,
-            h_fov=self.h_fov,
-            v_fov=self.v_fov,
-            near=self.near,
-            far=self.far,
-        )
-
-    def angular_offset(self, point: np.ndarray) -> float:
-        """Angle (radians) between the view direction and ``point``."""
-        return vec.angle_between(
-            np.asarray(point, dtype=np.float64) - self.position, self.forward
-        )

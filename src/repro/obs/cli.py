@@ -110,7 +110,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         experiment = get_experiment(args.experiment)
     except KeyError as err:
-        raise SystemExit(err.args[0]) from None
+        # A KeyError's str() is the repr of its message; report the message.
+        parser.error(err.args[0])
     overrides = {"seed": args.seed} if args.seed is not None else None
     try:
         params = resolve_params(experiment, overrides, scale=args.scale)

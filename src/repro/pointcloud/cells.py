@@ -190,13 +190,6 @@ class FrameOccupancy:
         lows, highs = self.lows_highs
         return _read_only(0.5 * (lows + highs))
 
-    def count_of(self, cell_id: int) -> float:
-        """Nominal point count of one cell (0 if unoccupied)."""
-        pos = np.searchsorted(self.cell_ids, cell_id)
-        if pos < len(self.cell_ids) and self.cell_ids[pos] == cell_id:
-            return float(self.counts[pos] * self.scale_factor)
-        return 0.0
-
     def as_dict(self) -> dict[int, float]:
         return {
             int(c): float(n * self.scale_factor)

@@ -21,12 +21,12 @@ streaming simulator charges to the network).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from ..geometry import Frustum, cull_aabbs
 from .cells import FrameOccupancy
-from .compression import CompressionModel, DEFAULT_COMPRESSION
 
 __all__ = [
     "VisibilityConfig",
@@ -107,22 +107,19 @@ class VisibilityResult:
             return 0.0
         return self.requested_points / self.frame_nominal_points
 
-    def request_bytes(
-        self, compression: CompressionModel = DEFAULT_COMPRESSION
-    ) -> float:
-        """Compressed bytes needed to fetch the visible cells."""
-        per_cell = [
-            compression.cell_bytes(f * n, self.frame_nominal_points)
-            for f, n in zip(self.fractions, self.nominal_counts)
-        ]
-        return float(sum(per_cell))
+    def cell_bytes(self, bytes_of: Callable[[float], float]) -> dict[int, float]:
+        """``{cell id: bytes_of(fraction * count)}`` in ascending cell order.
 
-    def cell_fraction(self, cell_id: int) -> float:
-        """Fetch fraction for one cell (0 if not visible)."""
-        pos = np.searchsorted(self.cell_ids, cell_id)
-        if pos < len(self.cell_ids) and self.cell_ids[pos] == cell_id:
-            return float(self.fractions[pos])
-        return 0.0
+        The one place a visibility result is priced cell by cell:
+        ``bytes_of`` is the caller's byte rule for the nominal points one
+        cell fetches after density reduction.
+        """
+        return {
+            int(cid): bytes_of(frac * count)
+            for cid, frac, count in zip(
+                self.cell_ids, self.fractions, self.nominal_counts
+            )
+        }
 
 
 def compute_visibility(

@@ -13,7 +13,6 @@ from .metrics import (
     evaluate_joint_predictor,
     evaluate_predictor,
     pose_errors,
-    predicted_visibility_iou,
 )
 from .mlp import MlpRegressor, MlpViewportPredictor
 from .multiuser import JointPredictionResult, JointViewportPredictor
@@ -31,7 +30,6 @@ __all__ = [
     "evaluate_joint_predictor",
     "evaluate_predictor",
     "pose_errors",
-    "predicted_visibility_iou",
     "MlpRegressor",
     "MlpViewportPredictor",
     "JointPredictionResult",

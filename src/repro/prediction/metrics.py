@@ -5,7 +5,9 @@ Three views of "how good is a viewport prediction":
 * raw pose error (meters / radians) — what predictor papers report;
 * **visibility IoU** — overlap between the visibility map computed from the
   predicted pose and from the true pose.  This is the metric that matters
-  for streaming: it measures how much of the prefetched content was right;
+  for streaming: it measures how much of the prefetched content was right
+  (:func:`repro.core.similarity.predicted_visibility_iou`, next to the IoU
+  it reuses);
 * per-study evaluation sweeps that aggregate either metric over users/time.
 """
 
@@ -18,14 +20,12 @@ import numpy as np
 from ..traces import Pose, Trace, UserStudy
 from .base import ViewportPredictor
 from .multiuser import JointViewportPredictor
-from .similarity_bridge import predicted_visibility_iou
 
 __all__ = [
     "pose_errors",
     "PredictorEvaluation",
     "evaluate_predictor",
     "evaluate_joint_predictor",
-    "predicted_visibility_iou",
 ]
 
 

@@ -116,15 +116,17 @@ def _parser(command: str) -> argparse.ArgumentParser:
     return parser
 
 
-def _select_names(command: str, requested: list[str] | None) -> list[str]:
+def _select_names(
+    parser: argparse.ArgumentParser, command: str, requested: list[str] | None
+) -> list[str]:
     names = experiment_names()
     if command == "figures" or (requested and "all" in requested):
         return names
     unknown = [n for n in (requested or []) if n not in names]
     if unknown:
-        raise SystemExit(
-            f"unknown experiment(s): {', '.join(unknown)}\n"
-            f"registered: {', '.join(names)}"
+        parser.error(
+            f"unknown experiment(s): {', '.join(unknown)}; "
+            f"registered: {', '.join(sorted(names))}"
         )
     return list(dict.fromkeys(requested or []))
 
@@ -192,7 +194,7 @@ def main(argv: list[str]) -> int:
     command = argv[0]
     parser = _parser(command)
     args = parser.parse_args(argv[1:])
-    names = _select_names(command, getattr(args, "experiments", None))
+    names = _select_names(parser, command, getattr(args, "experiments", None))
     experiments = [get_experiment(name) for name in names]
     overrides = _overrides(
         parser, experiments, getattr(args, "set", []), args.seed

@@ -163,17 +163,10 @@ class ArchetypeLibrary:
             )
             level = QUALITIES[quality]
             scale = level.points_per_frame / video.quality.points_per_frame
-            cell_bytes = []
-            for vis in results:
-                demand = {}
-                for cid, frac, count in zip(
-                    vis.cell_ids, vis.fractions, vis.nominal_counts
-                ):
-                    points = frac * count * scale
-                    demand[int(cid)] = DEFAULT_COMPRESSION.cell_bytes(
-                        points, level.points_per_frame
-                    )
-                cell_bytes.append(demand)
+            bytes_of = lambda p: DEFAULT_COMPRESSION.cell_bytes(  # noqa: E731
+                p * scale, level.points_per_frame
+            )
+            cell_bytes = [vis.cell_bytes(bytes_of) for vis in results]
             clusters = None
             if self.venue.grouping != "none":
                 clusters = self._cluster(

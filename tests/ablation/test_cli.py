@@ -30,11 +30,12 @@ def test_list_names_components_and_scenarios(capsys):
     assert "legacy" not in out
 
 
-def test_unknown_component_is_a_clean_error():
+def test_unknown_component_is_a_clean_error(capsys):
     with pytest.raises(SystemExit) as err:
         ablation_main(["--components", "hyperdrive", "--no-cache"])
+    assert err.value.code == 2
     # The message itself, not the repr of the KeyError carrying it.
-    assert str(err.value.code).startswith("unknown component 'hyperdrive'")
+    assert "error: unknown component 'hyperdrive'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -53,10 +54,14 @@ def test_unknown_component_is_a_clean_error():
             "experiment 'ablation_importance': seed must be a non-negative "
             "integer, got -5",
         ),
+        (
+            ["--components", ","],
+            "--components must name at least one component",
+        ),
     ],
 )
 def test_invalid_selection_exits_cleanly_before_any_unit_runs(
-    argv, message, monkeypatch
+    argv, message, monkeypatch, capsys
 ):
     def no_run(*args, **kwargs):
         raise AssertionError("a bad flag must be rejected before the study runs")
@@ -64,7 +69,8 @@ def test_invalid_selection_exits_cleanly_before_any_unit_runs(
     monkeypatch.setattr(cli, "run_experiment", no_run)
     with pytest.raises(SystemExit) as err:
         ablation_main([*argv, "--no-cache"])
-    assert str(err.value.code).startswith(message)
+    assert err.value.code == 2
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_output_round_trip_and_cache_hit_byte_identity(tmp_path, capsys):

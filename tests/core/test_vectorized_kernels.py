@@ -67,7 +67,7 @@ def test_pairwise_iou_matrix_rejects_empty_input():
         pairwise_iou_matrix([])
 
 
-def _demands(rng, num_users, universe=200):
+def _random_demands(rng, num_users, universe=200):
     demands = []
     for uid in range(num_users):
         size = int(rng.integers(1, 40))
@@ -84,7 +84,7 @@ def _demands(rng, num_users, universe=200):
 
 def test_group_iou_matrix_bitwise_matches_scalar_reference():
     rng = np.random.default_rng(29)
-    demands = _demands(rng, 12)
+    demands = _random_demands(rng, 12)
     groups = [(0, 1), (2,), (3, 4, 5), (6,), (7, 8), (9, 10, 11)]
     matrix = _group_iou_matrix(groups, FrameDemands(demands))
     by_id = {d.user_id: d for d in demands}

@@ -118,20 +118,6 @@ def test_culling_never_drops_boxes_containing_inside_points():
         assert f.intersects_aabb(AABB(lo, hi))
 
 
-def test_with_pose_moves_frustum():
-    f = frustum_at_origin()
-    moved = f.with_pose(np.array([10.0, 0, 0]), Quaternion.identity())
-    assert moved.contains_point(np.array([12.0, 0, 0]))
-    assert not moved.contains_point(np.array([5.0, 0, 0]))
-    assert moved.h_fov == f.h_fov
-
-
-def test_angular_offset():
-    f = frustum_at_origin()
-    assert f.angular_offset(np.array([5.0, 0, 0])) == pytest.approx(0.0)
-    assert f.angular_offset(np.array([0.0, 5.0, 0])) == pytest.approx(np.pi / 2)
-
-
 @given(st.floats(min_value=-1.0, max_value=1.0))
 def test_forward_property(yaw):
     q = Quaternion.from_euler(yaw, 0, 0)

@@ -72,11 +72,15 @@ def test_trace_cli_metrics_snapshot_covers_the_layers(traced):
     assert snap["net.packets_sent"]["value"] > 0
 
 
-def test_trace_cli_rejects_unknown_experiment():
+def test_trace_cli_rejects_unknown_experiment(capsys):
     with pytest.raises(SystemExit) as err:
         trace_main(["frobnicate"])
+    assert err.value.code == 2
     # The message itself, not the repr of the KeyError carrying it.
-    assert str(err.value.code).startswith("unknown experiment 'frobnicate'")
+    stderr = capsys.readouterr().err
+    assert "error: unknown experiment 'frobnicate'; registered: " in stderr
+    registered = stderr.split("registered: ", 1)[1].strip().split(", ")
+    assert "table1" in registered and registered == sorted(registered)
 
 
 def test_trace_cli_rejects_negative_seed_before_any_unit_runs(tmp_path, capsys):

@@ -99,18 +99,16 @@ def test_occupancy_counts_sum_to_points():
     assert occ.scale_factor == pytest.approx(10.0)
 
 
-def test_occupancy_count_of_and_dict():
+def test_occupancy_as_dict():
     g = unit_grid()
     frame = PointCloudFrame(
         np.array([[0.1, 0.1, 0.1], [0.2, 0.2, 0.2], [1.9, 1.9, 1.9]]),
         nominal_points=30,
     )
     occ = g.occupancy(frame)
-    assert occ.count_of(0) == pytest.approx(20.0)
-    assert occ.count_of(g.num_cells - 1) == pytest.approx(10.0)
-    assert occ.count_of(5) == 0.0
     d = occ.as_dict()
     assert d[0] == pytest.approx(20.0)
+    assert d[g.num_cells - 1] == pytest.approx(10.0)
     assert len(d) == 2
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.geometry import Frustum, Quaternion
 from repro.pointcloud import (
+    DEFAULT_COMPRESSION,
     CellGrid,
     PointCloudFrame,
     VisibilityConfig,
@@ -103,22 +104,20 @@ def test_distance_floor(slab_occupancy):
     assert np.all(vis.fractions == pytest.approx(0.3))
 
 
-def test_request_bytes_positive_and_monotone(slab_occupancy):
+def test_cell_bytes_positive_and_monotone(slab_occupancy):
     viewer = looking_at_origin([3.0, 0.5, 0.5])
     vivo = compute_visibility(slab_occupancy, viewer, VisibilityConfig())
     vanilla = compute_visibility(
         slab_occupancy, viewer, VisibilityConfig.vanilla()
     )
-    assert 0 < vivo.request_bytes() <= vanilla.request_bytes()
 
+    def total_bytes(vis):
+        bytes_of = lambda p: DEFAULT_COMPRESSION.cell_bytes(  # noqa: E731
+            p, vis.frame_nominal_points
+        )
+        return sum(vis.cell_bytes(bytes_of).values())
 
-def test_cell_fraction_lookup(slab_occupancy):
-    viewer = looking_at_origin([3.0, 0.5, 0.5])
-    vis = compute_visibility(slab_occupancy, viewer, VisibilityConfig())
-    cid = int(vis.cell_ids[0])
-    assert vis.cell_fraction(cid) == pytest.approx(float(vis.fractions[0]))
-    missing = max(int(c) for c in slab_occupancy.cell_ids) + 999
-    assert vis.cell_fraction(missing) == 0.0
+    assert 0 < total_bytes(vivo) <= total_bytes(vanilla)
 
 
 def test_visible_set_matches_ids(slab_occupancy):

@@ -5,13 +5,14 @@ import typing
 import numpy as np
 import pytest
 
+from repro.core import group_iou, predicted_visibility_iou
 from repro.geometry import Quaternion
+from repro.pointcloud import VisibilityConfig, compute_visibility
 from repro.prediction import (
     LastValuePredictor,
     LinearRegressionPredictor,
     evaluate_predictor,
     pose_errors,
-    predicted_visibility_iou,
 )
 from repro.traces import Device, Pose, Trace, generate_trace
 
@@ -75,3 +76,21 @@ def test_oracle_has_perfect_visibility_iou(small_video, grid_50cm):
 def test_predicted_visibility_iou_annotations_resolve():
     hints = typing.get_type_hints(predicted_visibility_iou)
     assert hints["trace"] is Trace
+
+
+def test_predicted_visibility_iou_matches_one_viewer_calls(small_video, grid_50cm):
+    """The batched pair cull gives the mean of per-instant one-viewer IoUs."""
+    tr = generate_trace(0, Device.HEADSET, duration_s=4.0, seed=5)
+    predictor = LinearRegressionPredictor()
+    config = VisibilityConfig()
+    rate = tr.rate_hz
+    start, horizon = int(round(1.0 * rate)), int(round(0.5 * rate))
+    ious = []
+    for end in range(start, len(tr) - horizon, 5):
+        predicted = predictor.predict(tr.window(end, start), 0.5)
+        occ = grid_50cm.occupancy(small_video[(end + horizon) % len(small_video)])
+        a = compute_visibility(occ, predicted.frustum(), config)
+        b = compute_visibility(occ, tr.pose(end + horizon).frustum(), config)
+        ious.append(group_iou([a.visible_set, b.visible_set]))
+    expected = float(sum(ious) / len(ious))
+    assert predicted_visibility_iou(predictor, tr, small_video, grid_50cm) == expected

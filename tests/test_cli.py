@@ -107,11 +107,14 @@ def test_cli_run_seed_override_changes_numbers(capsys, tmp_path):
     assert out_default != out_reseeded
 
 
-def test_cli_run_rejects_unknown_experiment():
+def test_cli_run_rejects_unknown_experiment(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["run", "frobnicate"])
-    message = str(excinfo.value)
-    assert "unknown experiment" in message and "table1" in message
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: unknown experiment(s): frobnicate; registered: " in err
+    registered = err.split("registered: ", 1)[1].strip().split(", ")
+    assert "table1" in registered and registered == sorted(registered)
 
 
 def test_cli_run_writes_timings(capsys, tmp_path):
