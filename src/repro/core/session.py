@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..geometry import Frustum
+from ..geometry import Frustum, frustum_planes
 from ..mac.scheduler import UserDemand, plan_frame
 from ..net import TransportConfig, TransportSimulator
 from ..pointcloud import (
@@ -34,8 +34,10 @@ from ..pointcloud import (
     PointCloudVideo,
     QUALITIES,
     VisibilityConfig,
+    VisibilityResult,
     compute_visibility,
     compute_visibility_batch,
+    compute_visibility_planes,
 )
 from ..prediction.base import ViewportPredictor
 from ..prediction.blockage import BlockageForecaster
@@ -114,14 +116,25 @@ class SessionConfig:
 
 
 class _DemandBuilder:
-    """Computes per-user frame demands (visibility + compression)."""
+    """Computes per-user frame demands (visibility + compression).
 
-    def __init__(self, config: SessionConfig) -> None:
+    With no predictor every viewer's pose is the oracle pose at its frame's
+    display time, known for the whole session up front: on first use the
+    builder interpolates all ``num_frames`` frames of every trace with
+    :meth:`Trace.poses_at` and builds their planes in one
+    :func:`frustum_planes` call, ``(F, U, ...)`` arrays that each frame
+    then slices.  A predictor's poses depend on the request time, so that
+    path builds each frame's frusta from :meth:`pose_for`.
+    """
+
+    def __init__(self, config: SessionConfig, num_frames: int) -> None:
         self.config = config
+        self.num_frames = num_frames
         margin = 0.05
         self.grid = CellGrid.covering(
             config.video.bounds, config.cell_size, margin=margin
         )
+        self._planes: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def occupancy(self, frame_index: int) -> FrameOccupancy:
         """The frame's occupancy, memoized on the frame itself, so sessions
@@ -141,6 +154,32 @@ class _DemandBuilder:
         history = trace.window(now_index, int(round(trace.rate_hz)))
         return predictor.predict(history, horizon)
 
+    def oracle_planes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every frame's oracle eyes ``(F, U, 3)``, plane normals
+        ``(F, U, 6, 3)`` and offsets ``(F, U, 6)``, built on first use."""
+        if self._planes is None:
+            ts = np.arange(self.num_frames) / self.config.target_fps
+            poses = [trace.poses_at(ts) for trace in self.config.study.traces]
+            eyes = np.stack([p for p, _ in poses], axis=1)  # (F, U, 3)
+            quats = np.stack([q for _, q in poses], axis=1)  # (F, U, 4)
+            self._planes = (eyes, *frustum_planes(eyes, quats))
+        return self._planes
+
+    def _visibility(
+        self, users: Sequence[int], frame_index: int, now_s: float
+    ) -> list[VisibilityResult]:
+        """The listed users' visibility of one frame, culled as one batch."""
+        occ = self.occupancy(frame_index)
+        config = self.config.visibility
+        if self.config.predictor is None:
+            eyes, normals, offsets = self.oracle_planes()
+            rows = (frame_index, list(users))
+            return compute_visibility_planes(
+                occ, eyes[rows], normals[rows], offsets[rows], config
+            )
+        poses = [self.pose_for(u, frame_index, now_s) for u in users]
+        return compute_visibility_batch(occ, Frustum.many(poses), config)
+
     def demands(
         self,
         users: Sequence[int],
@@ -152,15 +191,9 @@ class _DemandBuilder:
         """Every listed user's demand for one frame, in ``users`` order.
 
         ``qualities`` and ``unicast_rates_mbps`` align with ``users``.  All
-        users' frusta come from one batched plane build and are culled in
-        one :func:`compute_visibility_batch` call over the frame's shared
-        occupancy.
+        users are culled in one batch over the frame's shared occupancy.
         """
-        occ = self.occupancy(frame_index)
-        poses = [self.pose_for(u, frame_index, now_s) for u in users]
-        results = compute_visibility_batch(
-            occ, Frustum.many(poses), self.config.visibility
-        )
+        results = self._visibility(users, frame_index, now_s)
         compression = self.config.compression
         source_points = self.config.video.quality.points_per_frame
         demands = []
@@ -176,6 +209,9 @@ class _DemandBuilder:
     def visible_fraction(self, user_index: int, frame_index: int, now_s: float) -> float:
         # One viewer per call: each user asks about its own next playback
         # frame, so the users of one adaptation tick share no occupancy.
+        if self.config.predictor is None:
+            (vis,) = self._visibility([user_index], frame_index, now_s)
+            return vis.visible_fraction
         occ = self.occupancy(frame_index)
         pose = self.pose_for(user_index, frame_index, now_s)
         vis = compute_visibility(occ, pose.frustum(), self.config.visibility)
@@ -222,9 +258,10 @@ def measure_max_fps(
     plans the delivery; the sustainable rate is ``1 / plan_time`` capped at
     the content frame rate.
     """
-    builder = _DemandBuilder(config)
-    total = num_frames if num_frames is not None else config.num_frames
-    total = min(total, config.num_frames)
+    session_frames = config.num_frames
+    builder = _DemandBuilder(config, session_frames)
+    total = num_frames if num_frames is not None else session_frames
+    total = min(total, session_frames)
     num_users = len(config.study)
     transport = (
         None if config.transport.is_ideal else TransportSimulator(config.transport)
@@ -279,7 +316,7 @@ class StreamingSession:
         # Read on every process step; the config is fixed for the run.
         self.session_length_s = config.session_length_s
         self.num_frames = config.num_frames
-        self.builder = _DemandBuilder(config)
+        self.builder = _DemandBuilder(config, self.num_frames)
         self.env = Environment()
         n = len(config.study)
         self.buffers = [

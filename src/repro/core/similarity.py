@@ -13,12 +13,13 @@ from itertools import combinations
 
 import numpy as np
 
-from ..geometry import Frustum
+from ..geometry import Frustum, frustum_planes
 from ..pointcloud import (
     CellGrid,
     PointCloudVideo,
     VisibilityConfig,
     compute_visibility_batch,
+    compute_visibility_planes,
 )
 from ..prediction.base import ViewportPredictor
 from ..traces import Trace, UserStudy
@@ -143,14 +144,20 @@ def compute_visibility_maps(
     total = num_frames if num_frames is not None else study.num_samples
     total = min(total, study.num_samples)
 
-    # Occupancy per video frame is user-independent (and memoized on the
-    # frame).  Each frame is evaluated for every viewer in one batch so the
-    # per-frame geometry arrays are shared across users.
+    # Frame ``f`` is sample ``f`` of every trace, so all viewers' planes
+    # come from one ``(F, U)`` plane build.  Occupancy per video frame is
+    # user-independent (and memoized on the frame); each frame culls every
+    # viewer in one batch.
+    eyes = np.stack([trace.positions[:total] for trace in traces], axis=1)
+    normals, offsets = frustum_planes(
+        eyes, np.stack([trace.orientations[:total] for trace in traces], axis=1)
+    )
     per_user: list[list[frozenset]] = [[] for _ in traces]
     for f in range(total):
         occupancy = grid.occupancy(video[f % len(video)])
-        frustums = Frustum.many(trace.pose(f) for trace in traces)
-        results = compute_visibility_batch(occupancy, frustums, config)
+        results = compute_visibility_planes(
+            occupancy, eyes[f], normals[f], offsets[f], config
+        )
         for ui, result in enumerate(results):
             per_user[ui].append(result.visible_set)
     return VisibilityMaps(

@@ -1,7 +1,7 @@
 """3D math substrate: vectors, quaternions, AABBs, frusta, and ray primitives."""
 
 from .aabb import AABB
-from .frustum import Frustum, cull_aabbs, frustum_planes
+from .frustum import Frustum, cull_aabbs, cull_planes, frustum_planes
 from .quaternion import Quaternion
 from .rays import Plane, Segment, VerticalCylinder, mirror_point
 from .vec import (
@@ -21,6 +21,7 @@ __all__ = [
     "AABB",
     "Frustum",
     "cull_aabbs",
+    "cull_planes",
     "frustum_planes",
     "Quaternion",
     "Plane",

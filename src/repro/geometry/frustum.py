@@ -6,11 +6,13 @@ determine the cells overlapping with the 3D viewport").  This module builds
 the six frustum planes from a pose (position + orientation + FoV) and tests
 AABBs and point sets against them, vectorized over many cells.
 
-A frame's viewers are handled as one batch: :func:`frustum_planes` builds
-every viewer's planes in closed form from stacked poses,
-:meth:`Frustum.many` wraps them without rebuilding, and :func:`cull_aabbs`
-tests all viewers against all cells in one ``(V, C)`` positive-vertex test.
-Both are bit-identical to the per-pose scalar references they replace
+Many viewers are handled as one batch: :func:`frustum_planes` builds
+every viewer's planes in closed form from stacked poses (a whole session's
+at once, or one frame's), :meth:`Frustum.many` wraps them without
+rebuilding, and :func:`cull_planes` tests all viewers' planes against all
+cells in one ``(V, C)`` positive-vertex test (:func:`cull_aabbs` is its
+adapter for a list of :class:`Frustum`).  Both are bit-identical to the
+per-pose scalar references they replace
 (:meth:`Frustum._build_planes_reference`, :meth:`Frustum.intersects_aabbs`).
 """
 
@@ -24,10 +26,10 @@ import numpy as np
 from .aabb import AABB
 from .quaternion import Quaternion
 
-__all__ = ["Frustum", "cull_aabbs", "frustum_planes"]
+__all__ = ["Frustum", "cull_aabbs", "cull_planes", "frustum_planes"]
 
 # Bound on the elements of the (viewers, 6 planes, cells, 3) positive-vertex
-# temporary of :func:`cull_aabbs`; viewers are chunked to stay under it.
+# temporary of :func:`cull_planes`; viewers are chunked to stay under it.
 _CULL_CHUNK_ELEMENTS = 1 << 18
 
 
@@ -51,15 +53,19 @@ def frustum_planes(
     """Planes of ``V`` frusta: ``(normals (V, 6, 3), offsets (V, 6))``.
 
     ``positions`` is ``(V, 3)``; ``orientations`` is ``(V, 4)`` scalar-first
-    unit quaternions.  Plane order and conventions are those of
-    :class:`Frustum`.  The body basis is rotated in closed form for all
+    unit quaternions.  Leading axes beyond one carry over: ``(F, U, 3)``
+    positions give ``(F, U, 6, 3)`` normals and ``(F, U, 6)`` offsets, and
+    each row is what a call on that row alone returns.  Plane order and
+    conventions are those of :class:`Frustum`.  The body basis is rotated in closed form for all
     viewers at once (the quaternion sandwich of :meth:`Quaternion.rotate`
     broadcast over the identity), and every offset's dot product goes
     through a stacked ``np.matmul`` of row by column vectors — the same
     BLAS dot ``np.dot`` calls — so each row equals the per-pose
     :meth:`Frustum._build_planes_reference` bit for bit.
     """
-    p = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
+    p = np.asarray(positions, dtype=np.float64)
+    lead = p.shape[:-1]
+    p = p.reshape(-1, 3)
     q = np.asarray(orientations, dtype=np.float64).reshape(-1, 4)
     w = q[:, 0, None, None]  # (V, 1, 1)
     qv = q[:, None, 1:]  # (V, 1, 3)
@@ -82,29 +88,41 @@ def frustum_planes(
     points = np.stack([p + near * fwd, p + far * fwd, p, p, p, p], axis=1)
     dots = np.matmul(dirs[:, :, None, :], points[:, :, :, None])[:, :, 0, 0]
     offsets = dots * np.array([-1.0, 1.0, -1.0, -1.0, -1.0, -1.0])
-    return normals, offsets
+    return normals.reshape(lead + (6, 3)), offsets.reshape(lead + (6,))
 
 
 def cull_aabbs(
     frustums: Sequence["Frustum"], lows: np.ndarray, highs: np.ndarray
 ) -> np.ndarray:
-    """``(V, C)`` frustum-AABB test of every frustum against every box.
+    """``(V, C)`` frustum-AABB test of every frustum against every box:
+    :func:`cull_planes` over the frusta's stacked planes."""
+    if not len(frustums):
+        return np.ones((0, len(lows)), dtype=bool)
+    normals = np.stack([f._normals for f in frustums])  # (V, 6, 3)
+    offsets = np.stack([f._offsets for f in frustums])  # (V, 6)
+    return cull_planes(normals, offsets, lows, highs)
 
-    Row ``i`` equals ``frustums[i].intersects_aabbs(lows, highs)`` bit for
-    bit: each (viewer, plane) positive-vertex product is the same
+
+def cull_planes(
+    normals: np.ndarray, offsets: np.ndarray, lows: np.ndarray, highs: np.ndarray
+) -> np.ndarray:
+    """``(V, C)`` test of ``V`` frusta, given as planes, against ``C`` boxes.
+
+    ``normals`` is ``(V, 6, 3)`` and ``offsets`` ``(V, 6)``, as
+    :func:`frustum_planes` returns them.  Row ``i`` equals
+    :meth:`Frustum.intersects_aabbs` of a frustum with those planes bit
+    for bit: each (viewer, plane) positive-vertex product is the same
     ``(C, 3) @ (3,)`` matrix-vector call, stacked.  Viewers are processed
     in chunks so the ``(V, 6, C, 3)`` temporary stays near 2^18 elements.
     """
     lows = np.asarray(lows, dtype=np.float64)
     highs = np.asarray(highs, dtype=np.float64)
-    num_boxes = len(lows)
-    inside = np.ones((len(frustums), num_boxes), dtype=bool)
-    if not len(frustums) or not num_boxes:
+    num_viewers, num_boxes = len(normals), len(lows)
+    inside = np.ones((num_viewers, num_boxes), dtype=bool)
+    if not num_viewers or not num_boxes:
         return inside
-    normals = np.stack([f._normals for f in frustums])  # (V, 6, 3)
-    offsets = np.stack([f._offsets for f in frustums])  # (V, 6)
     chunk = max(1, _CULL_CHUNK_ELEMENTS // (6 * num_boxes * 3))
-    for start in range(0, len(frustums), chunk):
+    for start in range(0, num_viewers, chunk):
         n = normals[start : start + chunk]
         pv = np.where((n >= 0.0)[:, :, None, :], highs, lows)  # (v, 6, C, 3)
         d = np.matmul(pv, n[:, :, :, None])[..., 0]  # (v, 6, C)
@@ -236,10 +254,6 @@ class Frustum:
 
     # -- queries -----------------------------------------------------------
 
-    @property
-    def forward(self) -> np.ndarray:
-        return self.orientation.forward()
-
     def contains_point(self, point: np.ndarray) -> bool:
         p = np.asarray(point, dtype=np.float64)
         return bool(np.all(self._normals @ p + self._offsets >= 0.0))
@@ -266,7 +280,7 @@ class Frustum:
         For each plane, the AABB's "positive vertex" (the corner farthest in
         the direction of the plane normal) is tested; if it is behind any
         plane, the whole box is outside.  This is also the scalar reference
-        of the many-viewer :func:`cull_aabbs`.
+        of the many-viewer :func:`cull_planes`.
         """
         lows = np.asarray(lows, dtype=np.float64)
         highs = np.asarray(highs, dtype=np.float64)

@@ -16,6 +16,7 @@ from .visibility import (
     VisibilityResult,
     compute_visibility,
     compute_visibility_batch,
+    compute_visibility_planes,
 )
 
 __all__ = [
@@ -40,4 +41,5 @@ __all__ = [
     "VisibilityResult",
     "compute_visibility",
     "compute_visibility_batch",
+    "compute_visibility_planes",
 ]

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..geometry import Frustum, cull_aabbs
+from ..geometry import Frustum, cull_planes
 from .cells import FrameOccupancy
 
 __all__ = [
@@ -33,6 +33,7 @@ __all__ = [
     "VisibilityResult",
     "compute_visibility",
     "compute_visibility_batch",
+    "compute_visibility_planes",
 ]
 
 # Elements of the ``(3, pairs, cells)`` slab temporary per occlusion chunk.
@@ -137,30 +138,50 @@ def compute_visibility_batch(
     frustums: list[Frustum],
     config: VisibilityConfig | None = None,
 ) -> list[VisibilityResult]:
-    """Visibility for many viewers of one frame, sharing per-frame arrays.
-
-    Cell bounds, centers, and nominal counts depend only on the occupancy
-    and are read from its cached per-frame geometry.  Each stage runs once
-    for the whole frame over ``(V, C)`` viewer-by-cell arrays: the
-    viewport cull (:func:`~repro.geometry.cull_aabbs`), the occlusion slab
-    test (:func:`_occlusion_mask`) and the distance fractions.  Only the
-    assembly of each viewer's :class:`VisibilityResult` is per viewer.
-    Each viewer's result is identical to calling
-    :func:`compute_visibility` alone.
-    """
-    config = config or VisibilityConfig()
+    """Visibility for many viewers of one frame:
+    :func:`compute_visibility_planes` over the frusta's eyes and planes."""
     if not frustums:
         return []
+    return compute_visibility_planes(
+        occupancy,
+        np.array([frustum.position for frustum in frustums]),
+        np.stack([frustum._normals for frustum in frustums]),
+        np.stack([frustum._offsets for frustum in frustums]),
+        config,
+    )
+
+
+def compute_visibility_planes(
+    occupancy: FrameOccupancy,
+    eyes: np.ndarray,
+    normals: np.ndarray,
+    offsets: np.ndarray,
+    config: VisibilityConfig | None = None,
+) -> list[VisibilityResult]:
+    """Visibility for ``V`` viewers of one frame, given as plane arrays.
+
+    ``eyes`` is ``(V, 3)``; ``normals`` ``(V, 6, 3)`` and ``offsets``
+    ``(V, 6)`` are the viewers' frustum planes, as
+    :func:`~repro.geometry.frustum_planes` returns them.  Cell bounds,
+    centers, and nominal counts depend only on the occupancy and are read
+    from its cached per-frame geometry.  Each stage runs once for the
+    whole frame over ``(V, C)`` viewer-by-cell arrays: the viewport cull
+    (:func:`~repro.geometry.cull_planes`), the occlusion slab test
+    (:func:`_occlusion_mask`) and the distance fractions.  Only the
+    assembly of each viewer's :class:`VisibilityResult` is per viewer.
+    Each viewer's result is identical to calling :func:`compute_visibility`
+    alone on a frustum with the same eye and planes.
+    """
+    config = config or VisibilityConfig()
     all_ids = occupancy.cell_ids
     all_nominal = occupancy.nominal
     frame_points = occupancy.frame_points
-    eyes = np.array([frustum.position for frustum in frustums])  # (V, 3)
 
     # 1. Viewport: frustum-cull occupied cells, all viewers at once.
     if config.viewport and len(all_ids):
-        visible = cull_aabbs(frustums, *occupancy.lows_highs)
+        visible = cull_planes(normals, offsets, *occupancy.lows_highs)
     else:
-        visible = np.ones((len(frustums), len(all_ids)), dtype=bool)
+        visible = np.ones((len(eyes), len(all_ids)), dtype=bool)
 
     # 2. Occlusion: ray-cast depth culling of every viewer's in-view cells.
     if config.occlusion and len(all_ids):

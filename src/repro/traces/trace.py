@@ -93,6 +93,58 @@ class Trace:
         lo = hi - 1
         return self.pose(lo).interpolate(self.pose(hi), t)
 
+    def poses_at(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Poses at many times: ``(positions (F, 3), orientations (F, 4))``.
+
+        Row ``i`` equals ``pose_at(ts[i])`` bit for bit, which stays the
+        scalar reference: the same end clamps and zero-span fallback, and
+        the :meth:`Quaternion.slerp` arithmetic row by row — the short-arc
+        flip, the near-parallel linear branch, ``alpha`` clipped to
+        ``[0, 1]``.  The final normalization squares Python floats, as
+        :meth:`Quaternion.normalized` does.
+        """
+        ts = np.asarray(ts, dtype=np.float64).reshape(-1)
+        times = self.times
+        hi = np.clip(np.searchsorted(times, ts), 1, len(self) - 1)
+        lo = hi - 1
+        inner = (ts > times[0]) & (ts < times[-1])
+        lo[ts <= times[0]] = 0
+        lo[ts >= times[-1]] = len(self) - 1
+        span = times[hi] - times[lo]
+        inner &= ~(np.abs(span) < 1e-12)
+        positions = self.positions[lo]
+        orientations = self.orientations[lo]
+        if not inner.any():
+            return positions, orientations
+        lo, hi, t = lo[inner], hi[inner], ts[inner]
+        alpha = (t - times[lo]) / span[inner]
+        p0 = self.positions[lo]
+        positions[inner] = p0 + alpha[:, None] * (self.positions[hi] - p0)
+
+        q0, q1 = self.orientations[lo], self.orientations[hi]
+        alpha = np.clip(alpha, 0.0, 1.0)
+        d = (q0[:, 0] * q1[:, 0] + q0[:, 1] * q1[:, 1]
+             + q0[:, 2] * q1[:, 2] + q0[:, 3] * q1[:, 3])
+        flip = d < 0.0
+        q1 = np.where(flip[:, None], -q1, q1)
+        theta = np.arccos(np.minimum(1.0, np.maximum(-1.0, np.abs(d))))
+        linear = theta < 1e-9
+        q = np.empty_like(q0)
+        a = alpha[linear, None]
+        q[linear] = q0[linear] + a * (q1[linear] - q0[linear])
+        arc = ~linear
+        theta, a = theta[arc], alpha[arc]
+        s = np.sin(theta)
+        wa = (np.sin((1 - a) * theta) / s)[:, None]
+        wb = (np.sin(a * theta) / s)[:, None]
+        q[arc] = wa * q0[arc] + wb * q1[arc]
+
+        n = np.sqrt([w**2 + x**2 + y**2 + z**2 for w, x, y, z in q.tolist()])
+        q /= np.where(n < 1e-12, 1.0, n)[:, None]
+        q[n < 1e-12] = (1.0, 0.0, 0.0, 0.0)
+        orientations[inner] = q
+        return positions, orientations
+
     def index_at(self, t: float) -> int:
         """Nearest sample index for time ``t`` (clamped)."""
         idx = int(round((t - self.times[0]) * self.rate_hz))

@@ -120,9 +120,11 @@ def test_culling_never_drops_boxes_containing_inside_points():
 
 @given(st.floats(min_value=-1.0, max_value=1.0))
 def test_forward_property(yaw):
+    # The near plane faces the viewing direction: its normal is the
+    # orientation's local +X axis.
     q = Quaternion.from_euler(yaw, 0, 0)
     f = Frustum(position=np.zeros(3), orientation=q)
-    assert np.allclose(f.forward, [np.cos(yaw), np.sin(yaw), 0.0], atol=1e-9)
+    assert np.allclose(f._normals[0], [np.cos(yaw), np.sin(yaw), 0.0], atol=1e-9)
 
 
 # -- batched planes and cull: bitwise equivalence with the scalar references

@@ -159,7 +159,7 @@ def test_session_demands_match_the_old_session_loop():
         rates=CapacityRateProvider(model=AD_MODEL, num_users=4),
         compression=CompressionModel(anchor_low=(200_000, 2.9)),
     )
-    builder = _DemandBuilder(config)
+    builder = _DemandBuilder(config, config.num_frames)
     users = [0, 1, 2, 3]
     qualities = ["low", "medium", "high", "low"]
     for frame in range(4):
