@@ -18,8 +18,11 @@ group gets depends on which beam the AP can design for it.  ``rate_fn``
 must be pure: each grouper asks it once per distinct group.
 
 Each grouper builds its frame's :class:`~repro.mac.scheduler.FrameDemands`
-once and plans every candidate over it, so a candidate merge prices only
-the one group it creates; every other airtime comes from the frame's memo.
+once and scores every candidate partition over it with
+:func:`~repro.mac.scheduler.plan_time_s`, the plan total's fold without a
+``FramePlan``, so a candidate merge prices only the one group it creates;
+every other airtime comes from the frame's memo.  Only the partition a
+grouper keeps becomes a plan.
 """
 
 from __future__ import annotations
@@ -30,7 +33,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..mac.scheduler import FrameDemands, FramePlan, UserDemand, plan_frame
+from ..mac.scheduler import (
+    FrameDemands,
+    FramePlan,
+    UserDemand,
+    plan_frame,
+    plan_time_s,
+)
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
 from .qoe import QoEWeights
@@ -112,27 +121,51 @@ def _visibility_map(demand: UserDemand) -> frozenset:
     return frozenset(demand.cell_bytes)
 
 
-def _partition_planner(
-    frame_demands: FrameDemands, multicast_rate_fn: RateFn
-) -> Callable[[list[tuple[int, ...]]], FramePlan]:
-    """``plan_for(partition)``: the partition's plan over the frame's
-    demands, with each distinct group's rate asked of ``rate_fn`` once.
+class _PartitionPlanner:
+    """Scores and plans partitions of one frame's users.
 
-    ``plan_frame`` is looked up at call time, so every candidate still
-    goes through this module's ``plan_frame``.
+    ``time_s(partition)`` is the partition's plan total, with each
+    distinct group's rate asked of ``rate_fn`` once.  The first partition
+    scored goes through this module's ``plan_frame`` (looked up at call
+    time); every later one is scored by ``plan_time_s``, the same fold,
+    counts and trace event without a :class:`FramePlan`.  ``plan`` builds
+    the plan of the partition a grouper keeps, silently: its scoring
+    already counted and traced it.
     """
-    rates: dict[tuple[int, ...], float] = {}
 
-    def plan_for(partition: list[tuple[int, ...]]) -> FramePlan:
+    def __init__(
+        self, frame_demands: FrameDemands, multicast_rate_fn: RateFn
+    ) -> None:
+        self.frame_demands = frame_demands
+        self._rate_fn = multicast_rate_fn
+        self._rates: dict[tuple[int, ...], float] = {}
+        self._scored_any = False
+
+    def _groups(
+        self, partition: list[tuple[int, ...]]
+    ) -> list[tuple[tuple[int, ...], float]]:
+        rates = self._rates
         multicast_groups = []
         for g in partition:
             if len(g) > 1:
                 if g not in rates:
-                    rates[g] = multicast_rate_fn(g)
+                    rates[g] = self._rate_fn(g)
                 multicast_groups.append((g, rates[g]))
-        return plan_frame(frame_demands, groups=multicast_groups)
+        return multicast_groups
 
-    return plan_for
+    def time_s(self, partition: list[tuple[int, ...]]) -> float:
+        groups = self._groups(partition)
+        if self._scored_any:
+            return plan_time_s(self.frame_demands, groups)
+        self._scored_any = True
+        return plan_frame(self.frame_demands, groups=groups).total_time_s()
+
+    def plan(self, partition: list[tuple[int, ...]]) -> FramePlan:
+        return FramePlan(
+            demands=self.frame_demands.demands,
+            groups=self._groups(partition),
+            frame_demands=self.frame_demands,
+        )
 
 
 def _group_iou_matrix(
@@ -141,10 +174,44 @@ def _group_iou_matrix(
     """IoU of every merged group pair, as a symmetric (G, G) matrix.
 
     Entry (a, b) equals ``group_iou`` over the member maps of ``a`` and
-    ``b`` combined, bit-identically: intersection/union member counts are
-    exact integers (held in float64) and the final division matches the
-    scalar ``len(inter) / len(union)``.
+    ``b`` combined, bit-identically.  A small frame counts over its rows'
+    cell sets, a large one over the presence matrix.  Groups are
+    non-empty.
     """
+    if frame_demands.small:
+        return _group_iou_sets(groups, frame_demands)
+    return _group_iou_arrays(groups, frame_demands)
+
+
+def _group_iou_sets(
+    groups: list[tuple[int, ...]], frame_demands: FrameDemands
+) -> np.ndarray:
+    """:func:`_group_iou_matrix` over the rows' cell sets: each group's
+    shared and covered cells, then ``len(inter) / len(union)`` per pair
+    (``1.0`` when the union is empty)."""
+    mappings = frame_demands.mappings
+    user_row = frame_demands.user_row
+    inters, unions = [], []
+    for g in groups:
+        maps = [mappings[user_row[u]] for u in g]
+        inters.append(set(maps[0]).intersection(*maps[1:]))
+        unions.append(set().union(*maps))
+    size = len(groups)
+    iou = [[1.0] * size for _ in range(size)]
+    for a in range(size):
+        for b in range(a, size):
+            union = len(unions[a] | unions[b])
+            if union:
+                iou[a][b] = iou[b][a] = len(inters[a] & inters[b]) / union
+    return np.array(iou)
+
+
+def _group_iou_arrays(
+    groups: list[tuple[int, ...]], frame_demands: FrameDemands
+) -> np.ndarray:
+    """:func:`_group_iou_matrix` over the presence matrix: intersection
+    and union member counts are exact integers (held in float64) and the
+    final division matches the scalar ``len(inter) / len(union)``."""
     matrix = frame_demands.matrix
     user_row = frame_demands.user_row
     # How many members of each group want each cell: a (G, R) member
@@ -162,6 +229,21 @@ def _group_iou_matrix(
     union_sizes = uu.sum(axis=1)
     union_count = union_sizes[:, None] + union_sizes[None, :] - uu @ uu.T
     return np.where(union_count > 0, inter_count / np.maximum(union_count, 1), 1.0)
+
+
+def _merge_candidates(
+    groups: list[tuple[int, ...]], frame_demands: FrameDemands, min_iou: float
+) -> list[tuple[float, tuple[int, ...], tuple[int, ...]]]:
+    """``(iou, ga, gb)`` for every group pair with IoU at least
+    ``min_iou``, most similar first with a deterministic tiebreak."""
+    iou_matrix = _group_iou_matrix(groups, frame_demands)
+    candidates = []
+    for ia, ib in combinations(range(len(groups)), 2):
+        iou = float(iou_matrix[ia, ib])
+        if iou >= min_iou:
+            candidates.append((iou, groups[ia], groups[ib]))
+    candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
+    return candidates
 
 
 def greedy_similarity_grouping(
@@ -185,43 +267,34 @@ def greedy_similarity_grouping(
     demand_list = list(demands)
     groups: list[tuple[int, ...]] = [(d.user_id,) for d in demand_list]
     frame_demands = FrameDemands(demand_list)
-    plan_for = _partition_planner(frame_demands, multicast_rate_fn)
+    planner = _PartitionPlanner(frame_demands, multicast_rate_fn)
 
-    best_plan = plan_for(groups)
-    best_time = best_plan.total_time_s()
+    best_time = planner.time_s(groups)
     improved = True
     while improved and len(groups) > 1:
         improved = False
-        iou_matrix = _group_iou_matrix(groups, frame_demands)
-        candidates = []
-        for ia, ib in combinations(range(len(groups)), 2):
-            iou = float(iou_matrix[ia, ib])
-            if iou >= min_iou:
-                candidates.append((iou, groups[ia], groups[ib]))
-        # Highest-similarity merges first, with a deterministic tiebreak.
-        candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
-        for _, ga, gb in candidates:
+        for _, ga, gb in _merge_candidates(groups, frame_demands, min_iou):
             merged = tuple(sorted(ga + gb))
             trial = [g for g in groups if g not in (ga, gb)] + [merged]
-            trial_plan = plan_for(trial)
-            trial_time = trial_plan.total_time_s()
+            trial_time = planner.time_s(trial)
             if trial_time < best_time - 1e-12:
-                groups = trial
-                best_plan, best_time = trial_plan, trial_time
+                groups, best_time = trial, trial_time
                 improved = True
                 break
     return _record(
-        GroupingResult(plan=best_plan, policy="greedy-similarity"), frame=frame
+        GroupingResult(plan=planner.plan(groups), policy="greedy-similarity"),
+        frame=frame,
     )
 
 
 def _predicted_qoe(
-    plan: FramePlan,
+    total_time_s: float,
     demand_list: list[UserDemand],
     target_fps: float,
     weights: QoEWeights,
 ) -> float:
-    """Predicted per-user QoE (Mbps-equivalent) of delivering ``plan``.
+    """Predicted per-user QoE (Mbps-equivalent) of a plan taking
+    ``total_time_s`` of airtime per frame.
 
     Maps the plan's airtime onto the session QoE decomposition of
     :mod:`repro.core.qoe` before any session runs: the sustainable frame
@@ -230,7 +303,10 @@ def _predicted_qoe(
     same ``stall_penalty_mbps`` the closed loop uses.  Switches are a
     session-history effect and predict to zero here.
     """
-    fps = plan.achievable_fps(cap_fps=target_fps)
+    # FramePlan.achievable_fps(cap_fps=target_fps) of that total.
+    fps = (
+        target_fps if total_time_s <= 0 else min(target_fps, 1.0 / total_time_s)
+    )
     stall_fraction = max(0.0, 1.0 - fps / target_fps)
     score = 0.0
     for d in demand_list:
@@ -267,39 +343,33 @@ def qoe_aware_grouping(
     demand_list = sorted(demands, key=lambda d: d.user_id)
     groups: list[tuple[int, ...]] = [(d.user_id,) for d in demand_list]
     frame_demands = FrameDemands(demand_list)
-    plan_for = _partition_planner(frame_demands, multicast_rate_fn)
+    planner = _PartitionPlanner(frame_demands, multicast_rate_fn)
 
-    best_plan = plan_for(groups)
-    best_qoe = _predicted_qoe(best_plan, demand_list, target_fps, qoe_weights)
+    best_qoe = _predicted_qoe(
+        planner.time_s(groups), demand_list, target_fps, qoe_weights
+    )
     improved = True
     while improved and len(groups) > 1:
         improved = False
-        iou_matrix = _group_iou_matrix(groups, frame_demands)
-        candidates = []
-        for ia, ib in combinations(range(len(groups)), 2):
-            iou = float(iou_matrix[ia, ib])
-            if iou >= min_iou:
-                candidates.append((iou, groups[ia], groups[ib]))
         # Most-similar candidates first; the strict `>` below means the
         # earliest candidate wins exact QoE ties, deterministically.
-        candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
-        best_merge: tuple[list[tuple[int, ...]], FramePlan, float] | None = None
-        for _, ga, gb in candidates:
+        best_merge: tuple[list[tuple[int, ...]], float] | None = None
+        for _, ga, gb in _merge_candidates(groups, frame_demands, min_iou):
             merged = tuple(sorted(ga + gb))
             trial = [g for g in groups if g not in (ga, gb)] + [merged]
-            trial_plan = plan_for(trial)
             trial_qoe = _predicted_qoe(
-                trial_plan, demand_list, target_fps, qoe_weights
+                planner.time_s(trial), demand_list, target_fps, qoe_weights
             )
             if trial_qoe > best_qoe + 1e-12 and (
-                best_merge is None or trial_qoe > best_merge[2]
+                best_merge is None or trial_qoe > best_merge[1]
             ):
-                best_merge = (trial, trial_plan, trial_qoe)
+                best_merge = (trial, trial_qoe)
         if best_merge is not None:
-            groups, best_plan, best_qoe = best_merge
+            groups, best_qoe = best_merge
             improved = True
     return _record(
-        GroupingResult(plan=best_plan, policy="qoe-aware"), frame=frame
+        GroupingResult(plan=planner.plan(groups), policy="qoe-aware"),
+        frame=frame,
     )
 
 
@@ -335,16 +405,17 @@ def exhaustive_grouping(
             f"(got {len(demand_list)}); use greedy_similarity_grouping"
         )
     ids = [d.user_id for d in demand_list]
-    plan_for = _partition_planner(FrameDemands(demand_list), multicast_rate_fn)
-    best_plan: FramePlan | None = None
+    planner = _PartitionPlanner(FrameDemands(demand_list), multicast_rate_fn)
+    best: list[tuple[int, ...]] | None = None
     best_time = 0.0
     for partition in _partitions(ids):
-        plan = plan_for([tuple(sorted(block)) for block in partition])
-        plan_time = plan.total_time_s()
-        if best_plan is None or plan_time < best_time:
-            best_plan, best_time = plan, plan_time
-    if best_plan is None:  # unreachable: _partitions always yields once
+        blocks = [tuple(sorted(block)) for block in partition]
+        plan_time = planner.time_s(blocks)
+        if best is None or plan_time < best_time:
+            best, best_time = blocks, plan_time
+    if best is None:  # unreachable: _partitions always yields once
         raise RuntimeError("exhaustive grouping evaluated no partition")
     return _record(
-        GroupingResult(plan=best_plan, policy="exhaustive"), frame=frame
+        GroupingResult(plan=planner.plan(best), policy="exhaustive"),
+        frame=frame,
     )

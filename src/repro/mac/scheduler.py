@@ -12,11 +12,16 @@ unicast rate.  Groups are admitted subject to T_m(k) <= 1/F for the target
 frame rate F.
 
 Every plan of one frame sits over that frame's :class:`FrameDemands`: its
-demands as a bytes matrix and presence mask over the sorted cell
-universe, plus a memo of each group's airtime, so a candidate merge costs
-one new T_m(k).  :func:`overlap_bytes`, :func:`multicast_frame_time`,
+demands as distinct rows plus a memo of each group's airtime, so a
+candidate merge costs one new T_m(k).  A small frame (at most
+``_SMALL_FRAME_CELLS`` cells over its rows) prices a group over the rows'
+dicts and sets in Python floats; a larger one over a bytes matrix and
+presence mask on the sorted cell universe.
+:func:`plan_time_s` scores a candidate partition with the fold
+``FramePlan.total_time_s`` runs, without building the plan.
+:func:`overlap_bytes`, :func:`multicast_frame_time`,
 :func:`unicast_frame_time` and :func:`plan_time_reference` are the
-set-and-dict scalar references it reproduces bit for bit.
+set-and-dict scalar references both paths reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import operator
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import chain
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,16 +46,27 @@ __all__ = [
     "FrameDemands",
     "FramePlan",
     "plan_frame",
+    "plan_time_s",
 ]
+
+# Frames whose distinct rows hold at most this many cells in all are
+# priced over the rows' dicts and sets; larger ones build the matrix.
+# Measured crossover (Python 3.11, 2-vCPU Xeon): a greedy grouping call on
+# a 6-row frame took 406 / 487 / 516 / 594 us on the small path against
+# 489 / 495 / 492 / 510 us on the matrix at 120 / 180 / 210 / 240 cells.
+# Session frames (six users) hold up to about 120 cells and the venue
+# workload's ticks 40-80, so both take the small path; the frame_plan
+# kernel's tick (8 archetype rows of 150-300 cells) takes the matrix.
+_SMALL_FRAME_CELLS = 200
 
 _C_PLANS = _metrics.counter(
     "mac.frame_plans_built", unit="plans", layer="mac",
-    help="FramePlans constructed via plan_frame (includes candidate plans "
-         "evaluated during grouping search)",
+    help="frame plans built by plan_frame or scored by plan_time_s "
+         "(includes every candidate partition a grouping search evaluates)",
 )
 _C_GROUPS = _metrics.counter(
     "mac.multicast_groups_planned", unit="groups", layer="mac",
-    help="multicast groups admitted into constructed frame plans",
+    help="multicast groups in frame plans built or scored",
 )
 _EV_PLAN = _trace.event_type(
     "mac.frame_plan", layer="mac",
@@ -84,8 +100,11 @@ class UserDemand:
     unicast_rate_mbps: float
 
     def __post_init__(self) -> None:
-        if self.unicast_rate_mbps < 0:
-            raise ValueError("unicast_rate_mbps must be non-negative")
+        if not self.unicast_rate_mbps >= 0:  # NaN fails too
+            raise ValueError(
+                f"user {self.user_id}: unicast_rate_mbps must be "
+                f"non-negative, got {self.unicast_rate_mbps}"
+            )
 
     @cached_property
     def total_bytes(self) -> float:
@@ -182,44 +201,54 @@ class _Matrix(NamedTuple):
 
 
 class FrameDemands:
-    """One frame's demands as arrays, shared by every plan of the frame.
+    """One frame's demands, shared by every plan of the frame.
 
     A row is one *distinct* ``cell_bytes`` mapping: users holding the same
     dict by reference share it, so a venue tick has one row per archetype
-    however many users it admits.  Each row's bytes and presence sit over
-    the frame's sorted cell universe, and its cells are also kept in the
-    mapping's own insertion order, so every sum runs in the order the
-    scalar references add in: overlaps in sorted cell order, residuals and
-    totals in insertion order, all left to right.  Group airtimes are
-    memoised on ``(members, rate)``.  The mappings must not change while
-    the frame is planned.
+    however many users it admits.  ``small`` says how a group is priced:
+    over the rows' dicts and sets when the rows hold at most
+    ``_SMALL_FRAME_CELLS`` cells in all, otherwise over ``matrix``, each
+    row's bytes and presence on the frame's sorted cell universe plus its
+    cells in the mapping's own insertion order.  Both paths sum in the
+    order the scalar references add in: overlaps in sorted cell order,
+    residuals and totals in insertion order, all left to right.  Group
+    airtimes are memoised on ``(members, rate)``.  The mappings must not
+    change while the frame is planned.
     """
 
     def __init__(self, demands: Iterable[UserDemand]) -> None:
-        self.demands: dict[int, UserDemand] = {d.user_id: d for d in demands}
+        self.demands: dict[int, UserDemand] = {}
+        for d in demands:
+            if d.user_id in self.demands:
+                raise ValueError(f"user {d.user_id} has two demands")
+            self.demands[d.user_id] = d
         self.user_row: dict[int, int] = {}
         self.row_totals: list[float] = []
         # Serialized unicast airtime of each user's whole demand.
         self.unicast_s: dict[int, float] = {}
-        self._mappings: list[dict[int, float]] = []
+        # Each row's cell_bytes mapping.
+        self.mappings: list[dict[int, float]] = []
         self._airtime: dict[tuple[tuple[int, ...], float], float] = {}
         row_of: dict[int, int] = {}  # id(cell_bytes) -> row
+        num_cells = 0
         for uid, d in self.demands.items():
             row = row_of.get(id(d.cell_bytes))
             if row is None:
-                row = row_of[id(d.cell_bytes)] = len(self._mappings)
-                self._mappings.append(d.cell_bytes)
+                row = row_of[id(d.cell_bytes)] = len(self.mappings)
+                self.mappings.append(d.cell_bytes)
                 self.row_totals.append(d.total_bytes)
+                num_cells += len(d.cell_bytes)
             self.user_row[uid] = row
             self.unicast_s[uid] = _transfer_time_s(
                 self.row_totals[row], d.unicast_rate_mbps
             )
+        self.small = num_cells <= _SMALL_FRAME_CELLS
 
     @cached_property
     def matrix(self) -> _Matrix:
-        """The bytes/presence matrix, built on first use (unicast-only
-        plans never need it)."""
-        mappings = self._mappings
+        """The bytes/presence matrix, built on first use (small frames and
+        unicast-only plans never need it)."""
+        mappings = self.mappings
         lengths = np.array([len(m) for m in mappings], dtype=np.intp)
         total = int(lengths.sum())
         keys = np.fromiter(
@@ -251,7 +280,10 @@ class FrameDemands:
 
     def overlap_bytes(self, members: Iterable[int]) -> float:
         """Bitwise :func:`overlap_bytes` of the members' demands."""
-        return self._overlap(self._rows(members))[1]
+        rows = self._rows(members)
+        if self.small:
+            return self._overlap_small(rows)[1]
+        return self._overlap(rows)[1]
 
     def group_time_s(self, members: tuple[int, ...], rate_mbps: float) -> float:
         """Bitwise :func:`multicast_frame_time` of the members' demands,
@@ -262,14 +294,71 @@ class FrameDemands:
             t = self._airtime[key] = self._multicast_time_s(*key)
         return t
 
+    def _time_s(
+        self,
+        groups: list[tuple[tuple[int, ...], float]],
+        solo: list[int],
+        beam_switch_overhead_s: float,
+    ) -> float:
+        """The plan fold: memoised group airtimes in plan order, then solo
+        unicasts in the order given, then the overhead term."""
+        t = 0.0
+        num_transmissions = len(solo)
+        for members, rate in groups:
+            t += self.group_time_s(members, rate)
+            num_transmissions += 1 + len(members)
+        unicast_s = self.unicast_s
+        for u in solo:
+            t += unicast_s[u]
+        return t + beam_switch_overhead_s * num_transmissions
+
     def _rows(self, members: Iterable[int]) -> list[int]:
         user_row = self.user_row
         return sorted({user_row[u] for u in members})
 
+    def _multicast_time_s(
+        self, members: tuple[int, ...], rate_mbps: float
+    ) -> float:
+        if self.small:
+            return self._multicast_time_small(members, rate_mbps)
+        return self._multicast_time_matrix(members, rate_mbps)
+
+    def _overlap_small(self, rows: list[int]) -> tuple[set[int], float]:
+        """The rows' shared cells and S_m(k) over their dicts: the per-cell
+        max over the rows, folded left to right in sorted cell order."""
+        if not rows:
+            return set(), 0.0
+        maps = [self.mappings[r] for r in rows]
+        shared = set(maps[0]).intersection(*maps[1:])
+        s_m = 0.0
+        for c in sorted(shared):
+            s_m += max([m[c] for m in maps])
+        return shared, float(s_m)
+
+    def _multicast_time_small(
+        self, members: tuple[int, ...], rate_mbps: float
+    ) -> float:
+        rows = self._rows(members)
+        shared, s_m = self._overlap_small(rows)
+        t = _transfer_time_s(s_m, rate_mbps)
+        if not shared:
+            # Nothing shared: every row's residual is its whole total.
+            residuals = [self.row_totals[r] for r in rows]
+        else:
+            # Each row folded outside the overlap in insertion order.
+            residuals = []
+            for row in rows:
+                r = 0.0
+                for c, b in self.mappings[row].items():
+                    if c not in shared:
+                        r += b
+                residuals.append(r)
+        return self._add_residuals(t, members, rows, residuals)
+
     def _overlap(self, rows: list[int]) -> tuple[np.ndarray, float]:
-        """The rows' shared-cell mask and S_m(k): their per-cell max on the
-        shared cells, summed in sorted cell order (every other cell adds
-        an exact 0.0)."""
+        """The rows' shared-cell mask and S_m(k) on the matrix: their
+        per-cell max on the shared cells, summed in sorted cell order
+        (every other cell adds an exact 0.0)."""
         m = self.matrix
         if not rows or not m.cells.size:
             return np.zeros(m.cells.size, dtype=bool), 0.0
@@ -277,7 +366,7 @@ class FrameDemands:
         overlap = np.maximum.reduce(m.values[rows]) * shared
         return shared, float(np.add.accumulate(overlap)[-1])
 
-    def _multicast_time_s(
+    def _multicast_time_matrix(
         self, members: tuple[int, ...], rate_mbps: float
     ) -> float:
         rows = self._rows(members)
@@ -293,6 +382,16 @@ class FrameDemands:
             residuals = np.add.accumulate(
                 m.ordered[rows] * ~shared[m.order[rows]], axis=1
             )[:, -1].tolist()
+        return self._add_residuals(t, members, rows, residuals)
+
+    def _add_residuals(
+        self,
+        t: float,
+        members: tuple[int, ...],
+        rows: list[int],
+        residuals: list[float],
+    ) -> float:
+        """``t`` plus each member's residual unicast, in member order."""
         # A zero residual adds 0.0 to a non-negative t: skip it.
         left = {row: r for row, r in zip(rows, residuals) if r > 0}
         if left:
@@ -303,6 +402,28 @@ class FrameDemands:
                 if r is not None:
                     t += _transfer_time_s(r, demands[u].unicast_rate_mbps)
         return float(t)
+
+
+def _covered_users(
+    demands: dict[int, UserDemand],
+    groups: list[tuple[tuple[int, ...], float]],
+) -> set[int]:
+    """The users the groups cover, after the checks every plan passes: a
+    non-negative (not NaN) rate, members with a demand, each in one group."""
+    covered: set[int] = set()
+    for members, rate in groups:
+        if not rate >= 0:  # NaN fails too
+            raise ValueError(
+                f"group {members}: multicast rate must be non-negative, "
+                f"got {rate}"
+            )
+        for m in members:
+            if m in covered:
+                raise ValueError(f"user {m} appears in two groups")
+            if m not in demands:
+                raise KeyError(f"group member {m} has no demand")
+            covered.add(m)
+    return covered
 
 
 @dataclass(frozen=True)
@@ -329,16 +450,7 @@ class FramePlan:
     _units: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        covered: set[int] = set()
-        for members, rate in self.groups:
-            if rate < 0:
-                raise ValueError("multicast rate must be non-negative")
-            for m in members:
-                if m in covered:
-                    raise ValueError(f"user {m} appears in two groups")
-                if m not in self.demands:
-                    raise KeyError(f"group member {m} has no demand")
-                covered.add(m)
+        covered = _covered_users(self.demands, self.groups)
         if self.frame_demands is None:
             object.__setattr__(
                 self, "frame_demands", FrameDemands(self.demands.values())
@@ -367,19 +479,12 @@ class FramePlan:
         plan order, then solo unicasts in demand order, then the overhead.
         """
         if self._total is None:
-            frame_demands = self.frame_demands
-            t = 0.0
-            num_transmissions = len(self._solo)
-            for members, rate in self.groups:
-                t += frame_demands.group_time_s(members, rate)
-                num_transmissions += 1 + len(members)
-            unicast_s = frame_demands.unicast_s
-            for u in self._solo:
-                t += unicast_s[u]
             object.__setattr__(
                 self,
                 "_total",
-                t + self.beam_switch_overhead_s * num_transmissions,
+                self.frame_demands._time_s(
+                    self.groups, self._solo, self.beam_switch_overhead_s
+                ),
             )
         return self._total
 
@@ -393,6 +498,28 @@ class FramePlan:
     def satisfies(self, target_fps: float) -> bool:
         """The paper's admission constraint T_m(k) <= 1/F."""
         return self.total_time_s() <= 1.0 / target_fps
+
+
+def _record_plan(
+    frame_demands: FrameDemands,
+    num_groups: int,
+    num_solo: int,
+    total_time_s: Callable[[], float],
+    frame: int | None,
+) -> None:
+    """Count one built or scored plan and trace it as ``mac.frame_plan``
+    (``total_time_s`` is asked only while a recorder is on)."""
+    _C_PLANS.inc()
+    _C_GROUPS.inc(num_groups)
+    if _trace._RECORDER is not None:
+        _EV_PLAN.emit(
+            users=len(frame_demands.demands),
+            groups=num_groups,
+            solo=num_solo,
+            total_time_s=total_time_s(),
+            user_ids=sorted(frame_demands.demands),
+            **_trace.correlation(frame=frame),
+        )
 
 
 def plan_frame(
@@ -417,15 +544,28 @@ def plan_frame(
         beam_switch_overhead_s=beam_switch_overhead_s,
         frame_demands=frame_demands,
     )
-    _C_PLANS.inc()
-    _C_GROUPS.inc(len(plan.groups))
-    if _trace._RECORDER is not None:
-        _EV_PLAN.emit(
-            users=len(plan.demands),
-            groups=len(plan.groups),
-            solo=len(plan.solo_users),
-            total_time_s=plan.total_time_s(),
-            user_ids=sorted(plan.demands),
-            **_trace.correlation(frame=frame),
-        )
+    _record_plan(
+        frame_demands, len(plan.groups), len(plan._solo), plan.total_time_s,
+        frame,
+    )
     return plan
+
+
+def plan_time_s(
+    frame_demands: FrameDemands,
+    groups: list[tuple[tuple[int, ...], float]],
+    beam_switch_overhead_s: float = 0.0,
+    frame: int | None = None,
+) -> float:
+    """``plan_frame(frame_demands, groups, ...).total_time_s()`` without
+    building the plan: the same checks, the same fold, bit for bit, and
+    the same ``mac.frame_plans_built`` / ``mac.multicast_groups_planned``
+    counts and ``mac.frame_plan`` event.  A grouping search scores its
+    candidate partitions with it and builds a plan only for the one it
+    keeps.
+    """
+    covered = _covered_users(frame_demands.demands, groups)
+    solo = [u for u in frame_demands.demands if u not in covered]
+    total = frame_demands._time_s(groups, solo, beam_switch_overhead_s)
+    _record_plan(frame_demands, len(groups), len(solo), lambda: total, frame)
+    return total

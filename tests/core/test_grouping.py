@@ -143,29 +143,42 @@ def _mixed_demands():
     [(greedy_similarity_grouping, {"min_iou": 0.0}), (exhaustive_grouping, {})],
 )
 def test_groupers_time_each_candidate_plan_once(monkeypatch, grouper, kwargs):
-    """The best plan's airtime is kept, not recomputed per comparison;
-    the chosen partition and its airtime are pinned from before."""
+    """Each candidate is scored once: one plan fold per candidate, whether
+    it went through ``plan_frame`` (the first) or ``plan_time_s`` (every
+    later one), plus one when the kept plan's total is read; the chosen
+    partition and its airtime are pinned from before."""
     from repro.core import grouping as grouping_module
-    from repro.mac.scheduler import FramePlan
+    from repro.mac.scheduler import FrameDemands
 
-    plans, timed = [0], [0]
+    scored, plans, folds = [0], [0], [0]
     original_plan_frame = grouping_module.plan_frame
-    original_total = FramePlan.total_time_s
+    original_plan_time_s = grouping_module.plan_time_s
+    original_fold = FrameDemands._time_s
 
     def counting_plan_frame(*args, **kw):
+        scored[0] += 1
         plans[0] += 1
         return original_plan_frame(*args, **kw)
 
-    def counting_total(self):
-        timed[0] += 1
-        return original_total(self)
+    def counting_plan_time_s(*args, **kw):
+        scored[0] += 1
+        return original_plan_time_s(*args, **kw)
+
+    def counting_fold(self, *args):
+        folds[0] += 1
+        return original_fold(self, *args)
 
     monkeypatch.setattr(grouping_module, "plan_frame", counting_plan_frame)
-    monkeypatch.setattr(FramePlan, "total_time_s", counting_total)
+    monkeypatch.setattr(grouping_module, "plan_time_s", counting_plan_time_s)
+    monkeypatch.setattr(FrameDemands, "_time_s", counting_fold)
     result = grouper(
         _mixed_demands(), lambda members: 150.0 + 40.0 * len(members), **kwargs
     )
-    assert timed[0] == plans[0]
+    total = result.total_time_s
+    assert result.total_time_s == total  # read twice, folded once
     monkeypatch.undo()
+    assert plans[0] == 1
+    assert scored[0] > 1
+    assert folds[0] == scored[0] + 1
     assert result.groups == [(0, 2, 3, 4)]
-    assert result.total_time_s == 0.14685376953197218
+    assert total == 0.14685376953197218

@@ -64,8 +64,8 @@ def test_result_is_a_partition_with_qoe_never_below_unicast(sets, rate):
     base = no_grouping(demands)
     demand_list = sorted(demands, key=lambda d: d.user_id)
     assert (
-        _predicted_qoe(result.plan, demand_list, 30.0, weights)
-        >= _predicted_qoe(base.plan, demand_list, 30.0, weights) - 1e-12
+        _predicted_qoe(result.total_time_s, demand_list, 30.0, weights)
+        >= _predicted_qoe(base.total_time_s, demand_list, 30.0, weights) - 1e-12
     )
 
 

@@ -119,35 +119,36 @@ def test_plan_total_bitwise_matches_the_scalar_loop(case, overhead):
     assert same(again.total_time_s(), expected)
 
 
-@pytest.mark.parametrize(
-    "demands, members, rate",
-    [
-        pytest.param(
-            [demand(0, {}), demand(1, {1: 5e4, 2: 1e4})], (0, 1), 300.0,
-            id="empty-mapping",
-        ),
-        pytest.param(
-            [demand(0, {}), demand(1, {})], (1, 0), 300.0, id="all-empty",
-        ),
-        pytest.param(
-            [demand(0, {1: 5e4, 2: 1e4}), demand(1, {3: 2e4, 4: 7e3})],
-            (0, 1), 300.0, id="disjoint-members",
-        ),
-        pytest.param(
-            [demand(0, {1: 5e4, 2: 1e4}), demand(1, {1: 2e4, 4: 7e3}, rate=0.0)],
-            (0, 1), 300.0, id="zero-unicast-rate",
-        ),
-        pytest.param(
-            [demand(0, {1: 5e4, 2: 1e4}), demand(1, {1: 2e4, 2: 7e3})],
-            (1, 0), 0.0, id="zero-multicast-rate",
-        ),
-        pytest.param(
-            [demand(0, {7: 3e4, 2: 1e4, 5: 2e4}, rate=0.0)], (0,), 0.0,
-            id="lone-dead-member",
-        ),
-        pytest.param([demand(0, {1: 1e4})], (), 300.0, id="no-members"),
-    ],
-)
+# (demands, members, rate) edge cases, shared with test_small_frames.py.
+EDGE_CASES = [
+    pytest.param(
+        [demand(0, {}), demand(1, {1: 5e4, 2: 1e4})], (0, 1), 300.0,
+        id="empty-mapping",
+    ),
+    pytest.param(
+        [demand(0, {}), demand(1, {})], (1, 0), 300.0, id="all-empty",
+    ),
+    pytest.param(
+        [demand(0, {1: 5e4, 2: 1e4}), demand(1, {3: 2e4, 4: 7e3})],
+        (0, 1), 300.0, id="disjoint-members",
+    ),
+    pytest.param(
+        [demand(0, {1: 5e4, 2: 1e4}), demand(1, {1: 2e4, 4: 7e3}, rate=0.0)],
+        (0, 1), 300.0, id="zero-unicast-rate",
+    ),
+    pytest.param(
+        [demand(0, {1: 5e4, 2: 1e4}), demand(1, {1: 2e4, 2: 7e3})],
+        (1, 0), 0.0, id="zero-multicast-rate",
+    ),
+    pytest.param(
+        [demand(0, {7: 3e4, 2: 1e4, 5: 2e4}, rate=0.0)], (0,), 0.0,
+        id="lone-dead-member",
+    ),
+    pytest.param([demand(0, {1: 1e4})], (), 300.0, id="no-members"),
+]
+
+
+@pytest.mark.parametrize("demands, members, rate", EDGE_CASES)
 def test_edge_cases_match_scalar_references(demands, members, rate):
     frame_demands = FrameDemands(demands)
     by_id = {d.user_id: d for d in demands}
