@@ -37,6 +37,7 @@ from ..mac.scheduler import (
     FrameDemands,
     FramePlan,
     UserDemand,
+    achievable_fps,
     plan_frame,
     plan_time_s,
 )
@@ -124,13 +125,10 @@ def _visibility_map(demand: UserDemand) -> frozenset:
 class _PartitionPlanner:
     """Scores and plans partitions of one frame's users.
 
-    ``time_s(partition)`` is the partition's plan total, with each
-    distinct group's rate asked of ``rate_fn`` once.  The first partition
-    scored goes through this module's ``plan_frame`` (looked up at call
-    time); every later one is scored by ``plan_time_s``, the same fold,
-    counts and trace event without a :class:`FramePlan`.  ``plan`` builds
-    the plan of the partition a grouper keeps, silently: its scoring
-    already counted and traced it.
+    ``time_s(partition)`` is the partition's plan total from
+    ``plan_time_s``, with each distinct group's rate asked of ``rate_fn``
+    once.  ``plan`` builds the plan of the partition a grouper keeps,
+    silently: its scoring already counted and traced it.
     """
 
     def __init__(
@@ -139,7 +137,6 @@ class _PartitionPlanner:
         self.frame_demands = frame_demands
         self._rate_fn = multicast_rate_fn
         self._rates: dict[tuple[int, ...], float] = {}
-        self._scored_any = False
 
     def _groups(
         self, partition: list[tuple[int, ...]]
@@ -154,11 +151,7 @@ class _PartitionPlanner:
         return multicast_groups
 
     def time_s(self, partition: list[tuple[int, ...]]) -> float:
-        groups = self._groups(partition)
-        if self._scored_any:
-            return plan_time_s(self.frame_demands, groups)
-        self._scored_any = True
-        return plan_frame(self.frame_demands, groups=groups).total_time_s()
+        return plan_time_s(self.frame_demands, self._groups(partition))
 
     def plan(self, partition: list[tuple[int, ...]]) -> FramePlan:
         return FramePlan(
@@ -303,10 +296,7 @@ def _predicted_qoe(
     same ``stall_penalty_mbps`` the closed loop uses.  Switches are a
     session-history effect and predict to zero here.
     """
-    # FramePlan.achievable_fps(cap_fps=target_fps) of that total.
-    fps = (
-        target_fps if total_time_s <= 0 else min(target_fps, 1.0 / total_time_s)
-    )
+    fps = achievable_fps(total_time_s, target_fps)
     stall_fraction = max(0.0, 1.0 - fps / target_fps)
     score = 0.0
     for d in demand_list:

@@ -47,6 +47,7 @@ __all__ = [
     "FramePlan",
     "plan_frame",
     "plan_time_s",
+    "achievable_fps",
 ]
 
 # Frames whose distinct rows hold at most this many cells in all are
@@ -54,9 +55,11 @@ __all__ = [
 # Measured crossover (Python 3.11, 2-vCPU Xeon): a greedy grouping call on
 # a 6-row frame took 406 / 487 / 516 / 594 us on the small path against
 # 489 / 495 / 492 / 510 us on the matrix at 120 / 180 / 210 / 240 cells.
-# Session frames (six users) hold up to about 120 cells and the venue
-# workload's ticks 40-80, so both take the small path; the frame_plan
-# kernel's tick (8 archetype rows of 150-300 cells) takes the matrix.
+# A venue-style tick (300 members over 8 archetype rows: whole-cluster,
+# per-archetype and unicast times of three clusters, then one plan) took
+# a median 503 / 1664 us small against 678 / 928 us matrix at 40-80 /
+# 1,200-2,400 cells.  Session frames (six users, up to about 120 cells)
+# and the venue workload's ticks (40-80 cells) take the small path.
 _SMALL_FRAME_CELLS = 200
 
 _C_PLANS = _metrics.counter(
@@ -490,10 +493,7 @@ class FramePlan:
 
     def achievable_fps(self, cap_fps: float = 30.0) -> float:
         """Frame rate this plan sustains (1 / total time, capped)."""
-        t = self.total_time_s()
-        if t <= 0:
-            return cap_fps
-        return min(cap_fps, 1.0 / t)
+        return achievable_fps(self.total_time_s(), cap_fps)
 
     def satisfies(self, target_fps: float) -> bool:
         """The paper's admission constraint T_m(k) <= 1/F."""
@@ -554,18 +554,24 @@ def plan_frame(
 def plan_time_s(
     frame_demands: FrameDemands,
     groups: list[tuple[tuple[int, ...], float]],
-    beam_switch_overhead_s: float = 0.0,
-    frame: int | None = None,
 ) -> float:
-    """``plan_frame(frame_demands, groups, ...).total_time_s()`` without
+    """``plan_frame(frame_demands, groups).total_time_s()`` without
     building the plan: the same checks, the same fold, bit for bit, and
     the same ``mac.frame_plans_built`` / ``mac.multicast_groups_planned``
-    counts and ``mac.frame_plan`` event.  A grouping search scores its
-    candidate partitions with it and builds a plan only for the one it
-    keeps.
+    counts and ``mac.frame_plan`` event (with no ``frame``).  A grouping
+    search scores its candidate partitions with it and builds a plan only
+    for the one it keeps.
     """
     covered = _covered_users(frame_demands.demands, groups)
     solo = [u for u in frame_demands.demands if u not in covered]
-    total = frame_demands._time_s(groups, solo, beam_switch_overhead_s)
-    _record_plan(frame_demands, len(groups), len(solo), lambda: total, frame)
+    total = frame_demands._time_s(groups, solo, 0.0)
+    _record_plan(frame_demands, len(groups), len(solo), lambda: total, None)
     return total
+
+
+def achievable_fps(total_time_s: float, cap_fps: float) -> float:
+    """Frame rate a plan of ``total_time_s`` airtime sustains
+    (1 / total time, capped at ``cap_fps``)."""
+    if total_time_s <= 0:
+        return cap_fps
+    return min(cap_fps, 1.0 / total_time_s)

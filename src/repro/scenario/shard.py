@@ -477,11 +477,7 @@ class ShardEngine:
 
         plan = plan_frame(frame_demands, groups, frame=frame)
         airtime = plan.total_time_s()
-        fps = (
-            venue.target_fps
-            if airtime <= 0
-            else min(venue.target_fps, 1.0 / airtime)
-        )
+        fps = plan.achievable_fps(venue.target_fps)
         _EV_ROOM_TICK.emit(
             tick=tick, active=len(uids), groups_planned=len(groups),
             airtime_s=airtime, fps=fps, frame=frame,

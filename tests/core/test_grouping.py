@@ -143,10 +143,10 @@ def _mixed_demands():
     [(greedy_similarity_grouping, {"min_iou": 0.0}), (exhaustive_grouping, {})],
 )
 def test_groupers_time_each_candidate_plan_once(monkeypatch, grouper, kwargs):
-    """Each candidate is scored once: one plan fold per candidate, whether
-    it went through ``plan_frame`` (the first) or ``plan_time_s`` (every
-    later one), plus one when the kept plan's total is read; the chosen
-    partition and its airtime are pinned from before."""
+    """Each candidate is scored once: one ``plan_time_s`` fold per
+    candidate and no ``plan_frame``, plus one fold when the kept plan's
+    total is read; the chosen partition and its airtime are pinned from
+    before."""
     from repro.core import grouping as grouping_module
     from repro.mac.scheduler import FrameDemands
 
@@ -156,7 +156,6 @@ def test_groupers_time_each_candidate_plan_once(monkeypatch, grouper, kwargs):
     original_fold = FrameDemands._time_s
 
     def counting_plan_frame(*args, **kw):
-        scored[0] += 1
         plans[0] += 1
         return original_plan_frame(*args, **kw)
 
@@ -177,7 +176,7 @@ def test_groupers_time_each_candidate_plan_once(monkeypatch, grouper, kwargs):
     total = result.total_time_s
     assert result.total_time_s == total  # read twice, folded once
     monkeypatch.undo()
-    assert plans[0] == 1
+    assert plans[0] == 0
     assert scored[0] > 1
     assert folds[0] == scored[0] + 1
     assert result.groups == [(0, 2, 3, 4)]

@@ -13,7 +13,6 @@ bitwise, with the same counts and ``mac.frame_plan`` events.
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.grouping import greedy_similarity_grouping
 from repro.mac import scheduler
@@ -139,23 +138,17 @@ def _recorded(build):
     return result, deltas, [(e.event, e.fields) for e in recorder.events]
 
 
-@given(frames_with_groups(), st.sampled_from([0.0, 1e-4, 3e-3]))
+@given(frames_with_groups())
 @settings(max_examples=200, deadline=None)
-def test_fold_equals_the_plan_and_the_reference(case, overhead):
+def test_fold_equals_the_plan_and_the_reference(case):
     demands, groups = case
     planned, plan_deltas, plan_events = _recorded(
-        lambda: plan_frame(
-            FrameDemands(demands), groups, beam_switch_overhead_s=overhead
-        ).total_time_s()
+        lambda: plan_frame(FrameDemands(demands), groups).total_time_s()
     )
     scored, fold_deltas, fold_events = _recorded(
-        lambda: plan_time_s(
-            FrameDemands(demands), groups, beam_switch_overhead_s=overhead
-        )
+        lambda: plan_time_s(FrameDemands(demands), groups)
     )
-    expected = plan_time_reference(
-        {d.user_id: d for d in demands}, groups, overhead
-    )
+    expected = plan_time_reference({d.user_id: d for d in demands}, groups)
     assert same(scored, planned)
     assert same(scored, expected)
     assert fold_deltas == plan_deltas == [1, len(groups)]
