@@ -22,7 +22,8 @@ once and scores every candidate partition over it with
 :func:`~repro.mac.scheduler.plan_time_s`, the plan total's fold without a
 ``FramePlan``, so a candidate merge prices only the one group it creates;
 every other airtime comes from the frame's memo.  Only the partition a
-grouper keeps becomes a plan.
+grouper keeps becomes a plan.  Candidate pairs are ranked by the IoU of
+their merged visibility maps, counted over the frame's rows' cell sets.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Sequence
-
-import numpy as np
 
 from ..mac.scheduler import (
     FrameDemands,
@@ -44,7 +43,6 @@ from ..mac.scheduler import (
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
 from .qoe import QoEWeights
-from .similarity import group_iou  # noqa: F401  (scalar reference, re-exported)
 
 __all__ = [
     "GroupingResult",
@@ -118,10 +116,6 @@ def no_grouping(
     )
 
 
-def _visibility_map(demand: UserDemand) -> frozenset:
-    return frozenset(demand.cell_bytes)
-
-
 class _PartitionPlanner:
     """Scores and plans partitions of one frame's users.
 
@@ -161,78 +155,28 @@ class _PartitionPlanner:
         )
 
 
-def _group_iou_matrix(
-    groups: list[tuple[int, ...]], frame_demands: FrameDemands
-) -> np.ndarray:
-    """IoU of every merged group pair, as a symmetric (G, G) matrix.
-
-    Entry (a, b) equals ``group_iou`` over the member maps of ``a`` and
-    ``b`` combined, bit-identically.  A small frame counts over its rows'
-    cell sets, a large one over the presence matrix.  Groups are
-    non-empty.
-    """
-    if frame_demands.small:
-        return _group_iou_sets(groups, frame_demands)
-    return _group_iou_arrays(groups, frame_demands)
-
-
-def _group_iou_sets(
-    groups: list[tuple[int, ...]], frame_demands: FrameDemands
-) -> np.ndarray:
-    """:func:`_group_iou_matrix` over the rows' cell sets: each group's
-    shared and covered cells, then ``len(inter) / len(union)`` per pair
-    (``1.0`` when the union is empty)."""
-    mappings = frame_demands.mappings
-    user_row = frame_demands.user_row
-    inters, unions = [], []
-    for g in groups:
-        maps = [mappings[user_row[u]] for u in g]
-        inters.append(set(maps[0]).intersection(*maps[1:]))
-        unions.append(set().union(*maps))
-    size = len(groups)
-    iou = [[1.0] * size for _ in range(size)]
-    for a in range(size):
-        for b in range(a, size):
-            union = len(unions[a] | unions[b])
-            if union:
-                iou[a][b] = iou[b][a] = len(inters[a] & inters[b]) / union
-    return np.array(iou)
-
-
-def _group_iou_arrays(
-    groups: list[tuple[int, ...]], frame_demands: FrameDemands
-) -> np.ndarray:
-    """:func:`_group_iou_matrix` over the presence matrix: intersection
-    and union member counts are exact integers (held in float64) and the
-    final division matches the scalar ``len(inter) / len(union)``."""
-    matrix = frame_demands.matrix
-    user_row = frame_demands.user_row
-    # How many members of each group want each cell: a (G, R) member
-    # count per distinct-demand row times the (R, C) presence mask.  All
-    # counts are small integers, exact in float64.
-    weights = np.zeros((len(groups), len(matrix.present)))
-    for gi, g in enumerate(groups):
-        for u in g:
-            weights[gi, user_row[u]] += 1.0
-    counts = weights @ matrix.present
-    sizes = np.array([len(g) for g in groups], dtype=np.float64)[:, None]
-    ii = (counts == sizes).astype(np.float64)
-    uu = (counts > 0).astype(np.float64)
-    inter_count = ii @ ii.T
-    union_sizes = uu.sum(axis=1)
-    union_count = union_sizes[:, None] + union_sizes[None, :] - uu @ uu.T
-    return np.where(union_count > 0, inter_count / np.maximum(union_count, 1), 1.0)
-
-
 def _merge_candidates(
     groups: list[tuple[int, ...]], frame_demands: FrameDemands, min_iou: float
 ) -> list[tuple[float, tuple[int, ...], tuple[int, ...]]]:
     """``(iou, ga, gb)`` for every group pair with IoU at least
-    ``min_iou``, most similar first with a deterministic tiebreak."""
-    iou_matrix = _group_iou_matrix(groups, frame_demands)
+    ``min_iou``, most similar first with a deterministic tiebreak.
+
+    A pair's IoU is ``group_iou`` over the member maps of ``ga`` and ``gb``
+    combined, bit for bit: the groups' shared and covered cells, then
+    ``len(inter) / len(union)`` (``1.0`` when the union is empty).  Groups
+    are non-empty.
+    """
+    mappings = frame_demands.mappings
+    user_row = frame_demands.user_row
+    shared, covered = [], []
+    for g in groups:
+        maps = [mappings[user_row[u]] for u in g]
+        shared.append(set(maps[0]).intersection(*maps[1:]))
+        covered.append(set().union(*maps))
     candidates = []
     for ia, ib in combinations(range(len(groups)), 2):
-        iou = float(iou_matrix[ia, ib])
+        union = len(covered[ia] | covered[ib])
+        iou = len(shared[ia] & shared[ib]) / union if union else 1.0
         if iou >= min_iou:
             candidates.append((iou, groups[ia], groups[ib]))
     candidates.sort(key=lambda c: (-c[0], c[1], c[2]))

@@ -13,15 +13,13 @@ frame rate F.
 
 Every plan of one frame sits over that frame's :class:`FrameDemands`: its
 demands as distinct rows plus a memo of each group's airtime, so a
-candidate merge costs one new T_m(k).  A small frame (at most
-``_SMALL_FRAME_CELLS`` cells over its rows) prices a group over the rows'
-dicts and sets in Python floats; a larger one over a bytes matrix and
-presence mask on the sorted cell universe.
+candidate merge costs one new T_m(k), priced over the rows' dicts and
+sets in Python floats.
 :func:`plan_time_s` scores a candidate partition with the fold
 ``FramePlan.total_time_s`` runs, without building the plan.
 :func:`overlap_bytes`, :func:`multicast_frame_time`,
 :func:`unicast_frame_time` and :func:`plan_time_reference` are the
-set-and-dict scalar references both paths reproduce bit for bit.
+set-and-dict scalar references it reproduces bit for bit.
 """
 
 from __future__ import annotations
@@ -29,10 +27,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import chain
-from typing import Callable, Iterable, NamedTuple, Sequence
-
-import numpy as np
+from typing import Callable, Iterable, Sequence
 
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
@@ -49,18 +44,6 @@ __all__ = [
     "plan_time_s",
     "achievable_fps",
 ]
-
-# Frames whose distinct rows hold at most this many cells in all are
-# priced over the rows' dicts and sets; larger ones build the matrix.
-# Measured crossover (Python 3.11, 2-vCPU Xeon): a greedy grouping call on
-# a 6-row frame took 406 / 487 / 516 / 594 us on the small path against
-# 489 / 495 / 492 / 510 us on the matrix at 120 / 180 / 210 / 240 cells.
-# A venue-style tick (300 members over 8 archetype rows: whole-cluster,
-# per-archetype and unicast times of three clusters, then one plan) took
-# a median 503 / 1664 us small against 678 / 928 us matrix at 40-80 /
-# 1,200-2,400 cells.  Session frames (six users, up to about 120 cells)
-# and the venue workload's ticks (40-80 cells) take the small path.
-_SMALL_FRAME_CELLS = 200
 
 _C_PLANS = _metrics.counter(
     "mac.frame_plans_built", unit="plans", layer="mac",
@@ -195,28 +178,16 @@ def plan_time_reference(
     return t + beam_switch_overhead_s * num_transmissions
 
 
-class _Matrix(NamedTuple):
-    cells: np.ndarray  # (C,) the frame's sorted cell universe
-    values: np.ndarray  # (R, C) float64 bytes per row, 0.0 where absent
-    present: np.ndarray  # (R, C) bool presence mask
-    order: np.ndarray  # (R, L) each row's columns in insertion order
-    ordered: np.ndarray  # (R, L) each row's bytes in insertion order
-
-
 class FrameDemands:
     """One frame's demands, shared by every plan of the frame.
 
     A row is one *distinct* ``cell_bytes`` mapping: users holding the same
     dict by reference share it, so a venue tick has one row per archetype
-    however many users it admits.  ``small`` says how a group is priced:
-    over the rows' dicts and sets when the rows hold at most
-    ``_SMALL_FRAME_CELLS`` cells in all, otherwise over ``matrix``, each
-    row's bytes and presence on the frame's sorted cell universe plus its
-    cells in the mapping's own insertion order.  Both paths sum in the
-    order the scalar references add in: overlaps in sorted cell order,
-    residuals and totals in insertion order, all left to right.  Group
-    airtimes are memoised on ``(members, rate)``.  The mappings must not
-    change while the frame is planned.
+    however many users it admits.  A group is priced over its rows' dicts
+    and sets, summing in the order the scalar references add in: overlaps
+    in sorted cell order, residuals and totals in insertion order, all
+    left to right.  Group airtimes are memoised on ``(members, rate)``.
+    The mappings must not change while the frame is planned.
     """
 
     def __init__(self, demands: Iterable[UserDemand]) -> None:
@@ -233,60 +204,21 @@ class FrameDemands:
         self.mappings: list[dict[int, float]] = []
         self._airtime: dict[tuple[tuple[int, ...], float], float] = {}
         row_of: dict[int, int] = {}  # id(cell_bytes) -> row
-        num_cells = 0
         for uid, d in self.demands.items():
             row = row_of.get(id(d.cell_bytes))
             if row is None:
                 row = row_of[id(d.cell_bytes)] = len(self.mappings)
                 self.mappings.append(d.cell_bytes)
                 self.row_totals.append(d.total_bytes)
-                num_cells += len(d.cell_bytes)
             self.user_row[uid] = row
             self.unicast_s[uid] = _transfer_time_s(
                 self.row_totals[row], d.unicast_rate_mbps
             )
-        self.small = num_cells <= _SMALL_FRAME_CELLS
-
-    @cached_property
-    def matrix(self) -> _Matrix:
-        """The bytes/presence matrix, built on first use (small frames and
-        unicast-only plans never need it)."""
-        mappings = self.mappings
-        lengths = np.array([len(m) for m in mappings], dtype=np.intp)
-        total = int(lengths.sum())
-        keys = np.fromiter(
-            chain.from_iterable(mappings), dtype=np.int64, count=total
-        )
-        flat = np.fromiter(
-            chain.from_iterable(m.values() for m in mappings),
-            dtype=np.float64,
-            count=total,
-        )
-        cells, columns = np.unique(keys, return_inverse=True)
-        width = max(1, int(lengths.max(initial=0)))
-        filled = np.arange(width) < lengths[:, None]
-        order = np.zeros((len(mappings), width), dtype=np.intp)
-        ordered = np.zeros((len(mappings), width))
-        order[filled] = columns
-        ordered[filled] = flat
-        row_ids = np.repeat(np.arange(len(mappings)), lengths)
-        values = np.zeros((len(mappings), len(cells)))
-        present = np.zeros((len(mappings), len(cells)), dtype=bool)
-        values[row_ids, columns] = flat
-        present[row_ids, columns] = True
-        return _Matrix(cells, values, present, order, ordered)
 
     def unicast_time_s(self, members: Iterable[int]) -> float:
         """Bitwise :func:`unicast_frame_time` of the members' demands."""
         unicast_s = self.unicast_s
         return _fold_sum(unicast_s[u] for u in members)
-
-    def overlap_bytes(self, members: Iterable[int]) -> float:
-        """Bitwise :func:`overlap_bytes` of the members' demands."""
-        rows = self._rows(members)
-        if self.small:
-            return self._overlap_small(rows)[1]
-        return self._overlap(rows)[1]
 
     def group_time_s(self, members: tuple[int, ...], rate_mbps: float) -> float:
         """Bitwise :func:`multicast_frame_time` of the members' demands,
@@ -319,16 +251,9 @@ class FrameDemands:
         user_row = self.user_row
         return sorted({user_row[u] for u in members})
 
-    def _multicast_time_s(
-        self, members: tuple[int, ...], rate_mbps: float
-    ) -> float:
-        if self.small:
-            return self._multicast_time_small(members, rate_mbps)
-        return self._multicast_time_matrix(members, rate_mbps)
-
-    def _overlap_small(self, rows: list[int]) -> tuple[set[int], float]:
-        """The rows' shared cells and S_m(k) over their dicts: the per-cell
-        max over the rows, folded left to right in sorted cell order."""
+    def _overlap(self, rows: list[int]) -> tuple[set[int], float]:
+        """The rows' shared cells and S_m(k): the per-cell max over the
+        rows, folded left to right in sorted cell order."""
         if not rows:
             return set(), 0.0
         maps = [self.mappings[r] for r in rows]
@@ -338,72 +263,34 @@ class FrameDemands:
             s_m += max([m[c] for m in maps])
         return shared, float(s_m)
 
-    def _multicast_time_small(
+    def _multicast_time_s(
         self, members: tuple[int, ...], rate_mbps: float
     ) -> float:
+        """Bitwise :func:`multicast_frame_time`: S_m(k) at the multicast
+        rate, then each member's residual unicast in member order."""
         rows = self._rows(members)
-        shared, s_m = self._overlap_small(rows)
+        shared, s_m = self._overlap(rows)
         t = _transfer_time_s(s_m, rate_mbps)
-        if not shared:
-            # Nothing shared: every row's residual is its whole total.
-            residuals = [self.row_totals[r] for r in rows]
-        else:
-            # Each row folded outside the overlap in insertion order.
-            residuals = []
-            for row in rows:
+        # Each row's residual: its whole total when nothing is shared,
+        # else its cells outside the overlap folded in insertion order.
+        # A zero residual adds 0.0 to a non-negative t, so it is skipped.
+        left: dict[int, float] = {}
+        for row in rows:
+            if shared:
                 r = 0.0
                 for c, b in self.mappings[row].items():
                     if c not in shared:
                         r += b
-                residuals.append(r)
-        return self._add_residuals(t, members, rows, residuals)
-
-    def _overlap(self, rows: list[int]) -> tuple[np.ndarray, float]:
-        """The rows' shared-cell mask and S_m(k) on the matrix: their
-        per-cell max on the shared cells, summed in sorted cell order
-        (every other cell adds an exact 0.0)."""
-        m = self.matrix
-        if not rows or not m.cells.size:
-            return np.zeros(m.cells.size, dtype=bool), 0.0
-        shared = np.logical_and.reduce(m.present[rows])
-        overlap = np.maximum.reduce(m.values[rows]) * shared
-        return shared, float(np.add.accumulate(overlap)[-1])
-
-    def _multicast_time_matrix(
-        self, members: tuple[int, ...], rate_mbps: float
-    ) -> float:
-        rows = self._rows(members)
-        shared, s_m = self._overlap(rows)
-        t = _transfer_time_s(s_m, rate_mbps)
-        if not shared.any():
-            # Nothing shared: every row's residual is its whole total.
-            residuals = [self.row_totals[r] for r in rows]
-        else:
-            # Each row summed outside the overlap in its own insertion
-            # order, the overlap masked out by exact 0.0 factors.
-            m = self.matrix
-            residuals = np.add.accumulate(
-                m.ordered[rows] * ~shared[m.order[rows]], axis=1
-            )[:, -1].tolist()
-        return self._add_residuals(t, members, rows, residuals)
-
-    def _add_residuals(
-        self,
-        t: float,
-        members: tuple[int, ...],
-        rows: list[int],
-        residuals: list[float],
-    ) -> float:
-        """``t`` plus each member's residual unicast, in member order."""
-        # A zero residual adds 0.0 to a non-negative t: skip it.
-        left = {row: r for row, r in zip(rows, residuals) if r > 0}
-        if left:
-            user_row = self.user_row
-            demands = self.demands
-            for u in members:
-                r = left.get(user_row[u])
-                if r is not None:
-                    t += _transfer_time_s(r, demands[u].unicast_rate_mbps)
+            else:
+                r = self.row_totals[row]
+            if r > 0:
+                left[row] = r
+        user_row = self.user_row
+        demands = self.demands
+        for u in members:
+            r = left.get(user_row[u])
+            if r is not None:
+                t += _transfer_time_s(r, demands[u].unicast_rate_mbps)
         return float(t)
 
 

@@ -475,7 +475,8 @@ def _time_kernels(num_users: int) -> list[dict[str, Any]]:
     # -- one venue-sized tick planned over its archetype mappings -----------
     # Hundreds of users share eight archetype ``{cell: bytes}`` dicts by
     # reference (cells in sorted order, as visibility emits them); the
-    # plan multicasts one whole cluster and two per-archetype splits.
+    # plan multicasts one whole cluster and two per-archetype splits, each
+    # priced once over the eight distinct rows, not once per viewer.
     archetypes = []
     for _ in range(8):
         cells = np.sort(rng.choice(600, size=int(rng.integers(150, 300)),
@@ -504,19 +505,19 @@ def _time_kernels(num_users: int) -> list[dict[str, Any]]:
     ]
     repeats = 3
     scalar_ticks = [tick_demands() for _ in range(repeats)]
-    array_ticks = [tick_demands() for _ in range(repeats)]
+    planned_ticks = [tick_demands() for _ in range(repeats)]
     scalar_total = plan_time_reference(
         {d.user_id: d for d in tick_demands()}, groups
     )
     if plan_frame(tick_demands(), groups).total_time_s() != scalar_total:
         raise RuntimeError(
-            "frame-demand matrix plan diverged from the scalar reference"
+            "frame-demand plan diverged from the scalar reference"
         )
     t0 = perf_counter()
     for demands in scalar_ticks:
         plan_time_reference({d.user_id: d for d in demands}, groups)
     t1 = perf_counter()
-    for demands in array_ticks:
+    for demands in planned_ticks:
         plan_frame(demands, groups).total_time_s()
     t2 = perf_counter()
     _entry("frame_plan", t1 - t0, t2 - t1)

@@ -5,8 +5,8 @@ Each grouper scores every candidate partition with
 it keeps.  The loops below are test-local copies of the groupers as they
 were when every candidate went through ``plan_frame``; the groupers must
 return the same partition and the same total, bitwise, and leave the
-same counts and trace events.  The grouping IoU's two paths (rows' cell
-sets, presence matrix) must equal ``group_iou`` bitwise too.
+same counts and trace events.  The merge candidates' IoUs, counted over
+the rows' cell sets, must equal ``group_iou`` bitwise too.
 """
 
 from itertools import combinations
@@ -18,16 +18,15 @@ from hypothesis import strategies as st
 
 from repro.core import grouping
 from repro.core.grouping import (
-    _group_iou_arrays,
-    _group_iou_sets,
+    _merge_candidates,
     _partitions,
     _record,
     exhaustive_grouping,
     greedy_similarity_grouping,
-    group_iou,
     qoe_aware_grouping,
 )
 from repro.core.qoe import QoEWeights
+from repro.core.similarity import group_iou
 from repro.mac.scheduler import FrameDemands, UserDemand, plan_frame
 from repro.obs import metrics
 from repro.obs.trace import recording
@@ -222,7 +221,7 @@ def test_groupers_match_the_loop_on_the_mixed_frame(grouper, old, kwargs):
 
 
 @pytest.mark.parametrize("grouper, old, kwargs", GROUPERS)
-def test_groupers_match_the_loop_on_a_matrix_sized_frame(grouper, old, kwargs):
+def test_groupers_match_the_loop_on_a_300_cell_frame(grouper, old, kwargs):
     rng = np.random.default_rng(17)
     demands = [
         UserDemand(
@@ -235,11 +234,10 @@ def test_groupers_match_the_loop_on_a_matrix_sized_frame(grouper, old, kwargs):
         )
         for u in range(5)
     ]
-    assert not FrameDemands(demands).small
     assert_same_search(grouper, old, kwargs, demands)
 
 
-# -- the grouping IoU on both paths --------------------------------------------
+# -- the grouping IoU ----------------------------------------------------------
 
 
 def _scalar_iou(frame_demands, ga, gb):
@@ -258,11 +256,9 @@ def test_iou_paths_match_group_iou(demands, random):
         groups.append(tuple(uids[i:i + size]))
         i += size
     frame_demands = FrameDemands(demands)
-    by_sets = _group_iou_sets(groups, frame_demands)
-    by_arrays = _group_iou_arrays(groups, frame_demands)
-    assert by_sets.shape == by_arrays.shape == (len(groups), len(groups))
-    for a, ga in enumerate(groups):
-        for b, gb in enumerate(groups):
-            expected = _scalar_iou(frame_demands, ga, gb)
-            assert same(by_sets[a, b], expected)
-            assert same(by_arrays[a, b], expected)
+    # At min_iou 0.0 every pair is a candidate, in the scalar loop's order.
+    candidates = _merge_candidates(groups, frame_demands, 0.0)
+    assert candidates == _candidates(groups, frame_demands, 0.0)
+    assert len(candidates) == len(groups) * (len(groups) - 1) // 2
+    for iou, ga, gb in candidates:
+        assert same(iou, _scalar_iou(frame_demands, ga, gb))

@@ -1,16 +1,16 @@
 """Golden equivalence: vectorized similarity kernels vs. scalar references.
 
-The batched NumPy kernels (``membership_matrix`` / ``pairwise_iou_matrix``
-and the grouping-side ``_group_iou_matrix``) must reproduce the scalar
-set-arithmetic definitions *bitwise*: both paths end in the same
-integer / integer float64 division, which is correctly rounded, so no
-tolerance is needed or used.
+The batched NumPy kernels (``membership_matrix`` / ``pairwise_iou_matrix``)
+and the grouping-side merge candidates' IoUs must reproduce the scalar
+set-arithmetic definitions *bitwise*: each ends in the same
+integer / integer division, which is correctly rounded, so no tolerance
+is needed or used.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.grouping import _group_iou_matrix
+from repro.core.grouping import _merge_candidates
 from repro.core.similarity import (
     group_iou,
     membership_matrix,
@@ -82,27 +82,28 @@ def _random_demands(rng, num_users, universe=200):
     return demands
 
 
-def test_group_iou_matrix_bitwise_matches_scalar_reference():
+def test_merge_candidate_ious_bitwise_match_scalar_reference():
     rng = np.random.default_rng(29)
     demands = _random_demands(rng, 12)
     groups = [(0, 1), (2,), (3, 4, 5), (6,), (7, 8), (9, 10, 11)]
-    matrix = _group_iou_matrix(groups, FrameDemands(demands))
+    # At min_iou 0.0 every pair of groups is a candidate.
+    candidates = _merge_candidates(groups, FrameDemands(demands), 0.0)
+    assert len(candidates) == 15
     by_id = {d.user_id: d for d in demands}
-    for gi, ga in enumerate(groups):
-        for gj, gb in enumerate(groups):
-            inter_a = frozenset.intersection(
-                *[frozenset(by_id[u].cell_bytes) for u in ga]
-            )
-            inter_b = frozenset.intersection(
-                *[frozenset(by_id[u].cell_bytes) for u in gb]
-            )
-            union_a = frozenset.union(
-                *[frozenset(by_id[u].cell_bytes) for u in ga]
-            )
-            union_b = frozenset.union(
-                *[frozenset(by_id[u].cell_bytes) for u in gb]
-            )
-            inter = len(inter_a & inter_b)
-            union = len(union_a | union_b)
-            scalar = inter / union if union else 1.0
-            assert matrix[gi, gj] == scalar  # bitwise, no tolerance
+    for iou, ga, gb in candidates:
+        inter_a = frozenset.intersection(
+            *[frozenset(by_id[u].cell_bytes) for u in ga]
+        )
+        inter_b = frozenset.intersection(
+            *[frozenset(by_id[u].cell_bytes) for u in gb]
+        )
+        union_a = frozenset.union(
+            *[frozenset(by_id[u].cell_bytes) for u in ga]
+        )
+        union_b = frozenset.union(
+            *[frozenset(by_id[u].cell_bytes) for u in gb]
+        )
+        inter = len(inter_a & inter_b)
+        union = len(union_a | union_b)
+        scalar = inter / union if union else 1.0
+        assert iou == scalar  # bitwise, no tolerance

@@ -1,7 +1,7 @@
-"""Golden equivalence: the frame demand matrix vs. the scalar references.
+"""Golden equivalence: the frame's demands vs. the scalar references.
 
-:class:`~repro.mac.scheduler.FrameDemands` prices groups and plans from
-one per-frame bytes matrix and a memo; ``overlap_bytes``,
+:class:`~repro.mac.scheduler.FrameDemands` prices groups and plans over
+the frame's distinct rows and a memo; ``overlap_bytes``,
 ``multicast_frame_time``, ``unicast_frame_time`` and
 ``plan_time_reference`` are the set-and-dict definitions it must
 reproduce *bitwise*: every sum runs left to right in the same order
@@ -92,7 +92,10 @@ def test_group_airtime_bitwise_matches_scalar_references(case):
     by_id = {d.user_id: d for d in demands}
     for members, rate in groups:
         group = [by_id[u] for u in members]
-        assert same(frame_demands.overlap_bytes(members), overlap_bytes(group))
+        assert same(
+            frame_demands._overlap(frame_demands._rows(members))[1],
+            overlap_bytes(group),
+        )
         assert same(
             frame_demands.group_time_s(members, rate),
             multicast_frame_time(group, rate),
@@ -153,7 +156,10 @@ def test_edge_cases_match_scalar_references(demands, members, rate):
     frame_demands = FrameDemands(demands)
     by_id = {d.user_id: d for d in demands}
     group = [by_id[u] for u in members]
-    assert same(frame_demands.overlap_bytes(members), overlap_bytes(group))
+    assert same(
+        frame_demands._overlap(frame_demands._rows(members))[1],
+        overlap_bytes(group),
+    )
     assert same(
         frame_demands.group_time_s(members, rate),
         multicast_frame_time(group, rate),
@@ -178,8 +184,8 @@ def test_one_mapping_shared_by_several_users_is_one_row():
     ]
     frame_demands = FrameDemands(demands)
     assert len(frame_demands.row_totals) == 2
-    assert frame_demands.matrix.values.shape == (2, 4)
-    assert frame_demands.matrix.cells.tolist() == [3, 4, 6, 9]
+    assert frame_demands.mappings[0] is archetype_b
+    assert frame_demands.mappings[1] is archetype_a
     by_id = {d.user_id: d for d in demands}
     for members in [(1, 2, 4), (0, 3), (0, 1), tuple(range(9))]:
         group = [by_id[u] for u in members]
@@ -226,7 +232,7 @@ def test_long_sums_are_sequential_not_pairwise():
     shared_max = [max(a[c], b[c]) for c in sorted(a)]
     assert float(np.sum(shared_max)) != overlap_bytes(demands)  # the trap
     frame_demands = FrameDemands(demands)
-    assert same(frame_demands.overlap_bytes((0, 1)), overlap_bytes(demands))
+    assert same(frame_demands._overlap([0, 1])[1], overlap_bytes(demands))
     assert same(frame_demands.row_totals[0], demands[0].total_bytes)
     assert same(
         frame_demands.group_time_s((0, 1), 300.0),
@@ -286,7 +292,7 @@ def _mixed_demands():
 
 
 # (groups, solo, total_time_s) of every mac.frame_plan event, in order,
-# pinned from the set-and-dict planner this matrix replaced.
+# pinned from the first set-and-dict planner, before the per-frame memo.
 PINNED_GREEDY_PLANS = [
     (0, 6, 0.15500776111938236), (1, 4, 0.1726449685732906),
     (1, 4, 0.16080377075056723), (1, 4, 0.15238611672045307),

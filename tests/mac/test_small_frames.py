@@ -1,12 +1,12 @@
-"""Golden equivalence: the small-frame path, the matrix path, the plan fold.
+"""Golden equivalence: the frame-pricing path and the plan fold.
 
-A frame whose distinct rows hold at most ``_SMALL_FRAME_CELLS`` cells is
-priced over the rows' dicts and sets in Python floats; a larger one over
-the bytes matrix.  Both must equal each other and the scalar references
-(``overlap_bytes``, ``multicast_frame_time``) *bitwise*, whichever side of
-the size rule a frame falls on, so each test calls both private paths
-directly.  ``plan_time_s`` scores a partition without building a plan and
-must equal ``plan_frame(...).total_time_s()`` and ``plan_time_reference``
+:class:`~repro.mac.scheduler.FrameDemands` prices a group over its rows'
+dicts and sets in Python floats.  Both ways into that pricing, the direct
+``_multicast_time_s`` and the memoised ``group_time_s``, must equal the
+scalar references (``overlap_bytes``, ``multicast_frame_time``)
+*bitwise*, on small frames and on frames of hundreds of cells alike.
+``plan_time_s`` scores a partition without building a plan and must
+equal ``plan_frame(...).total_time_s()`` and ``plan_time_reference``
 bitwise, with the same counts and ``mac.frame_plan`` events.
 """
 
@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.grouping import greedy_similarity_grouping
-from repro.mac import scheduler
 from repro.mac.scheduler import (
     FrameDemands,
     FramePlan,
@@ -28,33 +27,56 @@ from repro.mac.scheduler import (
 )
 from repro.obs import metrics
 from repro.obs.trace import recording
+from repro.pointcloud import QUALITIES
 
 from .test_frame_demands import EDGE_CASES, demand, frames_with_groups, same
 
 
-def assert_paths_agree(demands, members, rate):
-    """Both private paths, the dispatcher and the scalar references give
-    the same bits for one group of one frame."""
+def assert_prices_agree(demands, members, rate):
+    """The overlap, the direct and the memoised group airtime equal the
+    scalar references' bits for one group of one frame."""
     frame_demands = FrameDemands(demands)
     by_id = {d.user_id: d for d in demands}
     group = [by_id[u] for u in members]
     rows = frame_demands._rows(members)
-    expected_overlap = overlap_bytes(group)
-    assert same(frame_demands._overlap_small(rows)[1], expected_overlap)
-    assert same(frame_demands._overlap(rows)[1], expected_overlap)
-    assert same(frame_demands.overlap_bytes(members), expected_overlap)
+    assert same(frame_demands._overlap(rows)[1], overlap_bytes(group))
     expected = multicast_frame_time(group, rate)
-    assert same(frame_demands._multicast_time_small(members, rate), expected)
-    assert same(frame_demands._multicast_time_matrix(members, rate), expected)
+    assert same(frame_demands._multicast_time_s(members, rate), expected)
     assert same(frame_demands.group_time_s(members, rate), expected)
 
 
 @given(frames_with_groups())
 @settings(max_examples=200, deadline=None)
-def test_small_and_matrix_paths_match_the_references(case):
+def test_pricing_path_matches_the_references(case):
     demands, groups = case
     for members, rate in groups:
-        assert_paths_agree(demands, members, rate)
+        assert_prices_agree(demands, members, rate)
+
+
+def _transport_frame():
+    """``loss_sweep``'s frame: six users, each holding its own copy of one
+    64-cell mapping, all in one group."""
+    frame_bytes = QUALITIES["high"].bitrate_mbps * 1e6 / 8.0 / 30.0
+    cells = {c: frame_bytes / 64 for c in range(64)}
+    return [demand(u, dict(cells), 310.0) for u in range(6)]
+
+
+def _venue_tick():
+    """The ``frame_plan`` kernel's tick: 480 users over eight archetype
+    rows of 150-300 cells (in sorted order), and the group of the users
+    of the first three archetypes."""
+    rng = np.random.default_rng(0)
+    archetypes = []
+    for _ in range(8):
+        cells = np.sort(rng.choice(600, size=int(rng.integers(150, 300)),
+                                   replace=False))
+        archetypes.append({
+            int(c): float(b)
+            for c, b in zip(cells, rng.uniform(2e3, 2e4, size=len(cells)))
+        })
+    demands = [demand(u, archetypes[u % 8], 350.0) for u in range(480)]
+    members = tuple(u for u in range(480) if u % 8 in (0, 1, 2))
+    return demands, members
 
 
 @pytest.mark.parametrize(
@@ -73,46 +95,14 @@ def test_small_and_matrix_paths_match_the_references(case):
             ],
             (1, 0), 100.0, id="numpy-float64-values",
         ),
+        pytest.param(
+            _transport_frame(), tuple(range(6)), 310.0, id="transport-frame",
+        ),
+        pytest.param(*_venue_tick(), 280.0, id="venue-tick"),
     ],
 )
 def test_edge_cases_agree_on_both_paths(demands, members, rate):
-    assert_paths_agree(demands, members, rate)
-
-
-def _frame_of(num_cells, rng):
-    """Six users over distinct rows holding ``num_cells`` cells in all,
-    drawn from an overlapping universe and inserted out of sorted order."""
-    sizes = [num_cells // 6 + (1 if i < num_cells % 6 else 0) for i in range(6)]
-    universe = int(1.5 * max(sizes)) + 1
-    demands = []
-    for uid, size in enumerate(sizes):
-        cells = rng.choice(universe, size=size, replace=False)
-        demands.append(demand(
-            uid,
-            {int(c): float(rng.uniform(2e3, 2e5)) for c in cells},
-            float(rng.uniform(200, 900)),
-        ))
-    return demands
-
-
-@pytest.mark.parametrize("offset", [-1, 0, 1])
-def test_frames_on_each_side_of_the_size_rule(offset):
-    num_cells = scheduler._SMALL_FRAME_CELLS + offset
-    demands = _frame_of(num_cells, np.random.default_rng(num_cells))
-    frame_demands = FrameDemands(demands)
-    assert sum(len(m) for m in frame_demands.mappings) == num_cells
-    assert frame_demands.small is (offset <= 0)
-    for members in [(0, 1), (2, 4, 5), (0, 1, 2, 3, 4, 5), (3,)]:
-        assert_paths_agree(demands, members, 320.0)
-
-
-def test_users_sharing_a_mapping_count_its_cells_once():
-    """The size rule counts distinct rows: a mapping held by reference by
-    every user is one row however many users hold it."""
-    cells = {c: 1e4 for c in range(scheduler._SMALL_FRAME_CELLS)}
-    assert FrameDemands([demand(u, cells) for u in range(8)]).small
-    more = {**cells, -1: 1e4}
-    assert not FrameDemands([demand(u, more) for u in range(8)]).small
+    assert_prices_agree(demands, members, rate)
 
 
 # -- the plan fold -----------------------------------------------------------
