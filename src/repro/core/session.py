@@ -115,16 +115,54 @@ class SessionConfig:
         return int(round(self.session_length_s * self.target_fps))
 
 
+class _OracleTable:
+    """One study's oracle (predictor-free) visibility of one video.
+
+    An oracle pose depends only on the trace and the frame's display time,
+    and a visibility result only on that pose, the frame's occupancy and
+    the :class:`VisibilityConfig`, not on any adaptation or grouping
+    policy.  So every session that replays a study with the same video,
+    grid, visibility config, ``target_fps`` and frame count reads one
+    table (:func:`_oracle_key`) from ``UserStudy._oracle``: the ``(F, U)``
+    oracle planes and one :class:`VisibilityResult` per culled (frame,
+    user).  The table lives as long as the study.
+    """
+
+    def __init__(self, video: PointCloudVideo) -> None:
+        # Held so that the id(video) in this table's key stays this video's.
+        self.video = video
+        self.planes: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self.rows: dict[int, dict[int, VisibilityResult]] = {}  # frame -> user
+
+
+def _oracle_key(config: SessionConfig, grid: CellGrid, num_frames: int) -> tuple:
+    """The value key of a session's oracle table on its study."""
+    return (
+        id(config.video),
+        float(grid.cell_size),
+        grid.bounds.lo.tobytes(),
+        grid.bounds.hi.tobytes(),
+        config.visibility,
+        float(config.target_fps),
+        int(num_frames),
+    )
+
+
 class _DemandBuilder:
     """Computes per-user frame demands (visibility + compression).
 
     With no predictor every viewer's pose is the oracle pose at its frame's
-    display time, known for the whole session up front: on first use the
-    builder interpolates all ``num_frames`` frames of every trace with
-    :meth:`Trace.poses_at` and builds their planes in one
-    :func:`frustum_planes` call, ``(F, U, ...)`` arrays that each frame
-    then slices.  A predictor's poses depend on the request time, so that
-    path builds each frame's frusta from :meth:`pose_for`.
+    display time, known for the whole session up front, so the oracle
+    state lives on the study in an :class:`_OracleTable` that every session
+    replaying it shares.  On first use the table's planes interpolate all
+    ``num_frames`` frames of every trace with :meth:`Trace.poses_at` and
+    build them in one :func:`frustum_planes` call, ``(F, U, ...)`` arrays
+    that each frame then slices.  Each frame's visibility fills lazily:
+    one :func:`compute_visibility_planes` call over only the users the
+    frame still misses, so the first session culls each (frame, user) once
+    and later sessions cull nothing.  A predictor's poses depend on the
+    request time, so that path builds each frame's frusta from
+    :meth:`pose_for` and memoizes nothing.
     """
 
     def __init__(self, config: SessionConfig, num_frames: int) -> None:
@@ -134,7 +172,7 @@ class _DemandBuilder:
         self.grid = CellGrid.covering(
             config.video.bounds, config.cell_size, margin=margin
         )
-        self._planes: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._oracle: _OracleTable | None = None
 
     def occupancy(self, frame_index: int) -> FrameOccupancy:
         """The frame's occupancy, memoized on the frame itself, so sessions
@@ -154,31 +192,50 @@ class _DemandBuilder:
         history = trace.window(now_index, int(round(trace.rate_hz)))
         return predictor.predict(history, horizon)
 
+    def oracle_table(self) -> _OracleTable:
+        """This session's oracle table on its study, made on first use."""
+        if self._oracle is None:
+            memo = self.config.study._oracle
+            key = _oracle_key(self.config, self.grid, self.num_frames)
+            table = memo.get(key)
+            if table is None:
+                table = memo[key] = _OracleTable(self.config.video)
+            self._oracle = table
+        return self._oracle
+
     def oracle_planes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every frame's oracle eyes ``(F, U, 3)``, plane normals
         ``(F, U, 6, 3)`` and offsets ``(F, U, 6)``, built on first use."""
-        if self._planes is None:
+        table = self.oracle_table()
+        if table.planes is None:
             ts = np.arange(self.num_frames) / self.config.target_fps
             poses = [trace.poses_at(ts) for trace in self.config.study.traces]
             eyes = np.stack([p for p, _ in poses], axis=1)  # (F, U, 3)
             quats = np.stack([q for _, q in poses], axis=1)  # (F, U, 4)
-            self._planes = (eyes, *frustum_planes(eyes, quats))
-        return self._planes
+            table.planes = (eyes, *frustum_planes(eyes, quats))
+        return table.planes
 
     def _visibility(
         self, users: Sequence[int], frame_index: int, now_s: float
     ) -> list[VisibilityResult]:
         """The listed users' visibility of one frame, culled as one batch."""
-        occ = self.occupancy(frame_index)
         config = self.config.visibility
         if self.config.predictor is None:
-            eyes, normals, offsets = self.oracle_planes()
-            rows = (frame_index, list(users))
-            return compute_visibility_planes(
-                occ, eyes[rows], normals[rows], offsets[rows], config
-            )
+            rows = self.oracle_table().rows.setdefault(frame_index, {})
+            missing = [u for u in users if u not in rows]
+            if missing:
+                eyes, normals, offsets = self.oracle_planes()
+                index = (frame_index, missing)
+                results = compute_visibility_planes(
+                    self.occupancy(frame_index),
+                    eyes[index], normals[index], offsets[index], config,
+                )
+                rows.update(zip(missing, results))
+            return [rows[u] for u in users]
         poses = [self.pose_for(u, frame_index, now_s) for u in users]
-        return compute_visibility_batch(occ, Frustum.many(poses), config)
+        return compute_visibility_batch(
+            self.occupancy(frame_index), Frustum.many(poses), config
+        )
 
     def demands(
         self,

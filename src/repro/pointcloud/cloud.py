@@ -71,19 +71,3 @@ class PointCloudFrame:
             self.points + np.asarray(offset, dtype=np.float64),
             nominal_points=self.nominal_points,
         )
-
-    def subsample(self, fraction: float, seed: int = 0) -> "PointCloudFrame":
-        """Randomly keep ``fraction`` of the points (at least one).
-
-        ``nominal_points`` scales down proportionally, so bitrate stays
-        consistent with the retained geometry.
-        """
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError("fraction must be in (0, 1]")
-        rng = np.random.default_rng(seed)
-        n = max(1, int(round(len(self.points) * fraction)))
-        idx = rng.choice(len(self.points), size=n, replace=False)
-        return PointCloudFrame(
-            self.points[idx],
-            nominal_points=max(n, int(round(self.nominal_points * fraction))),
-        )

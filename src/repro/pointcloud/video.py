@@ -88,12 +88,6 @@ class PointCloudVideo:
             box = box.union(frame.bounds)
         return box
 
-    def frame_at(self, t: float) -> PointCloudFrame:
-        """Frame displayed at time ``t`` seconds (clamped to the video)."""
-        index = int(t * self.fps)
-        index = max(0, min(index, len(self.frames) - 1))
-        return self.frames[index]
-
     def translated(self, offset) -> "PointCloudVideo":
         """The video moved by ``offset`` (e.g. to place content in a room).
 

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from ..geometry import Frustum, cull_planes
-from .cells import FrameOccupancy
+from .cells import FrameOccupancy, _read_only
 
 __all__ = [
     "VisibilityConfig",
@@ -76,24 +76,36 @@ class VisibilityConfig:
 
 @dataclass(frozen=True)
 class VisibilityResult:
-    """Outcome of visibility computation for one (frame, viewer) pair."""
+    """Outcome of visibility computation for one (frame, viewer) pair.
+
+    :func:`compute_visibility_planes` builds the three arrays read-only,
+    because sessions over one study share its results (see
+    ``core.session``).
+    """
 
     cell_ids: np.ndarray  # visible cells, sorted ascending
     fractions: np.ndarray  # fetch fraction per visible cell, in (0, 1]
     nominal_counts: np.ndarray  # full-density points per visible cell
     frame_nominal_points: float  # full-density points in the whole frame
-    _visible_set: frozenset = field(init=False, repr=False)
+    # Built on the first read of visible_set.  The slot exists from
+    # construction, so that filling it does not grow the instance dict (a
+    # cached_property's new key costs 56 bytes per result read).
+    _visible_set: frozenset | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not (len(self.cell_ids) == len(self.fractions) == len(self.nominal_counts)):
             raise ValueError("parallel arrays must align")
-        object.__setattr__(
-            self, "_visible_set", frozenset(np.asarray(self.cell_ids).tolist())
-        )
 
     @property
     def visible_set(self) -> frozenset:
-        """Visible cell ids as a set (the user's visibility map)."""
+        """Visible cell ids as a set (the user's visibility map), built on
+        first use."""
+        if self._visible_set is None:
+            object.__setattr__(
+                self, "_visible_set", frozenset(np.asarray(self.cell_ids).tolist())
+            )
         return self._visible_set
 
     @property
@@ -205,9 +217,9 @@ def compute_visibility_planes(
     # visible cells in ascending order.
     return [
         VisibilityResult(
-            cell_ids=all_ids[mask],
-            fractions=fractions[v, mask],
-            nominal_counts=all_nominal[mask],
+            cell_ids=_read_only(all_ids[mask]),
+            fractions=_read_only(fractions[v, mask]),
+            nominal_counts=_read_only(all_nominal[mask]),
             frame_nominal_points=frame_points,
         )
         for v, mask in enumerate(visible)

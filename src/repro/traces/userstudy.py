@@ -33,10 +33,21 @@ __all__ = ["UserStudy", "generate_user_study"]
 
 @dataclass
 class UserStudy:
-    """A set of synchronized traces from one viewing session."""
+    """A set of synchronized traces from one viewing session.
+
+    A study's traces must not change once a session has read them:
+    ``core.session`` memoizes the oracle visibility of every (frame, user)
+    it culls on the study itself, and later sessions over the same study
+    read those rows instead of culling again.
+    """
 
     traces: list[Trace]
     attention: AttentionModel = field(default_factory=AttentionModel)
+    # Oracle visibility tables, filled by core.session and keyed there;
+    # they live exactly as long as the study.
+    _oracle: dict = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     def __post_init__(self) -> None:
         if not self.traces:

@@ -189,7 +189,7 @@ def test_a_predictor_keeps_the_per_frame_pose_path(video, study):
     for demand, vis in zip(demands, expected):
         assert list(demand.cell_bytes) == vis.cell_ids.tolist()
     builder.visible_fraction(1, frame, now_s)
-    assert builder._planes is None
+    assert builder._oracle is None
 
 
 def test_visibility_maps_equal_the_per_frame_sample_path(video, study):

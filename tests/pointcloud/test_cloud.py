@@ -46,30 +46,3 @@ def test_transformed_shifts_points_and_keeps_nominal():
     g = f.transformed(np.array([1.0, 0, 0]))
     assert np.allclose(g.points, f.points + [1, 0, 0])
     assert g.nominal_points == 500
-
-
-def test_subsample_fraction():
-    f = frame(n=100, nominal=10_000)
-    g = f.subsample(0.25, seed=1)
-    assert len(g) == 25
-    assert g.nominal_points == 2500
-
-
-def test_subsample_keeps_at_least_one_point():
-    f = frame(n=3)
-    g = f.subsample(0.01)
-    assert len(g) >= 1
-
-
-def test_subsample_rejects_bad_fraction():
-    with pytest.raises(ValueError):
-        frame().subsample(0.0)
-    with pytest.raises(ValueError):
-        frame().subsample(1.5)
-
-
-def test_subsample_is_deterministic():
-    f = frame(n=50)
-    a = f.subsample(0.5, seed=7)
-    b = f.subsample(0.5, seed=7)
-    assert np.allclose(a.points, b.points)

@@ -69,13 +69,6 @@ def test_bounds_cover_all_frames():
         assert b.contains_points(f.points).all()
 
 
-def test_frame_at_clamps():
-    v = make_video(frames=10, fps=30.0)
-    assert v.frame_at(-1.0) is v[0]
-    assert v.frame_at(100.0) is v[9]
-    assert v.frame_at(0.1) is v[3]
-
-
 def test_at_quality_relabels_density():
     v = make_video()
     high = PointCloudVideo(
