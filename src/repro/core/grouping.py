@@ -23,7 +23,7 @@ once and scores every candidate partition over it with
 ``FramePlan``, so a candidate merge prices only the one group it creates;
 every other airtime comes from the frame's memo.  Only the partition a
 grouper keeps becomes a plan.  Candidate pairs are ranked by the IoU of
-their merged visibility maps, counted over the frame's rows' cell sets.
+their merged visibility maps, counted over the frame's rows' cell masks.
 """
 
 from __future__ import annotations
@@ -162,21 +162,27 @@ def _merge_candidates(
     ``min_iou``, most similar first with a deterministic tiebreak.
 
     A pair's IoU is ``group_iou`` over the member maps of ``ga`` and ``gb``
-    combined, bit for bit: the groups' shared and covered cells, then
-    ``len(inter) / len(union)`` (``1.0`` when the union is empty).  Groups
-    are non-empty.
+    combined, bit for bit.  Each group's shared and covered cells are the
+    AND and the OR of its members' row cell masks, and a pair's IoU is
+    ``(sa & sb).bit_count() / (ca | cb).bit_count()`` (``1.0`` when the
+    union is empty): the same two counts, so the same float.  Groups are
+    non-empty.
     """
-    mappings = frame_demands.mappings
+    row_mask = frame_demands.row_mask
     user_row = frame_demands.user_row
     shared, covered = [], []
     for g in groups:
-        maps = [mappings[user_row[u]] for u in g]
-        shared.append(set(maps[0]).intersection(*maps[1:]))
-        covered.append(set().union(*maps))
+        s = c = row_mask(user_row[g[0]])
+        for u in g[1:]:
+            m = row_mask(user_row[u])
+            s &= m
+            c |= m
+        shared.append(s)
+        covered.append(c)
     candidates = []
     for ia, ib in combinations(range(len(groups)), 2):
-        union = len(covered[ia] | covered[ib])
-        iou = len(shared[ia] & shared[ib]) / union if union else 1.0
+        union = (covered[ia] | covered[ib]).bit_count()
+        iou = (shared[ia] & shared[ib]).bit_count() / union if union else 1.0
         if iou >= min_iou:
             candidates.append((iou, groups[ia], groups[ib]))
     candidates.sort(key=lambda c: (-c[0], c[1], c[2]))

@@ -51,13 +51,17 @@ def _build_plan(
     num_cells: int,
     multicast_rate_mbps: float,
 ):
-    """A fully-overlapped multicast group: everyone wants the same cells."""
+    """A fully-overlapped multicast group: everyone wants the same cells.
+
+    Every user holds the one ``cell_bytes`` dict by reference, so the
+    frame prices it as one row.
+    """
     frame_bytes = QUALITIES[quality].bitrate_mbps * 1e6 / 8.0 / target_fps
     cell_bytes = {c: frame_bytes / num_cells for c in range(num_cells)}
     demands = [
         UserDemand(
             user_id=u,
-            cell_bytes=dict(cell_bytes),
+            cell_bytes=cell_bytes,
             unicast_rate_mbps=multicast_rate_mbps,
         )
         for u in range(num_users)

@@ -14,7 +14,7 @@ frame rate F.
 Every plan of one frame sits over that frame's :class:`FrameDemands`: its
 demands as distinct rows plus a memo of each group's airtime, so a
 candidate merge costs one new T_m(k), priced over the rows' dicts and
-sets in Python floats.
+cell masks in Python floats.
 :func:`plan_time_s` scores a candidate partition with the fold
 ``FramePlan.total_time_s`` runs, without building the plan.
 :func:`overlap_bytes`, :func:`multicast_frame_time`,
@@ -183,11 +183,18 @@ class FrameDemands:
 
     A row is one *distinct* ``cell_bytes`` mapping: users holding the same
     dict by reference share it, so a venue tick has one row per archetype
-    however many users it admits.  A group is priced over its rows' dicts
-    and sets, summing in the order the scalar references add in: overlaps
-    in sorted cell order, residuals and totals in insertion order, all
-    left to right.  Group airtimes are memoised on ``(members, rate)``.
-    The mappings must not change while the frame is planned.
+    however many users it admits.  A group is priced over its rows' dicts,
+    summing in the order the scalar references add in: overlaps in sorted
+    cell order, residuals and totals in insertion order, all left to
+    right.  Group airtimes are memoised on ``(members, rate)``.
+
+    Each row also has a cell mask, a Python int with bit ``c`` set for
+    cell id ``c``, built the first time the row is priced in a multi-row
+    group or its IoU is asked for.  A group's shared cells are the AND of
+    its rows' masks; their set bits, lowest first, are the sorted cell
+    order the overlap folds in.  Cell ids must be non-negative integers
+    (Python or NumPy).  The mappings must not change while the frame is
+    planned.
     """
 
     def __init__(self, demands: Iterable[UserDemand]) -> None:
@@ -200,8 +207,11 @@ class FrameDemands:
         self.row_totals: list[float] = []
         # Serialized unicast airtime of each user's whole demand.
         self.unicast_s: dict[int, float] = {}
-        # Each row's cell_bytes mapping.
+        # Each row's cell_bytes mapping; once built, its cell mask and its
+        # (cell bit, bytes) pairs in insertion order.
         self.mappings: list[dict[int, float]] = []
+        self._masks: list[int | None] = []
+        self._bits: list[list[tuple[int, float]] | None] = []
         self._airtime: dict[tuple[tuple[int, ...], float], float] = {}
         row_of: dict[int, int] = {}  # id(cell_bytes) -> row
         for uid, d in self.demands.items():
@@ -210,10 +220,33 @@ class FrameDemands:
                 row = row_of[id(d.cell_bytes)] = len(self.mappings)
                 self.mappings.append(d.cell_bytes)
                 self.row_totals.append(d.total_bytes)
+                self._masks.append(None)
+                self._bits.append(None)
             self.user_row[uid] = row
             self.unicast_s[uid] = _transfer_time_s(
                 self.row_totals[row], d.unicast_rate_mbps
             )
+
+    def row_mask(self, row: int) -> int:
+        """Row ``row``'s cell mask: bit ``c`` set for each cell id ``c``."""
+        mask = self._masks[row]
+        if mask is None:
+            mask = 0
+            bits = []
+            try:
+                for c, b in self.mappings[row].items():
+                    # Not 1 << c: 1 << np.int64(70) is 0.
+                    bit = 1 << operator.index(c)
+                    mask |= bit
+                    bits.append((bit, b))
+            except ValueError:
+                raise ValueError(
+                    f"cell ids must be non-negative, got "
+                    f"{min(self.mappings[row])}"
+                ) from None
+            self._masks[row] = mask
+            self._bits[row] = bits
+        return mask
 
     def unicast_time_s(self, members: Iterable[int]) -> float:
         """Bitwise :func:`unicast_frame_time` of the members' demands."""
@@ -251,16 +284,23 @@ class FrameDemands:
         user_row = self.user_row
         return sorted({user_row[u] for u in members})
 
-    def _overlap(self, rows: list[int]) -> tuple[set[int], float]:
-        """The rows' shared cells and S_m(k): the per-cell max over the
-        rows, folded left to right in sorted cell order."""
+    def _overlap(self, rows: list[int]) -> tuple[int, float]:
+        """The rows' shared-cell mask and S_m(k): the per-cell max over the
+        rows, folded left to right over the mask's set bits, lowest first
+        (sorted cell order)."""
         if not rows:
-            return set(), 0.0
+            return 0, 0.0
+        shared = self.row_mask(rows[0])
+        for r in rows[1:]:
+            shared &= self.row_mask(r)
         maps = [self.mappings[r] for r in rows]
-        shared = set(maps[0]).intersection(*maps[1:])
         s_m = 0.0
-        for c in sorted(shared):
+        bits = shared
+        while bits:
+            low = bits & -bits
+            c = low.bit_length() - 1
             s_m += max([m[c] for m in maps])
+            bits ^= low
         return shared, float(s_m)
 
     def _multicast_time_s(
@@ -269,6 +309,13 @@ class FrameDemands:
         """Bitwise :func:`multicast_frame_time`: S_m(k) at the multicast
         rate, then each member's residual unicast in member order."""
         rows = self._rows(members)
+        if len(rows) == 1:
+            # One row shares all its cells and leaves no residual.
+            cells = self.mappings[rows[0]]
+            s_m = 0.0
+            for c in sorted(cells):
+                s_m += cells[c]
+            return _transfer_time_s(float(s_m), rate_mbps)
         shared, s_m = self._overlap(rows)
         t = _transfer_time_s(s_m, rate_mbps)
         # Each row's residual: its whole total when nothing is shared,
@@ -277,9 +324,12 @@ class FrameDemands:
         left: dict[int, float] = {}
         for row in rows:
             if shared:
+                rest = self._masks[row] ^ shared
+                if not rest:
+                    continue
                 r = 0.0
-                for c, b in self.mappings[row].items():
-                    if c not in shared:
+                for bit, b in self._bits[row]:
+                    if rest & bit:
                         r += b
             else:
                 r = self.row_totals[row]

@@ -95,11 +95,17 @@ def block_arq_process(
 ):
     """Process: deliver ``num_packets`` to every receiver via block-ACK rounds.
 
-    ``pers`` holds one per-packet loss probability per receiver.  Each round
-    transmits the union of outstanding packets, then charges one feedback
-    slot per receiver plus the round-trip turnaround.  ``deadline_event``
-    (shared across a frame's transmission units) cuts the loop short; the
-    interrupted round is wasted airtime.
+    ``pers`` holds one per-packet loss probability per receiver, each in
+    ``[0, 1]``.  Each round transmits the union of outstanding packets,
+    then charges one feedback slot per receiver plus the round-trip
+    turnaround.  ``deadline_event`` (shared across a frame's transmission
+    units) cuts the loop short; the interrupted round is wasted airtime.
+
+    Each receiver's outstanding packets are one Python-int mask (bit ``p``
+    set while packet ``p`` is missing), so a round's union is the OR of
+    the masks and every count is a ``bit_count()``.  A listening receiver
+    with ``0 < per < 1`` draws ``rng.random(num_packets)`` once per round,
+    in receiver order, and keeps the packets that failed again.
 
     ``frame`` and ``receivers`` are trace-only correlation fields (the frame
     index being delivered and the receiver user ids, when the caller knows
@@ -110,6 +116,9 @@ def block_arq_process(
     num_receivers = len(pers)
     if num_receivers == 0:
         raise ValueError("need at least one receiver")
+    for per in pers:
+        if not 0.0 <= per <= 1.0:  # NaN fails too
+            raise ValueError(f"per must be in [0, 1], got {per}")
     if num_packets == 0:
         return ArqOutcome(
             delivered=(True,) * num_receivers,
@@ -128,14 +137,16 @@ def block_arq_process(
             residual_packets=(num_packets,) * num_receivers,
         )
 
-    needs = np.ones((num_receivers, num_packets), dtype=bool)
+    needs = [(1 << num_packets) - 1] * num_receivers
     start = env.now
     rounds = 0
     packets_sent = 0
     overhead_s = num_receivers * config.feedback_time_s + config.round_trip_s
     while rounds < config.max_rounds:
-        union = needs.any(axis=0)
-        n_union = int(union.sum())
+        union = 0
+        for need in needs:
+            union |= need
+        n_union = union.bit_count()
         if n_union == 0:
             break
         cost = n_union * packet_time_s + overhead_s
@@ -152,7 +163,7 @@ def block_arq_process(
                 _EV_ARQ_DEADLINE.emit(
                     t=env.now,
                     round=rounds + 1,
-                    pending_receivers=int(needs.any(axis=1).sum()),
+                    pending_receivers=sum(1 for need in needs if need),
                     wasted_s=env.now - round_start,
                     **_trace.correlation(frame=frame, users=receivers),
                 )
@@ -160,28 +171,28 @@ def block_arq_process(
         rounds += 1
         packets_sent += n_union
         for r, per in enumerate(pers):
-            listening = needs[r]
-            if not listening.any():
-                continue
-            if per >= 1.0:
-                continue  # receiver hears nothing
+            need = needs[r]
+            if not need or per >= 1.0:
+                continue  # nothing outstanding, or the receiver hears nothing
             if per <= 0.0:
-                needs[r] = False
+                needs[r] = 0
                 continue
-            failures = rng.random(num_packets) < per
-            needs[r] &= failures
+            failures = np.packbits(
+                rng.random(num_packets) < per, bitorder="little"
+            )
+            needs[r] = need & int.from_bytes(failures.tobytes(), "little")
         if _trace._RECORDER is not None:
             _EV_ARQ_ROUND.emit(
                 t=env.now,
                 round=rounds,
                 packets=n_union,
-                pending_receivers=int(needs.any(axis=1).sum()),
+                pending_receivers=sum(1 for need in needs if need),
                 cost_s=cost,
                 data_s=n_union * packet_time_s,
                 overhead_s=overhead_s,
                 **_trace.correlation(frame=frame, users=receivers),
             )
-    residual = tuple(int(needs[r].sum()) for r in range(num_receivers))
+    residual = tuple(need.bit_count() for need in needs)
     return ArqOutcome(
         delivered=tuple(n == 0 for n in residual),
         airtime_s=env.now - start,

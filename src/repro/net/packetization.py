@@ -59,20 +59,6 @@ class PacketizedUnit:
     app_bytes: float  # payload actually requested by the application
     wire_bytes: float  # payload + per-PDU headers, what the link carries
 
-    def __add__(self, other: "PacketizedUnit") -> "PacketizedUnit":
-        return PacketizedUnit(
-            num_packets=self.num_packets + other.num_packets,
-            app_bytes=self.app_bytes + other.app_bytes,
-            wire_bytes=self.wire_bytes + other.wire_bytes,
-        )
-
-    @property
-    def overhead_fraction(self) -> float:
-        """Wire bytes per app byte, minus one (0 for an empty unit)."""
-        if self.app_bytes <= 0:
-            return 0.0
-        return self.wire_bytes / self.app_bytes - 1.0
-
     def airtime_s(self, rate_mbps: float) -> float:
         """Seconds to carry this unit's wire bytes at ``rate_mbps``."""
         if self.wire_bytes <= 0:
@@ -107,11 +93,24 @@ def packetize_cells(
     cell_bytes: dict[int, float],
     config: PacketizationConfig = PacketizationConfig(),
 ) -> PacketizedUnit:
-    """Packetize a per-cell demand map; cells never share a PDU."""
-    unit = PacketizedUnit(num_packets=0, app_bytes=0.0, wire_bytes=0.0)
+    """Packetize a per-cell demand map; cells never share a PDU.
+
+    One left-to-right fold over the cells in insertion order: bitwise the
+    sum of each cell's :func:`packetize_bytes` unit, built as one unit.
+    """
+    payload_bytes = config.payload_bytes
+    header_bytes = config.header_bytes
+    num_packets = 0
+    app_bytes = 0.0
+    wire_bytes = 0.0
     for nbytes in cell_bytes.values():
-        unit = unit + packetize_bytes(nbytes, config)
-    return unit
+        n = packet_count(nbytes, payload_bytes)
+        num_packets += n
+        app_bytes += float(nbytes)
+        wire_bytes += float(nbytes) + n * header_bytes
+    return PacketizedUnit(
+        num_packets=num_packets, app_bytes=app_bytes, wire_bytes=wire_bytes
+    )
 
 
 class PlanUnits(NamedTuple):

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..geometry import AABB
 from .cloud import PointCloudFrame
 
@@ -82,11 +84,18 @@ class PointCloudVideo:
 
     @property
     def bounds(self) -> AABB:
-        """Union bounding box over all frames (the content volume)."""
-        box = self.frames[0].bounds
+        """Union bounding box over all frames (the content volume).
+
+        One fold over the frames' corners in frame order: bitwise the
+        ``AABB.union`` chain, without its intermediate boxes.
+        """
+        first = self.frames[0].bounds
+        lo, hi = first.lo, first.hi
         for frame in self.frames[1:]:
-            box = box.union(frame.bounds)
-        return box
+            box = frame.bounds
+            lo = np.minimum(lo, box.lo)
+            hi = np.maximum(hi, box.hi)
+        return AABB(lo, hi)
 
     def translated(self, offset) -> "PointCloudVideo":
         """The video moved by ``offset`` (e.g. to place content in a room).
@@ -94,8 +103,6 @@ class PointCloudVideo:
         Trace studies and the room channel share world coordinates; use
         this to put the content where the users actually look.
         """
-        import numpy as np
-
         off = np.asarray(offset, dtype=np.float64)
         return PointCloudVideo(
             name=self.name,

@@ -6,7 +6,7 @@ it keeps.  The loops below are test-local copies of the groupers as they
 were when every candidate went through ``plan_frame``; the groupers must
 return the same partition and the same total, bitwise, and leave the
 same counts and trace events.  The merge candidates' IoUs, counted over
-the rows' cell sets, must equal ``group_iou`` bitwise too.
+the rows' cell masks, must equal ``group_iou`` bitwise too.
 """
 
 from itertools import combinations

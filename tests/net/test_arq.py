@@ -112,3 +112,19 @@ def test_expected_transmissions():
     assert expected_transmissions(0.5, max_rounds=2) == 1.5
     with pytest.raises(ValueError):
         expected_transmissions(1.0)
+
+
+@pytest.mark.parametrize("per", [float("nan"), -0.5, 1.7])
+def test_per_outside_unit_interval_is_rejected_before_any_round(per):
+    # Unchecked, NaN and -0.5 were delivered after one round and 1.7 was
+    # treated as 1.0.
+    rng = _rng()
+    with pytest.raises(ValueError, match=r"per must be in \[0, 1\]"):
+        simulate_block_arq(rng, 50, [0.1, per], 1e-5)
+    assert rng.random() == _rng().random()  # no packet was drawn
+
+
+def test_per_bounds_are_accepted():
+    out = simulate_block_arq(_rng(), 20, [0.0, 1.0], 1e-6, ArqConfig(max_rounds=2))
+    assert out.delivered == (True, False)
+    assert out.residual_packets == (0, 20)
