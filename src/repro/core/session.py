@@ -257,9 +257,11 @@ class _DemandBuilder:
         for u, vis, quality, rate in zip(users, results, qualities, unicast_rates_mbps):
             level = QUALITIES[quality]
             scale = level.points_per_frame / source_points
-            cell_bytes = vis.cell_bytes(
-                lambda p: compression.cell_bytes(p * scale, level.points_per_frame)
+            # Bitwise compression.cell_bytes(frac * count * scale, ...) per cell.
+            priced = compression.cells_bytes(
+                (vis.fractions * vis.nominal_counts) * scale, level.points_per_frame
             )
+            cell_bytes = dict(zip(vis.cell_ids.tolist(), priced.tolist()))
             demands.append(UserDemand(u, cell_bytes, rate))
         return demands
 

@@ -8,6 +8,7 @@ formatting) used by every runner and benchmark.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -50,7 +51,26 @@ AP_BORESIGHT_AZ = np.pi / 2.0  # facing +Y, into the room
 # `default_video(np.str_("high"), np.int64(150))` all land on the same
 # cache entry — and no two distinct parameter sets can silently alias.
 # (functools.lru_cache keys positional and keyword calls differently and
-# hashes 1 == 1.0 == True together; both bite silently otherwise.)
+# hashes 1 == 1.0 == True together; both bite silently otherwise.)  A count
+# or seed must be integral: 2.5 users raises instead of truncating to 2.
+#
+# The two videos are independent entries: `room_video` synthesizes its
+# frames at CONTENT_CENTER rather than translating `default_video`, so a
+# process that streams in the room (every session workload) holds one copy
+# of the geometry, not the untranslated one too.  A process that asks for
+# both synthesizes twice.
+
+
+def _integral(name: str, value) -> int:
+    """``value`` as an int if it is integral (ints, NumPy ints, integral
+    floats), else a ``ValueError`` naming the parameter."""
+    try:
+        return int(operator.index(value))
+    except TypeError:
+        pass
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @lru_cache(maxsize=8)
@@ -70,7 +90,9 @@ def default_video(
 ) -> PointCloudVideo:
     """The synthetic soldier video, centered at the origin (memoized)."""
     return _default_video(
-        quality, int(num_frames), int(points_per_frame)
+        quality,
+        _integral("num_frames", num_frames),
+        _integral("points_per_frame", points_per_frame),
     )
 
 
@@ -78,8 +100,13 @@ def default_video(
 def _room_video(
     quality: str, num_frames: int, points_per_frame: int
 ) -> PointCloudVideo:
-    video = _default_video(quality, num_frames, points_per_frame)
-    return video.translated(CONTENT_CENTER)
+    return synthesize_video(
+        quality,
+        num_frames=num_frames,
+        points_per_frame=points_per_frame,
+        seed=DEFAULT_SEED,
+        center=CONTENT_CENTER,
+    )
 
 
 def room_video(
@@ -87,11 +114,15 @@ def room_video(
 ) -> PointCloudVideo:
     """The same video placed at the room center, in world coordinates.
 
-    Pair this with :func:`study_in_room` — the users orbit and look at
-    CONTENT_CENTER, so the content must be there for visibility to work.
+    Bitwise ``default_video(...).translated(CONTENT_CENTER)``, synthesized
+    in place so the untranslated copy is never built.  Pair this with
+    :func:`study_in_room` — the users orbit and look at CONTENT_CENTER, so
+    the content must be there for visibility to work.
     """
     return _room_video(
-        quality, int(num_frames), int(points_per_frame)
+        quality,
+        _integral("num_frames", num_frames),
+        _integral("points_per_frame", points_per_frame),
     )
 
 
@@ -106,7 +137,11 @@ def default_study(
     num_users: int = 32, duration_s: float = 10.0, seed: int = DEFAULT_SEED
 ) -> UserStudy:
     """The synthetic 32-participant study, centered on the origin content."""
-    return _default_study(int(num_users), float(duration_s), int(seed))
+    return _default_study(
+        _integral("num_users", num_users),
+        float(duration_s),
+        _integral("seed", seed),
+    )
 
 
 @lru_cache(maxsize=4)
@@ -127,7 +162,11 @@ def study_in_room(
     Channel-level experiments need world coordinates consistent with the
     room and AP placement.
     """
-    return _study_in_room(int(num_users), float(duration_s), int(seed))
+    return _study_in_room(
+        _integral("num_users", num_users),
+        float(duration_s),
+        _integral("seed", seed),
+    )
 
 
 def default_channel() -> Channel:

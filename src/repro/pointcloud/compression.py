@@ -18,7 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = ["CompressionModel", "DecoderModel", "DEFAULT_COMPRESSION", "DEFAULT_DECODER"]
+
+
+# Per-cell metadata (id, quantization params, counts) on every coded cell.
+_CELL_HEADER_BYTES = 64.0
 
 
 @dataclass(frozen=True)
@@ -59,8 +65,16 @@ class CompressionModel:
         """
         if cell_points <= 0:
             return 0.0
-        header_bytes = 64.0  # cell metadata: id, quantization params, counts
-        return cell_points * self.bytes_per_point(frame_points) + header_bytes
+        return cell_points * self.bytes_per_point(frame_points) + _CELL_HEADER_BYTES
+
+    def cells_bytes(self, cell_points: np.ndarray, frame_points: float) -> np.ndarray:
+        """:meth:`cell_bytes` of every element of ``cell_points``, bitwise.
+
+        The per-point rate depends only on ``frame_points``, so it is
+        computed once for the whole array.
+        """
+        bpp = self.bytes_per_point(frame_points)
+        return np.where(cell_points <= 0, 0.0, cell_points * bpp + _CELL_HEADER_BYTES)
 
     def bitrate_mbps(self, points_per_frame: float, fps: float = 30.0) -> float:
         """Streaming bitrate of a full (non-culled) video in Mbps."""

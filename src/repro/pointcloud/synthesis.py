@@ -123,6 +123,17 @@ def _check_fps(fps: float) -> None:
         raise ValueError(f"fps must be finite and positive, got {fps!r}")
 
 
+def _check_center(center) -> np.ndarray:
+    """``center`` as a float64 ``(3,)`` offset, or one clear error."""
+    try:
+        offset = np.asarray(center, dtype=np.float64)
+    except (TypeError, ValueError):
+        offset = None
+    if offset is None or offset.shape != (3,) or not np.all(np.isfinite(offset)):
+        raise ValueError(f"center must be three finite numbers, got {center!r}")
+    return offset
+
+
 def synthesize_frame(
     frame_index: int,
     points: int = 8000,
@@ -177,13 +188,20 @@ def synthesize_video(
     fps: float = 30.0,
     seed: int = 8,
     model: HumanoidModel | None = None,
+    center=None,
 ) -> PointCloudVideo:
     """Generate a full synthetic volumetric video.
 
     ``quality`` selects one of the paper's three versions (``"low"`` = 330K,
     ``"medium"`` = 430K, ``"high"`` = 550K nominal points/frame), which sets
     ``nominal_points`` on every frame and hence the streaming bitrate.
+
+    ``center`` is where the figure stands in world coordinates (``None``:
+    the origin).  Each frame is moved there as soon as it is sampled, so
+    the video is bitwise ``synthesize_video(...).translated(center)``
+    without ever holding the untranslated copy.
     """
+    offset = None if center is None else _check_center(center)
     if isinstance(quality, str):
         if quality not in QUALITIES:
             raise ValueError(
@@ -193,8 +211,9 @@ def synthesize_video(
     else:
         level = quality
     _check_fps(fps)
-    frames = [
-        synthesize_frame(
+    frames = []
+    for i in range(num_frames):
+        frame = synthesize_frame(
             i,
             points=points_per_frame,
             nominal_points=level.points_per_frame,
@@ -202,8 +221,7 @@ def synthesize_video(
             fps=fps,
             seed=seed,
         )
-        for i in range(num_frames)
-    ]
+        frames.append(frame if offset is None else frame.transformed(offset))
     return PointCloudVideo(
         name=f"synthetic-soldier-{level.name}", frames=frames, fps=fps, quality=level
     )

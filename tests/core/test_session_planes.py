@@ -123,7 +123,8 @@ def test_cull_planes_equals_intersects_aabbs_row_by_row(video, study, cell_size)
 
 
 def _old_demands(builder, users, frame, qualities, rates):
-    """The replaced ``demands``: per-frame frusta, then the same pricing."""
+    """The replaced ``demands``: per-frame frusta, then the per-cell
+    pricing, its values as the Python floats the session now holds."""
     config = builder.config
     results = compute_visibility_batch(
         builder.occupancy(frame),
@@ -136,8 +137,8 @@ def _old_demands(builder, users, frame, qualities, rates):
         level = QUALITIES[quality]
         scale = level.points_per_frame / source_points
         cell_bytes = vis.cell_bytes(
-            lambda p: config.compression.cell_bytes(
-                p * scale, level.points_per_frame
+            lambda p: float(
+                config.compression.cell_bytes(p * scale, level.points_per_frame)
             )
         )
         demands.append(UserDemand(u, cell_bytes, rate))

@@ -10,7 +10,9 @@ test-local copy of a loop that used to be written at its call site:
 * the experiments' raw bytes-per-point maps (``float(f * n * bpp)``).
 
 The assembler must return the same keys in the same order, ``==`` values
-and the same value types.  Nominal counts are made non-integer (the
+and the same value types.  The session prices its demands through
+``CompressionModel.cells_bytes`` instead, into Python floats, so its
+reference is the old loop's values as ``float``.  Nominal counts are made non-integer (the
 synthesized clouds are scaled up to the quality's nominal points), so a
 product evaluated in another order could round differently and show.
 """
@@ -169,8 +171,9 @@ def test_session_demands_match_the_old_session_loop():
             builder.occupancy(frame), Frustum.many(poses), config.visibility
         )
         for demand, vis, quality in zip(demands, results, qualities):
+            expected = _session_loop(vis, quality, config.compression)
             _assert_same_map(
-                demand.cell_bytes, _session_loop(vis, quality, config.compression)
+                demand.cell_bytes, {c: float(b) for c, b in expected.items()}
             )
 
 
