@@ -75,10 +75,6 @@ class ClientBuffer:
     def has_frame(self, frame_index: int) -> bool:
         return frame_index in self._frames
 
-    def decodable_at_fps(self, frame: BufferedFrame) -> bool:
-        """Can the decoder sustain this frame's density at the playback fps?"""
-        return self.decoder.max_fps(max(frame.nominal_points, 1.0)) >= self.fps - 1e-9
-
     def play_next(self) -> BufferedFrame | None:
         """Consume the frame at the playhead; ``None`` means a stall tick."""
         frame = self._frames.pop(self.next_playback_index, None)
@@ -86,11 +82,6 @@ class ClientBuffer:
             return None
         self.next_playback_index += 1
         return frame
-
-    def skip_next(self) -> None:
-        """Advance the playhead without a frame (frame-drop policies)."""
-        self._frames.pop(self.next_playback_index, None)
-        self.next_playback_index += 1
 
     @property
     def buffered_frames(self) -> int:

@@ -84,12 +84,6 @@ class ApAssignment:
     ap_users: tuple[tuple[int, ...], ...]  # per AP: assigned user indices
     serving_rss_dbm: dict[int, float]  # user -> RSS from their serving AP
 
-    def ap_of(self, user: int) -> int:
-        for ap, users in enumerate(self.ap_users):
-            if user in users:
-                return ap
-        raise KeyError(f"user {user} not assigned")
-
 
 def assign_groups(
     deployment: MultiApDeployment,

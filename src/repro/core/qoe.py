@@ -98,12 +98,6 @@ class UserSessionStats:
             return 0.0
         return float(np.mean(self.fps_samples))
 
-    @property
-    def on_time_fraction(self) -> float:
-        if self.frames_played == 0:
-            return 0.0
-        return self.frames_on_time / self.frames_played
-
     def score(self, weights: QoEWeights, session_length_s: float) -> float:
         """Composite QoE (Mbps-equivalent, higher is better)."""
         if session_length_s <= 0:

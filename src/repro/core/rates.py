@@ -21,11 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
-import numpy as np
-
 from ..mac.events import LinkRateTimeline
 from ..mac.wlan import STREAMING_GOODPUT_EFFICIENCY, WlanCapacityModel
-from ..mmwave.beams import combine_weights
+from ..mmwave.beams import multicast_common_rss_dbm
 from ..mmwave.channel import Channel
 from ..mmwave.codebook import Codebook
 from ..mmwave.blockage import bodies_from_positions
@@ -112,9 +110,8 @@ class ChannelRateProvider:
     Unicast beams are chosen as the codebook beam steered nearest the user's
     LoS direction (a sector sweep would pick the same beam in the open; the
     full sweep lives in :mod:`repro.mmwave.beams` for the Fig. 3
-    experiments).  Multicast beams follow the paper's design: best common
-    codebook beam, or the custom multi-lobe combination when
-    ``use_custom_beams`` is set and it wins.
+    experiments).  Multicast beams follow the paper's design: the better of
+    the best common codebook beam and the custom multi-lobe combination.
 
     Results are memoized per (user/group, sample) — traces are deterministic.
     """
@@ -122,8 +119,6 @@ class ChannelRateProvider:
     channel: Channel
     codebook: Codebook
     study: UserStudy
-    use_custom_beams: bool = True
-    include_bodies: bool = True
     goodput_efficiency: float = STREAMING_GOODPUT_EFFICIENCY
     _unicast_cache: dict = field(default_factory=dict, repr=False)
     _multicast_cache: dict = field(default_factory=dict, repr=False)
@@ -133,8 +128,6 @@ class ChannelRateProvider:
         return min(sample_index, self.study.num_samples - 1)
 
     def _bodies(self, sample_index: int, exclude: int | None):
-        if not self.include_bodies:
-            return ()
         positions = self.study.positions_at(self._sample(sample_index))
         return bodies_from_positions(positions, exclude=exclude)
 
@@ -174,38 +167,14 @@ class ChannelRateProvider:
         if key not in self._multicast_cache:
             positions = [self.study.traces[u].positions[s] for u in member_indices]
             # Each receiver's RSS must exclude their *own* body (the device
-            # is in front of them), so the per-user sweeps use per-user
-            # blocker sets rather than one shared set.
-            weight_matrix = self.codebook.weight_matrix
-            per_user_rss = np.stack(
-                [
-                    self.channel.rss_matrix_dbm(
-                        weight_matrix, pos, self._bodies(s, exclude=u)
-                    )
-                    for u, pos in zip(member_indices, positions)
-                ]
-            )  # (U, B)
-            common = per_user_rss.min(axis=0)
-            best_min = float(common.max())
-            if self.use_custom_beams:
-                best_beams = [
-                    int(np.argmax(per_user_rss[i]))
-                    for i in range(len(member_indices))
-                ]
-                combined = combine_weights(
-                    [self.codebook[b].weights for b in best_beams],
-                    [
-                        float(per_user_rss[i, b])
-                        for i, b in enumerate(best_beams)
-                    ],
-                )
-                combined_min = min(
-                    self.channel.rss_dbm(
-                        combined, pos, self._bodies(s, exclude=u)
-                    )
-                    for u, pos in zip(member_indices, positions)
-                )
-                best_min = max(best_min, float(combined_min))
+            # is in front of them), so every member gets their own blocker set.
+            default, custom = multicast_common_rss_dbm(
+                self.channel,
+                self.codebook,
+                positions,
+                [self._bodies(s, exclude=u) for u in member_indices],
+            )
+            best_min = max(default, custom)
             if best_min < self.channel.budget.outage_rss_dbm:
                 rate = 0.0
             else:

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from ..geometry import Frustum, frustum_planes
-from ..mac.scheduler import UserDemand, plan_frame
+from ..mac.scheduler import FramePlan, UserDemand, plan_frame
 from ..net import TransportConfig, TransportSimulator
 from ..pointcloud import (
     CellGrid,
@@ -46,7 +46,6 @@ from ..traces import UserStudy
 from .adaptation import AdaptationInputs, AdaptationPolicy, FixedQualityPolicy
 from .client import BufferedFrame, ClientBuffer
 from .grouping import (
-    GroupingResult,
     exhaustive_grouping,
     greedy_similarity_grouping,
     no_grouping,
@@ -256,12 +255,11 @@ class _DemandBuilder:
         demands = []
         for u, vis, quality, rate in zip(users, results, qualities, unicast_rates_mbps):
             level = QUALITIES[quality]
-            scale = level.points_per_frame / source_points
-            # Bitwise compression.cell_bytes(frac * count * scale, ...) per cell.
-            priced = compression.cells_bytes(
-                (vis.fractions * vis.nominal_counts) * scale, level.points_per_frame
+            cell_bytes = vis.priced_cells(
+                compression,
+                level.points_per_frame,
+                scale=level.points_per_frame / source_points,
             )
-            cell_bytes = dict(zip(vis.cell_ids.tolist(), priced.tolist()))
             demands.append(UserDemand(u, cell_bytes, rate))
         return demands
 
@@ -277,32 +275,44 @@ class _DemandBuilder:
         return vis.visible_fraction
 
 
-def _group_demands(
+def _frame_plan(
     config: SessionConfig,
     demands: list[UserDemand],
     sample_index: int,
     frame: int | None = None,
-) -> GroupingResult:
-    """Apply the configured grouping policy to one frame's demands.
+) -> FramePlan:
+    """One frame's final delivery plan.
 
-    ``frame`` is a trace-only correlation field threaded into the policy's
-    decision event; it never changes the partition.
+    The configured grouping policy partitions the frame's demands; when the
+    config charges a beam-switch overhead, the policy's groups are planned
+    again with it.  ``frame`` is a trace-only correlation field threaded
+    into the policy's decision event; it never changes the partition.
     """
     rate_fn = lambda members: config.rates.multicast_rate_mbps(  # noqa: E731
         members, sample_index
     )
     if config.grouping == "none" or len(demands) < 2:
-        return no_grouping(demands, frame=frame)
-    if config.grouping == "greedy":
-        return greedy_similarity_grouping(
+        result = no_grouping(demands, frame=frame)
+    elif config.grouping == "greedy":
+        result = greedy_similarity_grouping(
             demands, rate_fn, min_iou=config.min_group_iou, frame=frame
         )
-    if config.grouping == "qoe":
-        return qoe_aware_grouping(
+    elif config.grouping == "qoe":
+        result = qoe_aware_grouping(
             demands, rate_fn, target_fps=config.target_fps,
             min_iou=config.min_group_iou, frame=frame,
         )
-    return exhaustive_grouping(demands, rate_fn, frame=frame)
+    else:
+        result = exhaustive_grouping(demands, rate_fn, frame=frame)
+    plan = result.plan
+    if config.beam_switch_overhead_s:
+        plan = plan_frame(
+            plan.frame_demands,
+            groups=plan.groups,
+            beam_switch_overhead_s=config.beam_switch_overhead_s,
+            frame=frame,
+        )
+    return plan
 
 
 def measure_max_fps(
@@ -347,15 +357,7 @@ def measure_max_fps(
             qualities.append(decision.quality)
             rates.append(config.rates.unicast_rate_mbps(u, sample))
         demands = builder.demands(users, f, qualities, now_s, rates)
-        result = _group_demands(config, demands, sample, frame=f)
-        plan = result.plan
-        if config.beam_switch_overhead_s:
-            plan = plan_frame(
-                plan.frame_demands,
-                groups=plan.groups,
-                beam_switch_overhead_s=config.beam_switch_overhead_s,
-                frame=f,
-            )
+        plan = _frame_plan(config, demands, sample, frame=f)
         if transport is None:
             fps.append(plan.achievable_fps(cap_fps=config.target_fps))
         else:
@@ -466,15 +468,7 @@ class StreamingSession:
                 self.env.now,
                 [rates[u] for u in users],
             )
-            result = _group_demands(config, demands, sample, frame=frame_index)
-            plan = result.plan
-            if config.beam_switch_overhead_s:
-                plan = plan_frame(
-                    plan.frame_demands,
-                    groups=plan.groups,
-                    beam_switch_overhead_s=config.beam_switch_overhead_s,
-                    frame=frame_index,
-                )
+            plan = _frame_plan(config, demands, sample, frame=frame_index)
             t_tx = plan.total_time_s()
             if not np.isfinite(t_tx) or t_tx > 1.0:
                 yield self.env.timeout(dt)

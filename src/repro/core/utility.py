@@ -127,13 +127,6 @@ class AllocationResult:
     feasible: bool
     method: str  # "dp" | "greedy"
 
-    def quality_for(self, user_id: int) -> str:
-        """The quality assigned to ``user_id``."""
-        for uid, quality in self.qualities:
-            if uid == user_id:
-                return quality
-        raise KeyError(f"no allocation for user {user_id}")
-
     def as_dict(self) -> dict[int, str]:
         """The assignment as a plain ``{user_id: quality}`` dict."""
         return dict(self.qualities)

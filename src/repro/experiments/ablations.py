@@ -506,10 +506,8 @@ def run_cellsize(spec: RunSpec) -> dict:
             occ = grid.occupancy(video[f % len(video)])
             vis = compute_visibility(occ, trace.pose(f).frustum(), config)
             fractions.append(vis.visible_fraction)
-            cell_bytes = vis.cell_bytes(
-                lambda p: DEFAULT_COMPRESSION.cell_bytes(
-                    p, vis.frame_nominal_points
-                )
+            cell_bytes = vis.priced_cells(
+                DEFAULT_COMPRESSION, vis.frame_nominal_points
             )
             bytes_.append(float(sum(cell_bytes.values())) / 1e6)
     return {

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..mmwave import combine_weights
+from ..mmwave import multicast_common_rss_dbm
 from ..runner import Experiment, RunSpec, register
 from .common import DEFAULT_SEED, default_channel, ideal_codebook
 
@@ -77,7 +77,6 @@ EXPERIMENT = register(
 def _compute(num_instants: int, seed: int) -> dict:
     channel = default_channel()
     codebook = ideal_codebook()
-    weight_matrix = codebook.weight_matrix
     rng = np.random.default_rng(seed)
     room = channel.room
 
@@ -95,21 +94,8 @@ def _compute(num_instants: int, seed: int) -> dict:
             for _ in range(2)
         ]
 
-        per_user_rss = np.stack(
-            [channel.rss_matrix_dbm(weight_matrix, pos) for pos in positions]
-        )
-        common = per_user_rss.min(axis=0)
-        default_common = float(common.max())
-        default_samples.append(default_common)
-
-        best_beams = [int(np.argmax(per_user_rss[i])) for i in range(2)]
-        combined = combine_weights(
-            [codebook[b].weights for b in best_beams],
-            [float(per_user_rss[i, b]) for i, b in enumerate(best_beams)],
-        )
-        combined_common = min(
-            channel.rss_dbm(combined, pos) for pos in positions
-        )
-        custom_samples.append(max(default_common, float(combined_common)))
+        default, custom = multicast_common_rss_dbm(channel, codebook, positions)
+        default_samples.append(default)
+        custom_samples.append(max(default, custom))
 
     return {"default_rss_dbm": default_samples, "custom_rss_dbm": custom_samples}

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..mac import UserDemand, multicast_frame_time, unicast_frame_time
-from ..mmwave import combine_weights
+from ..mmwave import multicast_common_rss_dbm
 from ..mmwave.mcs import app_rate_mbps
 from ..pointcloud import CellGrid, VisibilityConfig, compute_visibility_batch
 from ..geometry import AABB, Frustum
@@ -142,8 +142,6 @@ def _compute(
         )
         demands = []
         positions = []
-        rates = []
-        per_user_beam_rss = []
         for u, vis in zip(members, visible):
             cell_bytes = vis.cell_bytes(bytes_of)
             pos = study.traces[u].positions[s]
@@ -154,8 +152,6 @@ def _compute(
                 UserDemand(user_id=u, cell_bytes=cell_bytes, unicast_rate_mbps=rate)
             )
             positions.append(pos)
-            rates.append(rate)
-            per_user_beam_rss.append((best, float(rss_all[best])))
 
         total_bytes = sum(d.total_bytes for d in demands)
         if total_bytes <= 0:
@@ -164,22 +160,13 @@ def _compute(
         # Scheme 1: unicast.
         t_uni = unicast_frame_time(demands)
 
-        # Scheme 2: multicast at the default common beam's rate.
-        common = np.minimum(
-            channel.rss_matrix_dbm(weight_matrix, positions[0]),
-            channel.rss_matrix_dbm(weight_matrix, positions[1]),
-        )
-        rate_default = app_rate_mbps(float(common.max()))
+        # Scheme 2: multicast at the default common beam's rate.  Scheme 3:
+        # multicast with the custom multi-lobe beam (falling back to the
+        # default beam when it is already better).
+        default, custom = multicast_common_rss_dbm(channel, codebook, positions)
+        rate_default = app_rate_mbps(default)
         t_default = multicast_frame_time(demands, rate_default)
-
-        # Scheme 3: multicast with the custom multi-lobe beam (falling back
-        # to the default beam when it is already better).
-        combined = combine_weights(
-            [codebook[b].weights for b, _ in per_user_beam_rss],
-            [r for _, r in per_user_beam_rss],
-        )
-        custom_common = min(channel.rss_dbm(combined, p) for p in positions)
-        rate_custom = max(rate_default, app_rate_mbps(float(custom_common)))
+        rate_custom = max(rate_default, app_rate_mbps(custom))
         t_custom = multicast_frame_time(demands, rate_custom)
 
         throughputs = {

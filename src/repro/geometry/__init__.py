@@ -5,7 +5,6 @@ from .frustum import Frustum, cull_aabbs, cull_planes, frustum_planes
 from .quaternion import Quaternion
 from .rays import Plane, Segment, VerticalCylinder, mirror_point
 from .vec import (
-    angle_between,
     azimuth_elevation,
     cross,
     distance,
@@ -13,8 +12,6 @@ from .vec import (
     from_azimuth_elevation,
     norm,
     normalize,
-    project_onto_plane,
-    vec3,
 )
 
 __all__ = [
@@ -28,7 +25,6 @@ __all__ = [
     "Segment",
     "VerticalCylinder",
     "mirror_point",
-    "angle_between",
     "azimuth_elevation",
     "cross",
     "distance",
@@ -36,6 +32,4 @@ __all__ = [
     "from_azimuth_elevation",
     "norm",
     "normalize",
-    "project_onto_plane",
-    "vec3",
 ]

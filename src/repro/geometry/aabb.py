@@ -100,12 +100,6 @@ class AABB:
             raise ValueError("negative margin collapses the box")
         return AABB(lo, hi)
 
-    def distance_to_point(self, point: np.ndarray) -> float:
-        """Euclidean distance from ``point`` to the box (0 if inside)."""
-        p = np.asarray(point, dtype=np.float64)
-        d = np.maximum(np.maximum(self.lo - p, 0.0), p - self.hi)
-        return float(np.linalg.norm(d))
-
 
 def _mixed_zeros(values: np.ndarray) -> bool:
     """True when ``values`` holds both 0.0 and -0.0."""

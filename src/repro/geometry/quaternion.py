@@ -34,18 +34,6 @@ class Quaternion:
         return Quaternion(1.0, 0.0, 0.0, 0.0)
 
     @staticmethod
-    def from_axis_angle(axis: np.ndarray, angle: float) -> "Quaternion":
-        """Rotation of ``angle`` radians around (not necessarily unit) ``axis``."""
-        axis = np.asarray(axis, dtype=np.float64)
-        n = np.linalg.norm(axis)
-        if n < _EPS:
-            return Quaternion.identity()
-        axis = axis / n
-        half = 0.5 * angle
-        s = np.sin(half)
-        return Quaternion(float(np.cos(half)), *(s * axis))
-
-    @staticmethod
     def from_euler(yaw: float, pitch: float, roll: float) -> "Quaternion":
         """Build from ZYX Euler angles (yaw about Z, pitch about Y, roll about X)."""
         cy, sy = np.cos(yaw / 2), np.sin(yaw / 2)

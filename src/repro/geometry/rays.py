@@ -39,10 +39,6 @@ class Segment:
     def direction(self) -> np.ndarray:
         return vec.normalize(self.b - self.a)
 
-    def point_at(self, t: float) -> np.ndarray:
-        """Point at parameter ``t`` in [0, 1] along the segment."""
-        return self.a + t * (self.b - self.a)
-
 
 @dataclass(frozen=True)
 class VerticalCylinder:
@@ -111,14 +107,6 @@ class VerticalCylinder:
             if t0 >= t1:
                 return None
         return (t0, t1)
-
-    def chord_length(self, segment: Segment) -> float:
-        """Length of the segment portion inside the cylinder (0 if none)."""
-        interval = self.intersection_interval(segment)
-        if interval is None:
-            return 0.0
-        t0, t1 = interval
-        return (t1 - t0) * segment.length
 
 
 @dataclass(frozen=True)

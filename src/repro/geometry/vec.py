@@ -11,24 +11,16 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "vec3",
     "norm",
     "normalize",
     "dot",
     "cross",
     "distance",
-    "angle_between",
     "azimuth_elevation",
     "from_azimuth_elevation",
-    "project_onto_plane",
 ]
 
 _EPS = 1e-12
-
-
-def vec3(x: float, y: float, z: float) -> np.ndarray:
-    """Build a float64 3-vector."""
-    return np.array([x, y, z], dtype=np.float64)
 
 
 def norm(v: np.ndarray) -> float | np.ndarray:
@@ -63,14 +55,6 @@ def distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     return np.linalg.norm(np.asarray(a) - np.asarray(b), axis=-1)
 
 
-def angle_between(a: np.ndarray, b: np.ndarray) -> float:
-    """Angle in radians between two vectors, in ``[0, pi]``."""
-    na = normalize(a)
-    nb = normalize(b)
-    c = float(np.clip(dot(na, nb), -1.0, 1.0))
-    return float(np.arccos(c))
-
-
 def azimuth_elevation(v: np.ndarray) -> tuple[float, float]:
     """Decompose direction ``v`` into (azimuth, elevation) in radians.
 
@@ -92,9 +76,3 @@ def from_azimuth_elevation(az: float, el: float) -> np.ndarray:
     """Inverse of :func:`azimuth_elevation` — a unit direction vector."""
     ce = np.cos(el)
     return np.array([ce * np.cos(az), ce * np.sin(az), np.sin(el)])
-
-
-def project_onto_plane(v: np.ndarray, plane_normal: np.ndarray) -> np.ndarray:
-    """Project vector ``v`` onto the plane with unit normal ``plane_normal``."""
-    n = normalize(plane_normal)
-    return np.asarray(v, dtype=np.float64) - dot(v, n) * n

@@ -1,12 +1,11 @@
 """mmWave (802.11ad) PHY substrate: MCS tables, phased arrays, beams, channel."""
 
-from .array import CARRIER_HZ, WAVELENGTH_M, PhasedArray, steering_weights
+from .array import CARRIER_HZ, WAVELENGTH_M, PhasedArray
 from .beams import (
-    MulticastBeamDesign,
     best_common_beam,
     best_unicast_beam,
     combine_weights,
-    design_multicast_beam,
+    multicast_common_rss_dbm,
 )
 from .blockage import (
     BODY_HEIGHT_M,
@@ -26,7 +25,6 @@ from .mcs import (
     McsEntry,
     app_rate_mbps,
     mcs_for_rss,
-    min_rss_for_phy_rate,
     phy_rate_mbps,
 )
 from .raytrace import PropagationPath, Room, trace_paths
@@ -41,12 +39,10 @@ __all__ = [
     "CARRIER_HZ",
     "WAVELENGTH_M",
     "PhasedArray",
-    "steering_weights",
-    "MulticastBeamDesign",
     "best_common_beam",
     "best_unicast_beam",
     "combine_weights",
-    "design_multicast_beam",
+    "multicast_common_rss_dbm",
     "BODY_HEIGHT_M",
     "BODY_RADIUS_M",
     "BeamSearchLatency",
@@ -66,7 +62,6 @@ __all__ = [
     "McsEntry",
     "app_rate_mbps",
     "mcs_for_rss",
-    "min_rss_for_phy_rate",
     "phy_rate_mbps",
     "PropagationPath",
     "Room",

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["PhasedArray", "steering_weights"]
+__all__ = ["PhasedArray"]
 
 SPEED_OF_LIGHT = 299_792_458.0
 CARRIER_HZ = 60.48e9  # 802.11ad channel 2 center frequency
@@ -143,16 +143,3 @@ class PhasedArray:
         step = 2.0 * np.pi / (2**bits)
         phase = np.round(np.angle(weights) / step) * step
         return np.exp(1j * phase) / np.sqrt(weights.shape[-1])
-
-    def normalize_power(self, weights: np.ndarray) -> np.ndarray:
-        """Scale ``weights`` to unit total power (the TX power constraint)."""
-        weights = np.asarray(weights, dtype=np.complex128)
-        power = np.sqrt(float(np.vdot(weights, weights).real))
-        if power < 1e-15:
-            raise ValueError("cannot normalize a zero weight vector")
-        return weights / power
-
-
-def steering_weights(array: PhasedArray, az: float, el: float) -> np.ndarray:
-    """Convenience alias for :meth:`PhasedArray.weights_toward`."""
-    return array.weights_toward(az, el)

@@ -13,14 +13,14 @@ transmit-power constraint).  For k > 2 the same principle generalizes with
 coefficients proportional to the mean RSS of the *other* members.
 
 Only per-user RSS is needed — not full CSI — matching the paper's point
-that separated users have independent receive chains.  The designer also
-implements the paper's fallback: "when both users have high RSS, we should
-directly use the default common beam".
+that separated users have independent receive chains.  Because the group
+rate is pinned to its weakest member, the paper keeps "the default common
+beam" when it already serves the group better:
+:func:`multicast_common_rss_dbm` returns both candidates' group-minimum
+RSS so a caller keeps the larger one.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,8 +32,7 @@ __all__ = [
     "combine_weights",
     "best_unicast_beam",
     "best_common_beam",
-    "MulticastBeamDesign",
-    "design_multicast_beam",
+    "multicast_common_rss_dbm",
 ]
 
 
@@ -105,65 +104,45 @@ def best_common_beam(
     return codebook[best], float(group_min[best])
 
 
-@dataclass(frozen=True)
-class MulticastBeamDesign:
-    """Outcome of designing a beam for one multicast group."""
-
-    strategy: str  # "default-common" or "multi-lobe"
-    weights: np.ndarray
-    per_user_rss_dbm: tuple[float, ...]
-
-    @property
-    def common_rss_dbm(self) -> float:
-        """The group's operating RSS: the minimum over members."""
-        return min(self.per_user_rss_dbm)
-
-
-def design_multicast_beam(
+def multicast_common_rss_dbm(
     channel: Channel,
     codebook: Codebook,
     rx_positions: list[np.ndarray],
-    bodies: tuple[VerticalCylinder, ...] = (),
-    high_rss_dbm: float = -56.0,
-) -> MulticastBeamDesign:
-    """Design the transmit beam for a multicast group (paper §4.2).
+    bodies: list[tuple[VerticalCylinder, ...]] | None = None,
+) -> tuple[float, float]:
+    """Group-minimum RSS (dBm) of a multicast group's two beam candidates.
 
-    1. Sweep the default codebook for the best common beam.  If it already
-       gives every member a high RSS (>= ``high_rss_dbm``, i.e. near-top
-       MCS), use it — custom lobes cannot help much and single-lobe beams
-       are more robust.
-    2. Otherwise, synthesize a multi-lobe beam from the members' individual
-       best beams, weighted by RSS (see :func:`combine_weights`), and keep
-       whichever of the two candidates has the higher common RSS.
+    Returns ``(default_dbm, custom_dbm)``: the best common codebook beam's
+    group minimum, and the group minimum of the multi-lobe beam that
+    :func:`combine_weights` builds from each member's best codebook beam.
+    ``bodies`` holds one blocker tuple per member (each receiver's sweep
+    excludes their own body); ``None`` means no blockers.  The caller keeps
+    the better candidate, in dBm or in rate.
     """
-    common_beam, common_min = best_common_beam(channel, codebook, rx_positions, bodies)
-    common_rss = tuple(
-        channel.rss_dbm(common_beam.weights, pos, bodies) for pos in rx_positions
-    )
-    if common_min >= high_rss_dbm or len(rx_positions) == 1:
-        return MulticastBeamDesign(
-            strategy="default-common",
-            weights=common_beam.weights,
-            per_user_rss_dbm=common_rss,
+    if not rx_positions:
+        raise ValueError("need at least one receiver")
+    if bodies is None:
+        bodies = [()] * len(rx_positions)
+    elif len(bodies) != len(rx_positions):
+        raise ValueError(
+            f"need one blocker tuple per receiver: got {len(bodies)} for "
+            f"{len(rx_positions)} receivers"
         )
-
-    per_user = [
-        best_unicast_beam(channel, codebook, pos, bodies) for pos in rx_positions
-    ]
+    weight_matrix = codebook.weight_matrix
+    per_user = np.stack(
+        [
+            channel.rss_matrix_dbm(weight_matrix, pos, blockers)
+            for pos, blockers in zip(rx_positions, bodies)
+        ]
+    )  # (U, B)
+    default_dbm = float(per_user.min(axis=0).max())
+    best_beams = [int(np.argmax(row)) for row in per_user]
     combined = combine_weights(
-        [beam.weights for beam, _ in per_user], [rss for _, rss in per_user]
+        [codebook[b].weights for b in best_beams],
+        [float(per_user[i, b]) for i, b in enumerate(best_beams)],
     )
-    combined_rss = tuple(
-        channel.rss_dbm(combined, pos, bodies) for pos in rx_positions
+    custom_dbm = min(
+        channel.rss_dbm(combined, pos, blockers)
+        for pos, blockers in zip(rx_positions, bodies)
     )
-    if min(combined_rss) > common_min:
-        return MulticastBeamDesign(
-            strategy="multi-lobe",
-            weights=combined,
-            per_user_rss_dbm=combined_rss,
-        )
-    return MulticastBeamDesign(
-        strategy="default-common",
-        weights=common_beam.weights,
-        per_user_rss_dbm=common_rss,
-    )
+    return default_dbm, float(custom_dbm)

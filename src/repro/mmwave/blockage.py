@@ -113,10 +113,6 @@ class BlockageTimeline:
             events.append((start, len(row)))
         return events
 
-    def onset_samples(self, user: int) -> list[int]:
-        """Sample indices where a blockage event begins."""
-        return [start for start, _ in self.events(user)]
-
 
 def compute_blockage_timeline(
     study: UserStudy, ap_position: np.ndarray

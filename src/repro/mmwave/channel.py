@@ -173,29 +173,6 @@ class Channel:
         with np.errstate(divide="ignore"):
             return 10.0 * np.log10(np.maximum(total_mw, 1e-30))
 
-    def best_path_rss_dbm(
-        self,
-        weights: np.ndarray,
-        rx_position: np.ndarray,
-        bodies: tuple[VerticalCylinder, ...] = (),
-    ) -> tuple[float, str]:
-        """RSS and kind of the single strongest path (for beam diagnostics)."""
-        best = (-np.inf, "none")
-        for path in self.paths_to(rx_position, bodies):
-            az, el = self.ap.direction_to_array_frame(path.departure)
-            g_tx = self.ap.array.gain_dbi(weights, az, el)
-            p = (
-                self.budget.tx_power_dbm
-                + g_tx
-                + self.budget.rx_gain_dbi
-                - fspl_db(path.length_m)
-                - path.extra_loss_db
-                - self.budget.implementation_loss_db
-            )
-            if p > best[0]:
-                best = (p, path.kind)
-        return best
-
     # -- rate shortcuts ------------------------------------------------------
 
     def mcs(
@@ -220,6 +197,3 @@ class Channel:
         if rss < self.budget.outage_rss_dbm:
             return 0.0
         return app_rate_mbps(rss)
-
-    def in_outage(self, weights, rx_position, bodies=()) -> bool:
-        return self.rss_dbm(weights, rx_position, bodies) < self.budget.outage_rss_dbm

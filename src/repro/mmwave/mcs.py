@@ -22,7 +22,6 @@ __all__ = [
     "mcs_for_rss",
     "phy_rate_mbps",
     "app_rate_mbps",
-    "min_rss_for_phy_rate",
 ]
 
 
@@ -86,14 +85,3 @@ def app_rate_mbps(rss_dbm: float) -> float:
     """Application goodput at an RSS (0 when the link is in outage)."""
     entry = mcs_for_rss(rss_dbm)
     return entry.app_rate_mbps if entry else 0.0
-
-
-def min_rss_for_phy_rate(rate_mbps: float) -> float:
-    """Lowest RSS that still sustains at least ``rate_mbps`` PHY rate.
-
-    Raises ``ValueError`` if no MCS reaches the requested rate.
-    """
-    candidates = [e for e in MCS_TABLE if e.phy_rate_mbps >= rate_mbps]
-    if not candidates:
-        raise ValueError(f"no 802.11ad MCS reaches {rate_mbps} Mbps")
-    return min(e.sensitivity_dbm for e in candidates)

@@ -89,10 +89,6 @@ class PropagationPath:
             raise ValueError("degenerate path")
         object.__setattr__(self, "departure", dep / n)
 
-    @property
-    def is_los(self) -> bool:
-        return self.kind == "los"
-
 
 def _segment_blockage_db(
     segment: Segment, bodies: tuple[VerticalCylinder, ...], per_body_db: float

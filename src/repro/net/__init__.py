@@ -11,7 +11,6 @@ from .arq import (
     ArqConfig,
     ArqOutcome,
     block_arq_process,
-    expected_transmissions,
     simulate_block_arq,
 )
 from .config import TRANSPORT_MODES, TransportConfig
@@ -22,14 +21,11 @@ from .errormodel import (
     PER_FLOOR,
     PacketErrorModel,
     per_for_rss,
-    per_for_sinr,
     per_from_margin_db,
-    sample_packet_failures,
 )
 from .fec import (
     FecConfig,
     decode_threshold,
-    repair_fraction,
     sample_decodes,
     total_packets_needed,
 )
@@ -48,7 +44,6 @@ __all__ = [
     "ArqConfig",
     "ArqOutcome",
     "block_arq_process",
-    "expected_transmissions",
     "simulate_block_arq",
     "TRANSPORT_MODES",
     "TransportConfig",
@@ -58,12 +53,9 @@ __all__ = [
     "PER_FLOOR",
     "PacketErrorModel",
     "per_for_rss",
-    "per_for_sinr",
     "per_from_margin_db",
-    "sample_packet_failures",
     "FecConfig",
     "decode_threshold",
-    "repair_fraction",
     "sample_decodes",
     "total_packets_needed",
     "DEFAULT_HEADER_BYTES",

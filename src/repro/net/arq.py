@@ -31,7 +31,6 @@ __all__ = [
     "ArqOutcome",
     "block_arq_process",
     "simulate_block_arq",
-    "expected_transmissions",
 ]
 
 ROUND_DONE = "arq-round-done"
@@ -225,16 +224,3 @@ def simulate_block_arq(
     env.process(runner())
     env.run_until_empty()
     return holder["outcome"]
-
-
-def expected_transmissions(per: float, max_rounds: int | None = None) -> float:
-    """Mean transmissions per packet under independent loss ``per``.
-
-    Unlimited rounds give the classic ``1 / (1 - per)``; with a round cap
-    the geometric series truncates.
-    """
-    if not 0.0 <= per < 1.0:
-        raise ValueError("per must be in [0, 1)")
-    if max_rounds is None:
-        return 1.0 / (1.0 - per)
-    return float(sum(per**r for r in range(max_rounds)))

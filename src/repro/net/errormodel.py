@@ -3,21 +3,18 @@
 802.11ad defines each MCS's receive sensitivity at a reference packet error
 rate (a few percent PSDU error with long PSDUs), and measured PER-vs-SNR
 curves fall off roughly log-linearly — a "waterfall" of about one decade of
-PER per couple of dB once past the knee.  This module turns the RSS/SINR
-margin over the selected MCS's threshold (from :mod:`repro.mmwave.mcs` /
-:mod:`repro.mmwave.sinr`) into a per-packet loss probability, and layers
-blockage-driven burst loss on top: while a human body crosses the LoS
-(:mod:`repro.mmwave.blockage`), the link drops 12+ dB and the PER saturates.
+PER per couple of dB once past the knee.  This module turns the RSS margin
+over the selected MCS's threshold (from :mod:`repro.mmwave.mcs`) into a
+per-packet loss probability, and layers blockage-driven burst loss on top:
+while a human body crosses the LoS (:mod:`repro.mmwave.blockage`), the link
+drops 12+ dB and the PER saturates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..mmwave.mcs import McsEntry, mcs_for_rss
-from ..mmwave.sinr import NOISE_FLOOR_DBM, mcs_for_sinr
 
 __all__ = [
     "PER_AT_SENSITIVITY",
@@ -26,9 +23,7 @@ __all__ = [
     "BLOCKED_PER",
     "per_from_margin_db",
     "per_for_rss",
-    "per_for_sinr",
     "PacketErrorModel",
-    "sample_packet_failures",
 ]
 
 # 802.11ad specifies sensitivity at <= 5% PSDU error (4096-octet PSDUs).
@@ -68,15 +63,6 @@ def per_for_rss(rss_dbm: float, entry: McsEntry | None = None) -> float:
     return per_from_margin_db(rss_dbm - entry.sensitivity_dbm)
 
 
-def per_for_sinr(sinr_db: float) -> float:
-    """Per-packet loss at a SINR (concurrent-AP experiments)."""
-    entry = mcs_for_sinr(sinr_db)
-    if entry is None:
-        return 1.0
-    threshold = entry.sensitivity_dbm - NOISE_FLOOR_DBM
-    return per_from_margin_db(sinr_db - threshold)
-
-
 @dataclass(frozen=True)
 class PacketErrorModel:
     """Maps a link's PHY state to a per-packet error probability.
@@ -103,18 +89,3 @@ class PacketErrorModel:
         if blocked:
             return max(base, self.blocked_per)
         return base
-
-
-def sample_packet_failures(
-    rng: np.random.Generator, num_packets: int, per: float
-) -> int:
-    """How many of ``num_packets`` independent transmissions fail."""
-    if num_packets < 0:
-        raise ValueError("num_packets must be non-negative")
-    if not 0.0 <= per <= 1.0:
-        raise ValueError("per must be in [0, 1]")
-    if num_packets == 0 or per == 0.0:
-        return 0
-    if per == 1.0:
-        return num_packets
-    return int(rng.binomial(num_packets, per))

@@ -25,7 +25,6 @@ __all__ = [
     "FecConfig",
     "decode_threshold",
     "total_packets_needed",
-    "repair_fraction",
     "sample_decodes",
 ]
 
@@ -96,15 +95,6 @@ def total_packets_needed(
     )
     n = int(math.ceil(root * root))
     return min(cap, max(n, k_eff))
-
-
-def repair_fraction(
-    k: int, worst_per: float, config: FecConfig = FecConfig()
-) -> float:
-    """Repair overhead as a fraction of the source block size."""
-    if k <= 0:
-        return 0.0
-    return total_packets_needed(k, worst_per, config) / k - 1.0
 
 
 def sample_decodes(

@@ -156,11 +156,6 @@ class FrameOccupancy:
     def __len__(self) -> int:
         return len(self.cell_ids)
 
-    @property
-    def total_points(self) -> float:
-        """Nominal point count across all occupied cells."""
-        return float(self.counts.sum() * self.scale_factor)
-
     def nominal_counts(self) -> np.ndarray:
         return self.counts * self.scale_factor
 

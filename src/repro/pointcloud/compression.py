@@ -92,12 +92,6 @@ class DecoderModel:
 
     points_per_second: float = 550_000.0 * 30.0
 
-    def decode_time(self, points: float) -> float:
-        """Seconds to decode ``points`` worth of compressed cells."""
-        if points < 0:
-            raise ValueError("points must be non-negative")
-        return points / self.points_per_second
-
     def max_fps(self, points_per_frame: float) -> float:
         """Highest frame rate the decoder sustains at this density."""
         if points_per_frame <= 0:

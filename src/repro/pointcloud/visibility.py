@@ -27,6 +27,7 @@ import numpy as np
 
 from ..geometry import Frustum, cull_planes
 from .cells import FrameOccupancy, _read_only
+from .compression import CompressionModel
 
 __all__ = [
     "VisibilityConfig",
@@ -133,6 +134,23 @@ class VisibilityResult:
                 self.cell_ids, self.fractions, self.nominal_counts
             )
         }
+
+    def priced_cells(
+        self,
+        compression: CompressionModel,
+        frame_points: float,
+        scale: float = 1.0,
+    ) -> dict[int, float]:
+        """``{cell id: compressed bytes}`` in ascending cell order.
+
+        Bitwise ``compression.cell_bytes(fraction * count * scale,
+        frame_points)`` per cell, priced as one array: ``scale`` maps the
+        source video's point counts to the streamed quality's density.
+        """
+        priced = compression.cells_bytes(
+            (self.fractions * self.nominal_counts) * scale, frame_points
+        )
+        return dict(zip(self.cell_ids.tolist(), priced.tolist()))
 
 
 def compute_visibility(

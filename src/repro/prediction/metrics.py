@@ -49,10 +49,6 @@ class PredictorEvaluation:
     def mean_orientation_error_deg(self) -> float:
         return float(np.rad2deg(np.mean(self.orientation_errors_rad)))
 
-    @property
-    def p95_position_error_m(self) -> float:
-        return float(np.percentile(self.position_errors_m, 95))
-
 
 def evaluate_predictor(
     predictor: ViewportPredictor,

@@ -13,7 +13,6 @@ from .executor import RunReport, run_experiment, run_specs, run_specs_iter
 from .progress import ProgressPrinter, TimingSummary, banner
 from .registry import (
     Experiment,
-    all_experiments,
     experiment_names,
     get_experiment,
     register,
@@ -29,7 +28,6 @@ __all__ = [
     "RunReport",
     "RunSpec",
     "TimingSummary",
-    "all_experiments",
     "banner",
     "canonical_json",
     "default_cache_root",

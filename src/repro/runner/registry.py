@@ -25,7 +25,6 @@ __all__ = [
     "register",
     "get_experiment",
     "experiment_names",
-    "all_experiments",
     "resolve_params",
     "check_seed",
 ]
@@ -118,12 +117,6 @@ def experiment_names() -> list[str]:
     """Registered names in registration (presentation) order."""
     _ensure_populated()
     return list(_REGISTRY)
-
-
-def all_experiments() -> list[Experiment]:
-    """Every registered experiment, in registration order."""
-    _ensure_populated()
-    return list(_REGISTRY.values())
 
 
 def check_seed(experiment: str, seed: Any) -> int:

@@ -163,10 +163,12 @@ class ArchetypeLibrary:
             )
             level = QUALITIES[quality]
             scale = level.points_per_frame / video.quality.points_per_frame
-            bytes_of = lambda p: DEFAULT_COMPRESSION.cell_bytes(  # noqa: E731
-                p * scale, level.points_per_frame
-            )
-            cell_bytes = [vis.cell_bytes(bytes_of) for vis in results]
+            cell_bytes = [
+                vis.priced_cells(
+                    DEFAULT_COMPRESSION, level.points_per_frame, scale=scale
+                )
+                for vis in results
+            ]
             clusters = None
             if self.venue.grouping != "none":
                 clusters = self._cluster(

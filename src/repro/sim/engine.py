@@ -200,10 +200,6 @@ class Environment:
             self._fire(item, value)
             fired += 1
 
-    def peek(self) -> float:
-        """Time of the next scheduled event (inf if none)."""
-        return self._queue[0][0] if self._queue else float("inf")
-
     # -- internals -------------------------------------------------------------
 
     def _schedule(self, time: float, item: Event | Process, value: Any) -> None:

@@ -32,18 +32,6 @@ class TraceStatistics:
     mean_angular_speed_dps: float
     mean_viewing_distance_m: float
 
-    def as_row(self) -> list:
-        return [
-            self.user_id,
-            self.device.value,
-            round(self.duration_s, 1),
-            round(self.mean_speed_mps, 3),
-            round(self.p95_speed_mps, 3),
-            round(self.position_spread_m, 3),
-            round(self.mean_angular_speed_dps, 1),
-            round(self.mean_viewing_distance_m, 2),
-        ]
-
 
 def _angular_speeds_dps(trace: Trace) -> np.ndarray:
     """Per-sample angular speed in degrees/second."""

@@ -174,10 +174,6 @@ class Trace:
         v = np.gradient(self.positions, self.times, axis=0)
         return v
 
-    def mean_speed(self) -> float:
-        """Average translational speed in m/s (a mobility statistic)."""
-        return float(np.mean(np.linalg.norm(self.velocities(), axis=1)))
-
     def position_spread(self) -> float:
         """RMS distance from the mean position — how much the user roams."""
         centered = self.positions - self.positions.mean(axis=0)

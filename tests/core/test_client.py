@@ -54,14 +54,6 @@ def test_window_slides_with_playhead():
     assert buf.can_accept(2)
 
 
-def test_skip_next_advances_without_frame():
-    buf = ClientBuffer(user_id=0)
-    buf.deposit(frame(1))
-    buf.skip_next()  # frame 0 dropped
-    assert buf.next_playback_index == 1
-    assert buf.play_next().frame_index == 1
-
-
 def test_buffer_level_counts_contiguous_run():
     buf = ClientBuffer(user_id=0, fps=30.0)
     buf.deposit(frame(0))
@@ -69,12 +61,6 @@ def test_buffer_level_counts_contiguous_run():
     buf.deposit(frame(3))  # gap at 2
     assert buf.buffered_frames == 3
     assert buf.buffer_level_s == pytest.approx(2 / 30.0)
-
-
-def test_decodable_at_fps():
-    buf = ClientBuffer(user_id=0, fps=30.0)
-    assert buf.decodable_at_fps(frame(0, points=550_000.0))
-    assert not buf.decodable_at_fps(frame(0, points=900_000.0))
 
 
 def test_has_frame():

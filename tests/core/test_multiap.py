@@ -66,10 +66,6 @@ def test_assignment_sends_users_to_nearest_ap(deployment):
     demands, positions = two_cluster_scenario()
     assignment = assign_groups(deployment, positions)
     assert assignment.ap_users == ((0, 1), (2, 3))
-    assert assignment.ap_of(0) == 0
-    assert assignment.ap_of(3) == 1
-    with pytest.raises(KeyError):
-        assignment.ap_of(99)
 
 
 def test_assignment_balancing():

@@ -21,18 +21,12 @@ def test_empty_stats_defaults():
     s = stats()
     assert s.mean_bitrate_mbps == 0.0
     assert s.mean_fps == 0.0
-    assert s.on_time_fraction == 0.0
 
 
 def test_mean_bitrate_and_fps():
     s = stats(bitrate_samples_mbps=[200.0, 400.0], fps_samples=[30.0, 20.0])
     assert s.mean_bitrate_mbps == pytest.approx(300.0)
     assert s.mean_fps == pytest.approx(25.0)
-
-
-def test_on_time_fraction():
-    s = stats(frames_played=10, frames_on_time=8)
-    assert s.on_time_fraction == pytest.approx(0.8)
 
 
 def test_score_penalizes_stalls_and_switches():

@@ -136,23 +136,36 @@ def test_channel_multicast_single_member_is_unicast(channel_rates):
 
 
 def test_channel_custom_beams_never_hurt(room_study):
-    import numpy as np
-
-    from repro.mmwave import AccessPoint, Channel, Codebook, Room
+    """The multicast rate is at least the best common codebook beam's rate."""
+    from repro.mmwave import (
+        AccessPoint,
+        Channel,
+        Codebook,
+        Room,
+        app_rate_mbps,
+        bodies_from_positions,
+    )
 
     ap = AccessPoint(position=np.array([4.0, 0.3, 2.0]), boresight_az=np.pi / 2)
     channel = Channel(ap=ap, room=Room(8.0, 10.0, 3.0))
     codebook = Codebook(ap.array, num_az=16, elevations=(0.0,))
-    with_custom = ChannelRateProvider(
-        channel=channel, codebook=codebook, study=room_study, use_custom_beams=True
-    )
-    without = ChannelRateProvider(
-        channel=channel, codebook=codebook, study=room_study, use_custom_beams=False
-    )
+    rates = ChannelRateProvider(channel=channel, codebook=codebook, study=room_study)
+    members = (0, 2)
     for s in (0, 40, 80):
-        assert with_custom.multicast_rate_mbps((0, 2), s) >= without.multicast_rate_mbps(
-            (0, 2), s
-        ) - 1e-9
+        everyone = room_study.positions_at(s)
+        per_user = np.stack(
+            [
+                channel.rss_matrix_dbm(
+                    codebook.weight_matrix,
+                    everyone[u],
+                    bodies_from_positions(everyone, exclude=u),
+                )
+                for u in members
+            ]
+        )
+        default = float(per_user.min(axis=0).max())
+        floor = app_rate_mbps(default) * rates.goodput_efficiency
+        assert rates.multicast_rate_mbps(members, s) >= floor - 1e-9
 
 
 def test_channel_caching_is_consistent(channel_rates):

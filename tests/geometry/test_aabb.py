@@ -121,17 +121,6 @@ def test_expanded_grows_and_shrinks():
         box().expanded(-1.0)
 
 
-def test_distance_to_point_inside_is_zero():
-    assert box().distance_to_point(np.array([0.5, 0.5, 0.5])) == 0.0
-
-
-def test_distance_to_point_outside():
-    assert box().distance_to_point(np.array([2.0, 0.5, 0.5])) == pytest.approx(1.0)
-    assert box().distance_to_point(np.array([2.0, 2.0, 0.5])) == pytest.approx(
-        np.sqrt(2.0)
-    )
-
-
 @given(coords, coords, coords, coords, coords, coords)
 def test_of_points_contains_all_points(x1, y1, z1, x2, y2, z2):
     pts = np.array([[x1, y1, z1], [x2, y2, z2]])

@@ -15,16 +15,6 @@ def test_identity_rotates_nothing():
     assert np.allclose(q.rotate(v), v)
 
 
-def test_axis_angle_quarter_turn():
-    q = Quaternion.from_axis_angle(np.array([0, 0, 1]), np.pi / 2)
-    assert np.allclose(q.rotate(np.array([1.0, 0, 0])), [0, 1, 0], atol=1e-12)
-
-
-def test_axis_angle_zero_axis_gives_identity():
-    q = Quaternion.from_axis_angle(np.array([0.0, 0, 0]), 1.0)
-    assert q == Quaternion.identity()
-
-
 def test_from_euler_yaw_only():
     q = Quaternion.from_euler(np.pi / 2, 0, 0)
     fwd = q.forward()
@@ -91,7 +81,7 @@ def test_angle_to_self_is_zero():
 
 def test_angle_to_is_rotation_angle():
     qa = Quaternion.identity()
-    qb = Quaternion.from_axis_angle(np.array([0, 0, 1]), 0.8)
+    qb = Quaternion.from_euler(0.8, 0, 0)
     assert qa.angle_to(qb) == pytest.approx(0.8, abs=1e-9)
 
 
@@ -104,14 +94,14 @@ def test_slerp_endpoints():
 
 def test_slerp_midpoint_halves_angle():
     qa = Quaternion.identity()
-    qb = Quaternion.from_axis_angle(np.array([0, 0, 1]), 1.0)
+    qb = Quaternion.from_euler(1.0, 0, 0)
     mid = qa.slerp(qb, 0.5)
     assert qa.angle_to(mid) == pytest.approx(0.5, abs=1e-9)
 
 
 def test_slerp_takes_short_arc():
-    qa = Quaternion.from_axis_angle(np.array([0, 0, 1]), 0.1)
-    qb_neg = Quaternion.from_axis_angle(np.array([0, 0, 1]), 0.3)
+    qa = Quaternion.from_euler(0.1, 0, 0)
+    qb_neg = Quaternion.from_euler(0.3, 0, 0)
     qb_flipped = Quaternion(-qb_neg.w, -qb_neg.x, -qb_neg.y, -qb_neg.z)
     mid = qa.slerp(qb_flipped, 0.5)
     assert qa.angle_to(mid) == pytest.approx(0.1, abs=1e-7)

@@ -13,13 +13,6 @@ def test_segment_length_and_direction():
     assert np.allclose(s.direction, [0.6, 0.8, 0.0])
 
 
-def test_point_at_endpoints():
-    s = Segment(np.zeros(3), np.array([2.0, 0, 0]))
-    assert np.allclose(s.point_at(0.0), [0, 0, 0])
-    assert np.allclose(s.point_at(1.0), [2, 0, 0])
-    assert np.allclose(s.point_at(0.5), [1, 0, 0])
-
-
 def cylinder(x=0.0, y=0.0, r=0.5, h=2.0):
     return VerticalCylinder(center_xy=np.array([x, y]), radius=r, height=h)
 
@@ -37,14 +30,15 @@ def test_segment_through_center_blocks():
     c = cylinder()
     s = Segment(np.array([-2.0, 0, 1.0]), np.array([2.0, 0, 1.0]))
     assert c.blocks(s)
-    assert c.chord_length(s) == pytest.approx(1.0, abs=1e-9)
+    t0, t1 = c.intersection_interval(s)
+    assert (t1 - t0) * s.length == pytest.approx(1.0, abs=1e-9)
 
 
 def test_segment_missing_laterally():
     c = cylinder()
     s = Segment(np.array([-2.0, 1.0, 1.0]), np.array([2.0, 1.0, 1.0]))
     assert not c.blocks(s)
-    assert c.chord_length(s) == 0.0
+    assert c.intersection_interval(s) is None
 
 
 def test_segment_above_cylinder_misses():
@@ -91,7 +85,10 @@ def test_tangent_segment_does_not_block():
 def test_chord_never_exceeds_diameter_for_horizontal_rays(y, x0, z):
     c = cylinder(r=0.5)
     s = Segment(np.array([x0 - 10.0, y, z]), np.array([x0 + 10.0, y, z]))
-    assert c.chord_length(s) <= 2 * c.radius + 1e-9
+    interval = c.intersection_interval(s)
+    if interval is not None:
+        t0, t1 = interval
+        assert (t1 - t0) * s.length <= 2 * c.radius + 1e-9
 
 
 def test_plane_signed_distance():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.mmwave import PhasedArray, WAVELENGTH_M, steering_weights
+from repro.mmwave import PhasedArray, WAVELENGTH_M
 
 angles = st.floats(min_value=-1.0, max_value=1.0)
 
@@ -92,15 +92,6 @@ def test_weights_have_unit_power():
     assert np.vdot(w, w).real == pytest.approx(1.0)
 
 
-def test_normalize_power():
-    arr = PhasedArray()
-    w = 5.0 * arr.weights_toward(0.0, 0.0)
-    n = arr.normalize_power(w)
-    assert np.vdot(n, n).real == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        arr.normalize_power(np.zeros(32, dtype=complex))
-
-
 def test_quantize_phases_unit_power_and_grid():
     arr = PhasedArray()
     w = arr.weights_toward(0.3, 0.1)
@@ -133,10 +124,3 @@ def test_quantization_raises_sidelobes():
     ideal_side = arr.gain_dbi_many(w, azs, np.zeros_like(azs)).max()
     quant_side = arr.gain_dbi_many(q, azs, np.zeros_like(azs)).max()
     assert quant_side > ideal_side
-
-
-def test_steering_weights_alias():
-    arr = PhasedArray()
-    assert np.allclose(
-        steering_weights(arr, 0.1, 0.2), arr.weights_toward(0.1, 0.2)
-    )

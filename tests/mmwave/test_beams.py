@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.mmwave import (
-    best_common_beam,
-    best_unicast_beam,
-    combine_weights,
-    design_multicast_beam,
-)
+from repro.mmwave import best_common_beam, best_unicast_beam, combine_weights
 
 
 def test_combine_weights_paper_formula_two_users():
@@ -94,40 +89,3 @@ def test_best_common_beam_rejects_empty(channel, ideal_small_codebook):
     with pytest.raises(ValueError):
         best_common_beam(channel, ideal_small_codebook, [])
 
-
-def test_design_uses_default_for_single_user(channel, ideal_small_codebook):
-    design = design_multicast_beam(
-        channel, ideal_small_codebook, [np.array([4.0, 5.0, 1.5])]
-    )
-    assert design.strategy == "default-common"
-    assert len(design.per_user_rss_dbm) == 1
-
-
-def test_design_multilobe_wins_for_separated_users(channel, ideal_small_codebook):
-    """The paper's headline: separated users need the multi-lobe beam."""
-    u1 = np.array([1.2, 4.0, 1.5])
-    u2 = np.array([6.8, 4.5, 1.5])
-    design = design_multicast_beam(
-        channel, ideal_small_codebook, [u1, u2], high_rss_dbm=-40.0
-    )
-    _, default_common = best_common_beam(channel, ideal_small_codebook, [u1, u2])
-    assert design.common_rss_dbm >= default_common
-    if design.strategy == "multi-lobe":
-        assert design.common_rss_dbm > default_common
-
-
-def test_design_keeps_default_when_coverage_is_high(channel, ideal_small_codebook):
-    """Co-located users: 'directly use the default common beam'."""
-    u1 = np.array([4.0, 5.0, 1.5])
-    u2 = np.array([4.2, 5.1, 1.5])
-    design = design_multicast_beam(
-        channel, ideal_small_codebook, [u1, u2], high_rss_dbm=-70.0
-    )
-    assert design.strategy == "default-common"
-
-
-def test_design_common_rss_is_group_min(channel, ideal_small_codebook):
-    u1 = np.array([2.0, 5.0, 1.5])
-    u2 = np.array([6.0, 6.0, 1.5])
-    design = design_multicast_beam(channel, ideal_small_codebook, [u1, u2])
-    assert design.common_rss_dbm == pytest.approx(min(design.per_user_rss_dbm))

@@ -65,7 +65,6 @@ def test_timeline_events_partition_blocked_samples():
     blocked[0, 8:10] = True
     tl = BlockageTimeline(blocked=blocked, rate_hz=30.0)
     assert tl.events(0) == [(2, 5), (8, 10)]
-    assert tl.onset_samples(0) == [2, 8]
 
 
 def test_timeline_no_events():

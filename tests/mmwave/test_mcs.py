@@ -7,7 +7,6 @@ from repro.mmwave import (
     MCS_TABLE,
     app_rate_mbps,
     mcs_for_rss,
-    min_rss_for_phy_rate,
     phy_rate_mbps,
 )
 
@@ -60,18 +59,6 @@ def test_rate_increases_with_rss():
 def test_boundary_exactness():
     assert mcs_for_rss(-53.0).index == 12
     assert mcs_for_rss(-53.01).index == 11
-
-
-def test_min_rss_for_phy_rate():
-    assert min_rss_for_phy_rate(385.0) == pytest.approx(-68.0)
-    assert min_rss_for_phy_rate(4620.0) == pytest.approx(-53.0)
-    # 1540 is reachable by MCS 6 at -63 dBm.
-    assert min_rss_for_phy_rate(1540.0) == pytest.approx(-63.0)
-
-
-def test_min_rss_unreachable_rate():
-    with pytest.raises(ValueError):
-        min_rss_for_phy_rate(10_000.0)
 
 
 def test_sensitivities_within_spec_range():

@@ -32,7 +32,7 @@ def test_los_path_always_present():
     paths = trace_paths(np.array([1.0, 1, 2]), np.array([5.0, 8, 1.5]), room)
     kinds = [p.kind for p in paths]
     assert "los" in kinds
-    los = next(p for p in paths if p.is_los)
+    los = next(p for p in paths if p.kind == "los")
     assert los.length_m == pytest.approx(np.linalg.norm([4.0, 7.0, -0.5]))
     assert los.extra_loss_db == 0.0
 
@@ -41,9 +41,9 @@ def test_reflection_path_lengths_exceed_los():
     room = Room()
     tx, rx = np.array([1.0, 1, 2]), np.array([5.0, 8, 1.5])
     paths = trace_paths(tx, rx, room)
-    los = next(p for p in paths if p.is_los)
+    los = next(p for p in paths if p.kind == "los")
     for p in paths:
-        if not p.is_los:
+        if p.kind != "los":
             assert p.length_m > los.length_m
             assert p.extra_loss_db >= 8.0  # reflection loss
 
@@ -80,7 +80,7 @@ def test_blockage_attenuates_los_not_removes():
     rx = np.array([7.0, 5.0, 1.5])
     body = VerticalCylinder(np.array([4.0, 5.0]), radius=0.25, height=1.8)
     paths = trace_paths(tx, rx, room, bodies=(body,), blockage_loss_db=22.0)
-    los = next(p for p in paths if p.is_los)
+    los = next(p for p in paths if p.kind == "los")
     assert los.extra_loss_db == pytest.approx(22.0)
 
 
@@ -93,7 +93,7 @@ def test_multiple_blockers_stack():
         VerticalCylinder(np.array([5.0, 5.0]), 0.25, 1.8),
     )
     paths = trace_paths(tx, rx, room, bodies=bodies, blockage_loss_db=20.0)
-    los = next(p for p in paths if p.is_los)
+    los = next(p for p in paths if p.kind == "los")
     assert los.extra_loss_db == pytest.approx(40.0)
 
 

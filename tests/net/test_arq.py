@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.net import ArqConfig, ArqOutcome, expected_transmissions, simulate_block_arq
+from repro.net import ArqConfig, ArqOutcome, simulate_block_arq
 from repro.sim import Environment
 from repro.net.arq import block_arq_process
 
@@ -104,14 +104,6 @@ def test_deterministic_given_seed():
     a = simulate_block_arq(_rng(42), 300, [0.15, 0.05], 1e-6)
     b = simulate_block_arq(_rng(42), 300, [0.15, 0.05], 1e-6)
     assert a == b
-
-
-def test_expected_transmissions():
-    assert expected_transmissions(0.0) == 1.0
-    assert expected_transmissions(0.5) == 2.0
-    assert expected_transmissions(0.5, max_rounds=2) == 1.5
-    with pytest.raises(ValueError):
-        expected_transmissions(1.0)
 
 
 @pytest.mark.parametrize("per", [float("nan"), -0.5, 1.7])

@@ -1,6 +1,5 @@
 """PHY state -> per-packet error probability."""
 
-import numpy as np
 import pytest
 
 from repro.mmwave.mcs import MCS_TABLE, mcs_for_rss
@@ -11,9 +10,7 @@ from repro.net import (
     PER_FLOOR,
     PacketErrorModel,
     per_for_rss,
-    per_for_sinr,
     per_from_margin_db,
-    sample_packet_failures,
 )
 
 
@@ -54,11 +51,6 @@ def test_per_for_rss_monotone_within_mcs_step():
     assert per_for_rss(-60.0, entry) < per_for_rss(-60.5, entry)
 
 
-def test_per_for_sinr_outage():
-    assert per_for_sinr(-50.0) == 1.0
-    assert 0.0 < per_for_sinr(20.0) < 1.0
-
-
 def test_model_precedence():
     model = PacketErrorModel(base_per=0.1)
     assert model.per(rss_dbm=-55.0) == 0.1  # override wins over RSS
@@ -81,13 +73,3 @@ def test_model_validation():
     with pytest.raises(ValueError):
         PacketErrorModel(blocked_per=-0.1)
 
-
-def test_sample_packet_failures():
-    rng = np.random.default_rng(0)
-    assert sample_packet_failures(rng, 0, 0.5) == 0
-    assert sample_packet_failures(rng, 100, 0.0) == 0
-    assert sample_packet_failures(rng, 100, 1.0) == 100
-    n = sample_packet_failures(rng, 10_000, 0.1)
-    assert 800 < n < 1200
-    with pytest.raises(ValueError):
-        sample_packet_failures(rng, 10, 1.5)

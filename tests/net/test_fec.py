@@ -6,7 +6,6 @@ import pytest
 from repro.net import (
     FecConfig,
     decode_threshold,
-    repair_fraction,
     sample_decodes,
     total_packets_needed,
 )
@@ -40,13 +39,6 @@ def test_adaptive_sizing_scales_with_loss():
 def test_outage_hits_the_cap():
     cfg = FecConfig(max_overhead=4.0)
     assert total_packets_needed(100, 1.0, cfg) == 500
-
-
-def test_repair_fraction():
-    assert repair_fraction(0, 0.1) == 0.0
-    assert repair_fraction(1000, 0.05) == pytest.approx(
-        total_packets_needed(1000, 0.05) / 1000 - 1.0
-    )
 
 
 def test_adaptive_sizing_actually_decodes():

@@ -140,6 +140,24 @@ def test_cell_bytes_matches_every_old_loop(seed, cell_size, config):
         assert float(sum(summed.values())) == _request_bytes_loop(vis)
 
 
+@pytest.mark.parametrize("cell_size", [0.25, 1.0])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_priced_cells_matches_the_old_loops(seed, cell_size):
+    compression = CompressionModel(anchor_low=(200_000, 2.9))
+    source_points = QUALITIES[SOURCE_QUALITY].points_per_frame
+    for vis in _results(seed, cell_size, VisibilityConfig()):
+        for quality, level in QUALITIES.items():
+            scale = level.points_per_frame / source_points
+            for model in (compression, DEFAULT_COMPRESSION):
+                expected = _session_loop(vis, quality, model)
+                _assert_same_map(
+                    vis.priced_cells(model, level.points_per_frame, scale=scale),
+                    {c: float(b) for c, b in expected.items()},
+                )
+        unscaled = vis.priced_cells(DEFAULT_COMPRESSION, vis.frame_nominal_points)
+        assert float(sum(unscaled.values())) == _request_bytes_loop(vis)
+
+
 def test_cell_bytes_of_an_empty_result_is_empty():
     empty = VisibilityResult(
         cell_ids=np.zeros(0, dtype=np.int64),
@@ -195,4 +213,5 @@ def test_tick_content_matches_the_old_shard_loop():
             results = compute_visibility_batch(occ, frustums, VisibilityConfig())
             assert len(cell_bytes) == len(results)
             for got, vis in zip(cell_bytes, results):
-                _assert_same_map(got, _shard_loop(vis, quality, scale))
+                expected = _shard_loop(vis, quality, scale)
+                _assert_same_map(got, {c: float(b) for c, b in expected.items()})

@@ -95,7 +95,7 @@ def test_occupancy_counts_sum_to_points():
     frame = PointCloudFrame(rng.uniform(0, 2, size=(500, 3)), nominal_points=5000)
     occ = g.occupancy(frame)
     assert occ.counts.sum() == 500
-    assert occ.total_points == pytest.approx(5000.0)
+    assert occ.nominal_counts().sum() == pytest.approx(5000.0)
     assert occ.scale_factor == pytest.approx(10.0)
 
 

