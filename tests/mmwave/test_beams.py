@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.mmwave import best_common_beam, best_unicast_beam, combine_weights
+from repro.mmwave import (
+    best_common_beam,
+    best_unicast_beam,
+    combine_weights,
+    multicast_common_rss_dbm,
+)
 
 
 def test_combine_weights_paper_formula_two_users():
@@ -89,3 +94,51 @@ def test_best_common_beam_rejects_empty(channel, ideal_small_codebook):
     with pytest.raises(ValueError):
         best_common_beam(channel, ideal_small_codebook, [])
 
+
+def test_design_uses_default_for_single_user(channel, ideal_small_codebook):
+    """One member: both candidates are that member's best unicast beam."""
+    u = np.array([4.0, 5.0, 1.5])
+    default, custom = multicast_common_rss_dbm(channel, ideal_small_codebook, [u])
+    _, unicast = best_unicast_beam(channel, ideal_small_codebook, u)
+    assert default == unicast
+    assert custom == pytest.approx(default)
+
+
+def test_design_multilobe_wins_for_separated_users(channel, ideal_small_codebook):
+    """The paper's headline: separated users need the multi-lobe beam."""
+    u1 = np.array([1.2, 4.0, 1.5])
+    u2 = np.array([6.8, 4.5, 1.5])
+    default, custom = multicast_common_rss_dbm(
+        channel, ideal_small_codebook, [u1, u2]
+    )
+    _, default_common = best_common_beam(channel, ideal_small_codebook, [u1, u2])
+    assert default == default_common
+    assert custom > default
+
+
+def test_design_keeps_default_when_coverage_is_high(channel, ideal_small_codebook):
+    """Co-located users: the multi-lobe beam cannot beat the default one."""
+    u1 = np.array([4.0, 5.0, 1.5])
+    u2 = np.array([4.2, 5.1, 1.5])
+    default, custom = multicast_common_rss_dbm(
+        channel, ideal_small_codebook, [u1, u2]
+    )
+    assert custom <= default + 1e-9
+    assert max(default, custom) == pytest.approx(default)
+
+
+def test_design_common_rss_is_group_min(channel, ideal_small_codebook):
+    u1 = np.array([2.0, 5.0, 1.5])
+    u2 = np.array([6.0, 6.0, 1.5])
+    default, custom = multicast_common_rss_dbm(
+        channel, ideal_small_codebook, [u1, u2]
+    )
+    beam, _ = best_common_beam(channel, ideal_small_codebook, [u1, u2])
+    assert default == pytest.approx(
+        min(channel.rss_dbm(beam.weights, u) for u in (u1, u2))
+    )
+    best = [best_unicast_beam(channel, ideal_small_codebook, u) for u in (u1, u2)]
+    combined = combine_weights([b.weights for b, _ in best], [r for _, r in best])
+    assert custom == pytest.approx(
+        min(channel.rss_dbm(combined, u) for u in (u1, u2))
+    )

@@ -129,6 +129,27 @@ def test_outage_predicate(ap):
     assert ch.mcs(w, user) is None
 
 
+def test_best_path_is_los_in_clear_room(channel):
+    user = np.array([4.0, 5.0, 1.5])
+    w = channel.ap.array.weights_toward(*channel.ap.steering_to(user))
+    budget = channel.budget
+    powers = []
+    for path in channel.paths_to(user):
+        az, el = channel.ap.direction_to_array_frame(path.departure)
+        p = (
+            budget.tx_power_dbm
+            + channel.ap.array.gain_dbi(w, az, el)
+            + budget.rx_gain_dbi
+            - fspl_db(path.length_m)
+            - path.extra_loss_db
+            - budget.implementation_loss_db
+        )
+        powers.append((p, path.kind))
+    rss, kind = max(powers)
+    assert kind == "los"
+    assert rss <= channel.rss_dbm(w, user)  # total includes reflections
+
+
 def test_multipath_adds_power(channel):
     user = np.array([4.0, 5.0, 1.5])
     w = channel.ap.array.weights_toward(*channel.ap.steering_to(user))
